@@ -103,3 +103,43 @@ func TestAllocFreeOverflowChurn(t *testing.T) {
 	ev.Cancel()
 	q.Run()
 }
+
+// TestAllocFreeDenseDay pins dense-day ordering at zero steady-state
+// allocations: once the slab pool and the sort scratch have grown to a
+// day's occupancy, filling and draining another day of the same shape —
+// counting pass, long-run merges and all — reuses both. It also checks the
+// scratch is left all-zero, so it never pins the Events of a drained day.
+func TestAllocFreeDenseDay(t *testing.T) {
+	q := New()
+	fn := func(any) {}
+	arg := &struct{ n int }{}
+	var n uint32
+	fillAndDrain := func() {
+		day := simtime.Time((dayOf(q.Now()) + 2) << bucketShift)
+		for i := 0; i < 2048; i++ {
+			// Half the entries share one nanosecond, so the day has both
+			// insertion-length runs and a run long enough to be merged.
+			at := day.Add(simtime.Duration(i % (1 << bucketShift)))
+			if i%2 == 0 {
+				at = day
+			}
+			if i%3 == 0 {
+				q.CallAt(at, fn, arg)
+			} else {
+				q.CallAtSeq(at, KeyedSeq(uint32(i*7919)&0xffff, n), fn, arg)
+				n++
+			}
+		}
+		q.Run()
+	}
+	for i := 0; i < 3; i++ {
+		fillAndDrain()
+	}
+	if cap(q.scratch) < 2048 {
+		t.Fatalf("scratch holds %d entries after dense days of 2048: the dense path did not run", cap(q.scratch))
+	}
+	if avg := testing.AllocsPerRun(20, fillAndDrain); avg != 0 {
+		t.Fatalf("a steady-state dense day allocates %v/op, want 0", avg)
+	}
+	checkScratchClear(t, q)
+}

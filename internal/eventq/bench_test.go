@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -109,5 +110,48 @@ func TestStressMixedOps(t *testing.T) {
 	}
 	if q.Len() != 0 || q.Pending() != 0 {
 		t.Fatalf("Len=%d Pending=%d after Run, want 0/0", q.Len(), q.Pending())
+	}
+}
+
+// denseDay builds one day's worth of unsorted entries the way a line-rate
+// fabric fills it: nanosecond offsets uniform over span (the whole day is
+// 1<<bucketShift), half the entries counter-sequenced (appended in
+// increasing seq order, like txDone events) and half keyed arrivals whose
+// keys bear no relation to append order.
+func denseDay(n, span int, seed int64) []entry {
+	rng := rand.New(rand.NewSource(seed))
+	ev := &Event{}
+	s := make([]entry, n)
+	for i := range s {
+		at := simtime.Time(rng.Intn(span))
+		if rng.Intn(2) == 0 {
+			s[i] = entry{at: at, seq: uint64(i), ev: ev}
+		} else {
+			s[i] = entry{at: at, seq: KeyedSeq(uint32(rng.Intn(1<<20)), uint32(i)), ev: ev}
+		}
+	}
+	return s
+}
+
+// BenchmarkDenseDay measures ordering one day at occupancies on both sides of
+// the sparse/dense crossover and far above it, plus the synchronized-start
+// shape that puts a whole day on one nanosecond. ns/entry is the figure to
+// compare across sizes (a linear-time sort keeps it flat).
+func BenchmarkDenseDay(b *testing.B) {
+	for _, c := range []struct{ n, span int }{
+		{16, 64}, {24, 64}, {32, 64}, {64, 64}, {512, 64}, {2048, 64}, {8192, 64}, {8192, 1},
+	} {
+		b.Run(fmt.Sprintf("%d-over-%dns", c.n, c.span), func(b *testing.B) {
+			tmpl := denseDay(c.n, c.span, 1)
+			s := make([]entry, c.n)
+			q := New()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(s, tmpl)
+				q.sortDay(s)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/entry")
+		})
 	}
 }

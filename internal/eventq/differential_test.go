@@ -216,3 +216,140 @@ func TestDifferentialResetStorm(t *testing.T) {
 	h.check(t, -1)
 	h.compareLogs(t)
 }
+
+// Dense days. At line rate on a large fabric one 64ns day holds thousands
+// of entries, and the calendar orders such a day with a counting pass and
+// per-run merging instead of plain insertion (sortDay). runDenseDay drives
+// that path against the reference heap: it piles `fill` entries — handles,
+// pooled counter events and keyed arrivals, so same-nanosecond ties mix both
+// seq spaces — onto `span` nanoseconds of one day, then drains the day in
+// RunBefore windows whose barriers fall inside it, and between windows
+// inserts into, re-arms into, re-arms out of and cancels within the
+// half-drained day.
+func runDenseDay(t *testing.T, seed int64, fill, span int) {
+	rng := rand.New(rand.NewSource(seed))
+	h := &diffHarness{q: New(), r: newRef()}
+	nextID := 1
+	var streamN [16]uint32
+	day := simtime.Time(0)
+
+	// add schedules one event at `at` through a randomly chosen path.
+	add := func(at simtime.Time) {
+		id := nextID
+		nextID++
+		switch rng.Intn(5) {
+		case 0: // cancellable handle
+			h.qTimers = append(h.qTimers, h.q.At(at, h.qFn(id)))
+			h.rTimers = append(h.rTimers, h.r.At(at, h.rFn(id)))
+		case 1, 2: // pooled, counter-sequenced
+			qfn, rfn := h.qFn(id), h.rFn(id)
+			h.q.CallAt(at, func(any) { qfn() }, nil)
+			h.r.CallAt(at, func(any) { rfn() }, nil)
+		default: // keyed arrival; keys bear no relation to insertion order
+			s := rng.Intn(len(streamN))
+			key := KeyedSeq(uint32(s), streamN[s])
+			streamN[s]++
+			qfn, rfn := h.qFn(id), h.rFn(id)
+			h.q.CallAtSeq(at, key, func(any) { qfn() }, nil)
+			refCallAtSeq(h.r, at, key, func(any) { rfn() }, nil)
+		}
+	}
+	inDay := func() simtime.Time {
+		at := day.Add(simtime.Duration(rng.Intn(span)))
+		if now := h.q.Now(); at < now {
+			at = now
+		}
+		return at
+	}
+	rearm := func(k int, at simtime.Time) { // slot timer k, pending or not
+		h.qSlots[k] = h.q.Reset(h.qSlots[k], at, h.qFn(1_000_000+k))
+		h.rSlots[k] = h.r.Reset(h.rSlots[k], at, h.rFn(1_000_000+k))
+	}
+	cancelOne := func() { // a random handle: fired, pending or cancelled
+		k := rng.Intn(len(h.qTimers))
+		h.qTimers[k].Cancel()
+		h.rTimers[k].Cancel()
+	}
+
+	for round := 0; round < 3; round++ {
+		// Each round's day lies a few hundred days ahead of the clock, so the
+		// fill lands in an unsorted bucket well inside the window; later
+		// rounds reuse (and, growing, regrow) the scratch.
+		day = simtime.Time((dayOf(h.q.Now()) + 300 + int64(rng.Intn(50))) << bucketShift)
+		n := fill * (round + 1)
+		for i := 0; i < n; i++ {
+			add(inDay())
+		}
+		for k := range h.qSlots { // slot timers armed into the day
+			rearm(k, inDay())
+		}
+		for i := 0; i < n/10; i++ { // cancels and re-arms while still unsorted
+			cancelOne()
+			rearm(rng.Intn(len(h.qSlots)), inDay())
+		}
+		h.check(t, round)
+
+		for off := 1; off <= 1<<bucketShift; off += 1 + rng.Intn(6) {
+			barrier := day.Add(simtime.Duration(off))
+			h.q.RunBefore(barrier)
+			h.r.RunBefore(barrier)
+			h.check(t, off)
+			for i := rng.Intn(12); i > 0; i-- { // into the draining day
+				add(inDay())
+			}
+			if rng.Intn(2) == 0 {
+				at := inDay()
+				if rng.Intn(4) == 0 { // out of the day, far enough to overflow
+					at = at.Add(simtime.Duration(numBuckets << bucketShift))
+				}
+				rearm(rng.Intn(len(h.qSlots)), at)
+			}
+			if rng.Intn(2) == 0 {
+				cancelOne()
+			}
+			if rng.Intn(3) == 0 {
+				if qok, rok := h.q.Step(), h.r.Step(); qok != rok {
+					t.Fatalf("Step diverged: calendar=%v reference=%v", qok, rok)
+				}
+			}
+			h.check(t, off)
+		}
+	}
+	h.q.Run()
+	h.r.Run()
+	h.check(t, -1)
+	h.compareLogs(t)
+	if h.q.Pending() != 0 {
+		t.Fatalf("Pending = %d after drain, want 0", h.q.Pending())
+	}
+	checkScratchClear(t, h.q)
+}
+
+// checkScratchClear asserts the sort scratch is all-zero between days, over
+// its whole capacity: a leftover entry would pin its Event.
+func checkScratchClear(t *testing.T, q *Queue) {
+	t.Helper()
+	for i, ent := range q.scratch[:cap(q.scratch)] {
+		if ent != (entry{}) {
+			t.Fatalf("scratch[%d] still holds an entry between days", i)
+		}
+	}
+}
+
+// TestDifferentialDenseDay covers the shapes the ordering code branches on:
+// a whole-day spread (short runs, insertion finishes them), a few
+// nanoseconds (runs past insertMax, merged) and a single nanosecond (one
+// run per seq space — the synchronized-start day).
+func TestDifferentialDenseDay(t *testing.T) {
+	for _, c := range []struct{ fill, span int }{
+		{2200, 1 << bucketShift},
+		{2200, 3},
+		{2200, 1},
+		{insertMax + 1, 1 << bucketShift}, // just over the sparse/dense crossover
+		{insertMax, 1 << bucketShift},     // just under it
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			runDenseDay(t, seed, c.fill, c.span)
+		}
+	}
+}

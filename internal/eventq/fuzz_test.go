@@ -127,6 +127,40 @@ func FuzzDifferentialSchedule(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 2, 0, 0, 0, 2, 4, 1, 0, 5, 1,
 	})
+	// Dense days: more than insertMax entries in one 64ns day, so the
+	// counting pass orders it. A keyed op's operand is both its stream and
+	// its delay/37, so two streams meet on one nanosecond only if the clock
+	// moves between them.
+	//
+	// Day 0 dense over two nanoseconds (+0 and +37) with timers, pooled and
+	// keyed entries interleaved; a window that stops between the two, then
+	// inserts, a cancel and a reset into the half-drained day.
+	var dense []byte
+	for i := 0; i < 30; i++ {
+		dense = append(dense, 0, 0, 1, 1, 2, 0, 2, 1, 0, 1, 1, 0)
+	}
+	dense = append(dense, 5, 1, 2, 0, 0, 0, 3, 7, 4, 9, 7, 0, 5, 1, 6, 2)
+	f.Add(dense)
+	// One nanosecond (259) of a later day, reached in reverse key order: a
+	// timer at +37 pins the cursor in day 0 while the clock advances to it,
+	// so stream 6 is appended behind stream 7 in a still-unsorted bucket,
+	// with pooled counter entries behind both. The keyed run is long enough
+	// to be merged. Steps then drain part of the day between inserts at the
+	// current nanosecond, cancels and resets.
+	long := []byte{0, 1}
+	for i := 0; i < 20; i++ {
+		long = append(long, 2, 7)
+	}
+	long = append(long, 5, 1)
+	for i := 0; i < 20; i++ {
+		long = append(long, 2, 6, 1, 6)
+	}
+	long = append(long, 5, 6)
+	for i := 0; i < 10; i++ {
+		long = append(long, 7, 0, 7, 0, 2, 0, 0, 0, 3, byte(i), 4, byte(i))
+	}
+	long = append(long, 5, 7)
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		qLog, rLog := fuzzOps(t, data)
 		if len(qLog) != len(rLog) {

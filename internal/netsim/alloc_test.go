@@ -8,6 +8,20 @@ import (
 	"github.com/accnet/acc/internal/simtime"
 )
 
+// sendPooled sends one full-size pooled data packet from src to dst and runs
+// the network until it has been delivered or dropped.
+func sendPooled(net *Network, src, dst *Host, flow FlowID) {
+	pkt := net.AllocPacket()
+	pkt.Kind = KindData
+	pkt.Flow = flow
+	pkt.Src = src.ID()
+	pkt.Dst = dst.ID()
+	pkt.Size = DefaultMTU + DataHeaderBytes
+	pkt.ECT = true
+	src.Send(pkt)
+	net.Run()
+}
+
 // TestAllocFreePacketHop pins the full per-packet pipeline at zero
 // allocations in steady state: pool alloc, NIC enqueue, serialization event,
 // propagation event, delivery, and release back to the pool, across two
@@ -21,17 +35,7 @@ func TestAllocFreePacketHop(t *testing.T) {
 	Connect(p1, p2)
 	h2.Register(7, EndpointFunc(func(*Packet) {}))
 
-	sendOne := func() {
-		pkt := net.AllocPacket()
-		pkt.Kind = KindData
-		pkt.Flow = 7
-		pkt.Src = h1.ID()
-		pkt.Dst = h2.ID()
-		pkt.Size = DefaultMTU + DataHeaderBytes
-		pkt.ECT = true
-		h1.Send(pkt)
-		net.Run()
-	}
+	sendOne := func() { sendPooled(net, h1, h2, 7) }
 	// Warm the packet pool, the event free list, and the egress queue's
 	// backing array.
 	for i := 0; i < 8; i++ {
@@ -40,6 +44,57 @@ func TestAllocFreePacketHop(t *testing.T) {
 
 	if avg := testing.AllocsPerRun(1000, sendOne); avg != 0 {
 		t.Fatalf("one packet-hop allocates %v/op, want 0", avg)
+	}
+}
+
+// TestAllocFreeForwardDownedUplink pins forwarding at zero allocations when
+// an ECMP candidate is down: a leaf with three uplinks, the middle one
+// failed, must pick among the survivors without building a live-port slice
+// per packet. A long-lived fault would otherwise turn every packet through
+// the degraded switch into garbage.
+func TestAllocFreeForwardDownedUplink(t *testing.T) {
+	net := New(1)
+	h1 := NewHost(net, "h1")
+	h2 := NewHost(net, "h2")
+	leaf := NewSwitch(net, DefaultSwitchConfig("leaf"))
+	agg := NewSwitch(net, DefaultSwitchConfig("agg"))
+	bw, d := 25*simtime.Gbps, 600*simtime.Nanosecond
+	Connect(h1.AttachPort(bw, d, nil), leaf.AddPort(bw, d, nil))
+	var ups []*Port
+	for i := 0; i < 3; i++ {
+		up := leaf.AddPort(bw, d, nil)
+		Connect(up, agg.AddPort(bw, d, nil))
+		ups = append(ups, up)
+	}
+	down := agg.AddPort(bw, d, nil)
+	Connect(h2.AttachPort(bw, d, nil), down)
+	leaf.SetRoute(h2.ID(), ups...)
+	agg.SetRoute(h2.ID(), down)
+	ups[1].SetDown(true)
+
+	// Sixteen flow ids, so the hash spreads packets over both survivors.
+	delivered, sent := 0, 0
+	for f := FlowID(0); f < 16; f++ {
+		h2.Register(f, EndpointFunc(func(*Packet) { delivered++ }))
+	}
+	sendOne := func() {
+		sendPooled(net, h1, h2, FlowID(sent%16))
+		sent++
+	}
+	// Warm the pools and confirm the degraded ECMP set is what is exercised.
+	for i := 0; i < 64; i++ {
+		sendOne()
+	}
+	if ups[0].TxBytesTotal == 0 || ups[2].TxBytesTotal == 0 || ups[1].TxBytesTotal != 0 {
+		t.Fatalf("uplink bytes %d/%d/%d: want both survivors used and the downed link idle",
+			ups[0].TxBytesTotal, ups[1].TxBytesTotal, ups[2].TxBytesTotal)
+	}
+
+	if avg := testing.AllocsPerRun(1000, sendOne); avg != 0 {
+		t.Fatalf("forwarding past a downed uplink allocates %v/op, want 0", avg)
+	}
+	if delivered != sent {
+		t.Fatalf("delivered %d of %d packets", delivered, sent)
 	}
 }
 

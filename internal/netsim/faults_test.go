@@ -120,3 +120,33 @@ func TestRouteBlackholeCounter(t *testing.T) {
 		t.Fatalf("DropsTotal = %d, want 1", sw.DropsTotal)
 	}
 }
+
+// TestEcmpPickOverLivePorts: with some candidates down, ecmpPick must choose
+// what indexing a compacted copy of the live ports would — the definition
+// the fault goldens were recorded under — for every down pattern.
+func TestEcmpPickOverLivePorts(t *testing.T) {
+	net := New(6)
+	sw := NewSwitch(net, DefaultSwitchConfig("sw"))
+	var ports []*Port
+	for i := 0; i < 5; i++ {
+		ports = append(ports, sw.AddPort(simtime.Gbps, 0, nil))
+	}
+	for mask := 0; mask < 1<<len(ports); mask++ {
+		var alive []*Port
+		for i, p := range ports {
+			p.down = mask&(1<<i) != 0
+			if !p.down {
+				alive = append(alive, p)
+			}
+		}
+		for f := FlowID(0); f < 64; f++ {
+			var want *Port
+			if len(alive) > 0 {
+				want = alive[EcmpIndex(f, sw.ID(), len(alive))]
+			}
+			if got := sw.ecmpPick(ports, f); got != want {
+				t.Fatalf("down mask %05b flow %d: picked %p, want %p", mask, f, got, want)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/accnet/acc/internal/red"
@@ -57,22 +58,75 @@ func TestUnknownFlowDropped(t *testing.T) {
 	net.Run()                         // must not panic
 }
 
+// TestSwitchPanicsOnMissingRoute: a destination the table has no entry for —
+// never programmed, beyond the table, or negative — is a fatal topology bug
+// with the same message wherever it falls.
 func TestSwitchPanicsOnMissingRoute(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dst  func(h2 *Host, nodes int) int
+	}{
+		{"unprogrammed", func(h2 *Host, _ int) int { return h2.ID() }},
+		{"beyond-table", func(_ *Host, nodes int) int { return nodes + 100 }},
+		{"negative", func(*Host, int) int { return -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := New(2)
+			h1 := NewHost(net, "h1")
+			h2 := NewHost(net, "h2")
+			sw := NewSwitch(net, DefaultSwitchConfig("sw"))
+			p1 := h1.AttachPort(simtime.Gbps, 0, nil)
+			s1 := sw.AddPort(simtime.Gbps, 0, nil)
+			Connect(p1, s1)
+			sw.SetRoute(h1.ID(), s1) // the table exists; h2 is not in it
+			dst := tc.dst(h2, len(net.Nodes()))
+			if got := sw.Route(dst); got != nil {
+				t.Fatalf("Route(%d) = %v, want nil", dst, got)
+			}
+			pkt := dataPkt(h1, h2, 1, 100)
+			pkt.Dst = dst
+			h1.Send(pkt)
+			defer func() {
+				want := fmt.Sprintf("netsim: switch sw has no route to host %d", dst)
+				if got := recover(); got != want {
+					t.Fatalf("panic %v, want %q", got, want)
+				}
+			}()
+			net.Run()
+		})
+	}
+}
+
+// TestRouteTableSizedOnce: the first SetRoute sizes the table to the node
+// registry, so installing the remaining routes never regrows it, and a
+// destination beyond the registry (a shard-local view) still fits.
+func TestRouteTableSizedOnce(t *testing.T) {
 	net := New(2)
-	h1 := NewHost(net, "h1")
-	h2 := NewHost(net, "h2")
+	var hosts []*Host
+	for i := 0; i < 8; i++ {
+		hosts = append(hosts, NewHost(net, "h"))
+	}
 	sw := NewSwitch(net, DefaultSwitchConfig("sw"))
-	p1 := h1.AttachPort(simtime.Gbps, 0, nil)
-	s1 := sw.AddPort(simtime.Gbps, 0, nil)
-	Connect(p1, s1)
-	// Route to h2 never programmed.
-	h1.Send(dataPkt(h1, h2, 1, 100))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on missing route")
-		}
-	}()
-	net.Run()
+	p := sw.AddPort(simtime.Gbps, 0, nil)
+	sw.SetRoute(hosts[0].ID(), p)
+	if len(sw.routes) != len(net.Nodes()) {
+		t.Fatalf("table has %d entries after the first route, want the registry's %d", len(sw.routes), len(net.Nodes()))
+	}
+	first := &sw.routes[0]
+	for _, h := range hosts[1:] {
+		sw.SetRoute(h.ID(), p)
+	}
+	if &sw.routes[0] != first {
+		t.Fatal("route table regrew while routes inside the registry were installed")
+	}
+	far := len(net.Nodes()) + 5
+	sw.SetRoute(far, p)
+	if got := sw.Route(far); len(got) != 1 || got[0] != p {
+		t.Fatalf("Route(%d) = %v after SetRoute beyond the registry", far, got)
+	}
+	if got := sw.Route(far - 1); got != nil {
+		t.Fatalf("Route(%d) = %v for a gap entry, want nil", far-1, got)
+	}
 }
 
 func TestECNMarkingAboveKmax(t *testing.T) {
@@ -247,6 +301,57 @@ func TestPriorityNormalizedToServingQueue(t *testing.T) {
 	net.Run()
 	if gotPrio != 0 {
 		t.Fatalf("packet priority %d at receiver, want normalized 0", gotPrio)
+	}
+}
+
+// TestPrioTableMatchesQueueScan: Queue(prio) answers from a table built at
+// construction; it must agree with a scan of Queues for every priority and
+// every shape of weight vector, and stay nil outside the table.
+func TestPrioTableMatchesQueueScan(t *testing.T) {
+	net := New(1)
+	h := NewHost(net, "h")
+	for _, weights := range [][]int{
+		nil,
+		{1},
+		{0, 3, 0, 1},
+		{0, 0, 0, 0},
+		{5, 0, 0, 0, 0, 0, 0, 2},
+		{1, 1, 1, 1, 1, 1, 1, 1},
+	} {
+		p := newPort(net, h, 0, simtime.Gbps, 0, weights)
+		for prio := -2; prio < NumPrio+2; prio++ {
+			var want *EgressQueue
+			for _, q := range p.Queues {
+				if q.Prio == prio {
+					want = q
+				}
+			}
+			if got := p.Queue(prio); got != want {
+				t.Fatalf("weights %v: Queue(%d) = %p, scan finds %p", weights, prio, got, want)
+			}
+		}
+	}
+}
+
+// TestUnmappedPriorityFallsToFirstQueue: on a port whose weight vector skips
+// priorities, a packet of a skipped class rides Queues[0] and is re-classed
+// to it.
+func TestUnmappedPriorityFallsToFirstQueue(t *testing.T) {
+	net, h1, h2, sw := rig(t, []int{0, 3, 0, 1}) // queues at prio 1 and 3
+	gotPrio := -1
+	h2.Register(1, EndpointFunc(func(p *Packet) { gotPrio = p.Prio }))
+	p := dataPkt(h1, h2, 1, 500)
+	p.Prio = 2
+	h1.Send(p)
+	net.Run()
+	if gotPrio != 1 {
+		t.Fatalf("packet priority %d at receiver, want Queues[0]'s 1", gotPrio)
+	}
+	if q := sw.Ports[1].Queues[0]; q.Prio != 1 || q.TxPackets != 1 {
+		t.Fatalf("switch egress Queues[0] (prio %d) sent %d packets, want prio 1 and 1 packet", q.Prio, q.TxPackets)
+	}
+	if !h1.Port.CanInject(2) || !h1.Port.CanInject(6) {
+		t.Fatal("CanInject refused an unmapped priority on an idle NIC")
 	}
 }
 

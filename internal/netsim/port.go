@@ -68,6 +68,17 @@ func (q *EgressQueue) Len() int { return len(q.pkts) - q.head }
 // Bytes returns the instantaneous queue depth in bytes.
 func (q *EgressQueue) Bytes() int { return q.bytes }
 
+// Parked returns the identities of the senders waiting on this queue, in
+// FIFO order.
+func (q *EgressQueue) Parked() []WaiterRef {
+	refs := make([]WaiterRef, 0, len(q.waiters)-q.whead)
+	for _, w := range q.waiters[q.whead:] {
+		kind, flow := w.WaiterID()
+		refs = append(refs, WaiterRef{Kind: kind, Flow: flow})
+	}
+	return refs
+}
+
 // accrue integrates qlen·dt up to the current time.
 func (q *EgressQueue) accrue() {
 	if q.clock == nil {
@@ -194,6 +205,13 @@ type Port struct {
 	// arrived at the peer (see SetDown).
 	BlackholedPackets uint64
 	BlackholedBytes   uint64
+
+	// prioQ[prio] is the queue in Queues serving prio, nil for a priority
+	// with no queue of its own; built once in newPort. It sits last so the
+	// fields ahead of it keep the cache lines they share: the hybrid tick
+	// reads Queues, down and PauseRxEvents of every port every 600ns.
+	//acclint:ignore snapcover derived at construction from Queues
+	prioQ [NumPrio]*EgressQueue
 }
 
 // newPort creates a port with one egress queue per entry in weights
@@ -218,6 +236,9 @@ func newPort(net *Network, owner Node, index int, bw simtime.Rate, delay simtime
 	}
 	if len(p.Queues) == 0 {
 		p.Queues = append(p.Queues, &EgressQueue{Prio: 0, Weight: 1, clock: net.Q.Now})
+	}
+	for _, q := range p.Queues {
+		p.prioQ[q.Prio] = q
 	}
 	return p
 }
@@ -245,12 +266,10 @@ func (p *Port) Net() *Network { return p.net }
 
 // Queue returns the egress queue serving priority prio, or nil.
 func (p *Port) Queue(prio int) *EgressQueue {
-	for _, q := range p.Queues {
-		if q.Prio == prio {
-			return q
-		}
+	if uint(prio) >= NumPrio {
+		return nil
 	}
-	return nil
+	return p.prioQ[prio]
 }
 
 // Paused reports whether the given priority is PFC-paused at this port's
@@ -389,6 +408,21 @@ func (f WaiterFunc) NICReady() { f() }
 
 // WaiterID implements Waiter.
 func (f WaiterFunc) WaiterID() (uint8, FlowID) { return WaiterNone, 0 }
+
+// DoneWaiter is the inert waiter a restore parks in place of a sender that
+// completed while still queued for its NIC (a TCP sender can be parked more
+// than once, so the last cumulative ACK may find a leftover slot). The live
+// run keeps such a slot until its turn comes — where NICReady finds nothing
+// to send — and CanInject makes newcomers line up behind it meanwhile, so
+// restore must keep it too: DoneWaiter holds the slot and the identity, and
+// its turn is the same no-op.
+type DoneWaiter WaiterRef
+
+// NICReady implements Waiter.
+func (DoneWaiter) NICReady() {}
+
+// WaiterID implements Waiter.
+func (d DoneWaiter) WaiterID() (uint8, FlowID) { return d.Kind, d.Flow }
 
 // CanInject reports whether a sender may enqueue another packet at priority
 // prio. Admission is FIFO-fair: while other senders are parked in the

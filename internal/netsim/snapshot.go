@@ -365,11 +365,11 @@ func (q *EgressQueue) saveState(w *codec.Writer) {
 	w.U64(q.EnqBytes)
 	w.U64(q.DropPackets)
 	w.U64(q.DropBytes)
-	w.Int(len(q.waiters) - q.whead)
-	for _, wt := range q.waiters[q.whead:] {
-		kind, flow := wt.WaiterID()
-		w.U64(uint64(kind))
-		w.U64(uint64(flow))
+	parked := q.Parked()
+	w.Int(len(parked))
+	for _, ref := range parked {
+		w.U64(uint64(ref.Kind))
+		w.U64(uint64(ref.Flow))
 	}
 }
 

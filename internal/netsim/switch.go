@@ -62,15 +62,17 @@ type Switch struct {
 	//acclint:ignore snapcover construction config
 	cfg SwitchConfig
 
-	// routes maps destination host id -> candidate egress ports (ECMP set).
+	// routes[dst] is the candidate egress ports (ECMP set) toward destination
+	// node id dst; nil where no route is set. A dense table, so forwarding
+	// costs one bounds check and one load whatever the fabric size.
 	//acclint:ignore snapcover ECMP routing wiring, rebuilt by topology construction
-	routes map[int][]*Port
+	routes [][]*Port
 
 	// Shared-buffer accounting for PFC: bytes resident per (ingress port,
 	// priority), plus the total.
-	ingUsed   [][]int // [port][prio]
+	ingUsed   [][NumPrio]int // [port][prio]
 	totalUsed int
-	pauseSent [][]bool // pause currently asserted toward upstream [port][prio]
+	pauseSent [][NumPrio]bool // pause currently asserted toward upstream [port][prio]
 	// DropsTotal aggregates every drop at this switch. The per-reason
 	// counters below partition it: DropsTotal = WREDDrops + OverflowDrops
 	// + RouteBlackholes (link blackholes are counted at the transmitting
@@ -99,10 +101,9 @@ func NewSwitchAt(net *Network, cfg SwitchConfig, id int) *Switch {
 		cfg.BufferBytes = 24 * simtime.MB
 	}
 	s := &Switch{
-		name:   cfg.Name,
-		net:    net,
-		cfg:    cfg,
-		routes: make(map[int][]*Port),
+		name: cfg.Name,
+		net:  net,
+		cfg:  cfg,
 	}
 	s.id = net.registerAt(s, id)
 	s.rng = net.nodeRng(s.id)
@@ -145,18 +146,31 @@ func (s *Switch) AddPort(bw simtime.Rate, delay simtime.Duration, weights []int)
 		}
 	}
 	s.Ports = append(s.Ports, p)
-	s.ingUsed = append(s.ingUsed, make([]int, NumPrio))
-	s.pauseSent = append(s.pauseSent, make([]bool, NumPrio))
+	s.ingUsed = append(s.ingUsed, [NumPrio]int{})
+	s.pauseSent = append(s.pauseSent, [NumPrio]bool{})
 	return p
 }
 
-// SetRoute sets the ECMP candidate ports toward destination host dst.
+// SetRoute sets the ECMP candidate ports toward destination host dst. The
+// first call sizes the table to the node registry, which topology
+// construction has filled by the time it installs routes; a shard-local
+// registry that stops short of dst grows the table the way append would.
 func (s *Switch) SetRoute(dst int, ports ...*Port) {
+	if dst >= len(s.routes) {
+		n := max(dst+1, len(s.net.nodes))
+		s.routes = append(s.routes, make([][]*Port, n-len(s.routes))...)
+	}
 	s.routes[dst] = ports
 }
 
-// Routes returns the routing table (for topology validation in tests).
-func (s *Switch) Routes() map[int][]*Port { return s.routes }
+// Route returns the ECMP candidate ports toward destination node id dst, or
+// nil when the switch has no route to it.
+func (s *Switch) Route(dst int) []*Port {
+	if uint(dst) >= uint(len(s.routes)) {
+		return nil
+	}
+	return s.routes[dst]
+}
 
 // SetRED applies an ECN template to every ECN-enabled queue of every port.
 func (s *Switch) SetRED(c red.Config) {
@@ -175,25 +189,31 @@ func (s *Switch) SetRED(c red.Config) {
 // down are excluded (failure injection); nil is returned when no candidate
 // is alive.
 func (s *Switch) ecmpPick(ports []*Port, f FlowID) *Port {
-	alive := ports
+	nAlive := 0
 	for _, p := range ports {
-		if p.IsDown() {
-			alive = nil
-			break
+		if !p.down {
+			nAlive++
 		}
 	}
-	if alive == nil {
-		for _, p := range ports {
-			if !p.IsDown() {
-				alive = append(alive, p)
-			}
-		}
-		if len(alive) == 0 {
-			return nil
-		}
+	if nAlive == len(ports) {
+		return ports[EcmpIndex(f, s.id, nAlive)]
 	}
-	ports = alive
-	return ports[EcmpIndex(f, s.id, len(ports))]
+	if nAlive == 0 {
+		return nil
+	}
+	// Some candidate is down: take the EcmpIndex-th live port by counting,
+	// the port a compacted copy of the live set would hold at that index.
+	k := EcmpIndex(f, s.id, nAlive)
+	for _, p := range ports {
+		if p.down {
+			continue
+		}
+		if k == 0 {
+			return p
+		}
+		k--
+	}
+	panic("netsim: ecmpPick ran past the live ports it counted")
 }
 
 // EcmpIndex returns the candidate index ecmpPick selects for flow f at the
@@ -228,8 +248,8 @@ func (s *Switch) Receive(pkt *Packet, in *Port) {
 		return
 	}
 
-	ports, ok := s.routes[pkt.Dst]
-	if !ok || len(ports) == 0 {
+	ports := s.Route(pkt.Dst)
+	if len(ports) == 0 {
 		//acclint:ignore hotpath@1 a route miss is a fatal topology bug; the Sprintf runs only on the panic path
 		panic(fmt.Sprintf("netsim: switch %s has no route to host %d", s.name, pkt.Dst))
 	}

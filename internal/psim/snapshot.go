@@ -156,12 +156,19 @@ func (e *Engine) RestoreApplied(r *codec.Reader, a *Applied) error {
 			}
 			switch kind {
 			case netsim.WaiterDCQCN:
+				// A DCQCN sender parks at most once and only NICReady moves
+				// it on, so a parked one is never done: no placeholder.
 				if f := a.DCQCNSend[idx]; f != nil {
 					return f
 				}
 			case netsim.WaiterTCP:
 				if f := a.TCPSend[idx]; f != nil {
 					return f
+				}
+				// SaveApplied skips a fully acked sender, but one of its
+				// park slots can outlive it (see netsim.DoneWaiter).
+				if a.Plan.Flows[idx].Transport == TransportTCP && a.End[idx] != 0 {
+					return netsim.DoneWaiter{Kind: kind, Flow: flow}
 				}
 			}
 			return nil

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/psim"
 	"github.com/accnet/acc/internal/red"
 	"github.com/accnet/acc/internal/simtime"
@@ -170,6 +171,83 @@ func TestForkMatchesColdRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// completedParked counts NIC waiter slots held by TCP senders that are
+// already fully acked.
+func completedParked(w *World) int {
+	n := 0
+	for _, row := range w.E.Hosts {
+		for _, h := range row {
+			for _, q := range h.Port.Queues {
+				for _, ref := range q.Parked() {
+					if ref.Kind != netsim.WaiterTCP {
+						continue
+					}
+					if f := w.App.TCPSend[int(ref.Flow)-1]; f != nil && f.Acked() {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestForkWithCompletedParkedSender: a TCP sender re-parks on every ACK that
+// finds its NIC queue full, so slots of its can still be queued when the
+// last ACK completes it. The snapshot saves no transport for a completed
+// sender; restore must keep those slots anyway (they gate CanInject for
+// newcomers), and a re-save must reproduce the image. Fork used to fail
+// here with "no waiter for kind 2".
+func TestForkWithCompletedParkedSender(t *testing.T) {
+	sc := Scenario{
+		NLeaf: 4, HostsPerLeaf: 8, NSpine: 2, Shards: 1, Seed: 2,
+		Flows: 400, MaxBytes: 256 * simtime.KB, Spread: 500 * simtime.Microsecond, MixTCP: true,
+		ACC: true, Fidelity: "packet", Horizon: simtime.Time(simtime.Millisecond),
+	}
+	branch := simtime.Time(700 * simtime.Microsecond)
+	warm, err := Build(sc)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	warm.Run(branch)
+	if completedParked(warm) == 0 {
+		t.Fatalf("no completed sender is parked at %v; the scenario exercises nothing", branch)
+	}
+	img := warm.Snapshot()
+
+	restored, err := Restore(img)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if img2 := restored.Snapshot(); string(img) != string(img2) {
+		t.Fatalf("restore→snapshot is not byte-identical to the original snapshot (%d vs %d bytes)", len(img), len(img2))
+	}
+
+	for _, v := range []Variant{
+		{Name: "baseline"},
+		{Name: "wred-shallow", WRED: &red.Config{Kmin: 10 * simtime.KB, Kmax: 40 * simtime.KB, Pmax: 0.8}},
+	} {
+		forked, err := Fork(img, v)
+		if err != nil {
+			t.Fatalf("Fork(%s): %v", v.Name, err)
+		}
+		forked.Run(sc.Horizon)
+
+		cold, err := Build(sc)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		cold.Run(branch)
+		if err := cold.ApplyVariant(v); err != nil {
+			t.Fatalf("ApplyVariant(%s): %v", v.Name, err)
+		}
+		cold.Run(sc.Horizon)
+		if got, want := forked.Summarize(), cold.Summarize(); got != want {
+			t.Fatalf("fork≢cold for %s:\n cold %+v\n fork %+v", v.Name, want, got)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func TestFatTreeShape(t *testing.T) {
 	// Every edge switch must route to every host.
 	for _, e := range f.Leaves {
 		for _, h := range f.Hosts {
-			if len(e.Routes()[h.ID()]) == 0 {
+			if len(e.Route(h.ID())) == 0 {
 				t.Fatalf("edge %s has no route to %s", e.Name(), h.Name())
 			}
 		}

@@ -19,7 +19,7 @@ func TestStarWiring(t *testing.T) {
 	}
 	// Every host must be routable.
 	for _, h := range f.Hosts {
-		if ports := sw.Routes()[h.ID()]; len(ports) != 1 {
+		if ports := sw.Route(h.ID()); len(ports) != 1 {
 			t.Fatalf("host %d has %d route ports", h.ID(), len(ports))
 		}
 	}
@@ -56,7 +56,7 @@ func TestLeafSpineWiring(t *testing.T) {
 	for li, l := range f.Leaves {
 		for lj, hosts := range f.HostsAt {
 			for _, h := range hosts {
-				ports := l.Routes()[h.ID()]
+				ports := l.Route(h.ID())
 				if li == lj && len(ports) != 1 {
 					t.Fatalf("leaf %d local route to %d has %d ports", li, h.ID(), len(ports))
 				}
@@ -69,7 +69,7 @@ func TestLeafSpineWiring(t *testing.T) {
 	// Spine routes: every host reachable via exactly one downlink.
 	for _, s := range f.Spines {
 		for _, h := range f.Hosts {
-			if ports := s.Routes()[h.ID()]; len(ports) != 1 {
+			if ports := s.Route(h.ID()); len(ports) != 1 {
 				t.Fatalf("spine route to %d has %d ports", h.ID(), len(ports))
 			}
 		}
