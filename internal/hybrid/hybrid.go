@@ -47,6 +47,8 @@ package hybrid
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/accnet/acc/internal/eventq"
 	"github.com/accnet/acc/internal/netsim"
@@ -99,7 +101,10 @@ type Config struct {
 // DefaultConfig returns the trigger settings used by the experiments:
 // 20us windows, demotion at 85% fluid utilization on shared links, queue
 // trigger at half of a conservative 100KB Kmin, promotion after 3 quiet
-// windows.
+// windows. Window paces only engines that tick themselves (New +
+// StartTicker); a barrier-driven engine (NewBarrier) ticks whenever its
+// driver calls Tick — every psim window, 600ns on the default fabric — so
+// there PromoteAfter counts barriers, not 20us windows.
 func DefaultConfig() Config {
 	return Config{
 		Window:       20 * simtime.Microsecond,
@@ -131,7 +136,8 @@ type Link struct {
 	lastPauseRx uint64 // Port.PauseRxEvents at the last trigger check
 	wasDown     bool   // Port.IsDown at the last trigger check
 
-	idx int // registration index, the snapshot codec's link identity
+	idx    int   // registration index, the snapshot codec's link identity
+	groups []int // indices into Engine.groups of the ECMP groups this link is in
 
 	// Water-filling scratch.
 	avail float64
@@ -243,6 +249,27 @@ type Engine struct {
 	//acclint:ignore snapcover ECMP wiring registered at construction; up/down state lives on the Links
 	groups [][]*Link // ECMP groups: a member's up/down flip demotes them all
 
+	// visit is the set of links Tick must check, one bit per link
+	// registration index: a link outside it is one on which checkLink is a
+	// no-op. Bits come from the ports netsim touched since the last tick
+	// (drain), stay set while a link is hot (demoteLink sets, promotion
+	// clears), and start all set (AddLink, MarkAll on restore) — visiting a
+	// link that did not need it is always legal, only skipping one that did
+	// is not. Not saved for that reason: RestoreState marks every link.
+	// See DESIGN.md "Hybrid fidelity".
+	visit []uint64
+	//acclint:ignore snapcover construction wiring: the Networks owning a registered port, whose touched lists drain reads
+	nets []*netsim.Network
+	//acclint:ignore snapcover construction wiring: port -> link registration index, looked up by drain, never ranged
+	linkOf map[*netsim.Port]int
+	//acclint:ignore snapcover intra-tick scratch: ECMP groups with a flipped member, emptied at every tick
+	flipped []int
+
+	// LinkChecks counts checkLink calls: the work the visit set exists to
+	// avoid (one per link per tick before it).
+	//acclint:ignore snapcover telemetry of this process's work, not simulation state: a restored engine re-checks every link once, so it over-counts an uninterrupted run by design
+	LinkChecks uint64
+
 	// inflight (barrier mode only) holds flows whose sender fully paced out
 	// before a demotion trigger hit their path: nothing is left to hand to
 	// the packet transport, so they complete analytically at End, detected
@@ -282,11 +309,52 @@ func NewBarrier(cfg Config, clock func() simtime.Time, tracer *obs.Tracer) *Engi
 
 // AddLink registers one modeled hop over a physical port, sharing the
 // port's line rate at its propagation delay, and marks the port analytic.
+//
+// It also arms the port's change notification (netsim.Port.Watch) at the
+// queue trigger's depth: depth >= QueueFrac*Kmin holds for an integer depth
+// exactly when depth >= ceil(QueueFrac*Kmin). The link starts in the visit
+// set, so the first tick checks it whatever state the port is already in.
 func (e *Engine) AddLink(p *netsim.Port) *Link {
+	if p.Watched() {
+		panic("hybrid: port already registered with a hybrid engine")
+	}
 	l := &Link{Port: p, Cap: p.Bandwidth, SerRate: p.Bandwidth, Delay: p.Delay, idx: len(e.links)}
 	p.SetFidelity(netsim.FidelityAnalytic)
+	p.Watch(int(math.Ceil(min(e.Cfg.QueueFrac*float64(e.Cfg.Kmin), math.MaxInt32))))
 	e.links = append(e.links, l)
+	if e.linkOf == nil {
+		e.linkOf = make(map[*netsim.Port]int)
+	}
+	e.linkOf[p] = l.idx
+	if !slices.Contains(e.nets, p.Net()) {
+		e.nets = append(e.nets, p.Net())
+	}
+	if l.idx>>6 == len(e.visit) {
+		e.visit = append(e.visit, 0)
+	}
+	e.mark(l.idx)
 	return l
+}
+
+func (e *Engine) mark(i int)   { e.visit[i>>6] |= 1 << (i & 63) }
+func (e *Engine) unmark(i int) { e.visit[i>>6] &^= 1 << (i & 63) }
+
+// MarkAll puts every link in the visit set, which makes the next Tick a
+// check of all links. RestoreState uses it in place of saved visit state.
+func (e *Engine) MarkAll() {
+	for i := range e.links {
+		e.mark(i)
+	}
+}
+
+// drain moves the ports netsim touched since the last drain into the visit
+// set. Barrier context only: it reads every shard Network's list.
+func (e *Engine) drain() {
+	for _, n := range e.nets {
+		for _, p := range n.TakeTouched() {
+			e.mark(e.linkOf[p])
+		}
+	}
 }
 
 // AddGroup registers an ECMP group: when any member link's up/down state
@@ -296,6 +364,9 @@ func (e *Engine) AddLink(p *netsim.Port) *Link {
 // routes every affected flow with real per-packet ECMP, and the links earn
 // their way back analytic through the normal promotion hysteresis.
 func (e *Engine) AddGroup(links []*Link) {
+	for _, l := range links {
+		l.groups = append(l.groups, len(e.groups))
+	}
 	e.groups = append(e.groups, links)
 }
 
@@ -410,7 +481,7 @@ func (e *Engine) release(f *Flow) {
 // pathBlocked reports whether any hop refuses analytic admission.
 func (e *Engine) pathBlocked(path []*Link) bool {
 	for _, l := range path {
-		if l.hot || l.Port.IsDown() {
+		if l.hot || l.Port.IsDown() || l.Port.Bandwidth != l.Cap {
 			return true
 		}
 	}
@@ -563,14 +634,19 @@ func (e *Engine) PacketDone(f *Flow) {
 	e.release(f)
 }
 
-// demoteLink demotes one link: mark it hot, then convert every analytic
-// flow crossing it (in global registration order) at time t.
+// demoteLink demotes one link: mark it hot — which keeps it in the visit
+// set until promotion — then convert every analytic flow crossing it (in
+// global registration order) at time t. The converted flows' transports
+// enqueue their first frames synchronously, so the ports that touches are
+// drained here: a Tick that is part-way through the visit set then checks
+// the ones still ahead of it at this tick, as a scan of every link would.
 func (e *Engine) demoteLink(l *Link, t simtime.Time) {
 	if l.hot {
 		return
 	}
 	l.hot = true
 	l.cold = 0
+	e.mark(l.idx)
 	l.Port.SetFidelity(netsim.FidelityPacket)
 	e.Stats.Demotions++
 	e.tracer.FidelityDemote(t, l.Port.Owner.ID(), l.Port.Index, len(l.flows), l.util())
@@ -579,6 +655,7 @@ func (e *Engine) demoteLink(l *Link, t simtime.Time) {
 		e.detach(f)
 		e.toPacket(f, t)
 	}
+	e.drain()
 }
 
 // refill recomputes max-min shares and applies the fluid demotion
@@ -736,7 +813,8 @@ func (l *Link) fluidShare() float64 {
 
 // Tick advances one window at time now: complete flows past their End
 // (barrier-driven engines), commit the conservation ledger, and evaluate
-// the observed-state triggers and promotion hysteresis on every link.
+// the observed-state triggers and promotion hysteresis on every link whose
+// verdict can have changed.
 func (e *Engine) Tick(now simtime.Time) {
 	e.Stats.Ticks++
 	// Completions first (barrier mode; sequential engines already fired
@@ -765,22 +843,48 @@ func (e *Engine) Tick(now simtime.Time) {
 	for _, f := range e.flows {
 		e.commitTo(f, now)
 	}
+	// Observed-state triggers, over the visit set only (see Engine.visit).
+	// Both passes walk it in ascending link index, the order a scan of every
+	// link would take, so demotion order — and with it transport start
+	// order and every event seq — does not depend on how few links are in
+	// the set.
+	e.drain()
 	// ECMP re-hash guard: any up/down flip inside a group invalidates the
 	// per-uplink path assignment of every flow hashed across it (see
-	// AddGroup). Runs before per-link checks so wasDown still holds the
-	// previous window's state.
-	for _, g := range e.groups {
-		for _, l := range g {
+	// AddGroup). A flip touches the port, so only visit-set links can show
+	// one. Runs before the per-link checks so wasDown still holds the state
+	// at the link's last check; groups demote in registration order.
+	e.flipped = e.flipped[:0]
+	for wi, w := range e.visit {
+		for ; w != 0; w &= w - 1 {
+			l := e.links[wi<<6+bits.TrailingZeros64(w)]
 			if l.Port.IsDown() != l.wasDown {
-				for _, gl := range g {
-					e.demoteLink(gl, now)
-				}
-				break
+				e.flipped = append(e.flipped, l.groups...)
 			}
 		}
 	}
-	for _, l := range e.links {
-		e.checkLink(l, now)
+	slices.Sort(e.flipped)
+	for _, g := range slices.Compact(e.flipped) {
+		for _, gl := range e.groups[g] {
+			e.demoteLink(gl, now)
+		}
+	}
+	// Each word is re-read after every check: a demotion may have marked
+	// links further on (demoteLink), and those are due at this tick.
+	for wi := range e.visit {
+		for b := 0; ; b++ {
+			w := e.visit[wi] >> b << b
+			if w == 0 {
+				break
+			}
+			b = bits.TrailingZeros64(w)
+			l := e.links[wi<<6+b]
+			e.LinkChecks++
+			e.checkLink(l, now)
+			if !l.hot {
+				e.unmark(l.idx)
+			}
+		}
 	}
 }
 
@@ -798,7 +902,10 @@ func (e *Engine) checkLink(l *Link, now simtime.Time) {
 		}
 	}
 	queueHot := float64(depth) >= e.Cfg.QueueFrac*float64(e.Cfg.Kmin)
-	if p.IsDown() || paused || queueHot {
+	// A brownout (Port.SetBandwidth) leaves Cap and SerRate at the nominal
+	// rate the closed forms were built on: packet fidelity while it lasts.
+	degraded := p.Bandwidth != l.Cap
+	if p.IsDown() || paused || queueHot || degraded {
 		e.demoteLink(l, now)
 		l.cold = 0
 		return

@@ -19,6 +19,12 @@ import (
 // a link's list is exactly the engine list filtered to its members).
 // Callbacks cannot be serialized; RestoreState re-binds them through the
 // caller's rebind function, keyed by flow id.
+//
+// The visit set is not saved either, and neither are netsim's touched
+// lists: RestoreState marks every link, so the first tick after a restore
+// checks them all. That is a superset of whatever was pending at the
+// snapshot instant, and checking a link that did not need it changes
+// nothing, so the restored run stays bit-identical to the uninterrupted one.
 
 // SaveState writes the engine's dynamic state: mode accounting, per-link
 // trigger state, and every live analytic and in-flight flow in
@@ -121,6 +127,7 @@ func (e *Engine) RestoreState(r *codec.Reader, rebind func(id uint64) (startPack
 		f.startPacket, f.onDone = rebind(f.ID)
 		e.inflight = append(e.inflight, f)
 	}
+	e.MarkAll()
 	return r.Err()
 }
 

@@ -240,6 +240,7 @@ func DefaultConfig() *Config {
 			Module + "/internal/hybrid.Engine.PacketDone",
 			Module + "/internal/hybrid.Engine.StartFlow",
 			Module + "/internal/hybrid.Engine.Stop",
+			Module + "/internal/hybrid.Engine.MarkAll",
 		},
 		Allow: []AllowEntry{
 			{

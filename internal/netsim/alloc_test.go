@@ -11,6 +11,11 @@ import (
 // sendPooled sends one full-size pooled data packet from src to dst and runs
 // the network until it has been delivered or dropped.
 func sendPooled(net *Network, src, dst *Host, flow FlowID) {
+	enqueuePooled(net, src, dst, flow)
+	net.Run()
+}
+
+func enqueuePooled(net *Network, src, dst *Host, flow FlowID) {
 	pkt := net.AllocPacket()
 	pkt.Kind = KindData
 	pkt.Flow = flow
@@ -19,7 +24,6 @@ func sendPooled(net *Network, src, dst *Host, flow FlowID) {
 	pkt.Size = DefaultMTU + DataHeaderBytes
 	pkt.ECT = true
 	src.Send(pkt)
-	net.Run()
 }
 
 // TestAllocFreePacketHop pins the full per-packet pipeline at zero
@@ -27,13 +31,7 @@ func sendPooled(net *Network, src, dst *Host, flow FlowID) {
 // propagation event, delivery, and release back to the pool, across two
 // hosts wired back to back.
 func TestAllocFreePacketHop(t *testing.T) {
-	net := New(1)
-	h1 := NewHost(net, "h1")
-	h2 := NewHost(net, "h2")
-	p1 := h1.AttachPort(25*simtime.Gbps, 600*simtime.Nanosecond, nil)
-	p2 := h2.AttachPort(25*simtime.Gbps, 600*simtime.Nanosecond, nil)
-	Connect(p1, p2)
-	h2.Register(7, EndpointFunc(func(*Packet) {}))
+	net, h1, h2 := watchRig(0) // nobody watches the ports
 
 	sendOne := func() { sendPooled(net, h1, h2, 7) }
 	// Warm the packet pool, the event free list, and the egress queue's
@@ -44,6 +42,32 @@ func TestAllocFreePacketHop(t *testing.T) {
 
 	if avg := testing.AllocsPerRun(1000, sendOne); avg != 0 {
 		t.Fatalf("one packet-hop allocates %v/op, want 0", avg)
+	}
+	if len(net.touched) != 0 || cap(net.touched) != 0 {
+		t.Fatalf("unwatched ports grew the touched list to len %d cap %d", len(net.touched), cap(net.touched))
+	}
+}
+
+// TestAllocFreePacketHopWatched is the same hop through a port a hybrid
+// engine watches, at a depth any standing packet reaches (the second of two
+// back-to-back packets waits behind the first): listing the port and taking
+// the list, as a tick would, reuse the list's backing array.
+func TestAllocFreePacketHopWatched(t *testing.T) {
+	net, h1, h2 := watchRig(1)
+	touches := 0
+	sendOne := func() {
+		enqueuePooled(net, h1, h2, 7)
+		sendPooled(net, h1, h2, 7)
+		touches += len(net.TakeTouched())
+	}
+	for i := 0; i < 8; i++ {
+		sendOne()
+	}
+	if avg := testing.AllocsPerRun(1000, sendOne); avg != 0 {
+		t.Fatalf("one packet-hop through a watched port allocates %v/op, want 0", avg)
+	}
+	if touches < 1000 {
+		t.Fatalf("only %d touches in over 1000 hops: the watched path was not exercised", touches)
 	}
 }
 
@@ -95,6 +119,9 @@ func TestAllocFreeForwardDownedUplink(t *testing.T) {
 	}
 	if delivered != sent {
 		t.Fatalf("delivered %d of %d packets", delivered, sent)
+	}
+	if cap(net.touched) != 0 {
+		t.Fatal("SetDown on an unwatched port grew the touched list")
 	}
 }
 

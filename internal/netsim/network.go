@@ -61,6 +61,14 @@ type Network struct {
 
 	// pktAlloced counts AllocPacket calls, for run manifests.
 	pktAlloced uint64
+
+	// touched lists this Network's watched ports whose link a hybrid engine
+	// must re-check at its next tick (Port.Watch). Each Network has its own
+	// list so a shard's worker only ever appends to the one it owns; the
+	// engine takes all of them at the barrier. Always empty when no hybrid
+	// engine watches a port here.
+	//acclint:ignore snapcover transient between hybrid ticks; restore re-marks every link instead (hybrid.Engine.MarkAll), which visits a superset of what the list held
+	touched []*Port
 }
 
 // New creates an empty network seeded deterministically.
@@ -129,6 +137,18 @@ func (n *Network) Nodes() []Node { return n.nodes }
 // PacketsAlloced returns the cumulative number of packets drawn from the
 // pool (manifest "packet totals"; monotonic, counts reuse).
 func (n *Network) PacketsAlloced() uint64 { return n.pktAlloced }
+
+// TakeTouched returns the watched ports touched since the last call (see
+// Port.Watch), in touch order, and re-arms them. The slice is the list's own
+// backing array: read it before this Network runs another event.
+func (n *Network) TakeTouched() []*Port {
+	t := n.touched
+	for _, p := range t {
+		p.touched = false
+	}
+	n.touched = t[:0]
+	return t
+}
 
 // NextFlowID allocates a fresh globally unique flow id.
 func (n *Network) NextFlowID() FlowID {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 
 	"github.com/accnet/acc/internal/eventq"
@@ -145,7 +146,15 @@ type Port struct {
 	busy   bool
 	down   bool
 	paused [NumPrio]bool
-	rr     int // DWRR round-robin pointer
+	// touched and watch are the hybrid engine's change notification (see
+	// Watch). They fill the padding between paused and rr, so Port keeps its
+	// size and Enqueue reads watch from the cache line it already loads for
+	// busy and down (TestPortLayout).
+	//acclint:ignore snapcover transient between hybrid ticks: set with the port's entry in Network.touched, cleared by TakeTouched; restore re-marks every link instead (hybrid.Engine.MarkAll)
+	touched bool
+	//acclint:ignore snapcover construction config: the watch depth a hybrid engine armed at AddLink, re-armed when restore rebuilds the engine
+	watch int32
+	rr    int // DWRR round-robin pointer
 	//acclint:ignore snapcover derived at construction from queue weights
 	quantum int // base DWRR quantum in bytes (scaled by queue weight)
 
@@ -208,8 +217,8 @@ type Port struct {
 
 	// prioQ[prio] is the queue in Queues serving prio, nil for a priority
 	// with no queue of its own; built once in newPort. It sits last so the
-	// fields ahead of it keep the cache lines they share: the hybrid tick
-	// reads Queues, down and PauseRxEvents of every port every 600ns.
+	// fields ahead of it keep the cache lines they share (Enqueue → trySend
+	// reads Queues, net, busy, down, paused, watch and rr from two lines).
 	//acclint:ignore snapcover derived at construction from Queues
 	prioQ [NumPrio]*EgressQueue
 }
@@ -294,9 +303,11 @@ func (p *Port) IsDown() bool { return p.down }
 // packet only survives if the link is back up by the time it would arrive.
 func (p *Port) SetDown(down bool) {
 	p.down = down
+	p.touch()
 	p.net.Tracer.LinkState(p.net.Now(), p.Owner.ID(), p.Index, down)
 	if p.Peer != nil {
 		p.Peer.down = down
+		p.Peer.touch()
 	}
 	if !down {
 		p.trySend()
@@ -314,6 +325,7 @@ func (p *Port) SetDown(down bool) {
 // keep using SetDown.
 func (p *Port) SetEndDown(down bool) {
 	p.down = down
+	p.touch()
 	p.net.Tracer.LinkState(p.net.Now(), p.Owner.ID(), p.Index, down)
 	if !down {
 		p.trySend()
@@ -326,7 +338,34 @@ func (p *Port) SetEndDown(down bool) {
 // serialization starts after the call; the packet currently on the wire
 // keeps the timing it started with. The two directions of a link are
 // independent — degrade the peer too for a symmetric brownout.
-func (p *Port) SetBandwidth(r simtime.Rate) { p.Bandwidth = r }
+func (p *Port) SetBandwidth(r simtime.Rate) {
+	p.Bandwidth = r
+	p.touch()
+}
+
+// Watch arms the port's change notification for a hybrid-fidelity engine
+// (internal/hybrid): from now on, everything that can change the engine's
+// verdict on the link — a pause frame received, either end going up or down,
+// a rate change, an egress queue reaching depth bytes — puts the port on its
+// Network's touched list (TakeTouched), once, until the list is taken. depth
+// is clamped to [1, MaxInt32]. A port nobody watches (the default) pays one
+// predictable branch in Enqueue and is never listed.
+func (p *Port) Watch(depth int) {
+	p.watch = int32(min(max(depth, 1), math.MaxInt32))
+}
+
+// Watched reports whether a hybrid engine armed the port.
+func (p *Port) Watched() bool { return p.watch != 0 }
+
+// touch lists a watched port on its Network for the next hybrid tick. Only
+// the goroutine that runs the Network's events (or the coordinator, with
+// every shard quiescent) may call it, like every other Port mutation.
+func (p *Port) touch() {
+	if p.watch != 0 && !p.touched {
+		p.touched = true
+		p.net.touched = append(p.net.touched, p)
+	}
+}
 
 // blackhole counts pkt as lost on the down link and retires it. Link
 // blackholes get their own trace reason (distinct from WRED/overflow
@@ -375,6 +414,11 @@ func (p *Port) Enqueue(pkt *Packet, rng *rand.Rand) red.Verdict {
 	}
 	q.push(pkt)
 	p.trySend()
+	// After trySend: the depth a hybrid tick can observe is what stands in
+	// the queue once the transmitter has taken its packet.
+	if p.watch != 0 && q.bytes >= int(p.watch) {
+		p.touch()
+	}
 	return v
 }
 
@@ -480,6 +524,7 @@ func (p *Port) setPaused(prio int, paused bool) {
 	p.paused[prio] = paused
 	if paused {
 		p.PauseRxEvents++
+		p.touch()
 		p.pausedSince[prio] = p.net.Now()
 	} else {
 		p.PausedDuration += p.net.Now().Sub(p.pausedSince[prio])

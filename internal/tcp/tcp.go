@@ -365,11 +365,10 @@ func (f *Flow) senderHandle(pkt *netsim.Packet) {
 		if ts, ok := f.sendTimes[f.sndUna]; ok {
 			f.updateRTT(f.net.Now().Sub(ts))
 		}
-		//acclint:ignore determinism@1 deleting every key below a threshold is iteration-order-independent
-		for s := range f.sendTimes {
-			if s < pkt.Seq {
-				delete(f.sendTimes, s)
-			}
+		// Keys are first-send sequence numbers of MTU-aligned segments and
+		// none is left below sndUna, so the acked ones are exactly these.
+		for s := f.sndUna; s < pkt.Seq; s += int64(f.P.MTU) {
+			delete(f.sendTimes, s)
 		}
 		f.sndUna = pkt.Seq
 		f.dupAcks = 0
