@@ -119,12 +119,9 @@ func (h *Hybrid) schedule() {
 // budget at the controller, and pushes refreshed weights back after the
 // control-channel delay.
 func (h *Hybrid) collectAndTrain() {
+	buf := make([]rl.Transition, h.Cfg.CollectSamples)
 	for _, t := range h.Tuners {
-		n := h.Cfg.CollectSamples
-		if l := t.Agent.Memory.Len(); l < n {
-			n = l
-		}
-		for _, tr := range t.Agent.Memory.Sample(h.rng, n) {
+		for _, tr := range t.Agent.Memory.Sample(h.rng, buf[:min(len(buf), t.Agent.Memory.Len())]) {
 			h.Trainer.Observe(tr)
 		}
 	}

@@ -134,14 +134,14 @@ func (s *System) scheduleExchange() {
 // different parts of the whole network environment").
 func (s *System) exchange() {
 	s.Exchanges++
-	n := s.Cfg.ExchangeSamples
+	buf := make([]rl.Transition, s.Cfg.ExchangeSamples)
 	for _, t := range s.Tuners {
-		for _, tr := range t.Agent.Memory.Sample(t.rng, min(n, t.Agent.Memory.Len())) {
+		for _, tr := range t.Agent.Memory.Sample(t.rng, buf[:min(len(buf), t.Agent.Memory.Len())]) {
 			s.Global.Add(tr)
 		}
 	}
 	for _, t := range s.Tuners {
-		for _, tr := range s.Global.Sample(t.rng, min(n, s.Global.Len())) {
+		for _, tr := range s.Global.Sample(t.rng, buf[:min(len(buf), s.Global.Len())]) {
 			t.Agent.Memory.Add(tr)
 		}
 	}

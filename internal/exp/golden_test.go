@@ -1,7 +1,11 @@
 package exp
 
 import (
+	"encoding/binary"
 	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -78,5 +82,37 @@ func TestShardedGoldenIdentity(t *testing.T) {
 		if got != string(want) {
 			t.Errorf("%s: -shards 4 output diverged from the sequential golden:\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
 		}
+	}
+}
+
+// TestPretrainedWeightDigest pins the four-episode model every golden run
+// above deploys: FNV-64a over the little-endian Float64bits of W rows then
+// B, layer by layer. The tables would also move if training did, but only
+// through an argmax; this fails on the first differing bit. The value was
+// recorded before internal/rl's kernels were row-blocked, so it also holds
+// them to the arithmetic they replaced on a real training run (the
+// 24-episode default reads e3fd38e35a64bf60 the same way).
+func TestPretrainedWeightDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	m := PretrainedModel(4)
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(vs []float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	for l := range m.W {
+		for _, row := range m.W[l] {
+			put(row)
+		}
+		put(m.B[l])
+	}
+	const want = "fdf261adef8455b4"
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Fatalf("PretrainedModel(4) weight digest %s, want %s", got, want)
 	}
 }

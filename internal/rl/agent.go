@@ -46,16 +46,17 @@ func (r *Replay) Add(t Transition) {
 // Len returns the number of stored transitions.
 func (r *Replay) Len() int { return len(r.buf) }
 
-// Sample draws n transitions uniformly with replacement.
-func (r *Replay) Sample(rng *rand.Rand, n int) []Transition {
+// Sample fills dst with transitions drawn uniformly with replacement, one
+// rng.Intn per slot in slot order, and returns it; nil when the memory is
+// empty.
+func (r *Replay) Sample(rng *rand.Rand, dst []Transition) []Transition {
 	if len(r.buf) == 0 {
 		return nil
 	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = r.buf[rng.Intn(len(r.buf))]
+	for i := range dst {
+		dst[i] = r.buf[rng.Intn(len(r.buf))]
 	}
-	return out
+	return dst
 }
 
 // At returns the i-th stored transition (test/exchange use).
@@ -111,6 +112,16 @@ type Agent struct {
 
 	eps        float64
 	trainSteps int
+
+	// Scratch of TrainStep (the drawn minibatch and its regression targets)
+	// and ActBoltzmann, sized from Cfg by NewAgent. It lives here and not on
+	// the networks because a trained Eval is kept long after its agent.
+	//acclint:ignore snapcover scratch: overwritten from its start by every TrainStep before it is read
+	batch []Transition
+	//acclint:ignore snapcover scratch: overwritten from its start by every TrainStep before it is read
+	samples []Sample
+	//acclint:ignore snapcover scratch: overwritten by every ActBoltzmann before it is read
+	probs []float64
 }
 
 // NewAgent builds an agent with freshly initialized networks.
@@ -119,11 +130,14 @@ func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
 	sizes = append(sizes, cfg.NumActions)
 	eval := NewMLP(sizes, rng)
 	return &Agent{
-		Cfg:    cfg,
-		Eval:   eval,
-		Target: eval.Clone(),
-		Memory: NewReplay(cfg.ReplayCap),
-		eps:    cfg.EpsStart,
+		Cfg:     cfg,
+		Eval:    eval,
+		Target:  eval.Clone(),
+		Memory:  NewReplay(cfg.ReplayCap),
+		eps:     cfg.EpsStart,
+		batch:   make([]Transition, cfg.BatchSize),
+		samples: make([]Sample, cfg.BatchSize),
+		probs:   make([]float64, cfg.NumActions),
 	}
 }
 
@@ -167,9 +181,15 @@ func (a *Agent) TrainStep(rng *rand.Rand) float64 {
 	if a.Memory.Len() < a.Cfg.BatchSize {
 		return math.NaN()
 	}
-	batch := a.Memory.Sample(rng, a.Cfg.BatchSize)
-	samples := make([]Sample, len(batch))
-	for i, t := range batch {
+	return a.learn(a.Memory.Sample(rng, a.batch))
+}
+
+// learn fits Eval to the (Double-)DQN targets of batch with one optimizer
+// step, syncs the target network on schedule and returns the batch loss.
+func (a *Agent) learn(batch []Transition) float64 {
+	samples := a.samples[:len(batch)]
+	for i := range batch {
+		t := &batch[i]
 		y := t.Reward
 		if !t.Terminal {
 			var q float64

@@ -44,6 +44,27 @@ func TestAllocFreeTrainBatch(t *testing.T) {
 	}
 }
 
+// TestAllocFreeTrainStep pins the whole agent step — the minibatch draw,
+// the DDQN targets, backprop, Adam, the target sync — and Boltzmann action
+// selection at zero allocations: both run on scratch the agent owns.
+func TestAllocFreeTrainStep(t *testing.T) {
+	a, rng := benchAgent()
+	a.Cfg.TargetSync = 3
+	state := randVec(rng, a.Cfg.StateDim)
+	for _, step := range []struct {
+		name string
+		fn   func()
+	}{
+		{"TrainStep", func() { a.TrainStep(rng) }},
+		{"ActBoltzmann", func() { a.ActBoltzmann(state, 0.5, rng) }},
+	} {
+		step.fn()
+		if avg := testing.AllocsPerRun(50, step.fn); avg != 0 {
+			t.Errorf("%s allocates %v/op, want 0", step.name, avg)
+		}
+	}
+}
+
 // TestForwardScratchMatchesFreshNetwork guards against scratch-buffer
 // aliasing: repeated Forward calls on the same instance must match a fresh
 // clone bit for bit.

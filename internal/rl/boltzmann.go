@@ -19,7 +19,7 @@ func (a *Agent) ActBoltzmann(state []float64, temperature float64, rng *rand.Ran
 	// Softmax with max-subtraction for numerical stability.
 	maxQ := q[Argmax(q)]
 	var sum float64
-	probs := make([]float64, len(q))
+	probs := a.probs[:len(q)]
 	for i, v := range q {
 		p := math.Exp((v - maxQ) / temperature)
 		probs[i] = p

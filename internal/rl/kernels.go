@@ -1,0 +1,122 @@
+package rl
+
+// The dense kernels behind every MLP path. Contract (DESIGN.md "RL
+// kernels"): a dot product adds its terms in ascending input index onto
+// the bias, and a gradient or delta cell adds its contributions in
+// ascending (sample, output row) order — so results are bit-identical to
+// the one-row-at-a-time loops these replace. What the kernels are free to
+// do is interleave *independent* sums: four output rows share each load of
+// x (forward) or of the input activation and the delta cell (backward), and
+// their floating-point add chains overlap instead of queueing.
+
+// forward computes out[o] = b[o] + Σ_i w[o·n+i]·x[i], n = len(x), for one
+// layer's block p — the len(out)×n row-major matrix w, then the biases b —
+// clamping negatives to 0 when relu is set.
+func forward(p, x, out []float64, relu bool) {
+	n := len(x)
+	w, b := p[:len(out)*n], p[len(out)*n:][:len(out)]
+	o := 0
+	for ; o+4 <= len(out); o += 4 {
+		r := w[o*n : (o+4)*n]
+		r0, r1, r2, r3 := r[:n], r[n:][:n], r[2*n:][:n], r[3*n:][:n]
+		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		if relu {
+			if s0 < 0 {
+				s0 = 0
+			}
+			if s1 < 0 {
+				s1 = 0
+			}
+			if s2 < 0 {
+				s2 = 0
+			}
+			if s3 < 0 {
+				s3 = 0
+			}
+		}
+		out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(out); o++ {
+		s := b[o]
+		for i, wi := range w[o*n:][:n] {
+			s += wi * x[i]
+		}
+		if relu && s < 0 {
+			s = 0
+		}
+		out[o] = s
+	}
+}
+
+// backward folds one sample's output deltas d of a layer into its gradient
+// block g and, when prev is non-nil, into the deltas of the layer below:
+// g[o·n+i] += d[o]·x[i], g's bias cell o += d[o], prev[i] += d[o]·p[o·n+i],
+// with p the layer's parameter block. Rows with d[o] == 0 — every output
+// but the trained action, every unit a ReLU switched off — are skipped
+// outright, not multiplied through; the rest go four at a time in
+// ascending o.
+func backward(p, g, x, d, prev []float64) {
+	n := len(x)
+	w, gb := p[:len(d)*n], g[len(d)*n:][:len(d)]
+	// Pending non-zero rows: offset into w/g and delta.
+	var at [4]int
+	var dv [4]float64
+	k := 0
+	for o, do := range d {
+		if do == 0 {
+			continue
+		}
+		gb[o] += do
+		at[k], dv[k] = o*n, do
+		k++
+		if k < 4 {
+			continue
+		}
+		k = 0
+		d0, d1, d2, d3 := dv[0], dv[1], dv[2], dv[3]
+		g0, g1, g2, g3 := g[at[0]:][:n], g[at[1]:][:n], g[at[2]:][:n], g[at[3]:][:n]
+		if prev == nil {
+			for i, xi := range x {
+				g0[i] += d0 * xi
+				g1[i] += d1 * xi
+				g2[i] += d2 * xi
+				g3[i] += d3 * xi
+			}
+			continue
+		}
+		w0, w1, w2, w3 := w[at[0]:][:n], w[at[1]:][:n], w[at[2]:][:n], w[at[3]:][:n]
+		prev := prev[:n]
+		for i, xi := range x {
+			g0[i] += d0 * xi
+			g1[i] += d1 * xi
+			g2[i] += d2 * xi
+			g3[i] += d3 * xi
+			p := prev[i]
+			p += d0 * w0[i]
+			p += d1 * w1[i]
+			p += d2 * w2[i]
+			p += d3 * w3[i]
+			prev[i] = p
+		}
+	}
+	for j := 0; j < k; j++ {
+		do, gr := dv[j], g[at[j]:][:n]
+		if prev == nil {
+			for i, xi := range x {
+				gr[i] += do * xi
+			}
+			continue
+		}
+		wr, prev := w[at[j]:][:n], prev[:n]
+		for i, xi := range x {
+			gr[i] += do * xi
+			prev[i] += do * wr[i]
+		}
+	}
+}

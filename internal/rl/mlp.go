@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // MLP is a fully connected network with ReLU hidden activations and a
@@ -27,23 +28,24 @@ import (
 // read via CopyFrom).
 type MLP struct {
 	Sizes []int         // layer widths, input first
-	W     [][][]float64 // W[l][out][in]
-	B     [][]float64   // B[l][out]
+	W     [][][]float64 // W[l][out][in], rows of theta
+	B     [][]float64   // B[l][out], rows of theta
 
-	// Adam optimizer state (not serialized).
-	mW, vW [][][]float64
-	mB, vB [][]float64
-	adamT  int
+	// theta holds every parameter on one contiguous slice: layer l's
+	// Sizes[l+1]×Sizes[l] weight matrix row-major at off[l], its biases
+	// right behind. m and v (Adam moments; m doubles as SGD velocity) and
+	// grad (the batch gradient, zeroed by each gradients call) share that
+	// layout, so an optimizer step is one flat loop. W and B are theta's
+	// row views, keeping the exported [layer][out][in] shape and the JSON.
+	theta, m, v, grad []float64
+	off               []int
+	adamT             int
 
-	// Scratch buffers (not serialized; rebuilt alongside the optimizer
-	// state). fwd holds per-layer activations for Forward; acts/delta back
-	// the forward trace and backprop deltas; gradW/gradB accumulate batch
-	// gradients, zeroed at the start of each gradients call.
-	fwd   [][]float64
-	acts  [][]float64 // acts[0] aliases the caller's input per trace
+	// Scratch: acts[l] is layer l's input (acts[0] aliases the caller's),
+	// acts[len(W)] the output Forward returns; delta[l] backs layer l's
+	// output deltas during backprop.
+	acts  [][]float64
 	delta [][]float64
-	gradW [][][]float64
-	gradB [][]float64
 }
 
 // NewMLP builds a network with He-initialized weights.
@@ -51,73 +53,106 @@ func NewMLP(sizes []int, rng *rand.Rand) *MLP {
 	if len(sizes) < 2 {
 		panic("rl: MLP needs at least input and output layers")
 	}
-	m := &MLP{Sizes: append([]int(nil), sizes...)}
-	for l := 0; l < len(sizes)-1; l++ {
-		in, out := sizes[l], sizes[l+1]
-		scale := math.Sqrt(2 / float64(in))
-		wl := make([][]float64, out)
-		for o := range wl {
-			row := make([]float64, in)
+	m := newMLP(sizes)
+	for l, wl := range m.W {
+		scale := math.Sqrt(2 / float64(sizes[l]))
+		for _, row := range wl {
 			for i := range row {
 				row[i] = rng.NormFloat64() * scale
 			}
-			wl[o] = row
 		}
-		m.W = append(m.W, wl)
-		m.B = append(m.B, make([]float64, out))
 	}
-	m.initAdam()
 	return m
 }
 
-func (m *MLP) initAdam() {
-	m.mW, m.vW = zerosLike3(m.W), zerosLike3(m.W)
-	m.mB, m.vB = zerosLike2(m.B), zerosLike2(m.B)
-	m.adamT = 0
-	m.initScratch()
-}
-
-func (m *MLP) initScratch() {
-	m.fwd = zerosLike2(m.B)
-	m.acts = make([][]float64, len(m.W)+1)
-	for l := range m.W {
-		m.acts[l+1] = make([]float64, len(m.B[l]))
+// newMLP allocates a zero network of the given shape: the four parameter
+// tensors on one backing array, their row views, and the scratch.
+func newMLP(sizes []int) *MLP {
+	m := &MLP{Sizes: append([]int(nil), sizes...), off: make([]int, len(sizes)-1)}
+	n := 0
+	for l := range m.off {
+		m.off[l] = n
+		n += (sizes[l] + 1) * sizes[l+1]
 	}
-	m.delta = zerosLike2(m.B)
-	m.gradW = zerosLike3(m.W)
-	m.gradB = zerosLike2(m.B)
+	buf := make([]float64, 4*n)
+	m.theta, m.m, m.v, m.grad = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:]
+	m.W, m.B = m.rows(m.theta)
+	m.acts = make([][]float64, len(sizes))
+	m.delta = make([][]float64, len(m.off))
+	for l := range m.off {
+		m.acts[l+1] = make([]float64, sizes[l+1])
+		m.delta[l] = make([]float64, sizes[l+1])
+	}
+	return m
 }
 
-func zerosLike3(w [][][]float64) [][][]float64 {
-	out := make([][][]float64, len(w))
-	for l := range w {
-		out[l] = make([][]float64, len(w[l]))
+// rows returns the [layer][out][in] and [layer][out] views of a tensor in
+// theta's layout.
+func (m *MLP) rows(flat []float64) ([][][]float64, [][]float64) {
+	w := make([][][]float64, len(m.off))
+	b := make([][]float64, len(m.off))
+	for l, at := range m.off {
+		in, out := m.Sizes[l], m.Sizes[l+1]
+		w[l] = make([][]float64, out)
 		for o := range w[l] {
-			out[l][o] = make([]float64, len(w[l][o]))
+			w[l][o] = flat[at : at+in : at+in]
+			at += in
+		}
+		b[l] = flat[at : at+out : at+out]
+	}
+	return w, b
+}
+
+// checkShape reports the first place where the row tensors w, b differ
+// from what sizes prescribes: W[l] is Sizes[l+1] rows of Sizes[l], B[l] is
+// Sizes[l+1] long. Both decoders (model JSON, snapshot) gate on it, so a
+// file cannot produce a network whose Forward reads short or runs off a row.
+func checkShape(sizes []int, w [][][]float64, b [][]float64) error {
+	if len(sizes) < 2 || len(w) != len(sizes)-1 || len(b) != len(w) {
+		return fmt.Errorf("%d layer sizes with %d weight and %d bias layers", len(sizes), len(w), len(b))
+	}
+	for l, n := range sizes {
+		if n < 1 {
+			return fmt.Errorf("layer size %d at index %d", n, l)
 		}
 	}
-	return out
+	for l := range w {
+		in, out := sizes[l], sizes[l+1]
+		if len(w[l]) != out {
+			return fmt.Errorf("layer %d has %d weight rows, want %d", l, len(w[l]), out)
+		}
+		for o, row := range w[l] {
+			if len(row) != in {
+				return fmt.Errorf("layer %d row %d has %d weights, want %d", l, o, len(row), in)
+			}
+		}
+		if len(b[l]) != out {
+			return fmt.Errorf("layer %d has %d biases, want %d", l, len(b[l]), out)
+		}
+	}
+	return nil
 }
 
-func zerosLike2(b [][]float64) [][]float64 {
-	out := make([][]float64, len(b))
-	for l := range b {
-		out[l] = make([]float64, len(b[l]))
+// fill copies shape-checked row tensors into flat, a tensor in theta's
+// layout.
+func (m *MLP) fill(flat []float64, w [][][]float64, b [][]float64) {
+	for l, at := range m.off {
+		for _, row := range w[l] {
+			at += copy(flat[at:], row)
+		}
+		copy(flat[at:], b[l])
 	}
-	return out
+}
+
+// layer returns layer l's block of a tensor in theta's layout: its weight
+// rows, then its biases.
+func (m *MLP) layer(flat []float64, l int) []float64 {
+	at := m.off[l]
+	return flat[at : at+(m.Sizes[l]+1)*m.Sizes[l+1]]
 }
 
 // NumParams returns the number of trainable parameters.
-func (m *MLP) NumParams() int {
-	n := 0
-	for l := range m.W {
-		for o := range m.W[l] {
-			n += len(m.W[l][o])
-		}
-		n += len(m.B[l])
-	}
-	return n
-}
+func (m *MLP) NumParams() int { return len(m.theta) }
 
 // ForwardFlops estimates multiply-accumulate operations for one inference.
 func (m *MLP) ForwardFlops() int {
@@ -133,34 +168,16 @@ func (m *MLP) ForwardFlops() int {
 // until the next Forward/TrainBatch call; callers that need the values
 // longer must copy them.
 func (m *MLP) Forward(x []float64) []float64 {
-	a := x
-	for l := range m.W {
-		m.layerForward(l, a, m.fwd[l], l < len(m.W)-1)
-		a = m.fwd[l]
-	}
-	return a
+	return m.forwardTrace(x)[len(m.off)]
 }
 
-func (m *MLP) layerForward(l int, in, out []float64, relu bool) {
-	for o, row := range m.W[l] {
-		s := m.B[l][o]
-		for i, w := range row {
-			s += w * in[i]
-		}
-		if relu && s < 0 {
-			s = 0
-		}
-		out[o] = s
-	}
-}
-
-// forwardTrace runs a forward pass keeping activations per layer for
-// backprop in the acts scratch. acts[0] aliases the input; acts[len(W)] is
-// the output.
+// forwardTrace runs a forward pass keeping every layer's activations for
+// backprop in the acts scratch.
 func (m *MLP) forwardTrace(x []float64) [][]float64 {
 	m.acts[0] = x
-	for l := range m.W {
-		m.layerForward(l, m.acts[l], m.acts[l+1], l < len(m.W)-1)
+	last := len(m.off) - 1
+	for l := range m.off {
+		forward(m.layer(m.theta, l), m.acts[l][:m.Sizes[l]], m.acts[l+1], l < last)
 	}
 	return m.acts
 }
@@ -179,13 +196,14 @@ func (m *MLP) TrainBatch(batch []Sample, lr float64) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	gW, gB, loss := m.gradients(batch)
-	m.adamStep(gW, gB, lr)
+	loss := m.gradients(batch)
+	m.adamStep(lr)
 	return loss
 }
 
-// adamStep applies the Adam update with standard hyperparameters.
-func (m *MLP) adamStep(gW [][][]float64, gB [][]float64, lr float64) {
+// adamStep applies the Adam update with standard hyperparameters to every
+// parameter, reading the gradient the last gradients call left in grad.
+func (m *MLP) adamStep(lr float64) {
 	const (
 		beta1 = 0.9
 		beta2 = 0.999
@@ -194,40 +212,28 @@ func (m *MLP) adamStep(gW [][][]float64, gB [][]float64, lr float64) {
 	m.adamT++
 	bc1 := 1 - math.Pow(beta1, float64(m.adamT))
 	bc2 := 1 - math.Pow(beta2, float64(m.adamT))
-	for l := range m.W {
-		for o := range m.W[l] {
-			for i := range m.W[l][o] {
-				g := gW[l][o][i]
-				m.mW[l][o][i] = beta1*m.mW[l][o][i] + (1-beta1)*g
-				m.vW[l][o][i] = beta2*m.vW[l][o][i] + (1-beta2)*g*g
-				m.W[l][o][i] -= lr * (m.mW[l][o][i] / bc1) / (math.Sqrt(m.vW[l][o][i]/bc2) + eps)
-			}
-			g := gB[l][o]
-			m.mB[l][o] = beta1*m.mB[l][o] + (1-beta1)*g
-			m.vB[l][o] = beta2*m.vB[l][o] + (1-beta2)*g*g
-			m.B[l][o] -= lr * (m.mB[l][o] / bc1) / (math.Sqrt(m.vB[l][o]/bc2) + eps)
-		}
+	theta, mom, vel := m.theta, m.m[:len(m.theta)], m.v[:len(m.theta)]
+	for i, g := range m.grad[:len(theta)] {
+		mi := beta1*mom[i] + (1-beta1)*g
+		vi := beta2*vel[i] + (1-beta2)*g*g
+		mom[i], vel[i] = mi, vi
+		theta[i] -= lr * (mi / bc1) / (math.Sqrt(vi/bc2) + eps)
 	}
 }
 
 // Clone returns a deep copy (optimizer state reset).
 func (m *MLP) Clone() *MLP {
-	c := &MLP{Sizes: append([]int(nil), m.Sizes...)}
-	c.W = zerosLike3(m.W)
-	c.B = zerosLike2(m.B)
-	c.CopyFrom(m)
-	c.initAdam()
+	c := newMLP(m.Sizes)
+	copy(c.theta, m.theta)
 	return c
 }
 
-// CopyFrom copies weights from other (shapes must match).
+// CopyFrom copies weights from other, which must have the same shape.
 func (m *MLP) CopyFrom(other *MLP) {
-	for l := range m.W {
-		for o := range m.W[l] {
-			copy(m.W[l][o], other.W[l][o])
-		}
-		copy(m.B[l], other.B[l])
+	if !slices.Equal(m.Sizes, other.Sizes) {
+		panic(fmt.Sprintf("rl: CopyFrom %v into %v", other.Sizes, m.Sizes))
 	}
+	copy(m.theta, other.theta)
 }
 
 // mlpJSON is the serialized form.
@@ -248,11 +254,11 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	if len(j.Sizes) < 2 || len(j.W) != len(j.Sizes)-1 || len(j.B) != len(j.W) {
-		return fmt.Errorf("rl: malformed MLP JSON")
+	if err := checkShape(j.Sizes, j.W, j.B); err != nil {
+		return fmt.Errorf("rl: malformed MLP JSON: %v", err)
 	}
-	m.Sizes, m.W, m.B = j.Sizes, j.W, j.B
-	m.initAdam()
+	*m = *newMLP(j.Sizes)
+	m.fill(m.theta, j.W, j.B)
 	return nil
 }
 

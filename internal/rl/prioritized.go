@@ -50,28 +50,7 @@ func (a *Agent) TrainStepPrioritized(rng *rand.Rand, alpha float64) float64 {
 		return math.NaN()
 	}
 	half := a.Cfg.BatchSize / 2
-	batch := a.Memory.SamplePrioritized(rng, a.Cfg.BatchSize-half, RewardPriority, alpha)
-	batch = append(batch, a.Memory.Sample(rng, half)...)
-	samples := make([]Sample, len(batch))
-	for i, t := range batch {
-		y := t.Reward
-		if !t.Terminal {
-			var q float64
-			if a.Cfg.DoubleDQN {
-				sel := Argmax(a.Eval.Forward(t.Next))
-				q = a.Target.Forward(t.Next)[sel]
-			} else {
-				tq := a.Target.Forward(t.Next)
-				q = tq[Argmax(tq)]
-			}
-			y += a.Cfg.Gamma * q
-		}
-		samples[i] = Sample{X: t.State, Action: t.Action, Target: y}
-	}
-	loss := a.Eval.TrainBatch(samples, a.Cfg.LR)
-	a.trainSteps++
-	if a.Cfg.TargetSync > 0 && a.trainSteps%a.Cfg.TargetSync == 0 {
-		a.Target.CopyFrom(a.Eval)
-	}
-	return loss
+	n := copy(a.batch, a.Memory.SamplePrioritized(rng, a.Cfg.BatchSize-half, RewardPriority, alpha))
+	a.Memory.Sample(rng, a.batch[n:])
+	return a.learn(a.batch)
 }

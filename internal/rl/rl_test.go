@@ -125,7 +125,7 @@ func TestReplaySampleProperty(t *testing.T) {
 			r.Add(Transition{Action: i})
 		}
 		rng := rand.New(rand.NewSource(int64(k)))
-		s := r.Sample(rng, int(k))
+		s := r.Sample(rng, make([]Transition, k))
 		if r.Len() == 0 {
 			return s == nil
 		}
@@ -281,7 +281,8 @@ func TestGradientsMatchNumerical(t *testing.T) {
 		}
 		return l / float64(len(batch))
 	}
-	gW, gB, _ := m.gradients(batch)
+	m.gradients(batch)
+	gW, gB := m.rows(m.grad)
 	const eps = 1e-6
 	check := func(ptr *float64, analytic float64, what string) {
 		orig := *ptr

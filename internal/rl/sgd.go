@@ -1,85 +1,56 @@
 package rl
 
 // TrainBatchSGD performs one SGD-with-momentum step on the batch's mean
-// squared error and returns the batch loss. It reuses the Adam moment
-// buffers as velocity storage, so a given network should stick to one
+// squared error and returns the batch loss. It reuses the Adam first-moment
+// buffer as velocity storage, so a given network should stick to one
 // optimizer for the duration of training.
 func (m *MLP) TrainBatchSGD(batch []Sample, lr, momentum float64) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	gW, gB, loss := m.gradients(batch)
-	for l := range m.W {
-		for o := range m.W[l] {
-			for i := range m.W[l][o] {
-				m.mW[l][o][i] = momentum*m.mW[l][o][i] + gW[l][o][i]
-				m.W[l][o][i] -= lr * m.mW[l][o][i]
-			}
-			m.mB[l][o] = momentum*m.mB[l][o] + gB[l][o]
-			m.B[l][o] -= lr * m.mB[l][o]
-		}
+	loss := m.gradients(batch)
+	theta, vel := m.theta, m.m[:len(m.theta)]
+	for i, g := range m.grad[:len(theta)] {
+		vel[i] = momentum*vel[i] + g
+		theta[i] -= lr * vel[i]
 	}
 	return loss
 }
 
-// gradients computes mean-squared-error gradients over a batch, shared by
-// the Adam and SGD optimizers. The returned slices are the instance's
-// gradW/gradB scratch, zeroed here and valid until the next gradients call.
-func (m *MLP) gradients(batch []Sample) ([][][]float64, [][]float64, float64) {
-	gW, gB := m.gradW, m.gradB
-	for l := range gW {
-		for o := range gW[l] {
-			clear(gW[l][o])
-		}
-		clear(gB[l])
-	}
+// gradients leaves the batch's mean-squared-error gradient in grad (zeroed
+// here, valid until the next call) for the Adam and SGD steps, and returns
+// the batch loss.
+func (m *MLP) gradients(batch []Sample) float64 {
+	clear(m.grad)
 	var loss float64
 	inv := 1 / float64(len(batch))
+	last := len(m.off) - 1
 
 	for _, s := range batch {
 		acts := m.forwardTrace(s.X)
-		out := acts[len(acts)-1]
-		err := out[s.Action] - s.Target
+		err := acts[last+1][s.Action] - s.Target
 		loss += err * err
 
-		// delta[l] backs layer l's output deltas. The backprop below reads
-		// the layer's input activations from acts[l], which the delta write
-		// for layer l-1 would clobber if they shared storage — they don't:
-		// delta is its own scratch.
-		delta := m.delta[len(m.W)-1]
+		delta := m.delta[last]
 		clear(delta)
 		delta[s.Action] = 2 * err * inv
 
-		for l := len(m.W) - 1; l >= 0; l-- {
-			in := acts[l]
-			var prev []float64
-			if l > 0 {
-				prev = m.delta[l-1]
-				clear(prev)
+		for l := last; l >= 0; l-- {
+			p, g, in := m.layer(m.theta, l), m.layer(m.grad, l), acts[l][:m.Sizes[l]]
+			if l == 0 {
+				backward(p, g, in, delta, nil)
+				break
 			}
-			for o, row := range m.W[l] {
-				d := delta[o]
-				if d == 0 {
-					continue
-				}
-				gB[l][o] += d
-				grow := gW[l][o]
-				for i, w := range row {
-					grow[i] += d * in[i]
-					if l > 0 {
-						prev[i] += d * w
-					}
+			prev := m.delta[l-1]
+			clear(prev)
+			backward(p, g, in, delta, prev)
+			for i, a := range in {
+				if a <= 0 {
+					prev[i] = 0
 				}
 			}
-			if l > 0 {
-				for i, a := range in {
-					if a <= 0 {
-						prev[i] = 0
-					}
-				}
-				delta = prev
-			}
+			delta = prev
 		}
 	}
-	return gW, gB, loss * inv
+	return loss * inv
 }

@@ -16,17 +16,25 @@ func (m *MLP) SaveState(w *codec.Writer) {
 	for _, s := range m.Sizes {
 		w.Int(s)
 	}
-	save3(w, m.W)
-	save2(w, m.B)
-	save3(w, m.mW)
-	save3(w, m.vW)
-	save2(w, m.mB)
-	save2(w, m.vB)
+	m.saveW(w, m.theta)
+	m.saveB(w, m.theta)
+	m.saveW(w, m.m)
+	m.saveW(w, m.v)
+	m.saveB(w, m.m)
+	m.saveB(w, m.v)
 	w.Int(m.adamT)
 }
 
+// maxSnapshotParams bounds the network RestoreMLP will allocate for before
+// it has seen a single weight: the layer sizes come first in the image, so
+// without a bound one corrupt width is a multi-gigabyte make. The paper's
+// network has 3 560 parameters.
+const maxSnapshotParams = 1 << 20
+
 // RestoreMLP rebuilds a network saved with SaveState, including optimizer
-// state, with fresh scratch buffers.
+// state, with fresh scratch buffers. Every tensor is read straight into
+// the new network's backing and must have exactly the shape the saved
+// layer sizes prescribe; anything else fails the reader.
 func RestoreMLP(r *codec.Reader) *MLP {
 	r.Expect("mlp")
 	n := r.Int()
@@ -34,62 +42,115 @@ func RestoreMLP(r *codec.Reader) *MLP {
 		r.Fail("mlp layer count %d out of range", n)
 		return nil
 	}
-	m := &MLP{Sizes: make([]int, n)}
-	for i := range m.Sizes {
-		m.Sizes[i] = r.Int()
+	sizes := make([]int, n)
+	params := 0
+	for i := range sizes {
+		sizes[i] = r.Int()
+		if r.Err() != nil || sizes[i] < 1 || sizes[i] > maxSnapshotParams {
+			r.Fail("mlp layer size %d at index %d", sizes[i], i)
+			return nil
+		}
+		if i > 0 {
+			params += (sizes[i-1] + 1) * sizes[i]
+		}
+		if params > maxSnapshotParams {
+			r.Fail("mlp has over %d parameters", maxSnapshotParams)
+			return nil
+		}
 	}
-	m.W = load3(r)
-	m.B = load2(r)
-	m.mW = load3(r)
-	m.vW = load3(r)
-	m.mB = load2(r)
-	m.vB = load2(r)
+	m := newMLP(sizes)
+	m.loadW(r, m.theta)
+	m.loadB(r, m.theta)
+	m.loadW(r, m.m)
+	m.loadW(r, m.v)
+	m.loadB(r, m.m)
+	m.loadB(r, m.v)
 	m.adamT = r.Int()
 	if r.Err() != nil {
 		return nil
 	}
-	m.initScratch()
 	return m
 }
 
-func save3(w *codec.Writer, x [][][]float64) {
-	w.Int(len(x))
-	for _, l := range x {
-		save2(w, l)
+// saveW writes the weight rows of flat, a tensor in theta's layout, as
+// [layer][row] counted lists of rows; saveB writes its bias rows as one
+// [layer] list. Byte for byte the framing nested [][][]float64 and
+// [][]float64 tensors had, so images from before the contiguous layout
+// load, and loadW/loadB can check each count against Sizes as it arrives.
+func (m *MLP) saveW(w *codec.Writer, flat []float64) {
+	w.Int(len(m.off))
+	for l, at := range m.off {
+		in, out := m.Sizes[l], m.Sizes[l+1]
+		w.Int(out)
+		for o := 0; o < out; o++ {
+			saveRow(w, flat[at:at+in])
+			at += in
+		}
 	}
 }
 
-func save2(w *codec.Writer, x [][]float64) {
-	w.Int(len(x))
-	for _, row := range x {
-		w.F64s(row)
+func (m *MLP) loadW(r *codec.Reader, flat []float64) {
+	if n := r.Int(); r.Err() != nil || n != len(m.off) {
+		r.Fail("mlp tensor has %d weight layers, want %d", n, len(m.off))
+		return
+	}
+	for l, at := range m.off {
+		in, out := m.Sizes[l], m.Sizes[l+1]
+		if n := r.Int(); r.Err() != nil || n != out {
+			r.Fail("mlp layer %d has %d weight rows, want %d", l, n, out)
+			return
+		}
+		for o := 0; o < out; o++ {
+			if n, ok := loadRow(r, flat[at:at+in]); !ok {
+				r.Fail("mlp layer %d row %d has %d weights, want %d", l, o, n, in)
+				return
+			}
+			at += in
+		}
 	}
 }
 
-func load3(r *codec.Reader) [][][]float64 {
-	n := r.Int()
-	if r.Err() != nil || n < 0 || n > 1<<20 {
-		r.Fail("tensor dim %d out of range", n)
-		return nil
+func (m *MLP) saveB(w *codec.Writer, flat []float64) {
+	w.Int(len(m.off))
+	for l := range m.off {
+		saveRow(w, m.layer(flat, l)[m.Sizes[l]*m.Sizes[l+1]:])
 	}
-	out := make([][][]float64, n)
-	for i := range out {
-		out[i] = load2(r)
-	}
-	return out
 }
 
-func load2(r *codec.Reader) [][]float64 {
-	n := r.Int()
-	if r.Err() != nil || n < 0 || n > 1<<20 {
-		r.Fail("tensor dim %d out of range", n)
-		return nil
+func (m *MLP) loadB(r *codec.Reader, flat []float64) {
+	if n := r.Int(); r.Err() != nil || n != len(m.off) {
+		r.Fail("mlp tensor has %d bias layers, want %d", n, len(m.off))
+		return
 	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = r.F64s()
+	for l := range m.off {
+		if n, ok := loadRow(r, m.layer(flat, l)[m.Sizes[l]*m.Sizes[l+1]:]); !ok {
+			r.Fail("mlp layer %d has %d biases, want %d", l, n, m.Sizes[l+1])
+			return
+		}
 	}
-	return out
+}
+
+// saveRow writes what Writer.F64s writes — a length, then the cells — out
+// of the primitives loadRow reads it back with: Reader.F64s would allocate
+// a slice per row only to have it copied into the backing.
+func saveRow(w *codec.Writer, row []float64) {
+	w.U64(uint64(len(row)))
+	for _, v := range row {
+		w.F64(v)
+	}
+}
+
+// loadRow fills dst from a row saveRow wrote. A row of any other length is
+// left unread: ok is false and n is the length found.
+func loadRow(r *codec.Reader, dst []float64) (n uint64, ok bool) {
+	n = r.U64()
+	if r.Err() != nil || n != uint64(len(dst)) {
+		return n, false
+	}
+	for i := range dst {
+		dst[i] = r.F64()
+	}
+	return n, true
 }
 
 func saveTransition(w *codec.Writer, t Transition) {
