@@ -277,7 +277,7 @@ func (f *Flow) trySend() {
 	pkt.Flow = f.ID
 	pkt.Src = f.Src.ID()
 	pkt.Dst = f.DstID
-	pkt.Prio = f.P.Prio
+	pkt.Prio = uint8(f.P.Prio)
 	pkt.Size = payload + netsim.DataHeaderBytes
 	pkt.Seq = f.sent
 	pkt.FlowBytes = f.Size
@@ -416,7 +416,7 @@ func (r *Receiver) handle(pkt *netsim.Packet) {
 			cnp.Flow = r.ID
 			cnp.Src = r.Dst.ID()
 			cnp.Dst = r.SrcID
-			cnp.Prio = r.P.Prio
+			cnp.Prio = uint8(r.P.Prio)
 			cnp.Size = netsim.CtrlPacketBytes
 			// CNPs ride a protected class in RoCE deployments: model
 			// that by making them ECN-capable, so WRED marks rather

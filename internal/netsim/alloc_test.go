@@ -3,6 +3,7 @@
 package netsim
 
 import (
+	"math/bits"
 	"testing"
 
 	"github.com/accnet/acc/internal/simtime"
@@ -122,6 +123,48 @@ func TestAllocFreeForwardDownedUplink(t *testing.T) {
 	}
 	if cap(net.touched) != 0 {
 		t.Fatal("SetDown on an unwatched port grew the touched list")
+	}
+}
+
+// TestAllocFreeSaturatedLinkResidency pins what a FIFO that never empties
+// costs: a closed loop keeps eight packets between h1's NIC queue and the
+// wire for 10^5 packets, so neither the flight ring nor the queue ever
+// drains. Their backing must stay at the capacity of their high-water
+// occupancy (a FIFO that reclaims space only when empty would walk
+// kilobytes of it here), and the steady state must not allocate.
+func TestAllocFreeSaturatedLinkResidency(t *testing.T) {
+	net, h1, h2 := watchRig(0)
+	p, q := h1.Port, h1.Port.Queues[0]
+	delivered, maxFlight, maxQueued := 0, 0, 0
+	h2.Register(7, EndpointFunc(func(*Packet) {
+		delivered++
+		// arrive popped this packet's record before delivering it.
+		maxFlight = max(maxFlight, p.flight.len()+1)
+		enqueuePooled(net, h1, h2, 7)
+		maxQueued = max(maxQueued, q.Len())
+	}))
+	for i := 0; i < 8; i++ {
+		enqueuePooled(net, h1, h2, 7)
+	}
+	maxQueued = q.Len()
+	for delivered < 1000 {
+		net.RunFor(10 * simtime.Microsecond)
+	}
+	if avg := testing.AllocsPerRun(100, func() { net.RunFor(10 * simtime.Microsecond) }); avg != 0 {
+		t.Fatalf("a saturated link allocates %v per 10 µs in steady state, want 0", avg)
+	}
+	for delivered < 100000 {
+		net.RunFor(100 * simtime.Microsecond)
+	}
+	if p.flight.len() == 0 || q.Len() == 0 || maxFlight < 2 {
+		t.Fatalf("flight %d (max %d), queue %d: the link is not saturated", p.flight.len(), maxFlight, q.Len())
+	}
+	pow2 := func(n int) int { return 1 << bits.Len(uint(n-1)) }
+	if got, want := len(p.flight.buf), pow2(maxFlight); got != want {
+		t.Errorf("flight ring capacity %d after %d packets with at most %d in flight, want %d", got, delivered, maxFlight, want)
+	}
+	if got, want := len(q.pkts.buf), pow2(maxQueued); got != want {
+		t.Errorf("queue ring capacity %d after %d packets with at most %d queued, want %d", got, delivered, maxQueued, want)
 	}
 }
 

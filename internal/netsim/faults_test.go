@@ -123,7 +123,10 @@ func TestRouteBlackholeCounter(t *testing.T) {
 
 // TestEcmpPickOverLivePorts: with some candidates down, ecmpPick must choose
 // what indexing a compacted copy of the live ports would — the definition
-// the fault goldens were recorded under — for every down pattern.
+// the fault goldens were recorded under — for every down pattern. Every
+// pattern is reached from the previous one through setDown, so the switch's
+// downed-port count (which gates the all-alive shortcut) is checked against
+// each, repeated writes of the same value included.
 func TestEcmpPickOverLivePorts(t *testing.T) {
 	net := New(6)
 	sw := NewSwitch(net, DefaultSwitchConfig("sw"))
@@ -133,11 +136,17 @@ func TestEcmpPickOverLivePorts(t *testing.T) {
 	}
 	for mask := 0; mask < 1<<len(ports); mask++ {
 		var alive []*Port
+		nDown := 0
 		for i, p := range ports {
-			p.down = mask&(1<<i) != 0
-			if !p.down {
+			p.setDown(mask&(1<<i) != 0)
+			if p.down {
+				nDown++
+			} else {
 				alive = append(alive, p)
 			}
+		}
+		if sw.downPorts != nDown {
+			t.Fatalf("down mask %05b: switch counts %d downed ports, want %d", mask, sw.downPorts, nDown)
 		}
 		for f := FlowID(0); f < 64; f++ {
 			var want *Port

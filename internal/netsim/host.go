@@ -100,16 +100,16 @@ func (h *Host) Send(pkt *Packet) {
 func (h *Host) Receive(pkt *Packet, in *Port) {
 	switch pkt.Kind {
 	case KindPause:
-		in.setPaused(pkt.PausePrio, true)
+		in.setPaused(int(pkt.PausePrio), true)
 		for _, hook := range h.PauseHooks {
-			hook(pkt.PausePrio, true)
+			hook(int(pkt.PausePrio), true)
 		}
 		h.net.ReleasePacket(pkt)
 		return
 	case KindResume:
-		in.setPaused(pkt.PausePrio, false)
+		in.setPaused(int(pkt.PausePrio), false)
 		for _, hook := range h.PauseHooks {
-			hook(pkt.PausePrio, false)
+			hook(int(pkt.PausePrio), false)
 		}
 		h.net.ReleasePacket(pkt)
 		return

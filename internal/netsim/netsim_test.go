@@ -294,7 +294,7 @@ func TestPriorityNormalizedToServingQueue(t *testing.T) {
 	// default queue's priority so PFC acts consistently.
 	net, h1, h2, _ := rig(t, nil) // single queue at prio 0
 	var gotPrio = -1
-	h2.Register(1, EndpointFunc(func(p *Packet) { gotPrio = p.Prio }))
+	h2.Register(1, EndpointFunc(func(p *Packet) { gotPrio = int(p.Prio) }))
 	p := dataPkt(h1, h2, 1, 500)
 	p.Prio = 5
 	h1.Send(p)
@@ -339,7 +339,7 @@ func TestPrioTableMatchesQueueScan(t *testing.T) {
 func TestUnmappedPriorityFallsToFirstQueue(t *testing.T) {
 	net, h1, h2, sw := rig(t, []int{0, 3, 0, 1}) // queues at prio 1 and 3
 	gotPrio := -1
-	h2.Register(1, EndpointFunc(func(p *Packet) { gotPrio = p.Prio }))
+	h2.Register(1, EndpointFunc(func(p *Packet) { gotPrio = int(p.Prio) }))
 	p := dataPkt(h1, h2, 1, 500)
 	p.Prio = 2
 	h1.Send(p)

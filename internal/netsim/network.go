@@ -114,12 +114,13 @@ func (n *Network) registerAt(node Node, id int) int {
 // (network seed, node id) — never on a shared generator — makes each node's
 // random decisions (WRED admission) a function of that node's own packet
 // sequence alone, so they are identical whether the fabric runs in one event
-// loop or sharded across several.
+// loop or sharded across several. The stream's generator is built by its
+// first draw (see CountedSource).
 func (n *Network) nodeRng(id int) *rand.Rand {
 	z := uint64(n.seed) + 0x9e3779b97f4a7c15*uint64(id+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	src := NewCountedSource(rand.NewSource(int64(z ^ (z >> 31))))
+	src := &CountedSource{seed: int64(z ^ (z >> 31))}
 	if n.nodeSrc != nil {
 		n.nodeSrc[id] = src
 	}

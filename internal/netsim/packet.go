@@ -53,31 +53,39 @@ const NumPrio = 8
 // only valid within one switch. Once a packet reaches its terminal point the
 // network returns it to the pool, so nodes and endpoints must copy any field
 // they need past the callback that handed them the packet.
+//
+// A Packet is 64 bytes — one cache line, line-aligned by its size class
+// (TestLayout) — so a hop that reads Kind, Prio, Flow, Dst, Size and inPort
+// loads one line; that is why Prio, PausePrio and inPort are narrow.
 type Packet struct {
 	Kind Kind
-	Flow FlowID
-	Src  int // source host node id
-	Dst  int // destination host node id
-	Prio int // traffic class, 0..NumPrio-1
-	Size int // bytes on the wire, including headers
+	Prio uint8 // traffic class, 0..NumPrio-1
 
-	// Transport fields.
-	Seq       int64 // first payload byte offset (data) or cumulative ack
-	FlowBytes int64 // total flow size in bytes, carried for FCT accounting
-	Last      bool  // set on the final data packet of a flow
-	Retx      bool  // retransmission (TCP)
+	// PFC field (Kind Pause/Resume).
+	PausePrio uint8
+
+	Last bool // set on the final data packet of a flow
+	Retx bool // retransmission (TCP)
 
 	// ECN.
 	ECT bool // ECN-capable transport
 	CE  bool // congestion experienced (set by WRED marking)
 	ECE bool // ECN echo on ACKs (DCTCP feedback)
 
-	// PFC fields (Kind Pause/Resume).
-	PausePrio int
+	Flow FlowID
+	Src  int // source host node id
+	Dst  int // destination host node id
+	Size int // bytes on the wire, including headers
+
+	// Transport fields.
+	Seq       int64 // first payload byte offset (data) or cumulative ack
+	FlowBytes int64 // total flow size in bytes, carried for FCT accounting
 
 	// inPort is per-switch transient state: the ingress port index at the
 	// switch currently holding the packet, used for PFC buffer accounting.
-	inPort int
+	// Only a connected port receives packets, and arrivalStream caps a
+	// connected port's index at 2^arrivalPortBits.
+	inPort uint16
 
 	// pooled marks a packet currently resting in its Network's free list,
 	// guarding against double release (which would otherwise silently alias

@@ -14,57 +14,62 @@ import (
 // the telemetry counters ACC's collector reads (§4.1: total bytes sent,
 // number of ECN-marked packets, egress queue depth).
 type EgressQueue struct {
-	//acclint:ignore snapcover construction config (queue identity)
-	Prio int
-	//acclint:ignore snapcover construction config (DWRR share)
-	Weight int // DWRR weight; bandwidth share is Weight / sum(Weights)
+	// Line 0 — everything push and pop touch: the FIFO, the depth and the
+	// byte-time integral for exact average-queue-length telemetry (consumers
+	// take (integral delta)/(window) to get mean depth over a window, which
+	// the paper's reward uses instead of instantaneous depth, §3.3).
+	pkts       ring[*Packet]
+	bytes      int
+	byteTime   float64 // ∫ qlen dt, in byte·seconds
+	lastChange simtime.Time
+	clock      func() simtime.Time
 
+	// Line 1 — admission (Enqueue, CanInject) and the DWRR turn.
 	ECNEnabled bool
-	RED        red.Config
-
+	//acclint:ignore snapcover transient within one synchronous wakeWaiters call; false at every event boundary, and snapshots happen only between events
+	serving bool // a waiter is being served: it may inject past the queue
+	inTurn  bool // whether the queue was replenished for the current turn
+	RED     red.Config
 	// InjectLimit, when positive, bounds how many bytes a host-side sender
 	// may keep queued here; senders use CanInject/WhenReady to pace into the
 	// NIC the way per-QP rate limiters share a real NIC port. Zero means
 	// unlimited (switch egress queues).
 	//acclint:ignore snapcover construction config (NIC pacing bound)
 	InjectLimit int
+	EnqBytes    uint64 // cumulative, like the counters below
+	deficit     int    // DWRR deficit counter, bytes
+	//acclint:ignore snapcover construction config (queue identity)
+	Prio int
 
-	pkts    []*Packet // FIFO; head at index head
-	head    int
-	bytes   int
-	waiters []Waiter // FIFO; head at index whead
-	whead   int
-	//acclint:ignore snapcover transient within one synchronous wakeWaiters call; false at every event boundary, and snapshots happen only between events
-	serving bool // a waiter is being served: it may inject past the queue
+	// Line 2 — what a transmission touches: the parked senders trySend
+	// wakes, and the cumulative counters txDone advances (monotonic;
+	// consumers take deltas).
+	waiters       ring[Waiter]
+	TxBytes       uint64 // bytes fully serialized onto the link
+	TxPackets     uint64
+	TxMarkedBytes uint64 // bytes of packets that left with CE set
+	TxMarkedPkts  uint64
+
+	// Line 3 — what a single-queue packet hop never reads.
+	//acclint:ignore snapcover construction config (DWRR share)
+	Weight          int    // DWRR weight; bandwidth share is Weight / sum(Weights)
+	AnalyticTxBytes uint64 // wire bytes fast-forwarded in closed form (internal/hybrid)
+	DropPackets     uint64 // WRED drops of non-ECT traffic
+	DropBytes       uint64
 
 	// restoreWaiters holds snapshot waiter identities between a port
 	// restore and Network.ResolveWaiters (transports are rebuilt in
 	// between); empty otherwise.
 	restoreWaiters []WaiterRef
 
-	// Byte-time integral for exact average-queue-length telemetry: consumers
-	// take (integral delta)/(window) to get mean depth over a window, which
-	// the paper's reward uses instead of instantaneous depth (§3.3).
-	byteTime   float64 // ∫ qlen dt, in byte·seconds
-	lastChange simtime.Time
-	clock      func() simtime.Time
-
-	deficit int  // DWRR deficit counter, bytes
-	inTurn  bool // whether the queue was replenished for the current turn
-
-	// Cumulative counters (monotonic; consumers take deltas).
-	TxBytes         uint64 // bytes fully serialized onto the link
-	AnalyticTxBytes uint64 // wire bytes fast-forwarded in closed form (internal/hybrid)
-	TxPackets       uint64
-	TxMarkedBytes   uint64 // bytes of packets that left with CE set
-	TxMarkedPkts    uint64
-	EnqBytes        uint64
-	DropPackets     uint64 // WRED drops of non-ECT traffic
-	DropBytes       uint64
+	// Pads the struct to a whole number of lines, so its size class hands
+	// out line-aligned objects whatever classes the allocator has
+	// (TestLayout).
+	_ [8]byte
 }
 
 // Len returns the number of queued packets.
-func (q *EgressQueue) Len() int { return len(q.pkts) - q.head }
+func (q *EgressQueue) Len() int { return q.pkts.len() }
 
 // Bytes returns the instantaneous queue depth in bytes.
 func (q *EgressQueue) Bytes() int { return q.bytes }
@@ -72,9 +77,9 @@ func (q *EgressQueue) Bytes() int { return q.bytes }
 // Parked returns the identities of the senders waiting on this queue, in
 // FIFO order.
 func (q *EgressQueue) Parked() []WaiterRef {
-	refs := make([]WaiterRef, 0, len(q.waiters)-q.whead)
-	for _, w := range q.waiters[q.whead:] {
-		kind, flow := w.WaiterID()
+	refs := make([]WaiterRef, 0, q.waiters.len())
+	for i := 0; i < q.waiters.len(); i++ {
+		kind, flow := q.waiters.at(i).WaiterID()
 		refs = append(refs, WaiterRef{Kind: kind, Flow: flow})
 	}
 	return refs
@@ -99,69 +104,74 @@ func (q *EgressQueue) ByteTimeIntegral() float64 {
 
 func (q *EgressQueue) push(p *Packet) {
 	q.accrue()
-	q.pkts = append(q.pkts, p)
+	q.pkts.push(p)
 	q.bytes += p.Size
 	q.EnqBytes += uint64(p.Size)
 }
 
-func (q *EgressQueue) peek() *Packet { return q.pkts[q.head] }
+func (q *EgressQueue) peek() *Packet { return q.pkts.at(0) }
 
 func (q *EgressQueue) pop() *Packet {
 	q.accrue()
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
+	p := q.pkts.pop()
 	q.bytes -= p.Size
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	} else if q.head > 1024 && q.head*2 > len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		for i := n; i < len(q.pkts); i++ {
-			q.pkts[i] = nil
-		}
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
 	return p
 }
 
 // Port is one direction-pair attachment point of a node: it owns the egress
 // queues and the transmitter that serializes packets onto the attached link.
 type Port struct {
-	//acclint:ignore snapcover construction wiring (owning node)
-	Owner Node
-	//acclint:ignore snapcover construction wiring (port slot)
-	Index int // port index within the owner
-	//acclint:ignore snapcover construction wiring (link far end)
-	Peer *Port // remote end of the link
-
-	Bandwidth simtime.Rate // line rate of the attached link
-	//acclint:ignore snapcover construction config (link propagation)
-	Delay simtime.Duration // one-way propagation delay
-
-	Queues []*EgressQueue
-
-	net    *Network
+	// Line 0 — what Enqueue and an idle-or-busy check in trySend read.
 	busy   bool
-	down   bool
+	down   bool // written only by setDown, which keeps the owner's count
 	paused [NumPrio]bool
 	// touched and watch are the hybrid engine's change notification (see
-	// Watch). They fill the padding between paused and rr, so Port keeps its
-	// size and Enqueue reads watch from the cache line it already loads for
-	// busy and down (TestPortLayout).
+	// Watch); Enqueue reads watch from the line it already loads for busy
+	// and down (TestLayout).
 	//acclint:ignore snapcover transient between hybrid ticks: set with the port's entry in Network.touched, cleared by TakeTouched; restore re-marks every link instead (hybrid.Engine.MarkAll)
 	touched bool
+	// fidelity is the hybrid-engine bookkeeping mode; see SetFidelity.
+	fidelity Fidelity
 	//acclint:ignore snapcover construction config: the watch depth a hybrid engine armed at AddLink, re-armed when restore rebuilds the engine
 	watch int32
-	rr    int // DWRR round-robin pointer
-	//acclint:ignore snapcover derived at construction from queue weights
-	quantum int // base DWRR quantum in bytes (scaled by queue weight)
+	// prioQ[prio] is one more than the index in Queues of the queue serving
+	// prio, zero for a priority with no queue of its own; built once in
+	// newPort.
+	//acclint:ignore snapcover derived at construction from Queues
+	prioQ  [NumPrio]uint8
+	Queues []*EgressQueue
+	//acclint:ignore snapcover construction wiring (link far end)
+	Peer *Port // remote end of the link
+	net  *Network
+
+	// Line 1 — the rest of trySend.
 
 	// remote, when non-nil, marks the far end of this port's link as living
 	// in another shard: deliver hands finished packets to it (by value)
 	// instead of scheduling a local arrival, and Peer stays nil.
 	remote RemoteEnd
+	rr     int // DWRR round-robin pointer
+	//acclint:ignore snapcover derived at construction from queue weights
+	quantum   int          // base DWRR quantum in bytes (scaled by queue weight)
+	Bandwidth simtime.Rate // line rate of the attached link
+
+	// Snapshot bookkeeping for the two in-flight packet populations of a
+	// port (see snapshot.go): here the packet on the transmitter (busy
+	// implies txPkt non-nil; txAt/txEvSeq are its pending txDone event's
+	// slot), on line 3 the packets propagating on the wire (flight).
+	txPkt   *Packet
+	txAt    simtime.Time
+	txEvSeq uint64
+
+	// Line 2 — txDone and deliver on the transmit side, and all an arrival
+	// touches of the receiving port (Owner, Index, RxBytesTotal).
+	Owner Node // construction wiring; restore reads it to recount downed ports
+	//acclint:ignore snapcover construction wiring (port slot)
+	Index        int // port index within the owner
+	RxBytesTotal uint64
+	TxBytesTotal uint64
+	//acclint:ignore snapcover construction config (link propagation)
+	Delay simtime.Duration // one-way propagation delay
 
 	// rxStream identifies the receiving (node, port) of this transmitter's
 	// link — the arrival stream for eventq.KeyedSeq. txSeq counts packets
@@ -174,53 +184,41 @@ type Port struct {
 	rxStream uint32
 	txSeq    uint32
 
-	// Snapshot bookkeeping for the two in-flight packet populations of a
-	// port (see snapshot.go): the packet on the transmitter (busy implies
-	// txPkt non-nil; txAt/txEvSeq are its pending txDone event's slot) and
-	// the packets propagating on the wire, as a FIFO ring in arrival order.
-	// A local port's ring holds its own outbound flight (arriveFn events);
-	// a cross-shard port's ring holds its inbound flight injected by the
-	// far shard (remoteArriveFn events). Maintenance is O(1) per packet and
-	// allocation-free in steady state.
-	txPkt   *Packet
-	txAt    simtime.Time
-	txEvSeq uint64
-	flight  []flightRec
-	fhead   int
+	// txDoneFn, arriveFn and remoteArriveFn are the pre-bound callbacks for
+	// the two per-packet events (serialization done, propagation done),
+	// created once in newPort so the hot path schedules through eventq's
+	// recycled typed events with zero allocation. remoteArriveFn is the
+	// arrival callback for packets injected by the far shard of a
+	// cross-shard link; it runs on the *receiving* port.
+	txDoneFn func(any)
 
-	// Pre-bound callbacks for the two per-packet events (serialization done,
-	// propagation done), created once in newPort so the hot path schedules
-	// through eventq's recycled typed events with zero allocation.
-	// remoteArriveFn is the arrival callback for packets injected by the far
-	// shard of a cross-shard link; it runs on the *receiving* port.
-	txDoneFn       func(any)
+	// Line 3 — the wire: deliver pushes, arrive pops. flight holds the
+	// packets propagating on the link in arrival order: a local port's ring
+	// is its own outbound flight (arriveFn events); a cross-shard port's
+	// ring is its inbound flight injected by the far shard (remoteArriveFn
+	// events). Maintenance is O(1) per packet and allocation-free once the
+	// ring has grown to the link's in-flight high-water.
+	flight         ring[flightRec]
 	arriveFn       func(any)
 	remoteArriveFn func(any)
 
-	// fidelity is the hybrid-engine bookkeeping mode; see SetFidelity.
-	fidelity Fidelity
-
-	// Cumulative counters.
-	TxBytesTotal    uint64
+	// Behind the hot lines: cumulative counters a packet hop never touches.
 	AnalyticTxBytes uint64 // wire bytes fast-forwarded in closed form (internal/hybrid)
-	RxBytesTotal    uint64
 	PauseRxEvents   uint64 // pause frames received (transmitter-side stalls)
 	PauseTxEvents   uint64 // pause frames sent (receiver-side congestion)
 	PausedDuration  simtime.Duration
-	pausedSince     [NumPrio]simtime.Time
 
 	// Blackhole counters: packets lost on this transmitter because the link
 	// was down when they finished serializing or when they would have
 	// arrived at the peer (see SetDown).
 	BlackholedPackets uint64
 	BlackholedBytes   uint64
+	pausedSince       [NumPrio]simtime.Time
 
-	// prioQ[prio] is the queue in Queues serving prio, nil for a priority
-	// with no queue of its own; built once in newPort. It sits last so the
-	// fields ahead of it keep the cache lines they share (Enqueue → trySend
-	// reads Queues, net, busy, down, paused, watch and rr from two lines).
-	//acclint:ignore snapcover derived at construction from Queues
-	prioQ [NumPrio]*EgressQueue
+	// Pads the struct to a whole number of lines, so its size class hands
+	// out line-aligned objects: the fields alone are 352 bytes, which is a
+	// size class of its own and is not (TestLayout).
+	_ [32]byte
 }
 
 // newPort creates a port with one egress queue per entry in weights
@@ -246,8 +244,8 @@ func newPort(net *Network, owner Node, index int, bw simtime.Rate, delay simtime
 	if len(p.Queues) == 0 {
 		p.Queues = append(p.Queues, &EgressQueue{Prio: 0, Weight: 1, clock: net.Q.Now})
 	}
-	for _, q := range p.Queues {
-		p.prioQ[q.Prio] = q
+	for i, q := range p.Queues {
+		p.prioQ[q.Prio] = uint8(i + 1)
 	}
 	return p
 }
@@ -275,10 +273,10 @@ func (p *Port) Net() *Network { return p.net }
 
 // Queue returns the egress queue serving priority prio, or nil.
 func (p *Port) Queue(prio int) *EgressQueue {
-	if uint(prio) >= NumPrio {
+	if uint(prio) >= NumPrio || p.prioQ[prio] == 0 {
 		return nil
 	}
-	return p.prioQ[prio]
+	return p.Queues[p.prioQ[prio]-1]
 }
 
 // Paused reports whether the given priority is PFC-paused at this port's
@@ -302,11 +300,11 @@ func (p *Port) IsDown() bool { return p.down }
 // and transports must recover via their own timeout/retransmission path. A
 // packet only survives if the link is back up by the time it would arrive.
 func (p *Port) SetDown(down bool) {
-	p.down = down
+	p.setDown(down)
 	p.touch()
 	p.net.Tracer.LinkState(p.net.Now(), p.Owner.ID(), p.Index, down)
 	if p.Peer != nil {
-		p.Peer.down = down
+		p.Peer.setDown(down)
 		p.Peer.touch()
 	}
 	if !down {
@@ -324,11 +322,28 @@ func (p *Port) SetDown(down bool) {
 // down check reads the checking end's own flag. Sequential callers should
 // keep using SetDown.
 func (p *Port) SetEndDown(down bool) {
-	p.down = down
+	p.setDown(down)
 	p.touch()
 	p.net.Tracer.LinkState(p.net.Now(), p.Owner.ID(), p.Index, down)
 	if !down {
 		p.trySend()
+	}
+}
+
+// setDown is the one writer of down: it keeps the owning switch's count of
+// downed ports, which lets ecmpPick skip reading every candidate's flag on
+// a healthy switch.
+func (p *Port) setDown(down bool) {
+	if p.down == down {
+		return
+	}
+	p.down = down
+	if sw, ok := p.Owner.(*Switch); ok {
+		if down {
+			sw.downPorts++
+		} else {
+			sw.downPorts--
+		}
 	}
 }
 
@@ -374,7 +389,7 @@ func (p *Port) touch() {
 func (p *Port) blackhole(pkt *Packet) {
 	p.BlackholedPackets++
 	p.BlackholedBytes += uint64(pkt.Size)
-	p.net.Tracer.Drop(p.net.Now(), obs.DropLinkBlackhole, p.Owner.ID(), p.Index, pkt.Prio, uint64(pkt.Flow), pkt.Size)
+	p.net.Tracer.Drop(p.net.Now(), obs.DropLinkBlackhole, p.Owner.ID(), p.Index, int(pkt.Prio), uint64(pkt.Flow), pkt.Size)
 	p.net.ReleasePacket(pkt)
 }
 
@@ -391,14 +406,14 @@ func (p *Port) Utilization(bytesDelta uint64, window simtime.Duration) float64 {
 // WRED/ECN. It returns the verdict so the owning switch can release buffer
 // accounting on drop. Control frames bypass Enqueue entirely.
 func (p *Port) Enqueue(pkt *Packet, rng *rand.Rand) red.Verdict {
-	q := p.Queue(pkt.Prio)
+	q := p.Queue(int(pkt.Prio))
 	if q == nil {
 		// The port has no dedicated queue for this class: map the packet to
 		// the default queue and normalize its priority so that downstream
 		// PFC accounting and pause frames act on the class that actually
 		// carries it (traffic class = egress queue).
 		q = p.Queues[0]
-		pkt.Prio = q.Prio
+		pkt.Prio = uint8(q.Prio)
 	}
 	v := red.Pass
 	if q.ECNEnabled {
@@ -481,7 +496,7 @@ func (p *Port) CanInject(prio int) bool {
 	if q.InjectLimit > 0 && q.bytes >= q.InjectLimit {
 		return false
 	}
-	return q.serving || len(q.waiters) == q.whead
+	return q.serving || q.waiters.len() == 0
 }
 
 // WhenReady parks w until the priority's queue has room and w's turn comes
@@ -491,27 +506,19 @@ func (p *Port) WhenReady(prio int, w Waiter) {
 	if q == nil {
 		q = p.Queues[0]
 	}
-	q.waiters = append(q.waiters, w)
+	q.waiters.push(w)
 }
 
 // wakeWaiters serves parked senders in FIFO order while the queue has room.
 // Each waiter may inject one or more packets; a waiter that is still
 // blocked re-registers at the tail, which ends the loop because the queue
-// is full again. The slice is drained via a head index and reset to length
-// zero once empty, so the steady-state park/wake cycle reuses one backing
-// array instead of reallocating it.
+// is full again.
 func (p *Port) wakeWaiters(q *EgressQueue) {
-	for q.whead < len(q.waiters) && (q.InjectLimit <= 0 || q.bytes < q.InjectLimit) {
-		w := q.waiters[q.whead]
-		q.waiters[q.whead] = nil
-		q.whead++
+	for q.waiters.len() > 0 && (q.InjectLimit <= 0 || q.bytes < q.InjectLimit) {
+		w := q.waiters.pop()
 		q.serving = true
 		w.NICReady()
 		q.serving = false
-	}
-	if q.whead == len(q.waiters) {
-		q.waiters = q.waiters[:0]
-		q.whead = 0
 	}
 }
 
@@ -602,7 +609,7 @@ func (p *Port) txDone(arg any) {
 		p.blackhole(pkt)
 		return
 	}
-	q := p.Queue(pkt.Prio)
+	q := p.Queue(int(pkt.Prio))
 	p.TxBytesTotal += uint64(pkt.Size)
 	q.TxBytes += uint64(pkt.Size)
 	q.TxPackets++
@@ -631,39 +638,18 @@ func (p *Port) deliver(pkt *Packet) {
 		p.remote.Deliver(pkt, at, key)
 		return
 	}
-	p.flightPush(flightRec{pkt: pkt, at: at, key: key})
+	p.flight.push(flightRec{pkt: pkt, at: at, key: key})
 	p.net.Q.CallAtSeq(at, key, p.arriveFn, pkt)
 }
 
 // flightRec is one packet on the wire, recorded so a snapshot can save and
-// re-schedule the in-flight population exactly.
+// re-schedule the in-flight population exactly. The oldest record of a
+// port's flight is always the one whose arrival fires next: the ring is fed
+// by one transmitter, so records are pushed in (at, key) order.
 type flightRec struct {
 	pkt *Packet
 	at  simtime.Time
 	key uint64
-}
-
-func (p *Port) flightPush(rec flightRec) {
-	p.flight = append(p.flight, rec)
-}
-
-// flightPop removes the oldest in-flight record, which is always the one
-// whose arrival fires next: a port's flight is fed by one transmitter, so
-// records are pushed in (at, key) order.
-func (p *Port) flightPop() {
-	p.flight[p.fhead] = flightRec{}
-	p.fhead++
-	if p.fhead == len(p.flight) {
-		p.flight = p.flight[:0]
-		p.fhead = 0
-	} else if p.fhead > 1024 && p.fhead*2 > len(p.flight) {
-		n := copy(p.flight, p.flight[p.fhead:])
-		for i := n; i < len(p.flight); i++ {
-			p.flight[i] = flightRec{}
-		}
-		p.flight = p.flight[:n]
-		p.fhead = 0
-	}
 }
 
 // arrive runs when a packet finishes propagating: it delivers to the peer
@@ -671,7 +657,7 @@ func (p *Port) flightPop() {
 // reading it at arrival time matches the value at transmission time.
 func (p *Port) arrive(arg any) {
 	pkt := arg.(*Packet)
-	p.flightPop()
+	p.flight.pop()
 	if p.down {
 		p.blackhole(pkt)
 		return
@@ -691,7 +677,7 @@ func (p *Port) arrive(arg any) {
 // sequential run, and guarantees the transmitter no longer touches the
 // object (see RemoteEnd).
 func (p *Port) ScheduleRemoteArrival(pkt *Packet, at simtime.Time, key uint64) {
-	p.flightPush(flightRec{pkt: pkt, at: at, key: key})
+	p.flight.push(flightRec{pkt: pkt, at: at, key: key})
 	p.net.Q.CallAtSeq(at, key, p.remoteArriveFn, pkt)
 }
 
@@ -703,7 +689,7 @@ func (p *Port) ScheduleRemoteArrival(pkt *Packet, at simtime.Time, key uint64) {
 // though the attributed end differs.
 func (p *Port) remoteArrive(arg any) {
 	pkt := arg.(*Packet)
-	p.flightPop()
+	p.flight.pop()
 	if p.down {
 		p.blackhole(pkt)
 		return

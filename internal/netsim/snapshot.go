@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -26,28 +27,44 @@ import (
 // advance the underlying generator by exactly one step each, so a stream
 // is fully described by (derivation, draw count): restore rebuilds the
 // source from the same derivation and fast-forwards the difference.
+//
+// A per-node stream (Network.nodeRng) starts with only its seed: the
+// generator — 4.9 KB of math/rand state — is built by the first draw, and
+// most nodes never draw (a host does only when a NIC queue runs ECN). A
+// stream never drawn from saves a count of zero and a restore to zero skips
+// nothing, so neither builds it and the image cannot tell.
 type CountedSource struct {
-	src rand.Source64
-	n   uint64
+	src  rand.Source64 // nil until the first draw of a lazily seeded stream
+	seed int64
+	n    uint64
 }
 
 func NewCountedSource(s rand.Source) *CountedSource {
 	return &CountedSource{src: s.(rand.Source64)}
 }
 
+func (c *CountedSource) source() rand.Source64 {
+	if c.src == nil {
+		c.src = rand.NewSource(c.seed).(rand.Source64)
+	}
+	return c.src
+}
+
 func (c *CountedSource) Int63() int64 {
 	c.n++
-	return c.src.Int63()
+	return c.source().Int63()
 }
 
 func (c *CountedSource) Uint64() uint64 {
 	c.n++
-	return c.src.Uint64()
+	return c.source().Uint64()
 }
 
 func (c *CountedSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
+	if c.src != nil {
+		c.src.Seed(seed)
+	}
+	c.seed, c.n = seed, 0
 }
 
 // Draws returns how many values have been drawn from the stream.
@@ -62,7 +79,7 @@ func (c *CountedSource) SkipTo(target uint64) error {
 		return fmt.Errorf("rng stream at draw %d is ahead of snapshot draw %d (snapshot from a different world?)", c.n, target)
 	}
 	for c.n < target {
-		c.src.Uint64()
+		c.source().Uint64()
 		c.n++
 	}
 	return nil
@@ -80,7 +97,7 @@ func savePacket(w *codec.Writer, p *Packet) {
 	w.U64(uint64(p.Flow))
 	w.Int(p.Src)
 	w.Int(p.Dst)
-	w.Int(p.Prio)
+	w.Int(int(p.Prio))
 	w.Int(p.Size)
 	w.I64(p.Seq)
 	w.I64(p.FlowBytes)
@@ -89,18 +106,21 @@ func savePacket(w *codec.Writer, p *Packet) {
 	w.Bool(p.ECT)
 	w.Bool(p.CE)
 	w.Bool(p.ECE)
-	w.Int(p.PausePrio)
-	w.Int(p.inPort)
+	w.Int(int(p.PausePrio))
+	w.Int(int(p.inPort))
 }
 
-// loadPacket reads a packet saved by savePacket into a pooled object.
+// loadPacket reads a packet saved by savePacket into a pooled object. Prio,
+// PausePrio and inPort are narrower than the Int they are saved as; a value
+// the field cannot hold fails the read — it is a corrupt image, not
+// something to truncate into a plausible packet.
 func (n *Network) loadPacket(r *codec.Reader) *Packet {
 	p := n.AllocPacket()
 	p.Kind = Kind(r.Int())
 	p.Flow = FlowID(r.U64())
 	p.Src = r.Int()
 	p.Dst = r.Int()
-	p.Prio = r.Int()
+	prio := r.Int()
 	p.Size = r.Int()
 	p.Seq = r.I64()
 	p.FlowBytes = r.I64()
@@ -109,8 +129,12 @@ func (n *Network) loadPacket(r *codec.Reader) *Packet {
 	p.ECT = r.Bool()
 	p.CE = r.Bool()
 	p.ECE = r.Bool()
-	p.PausePrio = r.Int()
-	p.inPort = r.Int()
+	pausePrio := r.Int()
+	inPort := r.Int()
+	if uint(prio) > math.MaxUint8 || uint(pausePrio) > math.MaxUint8 || uint(inPort) > math.MaxUint16 {
+		r.Fail("packet prio %d, pause prio %d or ingress port %d does not fit its field", prio, pausePrio, inPort)
+	}
+	p.Prio, p.PausePrio, p.inPort = uint8(prio), uint8(pausePrio), uint16(inPort)
 	return p
 }
 
@@ -281,8 +305,9 @@ func (p *Port) saveState(w *codec.Writer) {
 		w.I64(int64(p.txAt))
 		w.U64(p.txEvSeq)
 	}
-	w.Int(len(p.flight) - p.fhead)
-	for _, rec := range p.flight[p.fhead:] {
+	w.Int(p.flight.len())
+	for i := 0; i < p.flight.len(); i++ {
+		rec := p.flight.at(i)
 		savePacket(w, rec.pkt)
 		w.I64(int64(rec.at))
 		w.U64(rec.key)
@@ -296,7 +321,7 @@ func (p *Port) restoreState(r *codec.Reader) {
 	r.Expect("port")
 	p.Bandwidth = simtime.Rate(r.I64())
 	p.busy = r.Bool()
-	p.down = r.Bool()
+	p.setDown(r.Bool())
 	for i := 0; i < NumPrio; i++ {
 		p.paused[i] = r.Bool()
 		p.pausedSince[i] = simtime.Time(r.I64())
@@ -331,7 +356,7 @@ func (p *Port) restoreState(r *codec.Reader) {
 		if r.Err() != nil {
 			break
 		}
-		p.flightPush(flightRec{pkt: pkt, at: at, key: key})
+		p.flight.push(flightRec{pkt: pkt, at: at, key: key})
 		if p.remote != nil {
 			p.net.Q.RestoreCallAt(at, key, p.remoteArriveFn, pkt)
 		} else {
@@ -350,8 +375,8 @@ func (q *EgressQueue) saveState(w *codec.Writer) {
 	w.F64(q.RED.Pmax)
 	w.Bool(q.ECNEnabled)
 	w.Int(q.Len())
-	for _, pkt := range q.pkts[q.head:] {
-		savePacket(w, pkt)
+	for i := 0; i < q.pkts.len(); i++ {
+		savePacket(w, q.pkts.at(i))
 	}
 	w.F64(q.byteTime)
 	w.I64(int64(q.lastChange))
@@ -380,12 +405,11 @@ func (q *EgressQueue) restoreState(r *codec.Reader, net *Network) {
 	q.RED.Pmax = r.F64()
 	q.ECNEnabled = r.Bool()
 	nPkts := r.Int()
-	q.pkts = q.pkts[:0]
-	q.head = 0
+	q.pkts.reset()
 	q.bytes = 0
 	for i := 0; i < nPkts && r.Err() == nil; i++ {
 		pkt := net.loadPacket(r)
-		q.pkts = append(q.pkts, pkt)
+		q.pkts.push(pkt)
 		q.bytes += pkt.Size
 	}
 	q.byteTime = r.F64()
@@ -403,11 +427,7 @@ func (q *EgressQueue) restoreState(r *codec.Reader, net *Network) {
 	nWait := r.Int()
 	// Drop waiters parked by construction-time transports (hybrid rebuilds
 	// start due flows at apply time); the snapshot's refs replace them.
-	for i := range q.waiters {
-		q.waiters[i] = nil
-	}
-	q.waiters = q.waiters[:0]
-	q.whead = 0
+	q.waiters.reset()
 	q.restoreWaiters = q.restoreWaiters[:0]
 	for i := 0; i < nWait && r.Err() == nil; i++ {
 		q.restoreWaiters = append(q.restoreWaiters, WaiterRef{Kind: uint8(r.U64()), Flow: FlowID(r.U64())})
@@ -436,7 +456,7 @@ func (n *Network) ResolveWaiters(resolve func(kind uint8, flow FlowID) Waiter) e
 					if wt == nil {
 						return fmt.Errorf("netsim: no waiter for kind %d flow %d", ref.Kind, ref.Flow)
 					}
-					q.waiters = append(q.waiters, wt)
+					q.waiters.push(wt)
 				}
 				q.restoreWaiters = q.restoreWaiters[:0]
 			}

@@ -86,6 +86,11 @@ type Switch struct {
 	// RouteBlackholes counts packets dropped because every ECMP candidate
 	// link toward the destination was down (also included in DropsTotal).
 	RouteBlackholes uint64
+
+	// downPorts counts this switch's ports whose link is down, kept by
+	// Port.setDown (restore writes down through it too, which recounts); at
+	// zero ecmpPick indexes the candidate set directly.
+	downPorts int
 }
 
 // NewSwitch creates a switch node and registers it with the network at the
@@ -189,6 +194,9 @@ func (s *Switch) SetRED(c red.Config) {
 // down are excluded (failure injection); nil is returned when no candidate
 // is alive.
 func (s *Switch) ecmpPick(ports []*Port, f FlowID) *Port {
+	if s.downPorts == 0 {
+		return ports[EcmpIndex(f, s.id, len(ports))]
+	}
 	nAlive := 0
 	for _, p := range ports {
 		if !p.down {
@@ -239,11 +247,11 @@ func EcmpIndex(f FlowID, node, n int) int {
 func (s *Switch) Receive(pkt *Packet, in *Port) {
 	switch pkt.Kind {
 	case KindPause:
-		in.setPaused(pkt.PausePrio, true)
+		in.setPaused(int(pkt.PausePrio), true)
 		s.net.ReleasePacket(pkt)
 		return
 	case KindResume:
-		in.setPaused(pkt.PausePrio, false)
+		in.setPaused(int(pkt.PausePrio), false)
 		s.net.ReleasePacket(pkt)
 		return
 	}
@@ -258,7 +266,7 @@ func (s *Switch) Receive(pkt *Packet, in *Port) {
 		// Every candidate link is down: blackhole the packet.
 		s.DropsTotal++
 		s.RouteBlackholes++
-		s.net.Tracer.Drop(s.net.Now(), obs.DropRouteBlackhole, s.id, in.Index, pkt.Prio, uint64(pkt.Flow), pkt.Size)
+		s.net.Tracer.Drop(s.net.Now(), obs.DropRouteBlackhole, s.id, in.Index, int(pkt.Prio), uint64(pkt.Flow), pkt.Size)
 		s.net.ReleasePacket(pkt)
 		return
 	}
@@ -267,17 +275,17 @@ func (s *Switch) Receive(pkt *Packet, in *Port) {
 	if s.totalUsed+pkt.Size > s.cfg.BufferBytes {
 		s.DropsTotal++
 		s.OverflowDrops++
-		s.net.Tracer.Drop(s.net.Now(), obs.DropOverflow, s.id, in.Index, pkt.Prio, uint64(pkt.Flow), pkt.Size)
+		s.net.Tracer.Drop(s.net.Now(), obs.DropOverflow, s.id, in.Index, int(pkt.Prio), uint64(pkt.Flow), pkt.Size)
 		s.net.ReleasePacket(pkt)
 		return
 	}
-	pkt.inPort = in.Index
+	pkt.inPort = uint16(in.Index)
 	s.ingUsed[in.Index][pkt.Prio] += pkt.Size
 	s.totalUsed += pkt.Size
 
 	wasCE := pkt.CE
 	v := out.Enqueue(pkt, s.rng)
-	prio := pkt.Prio // normalized by Enqueue; pkt is invalid past a drop
+	prio := int(pkt.Prio) // normalized by Enqueue; pkt is invalid past a drop
 	if v == red.Drop {
 		// WRED dropped a non-ECT packet: release accounting immediately.
 		s.releaseBuffer(pkt)
@@ -307,7 +315,7 @@ func (s *Switch) checkPause(in *Port, prio int) {
 		s.pauseSent[in.Index][prio] = true
 		s.net.Tracer.PFC(s.net.Now(), s.id, in.Index, prio, true)
 		pause := s.net.AllocPacket()
-		pause.Kind, pause.PausePrio, pause.Size, pause.Src = KindPause, prio, CtrlPacketBytes, s.id
+		pause.Kind, pause.PausePrio, pause.Size, pause.Src = KindPause, uint8(prio), CtrlPacketBytes, s.id
 		in.SendCtrl(pause)
 	}
 }
@@ -324,7 +332,7 @@ func (s *Switch) checkResume(portIdx, prio int) {
 		s.pauseSent[portIdx][prio] = false
 		s.net.Tracer.PFC(s.net.Now(), s.id, portIdx, prio, false)
 		resume := s.net.AllocPacket()
-		resume.Kind, resume.PausePrio, resume.Size, resume.Src = KindResume, prio, CtrlPacketBytes, s.id
+		resume.Kind, resume.PausePrio, resume.Size, resume.Src = KindResume, uint8(prio), CtrlPacketBytes, s.id
 		s.Ports[portIdx].SendCtrl(resume)
 	}
 }
@@ -335,6 +343,6 @@ func (s *Switch) releaseBuffer(pkt *Packet) {
 	s.ingUsed[pkt.inPort][pkt.Prio] -= pkt.Size
 	s.totalUsed -= pkt.Size
 	if s.cfg.PFC.Enabled {
-		s.checkResume(pkt.inPort, pkt.Prio)
+		s.checkResume(int(pkt.inPort), int(pkt.Prio))
 	}
 }

@@ -2,35 +2,9 @@ package netsim
 
 import (
 	"testing"
-	"unsafe"
 
 	"github.com/accnet/acc/internal/simtime"
 )
-
-// TestPortLayout pins where the hybrid watch fields live. They were placed
-// in the padding after paused on purpose: appended after prioQ they grew
-// Port into the next allocator size class and put the watch depth on a line
-// Enqueue did not otherwise load, which cost the packet workloads ~4 %. A
-// field inserted ahead of them later must fail here, in the default test
-// set, not in a benchmark.
-func TestPortLayout(t *testing.T) {
-	var p Port
-	if sz := unsafe.Sizeof(p); sz > 416 {
-		t.Fatalf("Port is %d bytes, want <= 416 (next size class is 448)", sz)
-	}
-	line := func(off uintptr) uintptr { return off / 64 }
-	down := unsafe.Offsetof(p.down)
-	for name, off := range map[string]uintptr{
-		"touched": unsafe.Offsetof(p.touched),
-		"watch":   unsafe.Offsetof(p.watch),
-		"busy":    unsafe.Offsetof(p.busy),
-		"rr":      unsafe.Offsetof(p.rr),
-	} {
-		if line(off) != line(down) {
-			t.Errorf("Port.%s at offset %d is off down's 64-byte line (down at %d)", name, off, down)
-		}
-	}
-}
 
 // watchRig is two hosts back to back with h1's NIC watched at depth.
 func watchRig(depth int) (*Network, *Host, *Host) {

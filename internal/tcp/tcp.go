@@ -279,7 +279,7 @@ func (f *Flow) emit(seq int64, payload int, retx bool) {
 	pkt.Flow = f.ID
 	pkt.Src = f.Src.ID()
 	pkt.Dst = f.DstID
-	pkt.Prio = f.P.Prio
+	pkt.Prio = uint8(f.P.Prio)
 	pkt.Size = payload + netsim.DataHeaderBytes
 	pkt.Seq = seq
 	pkt.FlowBytes = f.Size
@@ -321,7 +321,7 @@ func (r *Receiver) handle(pkt *netsim.Packet) {
 	ack.Flow = r.ID
 	ack.Src = r.Dst.ID()
 	ack.Dst = r.SrcID
-	ack.Prio = r.P.Prio
+	ack.Prio = uint8(r.P.Prio)
 	ack.Size = netsim.CtrlPacketBytes
 	ack.Seq = r.rcvNext
 	ack.ECE = pkt.CE
