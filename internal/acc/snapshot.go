@@ -73,6 +73,9 @@ func (t *Tuner) RestoreState(r *codec.Reader) {
 		r.Fail("tuner monitors %d queues, snapshot has %d", len(t.queues), n)
 		return
 	}
+	// Every history slot and previous state of the tuner is a window of one
+	// arena, sized for full histories: one allocation per tuner.
+	arena := make([]float64, 0, min(len(t.queues)*2*t.Cfg.StateDim(), r.Remaining()/8))
 	for _, qs := range t.queues {
 		h := r.Int()
 		if r.Err() != nil || h < 0 || h > t.Cfg.HistoryK {
@@ -81,10 +84,14 @@ func (t *Tuner) RestoreState(r *codec.Reader) {
 		}
 		qs.hist = qs.hist[:0]
 		for i := 0; i < h; i++ {
-			qs.hist = append(qs.hist, r.F64s())
+			at := len(arena)
+			arena = r.F64sInto(arena)
+			qs.hist = append(qs.hist, arena[at:len(arena):len(arena)])
 		}
 		if r.Bool() {
-			qs.prevState = r.F64s()
+			at := len(arena)
+			arena = r.F64sInto(arena)
+			qs.prevState = arena[at:len(arena):len(arena)]
 		} else {
 			qs.prevState = nil
 		}

@@ -55,6 +55,9 @@ type System struct {
 	// pre-bound callback (see Tuner.tickEv).
 	exchEv *eventq.Event
 	exchFn func()
+
+	//acclint:ignore snapcover scratch: every exchange overwrites the slots it draws into before reading them
+	exchBuf []rl.Transition
 }
 
 // NewSystem deploys ACC on every switch. If model is non-nil its weights
@@ -67,7 +70,8 @@ func NewSystem(net *netsim.Network, switches []*netsim.Switch, model *rl.MLP, cf
 	if cfg.ExchangeSamples <= 0 {
 		cfg.ExchangeSamples = 64
 	}
-	s := &System{Net: net, Global: rl.NewReplay(cfg.GlobalReplayCap), Cfg: cfg}
+	s := &System{Net: net, Global: rl.NewReplay(cfg.GlobalReplayCap), Cfg: cfg,
+		exchBuf: make([]rl.Transition, cfg.ExchangeSamples)}
 
 	var shared *rl.Agent
 	for _, sw := range switches {
@@ -134,7 +138,7 @@ func (s *System) scheduleExchange() {
 // different parts of the whole network environment").
 func (s *System) exchange() {
 	s.Exchanges++
-	buf := make([]rl.Transition, s.Cfg.ExchangeSamples)
+	buf := s.exchBuf
 	for _, t := range s.Tuners {
 		for _, tr := range t.Agent.Memory.Sample(t.rng, buf[:min(len(buf), t.Agent.Memory.Len())]) {
 			s.Global.Add(tr)

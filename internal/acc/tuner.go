@@ -333,11 +333,7 @@ func clamp01(x float64) float64 {
 // state flattens the last k slots, zero-padding the warmup.
 func (t *Tuner) state(qs *queueState) []float64 {
 	k := t.Cfg.HistoryK
-	out := make([]float64, 0, k*FeaturesPerSlot)
-	pad := k - len(qs.hist)
-	for i := 0; i < pad; i++ {
-		out = append(out, make([]float64, FeaturesPerSlot)...)
-	}
+	out := make([]float64, (k-len(qs.hist))*FeaturesPerSlot, k*FeaturesPerSlot)
 	for _, s := range qs.hist {
 		out = append(out, s...)
 	}

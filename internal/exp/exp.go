@@ -343,9 +343,11 @@ func PretrainedModel(episodes int) *rl.MLP {
 	cfg := acc.DefaultOfflineConfig()
 	cfg.Episodes = episodes
 	cfg.EpisodeTime = 10 * simtime.Millisecond
-	agent := acc.TrainOffline(cfg)
-	pretrained[episodes] = agent.Eval
-	return agent.Eval
+	// Keep the weights only: the trained Eval drags its optimizer tensors
+	// along, and nothing that reads the model (CopyFrom, Forward) wants them.
+	m := acc.TrainOffline(cfg).Eval.Clone()
+	pretrained[episodes] = m
+	return m
 }
 
 // deploy applies a policy to a fabric and returns a stopper.

@@ -14,7 +14,8 @@ import (
 // codec as an ordered tree of stream operations:
 //
 //   - data ops: the codec.Writer / codec.Reader primitives (Tag, Expect,
-//     U64, I64, Int, Bool, F64, F64s, Bytes, String), with the tag literal
+//     U64, I64, Int, Bool, F64, F64s, Bytes, String; the reader's
+//     F64sInto decodes what F64s wrote and counts as F64s), with the tag literal
 //     when it is a string constant and a best-effort field-name hint
 //     (w.I64(int64(f.sent)) hints "sent"; f.sent = r.I64() hints "sent").
 //   - call ops: calls that pass the stream to another function
@@ -45,7 +46,7 @@ var writerDataOps = map[string]bool{
 
 var readerDataOps = map[string]bool{
 	"Expect": true, "U64": true, "I64": true, "Int": true, "Bool": true,
-	"F64": true, "F64s": true, "Bytes": true, "String": true,
+	"F64": true, "F64s": true, "F64sInto": true, "Bytes": true, "String": true,
 }
 
 // Structural node kinds, disjoint from the data-op method names.
@@ -362,6 +363,9 @@ func (x *seqExtractor) callOp(call *ast.CallExpr) (sop, bool) {
 				return sop{}, false // Err, Fail, Len, Finish: not stream data
 			}
 			x.side |= side
+			if name == "F64sInto" {
+				name = "F64s" // the same bytes, decoded into the caller's backing
+			}
 			op := sop{kind: name, pos: call.Pos()}
 			if (name == "Tag" || name == "Expect") && len(call.Args) == 1 {
 				if bl, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit); ok && bl.Kind == token.STRING {

@@ -16,12 +16,16 @@ type Transition struct {
 }
 
 // Replay is a fixed-capacity ring-buffer experience memory sampled
-// uniformly, as in DQN.
+// uniformly, as in DQN. Its backing grows with what is stored, by append,
+// up to the capacity: a memory that never fills is never paid for in full.
 type Replay struct {
 	buf  []Transition
 	cap  int
 	next int
 	full bool
+
+	//acclint:ignore snapcover scratch: SamplePrioritized rebuilds it from buf before every read
+	prefix []float64
 }
 
 // NewReplay creates a replay memory holding up to capacity transitions.
@@ -29,7 +33,7 @@ func NewReplay(capacity int) *Replay {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &Replay{buf: make([]Transition, 0, capacity), cap: capacity}
+	return &Replay{cap: capacity}
 }
 
 // Add stores one transition, evicting the oldest when full.

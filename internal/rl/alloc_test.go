@@ -4,7 +4,11 @@ package rl
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+
+	"github.com/accnet/acc/internal/snap/codec"
 )
 
 // TestAllocFreeForward pins inference at zero allocations: every ΔT tuner
@@ -90,5 +94,74 @@ func TestForwardScratchMatchesFreshNetwork(t *testing.T) {
 		// Interleave a second input on m only, then recheck the first: the
 		// clone's buffers must not be disturbed by m's, and vice versa.
 		m.Forward(xs[0])
+	}
+}
+
+// allocBytes returns how many bytes fn allocates, warm: the second of two
+// calls, so one-time runtime set-up is not charged to it.
+func allocBytes(fn func()) uint64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAllocNewAgentFootprint pins what an agent costs before it has learnt
+// anything: two networks of weights and scratch and the step buffers — no
+// replay backing it may never fill, no optimizer tensors a target network
+// never touches. The paper's agent is 3 560 parameters (28 KB a network).
+func TestAllocNewAgentFootprint(t *testing.T) {
+	cfg := DefaultAgentConfig(12, 20)
+	rng := rand.New(rand.NewSource(1))
+	got := allocBytes(func() { NewAgent(cfg, rng) })
+	t.Logf("NewAgent allocates %d bytes", got)
+	if got >= 96<<10 {
+		t.Fatalf("NewAgent allocates %d bytes, want < 96 KB", got)
+	}
+}
+
+// TestAllocRestoredAgentSizedByUse: a restored agent holds what its image
+// holds. The target network never trained, so its moments were saved as
+// zeros and come back unallocated; the evaluation network trained and gets
+// its optimizer tensors; the replay backing is as long as what was stored,
+// and the whole overlay allocates less than twice the image's size.
+func TestAllocRestoredAgentSizedByUse(t *testing.T) {
+	a, rng := benchAgent()
+	for i := 0; i < 3; i++ {
+		a.TrainStep(rng)
+	}
+	if mom, _, _ := a.Eval.optim(); !slices.ContainsFunc(mom, func(x float64) bool { return x != 0 }) {
+		t.Fatal("the evaluation network to save never trained: the test would prove nothing")
+	}
+	w := codec.NewWriter()
+	a.SaveState(w)
+	img := w.Finish()
+
+	var b *Agent
+	build := allocBytes(func() { b = NewAgent(a.Cfg, rng) })
+	both := allocBytes(func() {
+		b = NewAgent(a.Cfg, rng)
+		r, err := codec.NewReader(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.RestoreState(r); r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+	})
+	t.Logf("image %d bytes, NewAgent %d, NewAgent + RestoreState %d", len(img), build, both)
+	if overlay := both - build; overlay > 2*uint64(len(img)) {
+		t.Errorf("overlaying a %d-byte image allocates %d bytes, want at most twice the image", len(img), overlay)
+	}
+	if b.Target.m != nil || b.Target.v != nil || b.Target.grad != nil {
+		t.Error("the restored target network has optimizer tensors")
+	}
+	if b.Eval.m == nil {
+		t.Error("the restored evaluation network lost its moments")
+	}
+	if got, want := cap(b.Memory.buf), a.Memory.Len(); got != want {
+		t.Errorf("restored replay backing holds %d transitions for %d stored", got, want)
 	}
 }

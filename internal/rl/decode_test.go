@@ -2,6 +2,7 @@ package rl_test
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -105,6 +106,9 @@ func TestDecodersRejectWrongShape(t *testing.T) {
 		{name: "zero width", sizes: []int{3, 0, 1}, want: "layer size 0 at index 1"},
 		{name: "negative width", sizes: []int{-3, 2, 1}, want: "layer size -3 at index 0"},
 	}
+	// The snapshot reader decodes into a network Build already made: here
+	// one of wellFormed's shape, with weights the image must replace.
+	built := func() *rl.MLP { return rl.NewMLP([]int{3, 2, 1}, rand.New(rand.NewSource(1))) }
 	for _, tc := range cases {
 		for _, moments := range []bool{false, true} {
 			tn := wellFormed()
@@ -125,9 +129,9 @@ func TestDecodersRejectWrongShape(t *testing.T) {
 			if tc.image != "" {
 				want = tc.image
 			}
-			m := rl.RestoreMLP(r)
-			if m != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), want) {
-				t.Errorf("%s (moments=%v): RestoreMLP = %v, err %v; want error containing %q", tc.name, moments, m, r.Err(), want)
+			built().RestoreState(r)
+			if r.Err() == nil || !strings.Contains(r.Err().Error(), want) {
+				t.Errorf("%s (moments=%v): RestoreState err %v; want error containing %q", tc.name, moments, r.Err(), want)
 			}
 			if moments {
 				continue // the model file carries no optimizer state
@@ -150,7 +154,8 @@ func TestDecodersRejectWrongShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := rl.RestoreMLP(r); m == nil || r.Err() != nil {
+	restored := built()
+	if restored.RestoreState(r); r.Err() != nil {
 		t.Fatalf("well-formed image rejected: %v", r.Err())
 	}
 	data, _ := json.Marshal(tn)
@@ -158,7 +163,86 @@ func TestDecodersRejectWrongShape(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("well-formed JSON rejected: %v", err)
 	}
-	if got := m.Forward([]float64{1, 2, 3})[0]; got != 12 {
-		t.Fatalf("Forward through the loaded network = %v, want 12", got)
+	for _, net := range []*rl.MLP{restored, &m} {
+		if got := net.Forward([]float64{1, 2, 3})[0]; got != 12 {
+			t.Fatalf("Forward through the loaded network = %v, want 12", got)
+		}
+	}
+
+	// A well-formed image of another shape is an error too: it must not
+	// reshape the network it is overlaid on.
+	other := rl.NewMLP([]int{3, 4, 1}, rand.New(rand.NewSource(1)))
+	if r, _ = codec.NewReader(tn.image()); r == nil {
+		t.Fatal("NewReader")
+	}
+	other.RestoreState(r)
+	if want := "layer size 2 at index 1, want 4"; r.Err() == nil || !strings.Contains(r.Err().Error(), want) {
+		t.Errorf("image of shape [3 2 1] onto [3 4 1]: err %v; want error containing %q", r.Err(), want)
+	}
+	if len(other.W[0]) != 4 {
+		t.Errorf("a rejected image reshaped the network to %d hidden units", len(other.W[0]))
+	}
+
+	t.Run("replay header", replayRejectsWrongHeader)
+}
+
+// replayRejectsWrongHeader: the replay header is outside input behind a
+// valid CRC. A capacity, length or ring position the constructed memory
+// cannot have is one clean error before anything is sized from it — not a
+// makeslice panic, not a silently resized memory — and leaves the memory
+// as it was.
+func replayRejectsWrongHeader(t *testing.T) {
+	image := func(capacity, next int, full bool, n, stored int) []byte {
+		w := codec.NewWriter()
+		w.Tag("replay")
+		w.Int(capacity)
+		w.Int(next)
+		w.Bool(full)
+		w.Int(n)
+		for i := 0; i < stored; i++ {
+			w.F64s([]float64{1, 2})
+			w.Int(0)
+			w.F64(0.5)
+			w.F64s([]float64{3, 4})
+			w.Bool(false)
+		}
+		return w.Finish()
+	}
+	for _, tc := range []struct {
+		name     string
+		capacity int // of the memory the image is overlaid on
+		img      []byte
+		want     string
+	}{
+		{"huge capacity", 8, image(1<<50, 0, false, 3, 3), "replay capacity 1125899906842624, memory was built with 8"},
+		{"other capacity", 8, image(16, 0, false, 3, 3), "replay capacity 16, memory was built with 8"},
+		{"length over capacity", 8, image(8, 0, false, 9, 9), "replay length 9 exceeds capacity 8"},
+		{"negative length", 8, image(8, 0, false, -1, 0), "replay length -1 exceeds"},
+		{"length over stream", 1 << 40, image(1<<40, 0, false, 1<<39, 3), "replay length 549755813888 exceeds capacity"},
+		{"ring position out of range", 8, image(8, 8, true, 8, 8), "replay ring at 8"},
+		{"ring moved before full", 8, image(8, 2, false, 3, 3), "replay ring at 2"},
+		{"truncated", 8, image(8, 0, false, 3, 2), "truncated"},
+	} {
+		rp := rl.NewReplay(tc.capacity)
+		rp.Add(rl.Transition{Action: 7})
+		r, err := codec.NewReader(tc.img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp.RestoreState(r)
+		if r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
+			t.Errorf("%s: err %v; want error containing %q", tc.name, r.Err(), tc.want)
+		}
+		if rp.Len() != 1 || rp.At(0).Action != 7 {
+			t.Errorf("%s: a rejected image changed the memory (len %d)", tc.name, rp.Len())
+		}
+	}
+	rp := rl.NewReplay(8)
+	r, err := codec.NewReader(image(8, 0, false, 3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.RestoreState(r); r.Err() != nil || rp.Len() != 3 {
+		t.Fatalf("well-formed replay image: err %v, len %d", r.Err(), rp.Len())
 	}
 }

@@ -27,24 +27,34 @@ import (
 // experiment run builds its own agents; shared pre-trained models are only
 // read via CopyFrom).
 type MLP struct {
-	Sizes []int         // layer widths, input first
-	W     [][][]float64 // W[l][out][in], rows of theta
-	B     [][]float64   // B[l][out], rows of theta
+	Sizes []int // layer widths, input first
+	//acclint:ignore snapcover row views of theta, which restore decodes into in place
+	W [][][]float64 // W[l][out][in], rows of theta
+	//acclint:ignore snapcover row views of theta, which restore decodes into in place
+	B [][]float64 // B[l][out], rows of theta
 
 	// theta holds every parameter on one contiguous slice: layer l's
 	// Sizes[l+1]×Sizes[l] weight matrix row-major at off[l], its biases
-	// right behind. m and v (Adam moments; m doubles as SGD velocity) and
-	// grad (the batch gradient, zeroed by each gradients call) share that
-	// layout, so an optimizer step is one flat loop. W and B are theta's
-	// row views, keeping the exported [layer][out][in] shape and the JSON.
-	theta, m, v, grad []float64
-	off               []int
-	adamT             int
+	// right behind. W and B are theta's row views, keeping the exported
+	// [layer][out][in] shape and the JSON.
+	theta []float64
+	off   []int
+
+	// The optimizer tensors, in theta's layout so a step is one flat loop:
+	// m and v (Adam moments; m doubles as SGD velocity) and grad (the batch
+	// gradient, zeroed by each gradients call). All three are nil — read as
+	// zeros, saved as zeros — until optim makes them for a network's first
+	// training step, so a network that only infers (every target net, a
+	// frozen policy, the cached pre-trained model) is theta and scratch.
+	m, v, grad []float64
+	adamT      int
 
 	// Scratch: acts[l] is layer l's input (acts[0] aliases the caller's),
 	// acts[len(W)] the output Forward returns; delta[l] backs layer l's
 	// output deltas during backprop.
-	acts  [][]float64
+	//acclint:ignore snapcover scratch: every forward pass overwrites it before it is read
+	acts [][]float64
+	//acclint:ignore snapcover scratch: every backward pass overwrites it before it is read
 	delta [][]float64
 }
 
@@ -65,8 +75,8 @@ func NewMLP(sizes []int, rng *rand.Rand) *MLP {
 	return m
 }
 
-// newMLP allocates a zero network of the given shape: the four parameter
-// tensors on one backing array, their row views, and the scratch.
+// newMLP allocates a zero network of the given shape: the parameters, their
+// row views, and the scratch.
 func newMLP(sizes []int) *MLP {
 	m := &MLP{Sizes: append([]int(nil), sizes...), off: make([]int, len(sizes)-1)}
 	n := 0
@@ -74,8 +84,7 @@ func newMLP(sizes []int) *MLP {
 		m.off[l] = n
 		n += (sizes[l] + 1) * sizes[l+1]
 	}
-	buf := make([]float64, 4*n)
-	m.theta, m.m, m.v, m.grad = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:]
+	m.theta = make([]float64, n)
 	m.W, m.B = m.rows(m.theta)
 	m.acts = make([][]float64, len(sizes))
 	m.delta = make([][]float64, len(m.off))
@@ -84,6 +93,17 @@ func newMLP(sizes []int) *MLP {
 		m.delta[l] = make([]float64, sizes[l+1])
 	}
 	return m
+}
+
+// optim returns the optimizer tensors m, v and grad, making them — zeroed,
+// on one backing array — the first time the network trains.
+func (m *MLP) optim() (mom, vel, grad []float64) {
+	if m.m == nil {
+		n := len(m.theta)
+		buf := make([]float64, 3*n)
+		m.m, m.v, m.grad = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	}
+	return m.m, m.v, m.grad
 }
 
 // rows returns the [layer][out][in] and [layer][out] views of a tensor in
@@ -212,8 +232,10 @@ func (m *MLP) adamStep(lr float64) {
 	m.adamT++
 	bc1 := 1 - math.Pow(beta1, float64(m.adamT))
 	bc2 := 1 - math.Pow(beta2, float64(m.adamT))
-	theta, mom, vel := m.theta, m.m[:len(m.theta)], m.v[:len(m.theta)]
-	for i, g := range m.grad[:len(theta)] {
+	theta := m.theta
+	mom, vel, grad := m.optim()
+	mom, vel = mom[:len(theta)], vel[:len(theta)]
+	for i, g := range grad[:len(theta)] {
 		mi := beta1*mom[i] + (1-beta1)*g
 		vi := beta2*vel[i] + (1-beta2)*g*g
 		mom[i], vel[i] = mi, vi

@@ -3,19 +3,24 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
-// SamplePrioritized draws n transitions with probability proportional to
-// priority(t)^alpha — the §4.3 online-training refinement where "actions
-// resulting large reward will be prioritised". alpha=0 degenerates to
-// uniform sampling; larger alpha sharpens the preference.
-func (r *Replay) SamplePrioritized(rng *rand.Rand, n int, priority func(Transition) float64, alpha float64) []Transition {
-	if len(r.buf) == 0 || n <= 0 {
+// SamplePrioritized fills dst with transitions drawn with probability
+// proportional to priority(t)^alpha — the §4.3 online-training refinement
+// where "actions resulting large reward will be prioritised" — one
+// rng.Float64 per slot in slot order, and returns it; nil when the memory
+// is empty. alpha=0 degenerates to uniform sampling; larger alpha sharpens
+// the preference.
+func (r *Replay) SamplePrioritized(rng *rand.Rand, dst []Transition, priority func(Transition) float64, alpha float64) []Transition {
+	if len(r.buf) == 0 || len(dst) == 0 {
 		return nil
 	}
-	// Prefix sums of priorities.
-	prefix := make([]float64, len(r.buf)+1)
+	// Prefix sums of priorities, on a table that grows with the memory.
+	prefix := slices.Grow(r.prefix[:0], len(r.buf)+1)[:len(r.buf)+1]
+	r.prefix = prefix
+	prefix[0] = 0
 	for i, t := range r.buf {
 		p := priority(t)
 		if p < 0 || math.IsNaN(p) {
@@ -24,16 +29,15 @@ func (r *Replay) SamplePrioritized(rng *rand.Rand, n int, priority func(Transiti
 		prefix[i+1] = prefix[i] + math.Pow(p+1e-9, alpha)
 	}
 	total := prefix[len(r.buf)]
-	out := make([]Transition, n)
-	for i := range out {
+	for i := range dst {
 		u := rng.Float64() * total
 		idx := sort.SearchFloat64s(prefix[1:], u)
 		if idx >= len(r.buf) {
 			idx = len(r.buf) - 1
 		}
-		out[i] = r.buf[idx]
+		dst[i] = r.buf[idx]
 	}
-	return out
+	return dst
 }
 
 // RewardPriority is the paper's §4.3 heuristic: a transition's priority is
@@ -49,8 +53,8 @@ func (a *Agent) TrainStepPrioritized(rng *rand.Rand, alpha float64) float64 {
 	if a.Memory.Len() < a.Cfg.BatchSize {
 		return math.NaN()
 	}
-	half := a.Cfg.BatchSize / 2
-	n := copy(a.batch, a.Memory.SamplePrioritized(rng, a.Cfg.BatchSize-half, RewardPriority, alpha))
+	n := a.Cfg.BatchSize - a.Cfg.BatchSize/2
+	a.Memory.SamplePrioritized(rng, a.batch[:n], RewardPriority, alpha)
 	a.Memory.Sample(rng, a.batch[n:])
 	return a.learn(a.batch)
 }

@@ -15,7 +15,7 @@ func TestSamplePrioritizedBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 10000
 	hits := 0
-	for _, tr := range r.SamplePrioritized(rng, n, RewardPriority, 1) {
+	for _, tr := range r.SamplePrioritized(rng, make([]Transition, n), RewardPriority, 1) {
 		if tr.Action == 1 {
 			hits++
 		}
@@ -35,7 +35,7 @@ func TestSamplePrioritizedAlphaZeroIsUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	counts := make([]int, 10)
 	const n = 20000
-	for _, tr := range r.SamplePrioritized(rng, n, RewardPriority, 0) {
+	for _, tr := range r.SamplePrioritized(rng, make([]Transition, n), RewardPriority, 0) {
 		counts[tr.Action]++
 	}
 	for a, c := range counts {
@@ -49,11 +49,11 @@ func TestSamplePrioritizedAlphaZeroIsUniform(t *testing.T) {
 func TestSamplePrioritizedEdgeCases(t *testing.T) {
 	r := NewReplay(4)
 	rng := rand.New(rand.NewSource(3))
-	if got := r.SamplePrioritized(rng, 5, RewardPriority, 1); got != nil {
+	if got := r.SamplePrioritized(rng, make([]Transition, 5), RewardPriority, 1); got != nil {
 		t.Fatal("empty replay must return nil")
 	}
 	r.Add(Transition{Reward: -1}) // negative priority clamped
-	out := r.SamplePrioritized(rng, 3, RewardPriority, 1)
+	out := r.SamplePrioritized(rng, make([]Transition, 3), RewardPriority, 1)
 	if len(out) != 3 {
 		t.Fatalf("got %d samples, want 3", len(out))
 	}

@@ -37,9 +37,10 @@ func refFrom(m *MLP) *refMLP {
 		}
 		return out
 	}
-	mW, mB := m.rows(m.m)
-	vW, vB := m.rows(m.v)
-	gW, gB := m.rows(m.grad)
+	mom, vel, grad := m.optim()
+	mW, mB := m.rows(mom)
+	vW, vB := m.rows(vel)
+	gW, gB := m.rows(grad)
 	r.W, r.mW, r.vW, r.gW = dup3(m.W), dup3(mW), dup3(vW), dup3(gW)
 	r.B, r.mB, r.vB, r.gB = dup2(m.B), dup2(mB), dup2(vB), dup2(gB)
 	r.delta = dup2(m.B)
@@ -199,7 +200,7 @@ func (a *refAgent) trainStep(rng *rand.Rand, alpha float64) float64 {
 	var batch []Transition
 	if alpha > 0 {
 		half := a.cfg.BatchSize / 2
-		batch = a.memory.SamplePrioritized(rng, a.cfg.BatchSize-half, RewardPriority, alpha)
+		batch = a.memory.SamplePrioritized(rng, make([]Transition, a.cfg.BatchSize-half), RewardPriority, alpha)
 		batch = append(batch, a.memory.refSample(rng, half)...)
 	} else {
 		batch = a.memory.refSample(rng, a.cfg.BatchSize)
@@ -247,9 +248,10 @@ func sameBits(t *testing.T, a, b []float64, what ...any) {
 func sameTensors(t *testing.T, m *MLP, r *refMLP, what ...any) {
 	t.Helper()
 	what = append(what, " layer ")
-	mW, mB := m.rows(m.m)
-	vW, vB := m.rows(m.v)
-	gW, gB := m.rows(m.grad)
+	mom, vel, grad := m.optim()
+	mW, mB := m.rows(mom)
+	vW, vB := m.rows(vel)
+	gW, gB := m.rows(grad)
 	for l := range m.W {
 		for o := range m.W[l] {
 			sameBits(t, m.W[l][o], r.W[l][o], append(what, l, " W row ", o)...)

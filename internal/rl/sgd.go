@@ -9,8 +9,10 @@ func (m *MLP) TrainBatchSGD(batch []Sample, lr, momentum float64) float64 {
 		return 0
 	}
 	loss := m.gradients(batch)
-	theta, vel := m.theta, m.m[:len(m.theta)]
-	for i, g := range m.grad[:len(theta)] {
+	theta := m.theta
+	vel, _, grad := m.optim()
+	vel = vel[:len(theta)]
+	for i, g := range grad[:len(theta)] {
 		vel[i] = momentum*vel[i] + g
 		theta[i] -= lr * vel[i]
 	}
@@ -21,7 +23,8 @@ func (m *MLP) TrainBatchSGD(batch []Sample, lr, momentum float64) float64 {
 // here, valid until the next call) for the Adam and SGD steps, and returns
 // the batch loss.
 func (m *MLP) gradients(batch []Sample) float64 {
-	clear(m.grad)
+	_, _, grad := m.optim()
+	clear(grad)
 	var loss float64
 	inv := 1 / float64(len(batch))
 	last := len(m.off) - 1
@@ -36,7 +39,7 @@ func (m *MLP) gradients(batch []Sample) float64 {
 		delta[s.Action] = 2 * err * inv
 
 		for l := last; l >= 0; l-- {
-			p, g, in := m.layer(m.theta, l), m.layer(m.grad, l), acts[l][:m.Sizes[l]]
+			p, g, in := m.layer(m.theta, l), m.layer(grad, l), acts[l][:m.Sizes[l]]
 			if l == 0 {
 				backward(p, g, in, delta, nil)
 				break

@@ -1,6 +1,8 @@
 package rl
 
 import (
+	"slices"
+
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
@@ -9,67 +11,53 @@ import (
 // carry the full optimizer state (Adam first/second moments and step
 // count), the exploration schedule, and the replay memory contents.
 
-// SaveState writes the network's weights and complete Adam state.
+// SaveState writes the network's weights and complete Adam state. Moments
+// optim has not made yet are written as the zeros they stand for, so the
+// image does not say whether a network has trained.
 func (m *MLP) SaveState(w *codec.Writer) {
 	w.Tag("mlp")
 	w.Int(len(m.Sizes))
 	for _, s := range m.Sizes {
 		w.Int(s)
 	}
-	m.saveW(w, m.theta)
-	m.saveB(w, m.theta)
-	m.saveW(w, m.m)
-	m.saveW(w, m.v)
-	m.saveB(w, m.m)
-	m.saveB(w, m.v)
+	zero := make([]float64, slices.Max(m.Sizes))
+	m.saveW(w, m.theta, zero)
+	m.saveB(w, m.theta, zero)
+	m.saveW(w, m.m, zero)
+	m.saveW(w, m.v, zero)
+	m.saveB(w, m.m, zero)
+	m.saveB(w, m.v, zero)
 	w.Int(m.adamT)
 }
 
-// maxSnapshotParams bounds the network RestoreMLP will allocate for before
-// it has seen a single weight: the layer sizes come first in the image, so
-// without a bound one corrupt width is a multi-gigabyte make. The paper's
-// network has 3 560 parameters.
-const maxSnapshotParams = 1 << 20
-
-// RestoreMLP rebuilds a network saved with SaveState, including optimizer
-// state, with fresh scratch buffers. Every tensor is read straight into
-// the new network's backing and must have exactly the shape the saved
-// layer sizes prescribe; anything else fails the reader.
-func RestoreMLP(r *codec.Reader) *MLP {
+// RestoreState overlays a state saved by SaveState onto m, in place: the
+// image must describe a network of exactly m's shape — layer sizes first,
+// then every tensor row by row — and anything else fails the reader
+// instead of reshaping m. Weights are decoded straight into theta. A
+// moment tensor goes straight into m's own when optim has made it; until
+// then its rows pass through a scratch row, and optim runs only for the
+// first cell that is not zero — so a network that never trained (every
+// target net) comes back without optimizer tensors, as Build left it.
+func (m *MLP) RestoreState(r *codec.Reader) {
 	r.Expect("mlp")
-	n := r.Int()
-	if r.Err() != nil || n < 2 || n > 64 {
-		r.Fail("mlp layer count %d out of range", n)
-		return nil
+	if n := r.Int(); r.Err() != nil || n != len(m.Sizes) {
+		r.Fail("mlp has %d layer sizes, want %d", n, len(m.Sizes))
+		return
 	}
-	sizes := make([]int, n)
-	params := 0
-	for i := range sizes {
-		sizes[i] = r.Int()
-		if r.Err() != nil || sizes[i] < 1 || sizes[i] > maxSnapshotParams {
-			r.Fail("mlp layer size %d at index %d", sizes[i], i)
-			return nil
-		}
-		if i > 0 {
-			params += (sizes[i-1] + 1) * sizes[i]
-		}
-		if params > maxSnapshotParams {
-			r.Fail("mlp has over %d parameters", maxSnapshotParams)
-			return nil
+	for i, want := range m.Sizes {
+		if s := r.Int(); r.Err() != nil || s != want {
+			r.Fail("mlp layer size %d at index %d, want %d", s, i, want)
+			return
 		}
 	}
-	m := newMLP(sizes)
-	m.loadW(r, m.theta)
-	m.loadB(r, m.theta)
-	m.loadW(r, m.m)
-	m.loadW(r, m.v)
-	m.loadB(r, m.m)
-	m.loadB(r, m.v)
+	scratch := make([]float64, 0, slices.Max(m.Sizes))
+	m.loadW(r, &m.theta, scratch)
+	m.loadB(r, &m.theta, scratch)
+	m.loadW(r, &m.m, scratch)
+	m.loadW(r, &m.v, scratch)
+	m.loadB(r, &m.m, scratch)
+	m.loadB(r, &m.v, scratch)
 	m.adamT = r.Int()
-	if r.Err() != nil {
-		return nil
-	}
-	return m
 }
 
 // saveW writes the weight rows of flat, a tensor in theta's layout, as
@@ -77,19 +65,19 @@ func RestoreMLP(r *codec.Reader) *MLP {
 // [layer] list. Byte for byte the framing nested [][][]float64 and
 // [][]float64 tensors had, so images from before the contiguous layout
 // load, and loadW/loadB can check each count against Sizes as it arrives.
-func (m *MLP) saveW(w *codec.Writer, flat []float64) {
+func (m *MLP) saveW(w *codec.Writer, flat, zero []float64) {
 	w.Int(len(m.off))
 	for l, at := range m.off {
 		in, out := m.Sizes[l], m.Sizes[l+1]
 		w.Int(out)
 		for o := 0; o < out; o++ {
-			saveRow(w, flat[at:at+in])
+			saveCells(w, flat, at, in, zero)
 			at += in
 		}
 	}
 }
 
-func (m *MLP) loadW(r *codec.Reader, flat []float64) {
+func (m *MLP) loadW(r *codec.Reader, flat *[]float64, scratch []float64) {
 	if n := r.Int(); r.Err() != nil || n != len(m.off) {
 		r.Fail("mlp tensor has %d weight layers, want %d", n, len(m.off))
 		return
@@ -101,7 +89,7 @@ func (m *MLP) loadW(r *codec.Reader, flat []float64) {
 			return
 		}
 		for o := 0; o < out; o++ {
-			if n, ok := loadRow(r, flat[at:at+in]); !ok {
+			if n := m.loadCells(r, flat, at, in, scratch); n != in {
 				r.Fail("mlp layer %d row %d has %d weights, want %d", l, o, n, in)
 				return
 			}
@@ -110,47 +98,53 @@ func (m *MLP) loadW(r *codec.Reader, flat []float64) {
 	}
 }
 
-func (m *MLP) saveB(w *codec.Writer, flat []float64) {
+func (m *MLP) saveB(w *codec.Writer, flat, zero []float64) {
 	w.Int(len(m.off))
-	for l := range m.off {
-		saveRow(w, m.layer(flat, l)[m.Sizes[l]*m.Sizes[l+1]:])
+	for l, at := range m.off {
+		in, out := m.Sizes[l], m.Sizes[l+1]
+		saveCells(w, flat, at+in*out, out, zero)
 	}
 }
 
-func (m *MLP) loadB(r *codec.Reader, flat []float64) {
+func (m *MLP) loadB(r *codec.Reader, flat *[]float64, scratch []float64) {
 	if n := r.Int(); r.Err() != nil || n != len(m.off) {
 		r.Fail("mlp tensor has %d bias layers, want %d", n, len(m.off))
 		return
 	}
-	for l := range m.off {
-		if n, ok := loadRow(r, m.layer(flat, l)[m.Sizes[l]*m.Sizes[l+1]:]); !ok {
-			r.Fail("mlp layer %d has %d biases, want %d", l, n, m.Sizes[l+1])
+	for l, at := range m.off {
+		in, out := m.Sizes[l], m.Sizes[l+1]
+		if n := m.loadCells(r, flat, at+in*out, out, scratch); n != out {
+			r.Fail("mlp layer %d has %d biases, want %d", l, n, out)
 			return
 		}
 	}
 }
 
-// saveRow writes what Writer.F64s writes — a length, then the cells — out
-// of the primitives loadRow reads it back with: Reader.F64s would allocate
-// a slice per row only to have it copied into the backing.
-func saveRow(w *codec.Writer, row []float64) {
-	w.U64(uint64(len(row)))
-	for _, v := range row {
-		w.F64(v)
+// saveCells writes cells [at, at+n) of flat, one of a network's tensors,
+// as one list. A nil flat is an optimizer tensor optim has not made: the
+// list is n zeros, out of zero.
+func saveCells(w *codec.Writer, flat []float64, at, n int, zero []float64) {
+	if flat == nil {
+		flat, at = zero, 0
 	}
+	w.F64s(flat[at : at+n])
 }
 
-// loadRow fills dst from a row saveRow wrote. A row of any other length is
-// left unread: ok is false and n is the length found.
-func loadRow(r *codec.Reader, dst []float64) (n uint64, ok bool) {
-	n = r.U64()
-	if r.Err() != nil || n != uint64(len(dst)) {
-		return n, false
+// loadCells decodes the list saveCells wrote into cells [at, at+n) of
+// *flat and returns the length the list had; the cells are as saved only
+// when that is n. For a nil *flat the list lands in scratch, and optim
+// makes the tensor only if the list holds something other than zeros.
+func (m *MLP) loadCells(r *codec.Reader, flat *[]float64, at, n int, scratch []float64) int {
+	lazy := *flat == nil
+	if !lazy {
+		scratch = (*flat)[at : at : at+n]
 	}
-	for i := range dst {
-		dst[i] = r.F64()
+	row := r.F64sInto(scratch)
+	if lazy && len(row) == n && slices.ContainsFunc(row, func(x float64) bool { return x != 0 }) {
+		m.optim()
+		copy((*flat)[at:], row)
 	}
-	return n, true
+	return len(row)
 }
 
 func saveTransition(w *codec.Writer, t Transition) {
@@ -161,15 +155,25 @@ func saveTransition(w *codec.Writer, t Transition) {
 	w.Bool(t.Terminal)
 }
 
-func loadTransition(r *codec.Reader) Transition {
-	var t Transition
-	t.State = r.F64s()
+// loadTransition reads t, packing its State and Next behind what arena
+// already holds, and returns the extended arena.
+func loadTransition(r *codec.Reader, t *Transition, arena []float64) []float64 {
+	at := len(arena)
+	arena = r.F64sInto(arena)
+	t.State = arena[at:len(arena):len(arena)]
 	t.Action = r.Int()
 	t.Reward = r.F64()
-	t.Next = r.F64s()
+	at = len(arena)
+	arena = r.F64sInto(arena)
+	t.Next = arena[at:len(arena):len(arena)]
 	t.Terminal = r.Bool()
-	return t
+	return arena
 }
+
+// minTransitionBytes is the smallest encoding saveTransition can produce
+// (two empty lists, one-byte varints, a reward, a bool): what bounds a
+// saved transition count by the bytes left to read them from.
+const minTransitionBytes = 1 + 1 + 8 + 1 + 1
 
 // SaveState writes the replay memory's full contents and ring position.
 func (rp *Replay) SaveState(w *codec.Writer) {
@@ -183,20 +187,39 @@ func (rp *Replay) SaveState(w *codec.Writer) {
 	}
 }
 
-// RestoreState replaces rp's contents with a state saved by SaveState.
+// RestoreState replaces rp's contents with a state SaveState wrote from a
+// memory of the same capacity. buf is sized to the saved length, not to
+// the capacity, and every State and Next is a window of one float arena
+// per memory — sized from the first transition, so it is one allocation
+// when transitions are alike and append's growth when they are not. The
+// header is held to what a ring of rp's capacity can be and to the bytes
+// left in the stream before anything is sized from it; a failed restore
+// leaves rp as it was.
 func (rp *Replay) RestoreState(r *codec.Reader) {
 	r.Expect("replay")
-	rp.cap = r.Int()
-	rp.next = r.Int()
-	rp.full = r.Bool()
-	n := r.Int()
-	if r.Err() != nil || n < 0 || n > rp.cap {
-		r.Fail("replay length %d exceeds capacity %d", n, rp.cap)
+	capacity, next, full, n := r.Int(), r.Int(), r.Bool(), r.Int()
+	switch {
+	case r.Err() != nil:
+	case capacity != rp.cap:
+		r.Fail("replay capacity %d, memory was built with %d", capacity, rp.cap)
+	case n < 0 || n > rp.cap || n > r.Remaining()/minTransitionBytes:
+		r.Fail("replay length %d exceeds capacity %d or the %d bytes left", n, rp.cap, r.Remaining())
+	case next < 0 || next >= rp.cap || n < rp.cap && (next != 0 || full):
+		r.Fail("replay ring at %d (wrapped %v) with %d of %d slots filled", next, full, n, rp.cap)
+	}
+	if r.Err() != nil {
 		return
 	}
-	rp.buf = make([]Transition, 0, rp.cap)
+	buf := make([]Transition, n)
+	var arena []float64
 	for i := 0; i < n && r.Err() == nil; i++ {
-		rp.buf = append(rp.buf, loadTransition(r))
+		if i == 1 { // the first transition has shown how many floats one holds
+			arena = make([]float64, 0, min((n-1)*len(arena), r.Remaining()/8))
+		}
+		arena = loadTransition(r, &buf[i], arena)
+	}
+	if r.Err() == nil {
+		rp.buf, rp.next, rp.full = buf, next, full
 	}
 }
 
@@ -217,12 +240,8 @@ func (a *Agent) SaveState(w *codec.Writer) {
 // constructed agent (same Cfg).
 func (a *Agent) RestoreState(r *codec.Reader) {
 	r.Expect("agent")
-	if ev := RestoreMLP(r); ev != nil {
-		a.Eval = ev
-	}
-	if tg := RestoreMLP(r); tg != nil {
-		a.Target = tg
-	}
+	a.Eval.RestoreState(r)
+	a.Target.RestoreState(r)
 	a.Memory.RestoreState(r)
 	a.eps = r.F64()
 	a.trainSteps = r.Int()

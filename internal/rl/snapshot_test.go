@@ -2,7 +2,10 @@ package rl_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/accnet/acc/internal/rl"
@@ -52,9 +55,10 @@ func TestMLPSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
-		m2 := rl.RestoreMLP(r)
-		if m2 == nil || r.Err() != nil {
-			t.Fatalf("seed %d: RestoreMLP: %v", seed, r.Err())
+		// Overlay onto a network of the same shape and other weights.
+		m2 := rl.NewMLP([]int{4, 16, 8, 3}, rand.New(rand.NewSource(seed+1000)))
+		if m2.RestoreState(r); r.Err() != nil {
+			t.Fatalf("seed %d: RestoreState: %v", seed, r.Err())
 		}
 
 		w2 := codec.NewWriter()
@@ -138,4 +142,66 @@ func TestAgentSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes", seed)
 		}
 	}
+}
+
+// FuzzAgentRestore feeds RestoreState images no SaveState wrote. The fuzzer
+// mutates the body of a valid agent image; the harness frames each mutation
+// behind a correct checksum, as an adversary would, so the decoders see it.
+// Every input must either restore — and then save again without trouble —
+// or latch an error: no panic, and no allocation beyond a small multiple of
+// the input's length, whatever capacities and counts it claims.
+func FuzzAgentRestore(f *testing.F) {
+	cfg := rl.DefaultAgentConfig(4, 3)
+	cfg.Hidden = []int{6}
+	cfg.BatchSize = 4
+	cfg.ReplayCap = 16
+	head := codec.NewWriter().Len()
+	for _, adds := range []int{0, 9, 40} { // empty, filling, wrapped
+		rng := rand.New(rand.NewSource(int64(adds)))
+		a := rl.NewAgent(cfg, rng)
+		for i := 0; i < adds; i++ {
+			a.Observe(randTransition(rng, 4, 3))
+			a.TrainStep(rng)
+		}
+		w := codec.NewWriter()
+		a.SaveState(w)
+		img := w.Finish()
+		f.Add(img[head : len(img)-4])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		stream := append([]byte(codec.Magic), byte(codec.Version))
+		stream = append(stream, body...)
+		stream = binary.LittleEndian.AppendUint32(stream, crc32.ChecksumIEEE(stream))
+		// restore overlays the stream on a fresh agent and reports what the
+		// overlay allocated and how it ended.
+		restore := func() (grew uint64, a *rl.Agent, err error) {
+			r, err := codec.NewReader(stream)
+			if err != nil {
+				t.Fatalf("the harness framed a stream NewReader refuses: %v", err)
+			}
+			a = rl.NewAgent(cfg, rand.New(rand.NewSource(1)))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			a.RestoreState(r)
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc, a, r.Err()
+		}
+		// A transition is 72 bytes of header for the 12 its encoding can be
+		// as short as; decoded floats cost what they occupy in the stream.
+		// TotalAlloc is the whole process's, the fuzz worker's own goroutines
+		// included, so an overlay over the limit gets two more chances: one
+		// that really is over it is over it every time.
+		limit := uint64(16*len(body) + 4096)
+		grew, a, err := restore()
+		for try := 0; grew > limit && try < 2; try++ {
+			again, _, _ := restore()
+			grew = min(grew, again)
+		}
+		if grew > limit {
+			t.Fatalf("restoring a %d-byte body allocated %d bytes, limit %d", len(body), grew, limit)
+		}
+		if err == nil {
+			a.SaveState(codec.NewWriter())
+		}
+	})
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot byte stream.
@@ -256,19 +257,37 @@ func (r *Reader) Expect(name string) {
 	}
 }
 
-// F64s reads a length-prefixed []float64.
-func (r *Reader) F64s() []float64 {
+// F64s reads a length-prefixed []float64 into a slice of its own.
+func (r *Reader) F64s() []float64 { return r.F64sInto([]float64{}) }
+
+// F64sInto reads a length-prefixed []float64 into the spare capacity of
+// dst, append-style, and returns the extended slice: F64sInto(row[:0])
+// decodes into row in place, F64sInto(arena) packs one more list behind
+// those already there. The length is checked once against the bytes
+// remaining — so a hostile prefix can make dst grow by no more than the
+// stream still holds — and the cells are then decoded in one straight
+// loop. A list longer than dst's spare capacity moves dst to a larger
+// backing, as append would. On error dst comes back as it went in.
+func (r *Reader) F64sInto(dst []float64) []float64 {
 	n := r.U64()
 	if r.err != nil {
-		return nil
+		return dst
 	}
 	if n > uint64(len(r.buf)-r.pos)/8 {
 		r.fail("float64 slice length %d exceeds remaining bytes", n)
-		return nil
+		return dst
 	}
-	out := make([]float64, n)
+	at := len(dst)
+	dst = slices.Grow(dst, int(n))[:at+int(n)]
+	out, src := dst[at:], r.buf[r.pos:r.pos+8*int(n)]
 	for i := range out {
-		out[i] = r.F64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return out
+	r.pos += len(src)
+	return dst
 }
+
+// Remaining returns how many bytes of the stream are still unread: the
+// bound restore code holds a saved element count to before sizing
+// anything from it.
+func (r *Reader) Remaining() int { return len(r.buf) - r.pos }

@@ -1,0 +1,297 @@
+package codec
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// seal frames a body (everything after the magic and version) the way
+// Writer.Finish does, so a test can hand NewReader bytes no Writer would
+// produce — a truncated stream, a hostile length prefix — behind a valid
+// checksum: the CRC guards against accidents, not against an adversary.
+func seal(body []byte) []byte {
+	w := NewWriter()
+	w.buf = append(w.buf, body...)
+	return w.Finish()
+}
+
+var (
+	u64s = []uint64{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1 << 32, math.MaxUint64}
+	i64s = []int64{0, 1, -1, 63, -64, 64, -65, math.MaxInt64, math.MinInt64}
+	f64s = []float64{0, math.Copysign(0, -1), 1.5, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8000000000123)} // a NaN with a payload
+)
+
+// TestRoundTrip: every primitive reads back exactly what was written —
+// floats bit for bit — in sequence, and the stream ends where the reads do.
+func TestRoundTrip(t *testing.T) {
+	w := NewWriter()
+	w.Tag("section")
+	for _, v := range u64s {
+		w.U64(v)
+	}
+	for _, v := range i64s {
+		w.I64(v)
+		w.Int(int(v))
+	}
+	w.Bool(true)
+	w.Bool(false)
+	for _, v := range f64s {
+		w.F64(v)
+	}
+	w.Bytes([]byte{0, 1, 2, 0xff})
+	w.Bytes(nil)
+	w.String("héllo")
+	w.String("")
+	w.F64s(f64s)
+	w.F64s(nil)
+	w.F64s(f64s) // read back in place
+	w.F64s(f64s) // read back packed behind another list
+	w.F64s(f64s[:3])
+	w.F64s(f64s) // read back into a backing too small for it
+	stream := w.Finish()
+	if w.Len() != len(stream) {
+		t.Fatalf("Len %d after Finish, stream is %d bytes", w.Len(), len(stream))
+	}
+
+	r, err := NewReader(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Version != Version {
+		t.Fatalf("Version %d, want %d", r.Version, Version)
+	}
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d cells, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d]: %#x, want %#x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	r.Expect("section")
+	for _, want := range u64s {
+		if got := r.U64(); got != want {
+			t.Fatalf("U64 %d, want %d", got, want)
+		}
+	}
+	for _, want := range i64s {
+		if got := r.I64(); got != want {
+			t.Fatalf("I64 %d, want %d", got, want)
+		}
+		if got := r.Int(); got != int(want) {
+			t.Fatalf("Int %d, want %d", got, want)
+		}
+	}
+	if !r.Bool() || r.Bool() {
+		t.Fatal("Bool pair did not read true, false")
+	}
+	for _, want := range f64s {
+		sameBits("F64", []float64{r.F64()}, []float64{want})
+	}
+	if got := r.Bytes(); !slices.Equal(got, []byte{0, 1, 2, 0xff}) {
+		t.Fatalf("Bytes %v", got)
+	}
+	if got := r.Bytes(); len(got) != 0 {
+		t.Fatalf("empty Bytes read %v", got)
+	}
+	if got := r.String(); got != "héllo" {
+		t.Fatalf("String %q", got)
+	}
+	if got := r.String(); got != "" {
+		t.Fatalf("empty String read %q", got)
+	}
+	sameBits("F64s", r.F64s(), f64s)
+	if got := r.F64s(); got == nil || len(got) != 0 {
+		t.Fatalf("empty F64s read %v, want an empty non-nil slice", got)
+	}
+
+	// In place: exactly the capacity offered, no new backing.
+	row := make([]float64, len(f64s))
+	got := r.F64sInto(row[:0])
+	sameBits("F64sInto in place", got, f64s)
+	if &got[0] != &row[0] {
+		t.Fatal("F64sInto moved a list that fitted its destination")
+	}
+	// Packed: two lists behind each other on one arena.
+	arena := make([]float64, 0, len(f64s)+3)
+	arena = r.F64sInto(arena)
+	arena = r.F64sInto(arena)
+	sameBits("F64sInto packed, first list", arena[:len(f64s)], f64s)
+	sameBits("F64sInto packed, second list", arena[len(f64s):], f64s[:3])
+	if cap(arena) != len(f64s)+3 {
+		t.Fatal("F64sInto moved an arena that had room")
+	}
+	// Too small: grows like append, keeping what was there.
+	small := append(make([]float64, 0, 2), 42)
+	small = r.F64sInto(small)
+	sameBits("F64sInto grown", small, append([]float64{42}, f64s...))
+
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%d bytes left after reading everything written", r.Remaining())
+	}
+}
+
+// TestTruncationLatchesOneError cuts a small stream at every offset. Each
+// cut must surface as an error — from NewReader when the header is gone,
+// from the reads otherwise — that is latched once: later reads return zero
+// values, Fail does not replace it, and nothing panics.
+func TestTruncationLatchesOneError(t *testing.T) {
+	w := NewWriter()
+	w.Tag("t")
+	w.U64(300)
+	w.I64(-300)
+	w.Bool(true)
+	w.F64(2.5)
+	w.Bytes([]byte("abc"))
+	w.F64s([]float64{1, 2})
+	w.F64s([]float64{3})
+	full := w.Finish()
+	head := NewWriter().Len()
+
+	for cut := 0; cut < len(full)-4; cut++ {
+		var stream []byte
+		if cut < head {
+			stream = full[:cut] // not even a header: nothing to seal
+		} else {
+			stream = seal(full[head:cut])
+		}
+		r, err := NewReader(stream)
+		if err != nil {
+			continue
+		}
+		var first error
+		step := func() {
+			if first == nil {
+				first = r.Err()
+			} else if r.Err() != first {
+				t.Fatalf("cut %d: error replaced: %v, then %v", cut, first, r.Err())
+			}
+		}
+		r.Expect("t")
+		step()
+		u := r.U64()
+		step()
+		i := r.I64()
+		step()
+		b := r.Bool()
+		step()
+		f := r.F64()
+		step()
+		bs := r.Bytes()
+		step()
+		l1 := r.F64s()
+		step()
+		l2 := r.F64sInto(nil)
+		step()
+		if first == nil {
+			t.Fatalf("cut %d of %d: every read succeeded on a truncated stream", cut, len(full)-4)
+		}
+		r.Fail("a later failure")
+		step()
+		if r.U64() != 0 || r.Int() != 0 || r.Bool() || r.F64() != 0 || r.Bytes() != nil || r.String() != "" || len(r.F64s()) != 0 {
+			t.Fatalf("cut %d: reads after the error returned data", cut)
+		}
+		// Whatever was read before the cut is what was written.
+		if (u != 0 && u != 300) || (i != 0 && i != -300) || (f != 0 && f != 2.5) ||
+			(bs != nil && string(bs) != "abc") || (len(l1) != 0 && !slices.Equal(l1, []float64{1, 2})) || len(l2) != 0 {
+			t.Fatalf("cut %d: partial data %v %v %v %v %q %v %v", cut, u, i, b, f, bs, l1, l2)
+		}
+	}
+	if _, err := NewReader(full); err != nil {
+		t.Fatalf("the uncut stream: %v", err)
+	}
+}
+
+// TestHostileLengthAllocatesNothing: a length prefix is outside input. One
+// that promises more than the stream holds is refused before anything is
+// sized from it, for every list primitive — the cost of a hostile image is
+// bounded by its size.
+func TestHostileLengthAllocatesNothing(t *testing.T) {
+	var tail [64]byte
+	for _, n := range []uint64{uint64(len(tail)) + 1, 1 << 20, 1 << 40, math.MaxUint64 / 8, math.MaxUint64} {
+		var prefix [binary.MaxVarintLen64]byte
+		stream := seal(append(prefix[:binary.PutUvarint(prefix[:], n)], tail[:]...))
+		into := make([]float64, 0, 4)
+		for name, read := range map[string]func(*Reader) int{
+			"Bytes":    func(r *Reader) int { return len(r.Bytes()) },
+			"String":   func(r *Reader) int { return len(r.String()) },
+			"F64s":     func(r *Reader) int { return len(r.F64s()) },
+			"F64sInto": func(r *Reader) int { return len(r.F64sInto(into)) },
+		} {
+			r, err := NewReader(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got := read(r)
+			runtime.ReadMemStats(&after)
+			if got != 0 || r.Err() == nil {
+				t.Errorf("%s with length %d over %d bytes: read %d elements, err %v", name, n, len(tail), got, r.Err())
+			}
+			// The error value itself is all that may be allocated.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1024 {
+				t.Errorf("%s with length %d over %d bytes allocated %d bytes", name, n, len(tail), grew)
+			}
+		}
+	}
+
+	// The largest list the bytes can hold is decoded, and costs what it holds.
+	w := NewWriter()
+	w.F64s(make([]float64, 8))
+	r, err := NewReader(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.F64sInto(nil); len(got) != 8 || r.Err() != nil {
+		t.Fatalf("a list filling the stream: %d cells, err %v", len(got), r.Err())
+	}
+}
+
+// TestHeaderChecks: NewReader refuses what is not a snapshot, what was
+// damaged, and what a newer writer produced.
+func TestHeaderChecks(t *testing.T) {
+	good := seal(nil)
+	if _, err := NewReader(good); err != nil {
+		t.Fatal(err)
+	}
+	flipped := slices.Clone(good)
+	flipped[len(Magic)] ^= 1
+	notMagic := slices.Clone(good)
+	notMagic[0] ^= 1
+	newer := []byte(Magic)
+	newer = binary.AppendUvarint(newer, uint64(Version)+1)
+	newer = binary.LittleEndian.AppendUint32(newer, crc32.ChecksumIEEE(newer))
+	for name, data := range map[string][]byte{
+		"empty": nil, "short": good[:len(Magic)], "bad magic": notMagic, "bad crc": flipped, "newer version": newer,
+	} {
+		if _, err := NewReader(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	r, _ := NewReader(seal([]byte{2}))
+	if r.Bool(); r.Err() == nil {
+		t.Error("bool byte 2 accepted")
+	}
+	r, _ = NewReader(seal([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}))
+	if r.U64(); r.Err() == nil {
+		t.Error("11-byte varint accepted")
+	}
+	w := NewWriter()
+	w.Tag("a")
+	r, _ = NewReader(w.Finish())
+	if r.Expect("b"); r.Err() == nil {
+		t.Error("tag mismatch accepted")
+	}
+}
