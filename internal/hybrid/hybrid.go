@@ -258,6 +258,17 @@ type Engine struct {
 	// is not. Not saved for that reason: RestoreState marks every link.
 	// See DESIGN.md "Hybrid fidelity".
 	visit []uint64
+	// active is the set of links that carry at least one analytic flow, one
+	// bit per link registration index: exactly {l : len(l.flows) > 0}.
+	// waterfill and the near-saturation trigger walk it in place of every
+	// link — a link outside it has no unfrozen flow to bound and no flow to
+	// read its avail, so what they compute is the same. StartFlow and
+	// RestoreState set a bit where a link gains its first flow, detach clears
+	// it where the last one leaves. Not saved: RestoreState rebuilds it with
+	// the flow lists it is derived from. See DESIGN.md "Hybrid fidelity".
+	active []uint64
+	//acclint:ignore snapcover intra-fill scratch: the active links in ascending index, rebuilt by every waterfill
+	fill []*Link
 	//acclint:ignore snapcover construction wiring: the Networks owning a registered port, whose touched lists drain reads
 	nets []*netsim.Network
 	//acclint:ignore snapcover construction wiring: port -> link registration index, looked up by drain, never ranged
@@ -269,6 +280,10 @@ type Engine struct {
 	// avoid (one per link per tick before it).
 	//acclint:ignore snapcover telemetry of this process's work, not simulation state: a restored engine re-checks every link once, so it over-counts an uninterrupted run by design
 	LinkChecks uint64
+	// LinkFills counts the links waterfill walks, once per fill: the work
+	// the active set exists to avoid (every link per fill before it).
+	//acclint:ignore snapcover telemetry of this process's work, not simulation state, like LinkChecks
+	LinkFills uint64
 
 	// inflight (barrier mode only) holds flows whose sender fully paced out
 	// before a demotion trigger hit their path: nothing is left to hand to
@@ -331,6 +346,7 @@ func (e *Engine) AddLink(p *netsim.Port) *Link {
 	}
 	if l.idx>>6 == len(e.visit) {
 		e.visit = append(e.visit, 0)
+		e.active = append(e.active, 0)
 	}
 	e.mark(l.idx)
 	return l
@@ -338,6 +354,32 @@ func (e *Engine) AddLink(p *netsim.Port) *Link {
 
 func (e *Engine) mark(i int)   { e.visit[i>>6] |= 1 << (i & 63) }
 func (e *Engine) unmark(i int) { e.visit[i>>6] &^= 1 << (i & 63) }
+
+// nextSet returns the smallest member of set at or after i, or -1. A walk
+// `for i := nextSet(s, 0); i >= 0; i = nextSet(s, i+1)` visits the set in
+// ascending order — the order a scan of e.links takes — and reads each word
+// afresh at every step, so bits the loop body sets or clears ahead of i
+// count, as they would for the scan.
+func nextSet(set []uint64, i int) int {
+	for wi := i >> 6; wi < len(set); wi++ {
+		if w := set[wi] >> (i & 63) << (i & 63); w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+		i = (wi + 1) << 6
+	}
+	return -1
+}
+
+// attach registers an analytic flow on every link of its path.
+func (e *Engine) attach(f *Flow) {
+	for _, l := range f.Path {
+		if len(l.flows) == 0 {
+			e.active[l.idx>>6] |= 1 << (l.idx & 63)
+		}
+		l.flows = append(l.flows, f)
+		l.sumRate += f.Demand
+	}
+}
 
 // MarkAll puts every link in the visit set, which makes the next Tick a
 // check of all links. RestoreState uses it in place of saved visit state.
@@ -402,6 +444,25 @@ func (e *Engine) tickEvent(any) {
 // must not retain it past the callback that observed completion.
 func (e *Engine) StartFlow(path []*Link, o FlowOpts, startPacket func(*Flow, int64), onDone func(*Flow, simtime.Time)) *Flow {
 	now := e.clock()
+	f := e.admit(now, path, o, startPacket, onDone)
+	// The fill may demote the flow at once, and any peers its arrival — or,
+	// for a flow admitted at packet level, its reservation — pushes over a
+	// trigger: at this instant, not a window later.
+	e.refill(now)
+	if f.Mode == ModeAnalytic {
+		f.End = e.endTime(f)
+		if e.q != nil {
+			f.evPending = true
+			e.q.CallAt(f.End, e.completeFn, f)
+		}
+	}
+	return f
+}
+
+// admit builds the flow and its frame geometry and registers it: tentatively
+// analytic if it is eligible and no hop refuses, at packet level otherwise.
+// The caller owes the fill that decides whether the admission stands.
+func (e *Engine) admit(now simtime.Time, path []*Link, o FlowOpts, startPacket func(*Flow, int64), onDone func(*Flow, simtime.Time)) *Flow {
 	mtu := e.Cfg.MTU
 	if mtu <= 0 {
 		mtu = netsim.DefaultMTU
@@ -428,28 +489,10 @@ func (e *Engine) StartFlow(path []*Link, o FlowOpts, startPacket func(*Flow, int
 
 	if !o.Eligible || e.pathBlocked(path) {
 		e.toPacket(f, now)
-		// The new reservation may push shared links over a trigger; apply
-		// it now so analytic peers demote at this instant, not a window
-		// later.
-		e.refill(now)
 		return f
 	}
-
-	// Tentative analytic admission, then re-fill; the fill may demote this
-	// flow (and any peers its arrival pushes over a trigger) immediately.
 	e.flows = append(e.flows, f)
-	for _, l := range path {
-		l.flows = append(l.flows, f)
-		l.sumRate += demand
-	}
-	e.refill(now)
-	if f.Mode == ModeAnalytic {
-		f.End = e.endTime(f)
-		if e.q != nil {
-			f.evPending = true
-			e.q.CallAt(f.End, e.completeFn, f)
-		}
-	}
+	e.attach(f)
 	return f
 }
 
@@ -570,13 +613,23 @@ func (e *Engine) complete(f *Flow, end simtime.Time) {
 	}
 }
 
-// detach removes an analytic flow from the engine and its links.
+// detach removes an analytic flow from the engine and its links. A flow
+// that is no longer registered is left alone: demoteLink detaches a flow
+// before toPacket finds its sender fully paced out, and such a flow reaches
+// complete — and this function — a second time at its End.
 func (e *Engine) detach(f *Flow) {
+	n := len(e.flows)
+	e.flows = removeFlow(e.flows, f)
+	if len(e.flows) == n {
+		return
+	}
 	for _, l := range f.Path {
 		l.sumRate -= f.Demand
 		l.flows = removeFlow(l.flows, f)
+		if len(l.flows) == 0 {
+			e.active[l.idx>>6] &^= 1 << (l.idx & 63)
+		}
 	}
-	e.flows = removeFlow(e.flows, f)
 }
 
 // removeFlow deletes f preserving registration order.
@@ -673,15 +726,21 @@ func (e *Engine) refill(now simtime.Time) {
 
 // waterfill computes max-min shares by progressive filling: every round
 // raises all unfrozen flows by the largest uniform increment no link or
-// demand permits exceeding, then freezes saturated flows.
+// demand permits exceeding, then freezes saturated flows. Only the active
+// links take part (see Engine.active); a fill changes no flow list, so they
+// are read out of the set once.
 func (e *Engine) waterfill() {
-	for _, l := range e.links {
+	e.fill = e.fill[:0]
+	for i := nextSet(e.active, 0); i >= 0; i = nextSet(e.active, i+1) {
+		l := e.links[i]
 		l.avail = float64(l.Cap) - float64(l.reserved)
 		if l.avail < 0 {
 			l.avail = 0
 		}
 		l.nUn = len(l.flows)
+		e.fill = append(e.fill, l)
 	}
+	e.LinkFills += uint64(len(e.fill))
 	unfrozen := 0
 	for _, f := range e.flows {
 		f.share = 0
@@ -690,7 +749,7 @@ func (e *Engine) waterfill() {
 	}
 	for unfrozen > 0 {
 		inc := math.Inf(1)
-		for _, l := range e.links {
+		for _, l := range e.fill {
 			if l.nUn > 0 {
 				if v := l.avail / float64(l.nUn); v < inc {
 					inc = v
@@ -731,7 +790,7 @@ func (e *Engine) waterfill() {
 				froze++
 			}
 		}
-		for _, l := range e.links {
+		for _, l := range e.fill {
 			if l.nUn == 0 {
 				continue
 			}
@@ -756,7 +815,6 @@ func (e *Engine) waterfill() {
 			unfrozen = 0
 		}
 	}
-
 }
 
 // applyFluidTriggers demotes links the current share assignment disqualifies
@@ -764,9 +822,12 @@ func (e *Engine) waterfill() {
 // conversion sequence deterministic regardless of which condition fired.
 func (e *Engine) applyFluidTriggers(now simtime.Time) bool {
 	changed := false
-	// Near-saturation trigger: a shared link at DemoteUtil of capacity.
-	for _, l := range e.links {
-		if l.hot || len(l.flows) == 0 {
+	// Near-saturation trigger: a shared link at DemoteUtil of capacity. Only
+	// a link with an analytic flow can fire it, and a demotion empties links
+	// further on, so the walk is over the live active set.
+	for i := nextSet(e.active, 0); i >= 0; i = nextSet(e.active, i+1) {
+		l := e.links[i]
+		if l.hot {
 			continue
 		}
 		if len(l.flows)+l.nPacket >= 2 && l.fluidShare()+float64(l.reserved) >= e.Cfg.DemoteUtil*float64(l.Cap) {
@@ -855,12 +916,9 @@ func (e *Engine) Tick(now simtime.Time) {
 	// one. Runs before the per-link checks so wasDown still holds the state
 	// at the link's last check; groups demote in registration order.
 	e.flipped = e.flipped[:0]
-	for wi, w := range e.visit {
-		for ; w != 0; w &= w - 1 {
-			l := e.links[wi<<6+bits.TrailingZeros64(w)]
-			if l.Port.IsDown() != l.wasDown {
-				e.flipped = append(e.flipped, l.groups...)
-			}
+	for i := nextSet(e.visit, 0); i >= 0; i = nextSet(e.visit, i+1) {
+		if l := e.links[i]; l.Port.IsDown() != l.wasDown {
+			e.flipped = append(e.flipped, l.groups...)
 		}
 	}
 	slices.Sort(e.flipped)
@@ -869,21 +927,14 @@ func (e *Engine) Tick(now simtime.Time) {
 			e.demoteLink(gl, now)
 		}
 	}
-	// Each word is re-read after every check: a demotion may have marked
+	// The walk re-reads the set at every step: a demotion may have marked
 	// links further on (demoteLink), and those are due at this tick.
-	for wi := range e.visit {
-		for b := 0; ; b++ {
-			w := e.visit[wi] >> b << b
-			if w == 0 {
-				break
-			}
-			b = bits.TrailingZeros64(w)
-			l := e.links[wi<<6+b]
-			e.LinkChecks++
-			e.checkLink(l, now)
-			if !l.hot {
-				e.unmark(l.idx)
-			}
+	for i := nextSet(e.visit, 0); i >= 0; i = nextSet(e.visit, i+1) {
+		l := e.links[i]
+		e.LinkChecks++
+		e.checkLink(l, now)
+		if !l.hot {
+			e.unmark(i)
 		}
 	}
 }

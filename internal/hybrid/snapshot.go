@@ -25,6 +25,8 @@ import (
 // checks them all. That is a superset of whatever was pending at the
 // snapshot instant, and checking a link that did not need it changes
 // nothing, so the restored run stays bit-identical to the uninterrupted one.
+// The active set is derived state like the link flow lists and is rebuilt
+// with them.
 
 // SaveState writes the engine's dynamic state: mode accounting, per-link
 // trigger state, and every live analytic and in-flight flow in
@@ -97,6 +99,7 @@ func (e *Engine) RestoreState(r *codec.Reader, rebind func(id uint64) (startPack
 		l.flows = l.flows[:0]
 		l.sumRate = 0
 	}
+	clear(e.active)
 	nf := r.Int()
 	if err := r.Err(); err != nil {
 		return err
@@ -109,10 +112,7 @@ func (e *Engine) RestoreState(r *codec.Reader, rebind func(id uint64) (startPack
 		}
 		f.startPacket, f.onDone = rebind(f.ID)
 		e.flows = append(e.flows, f)
-		for _, l := range f.Path {
-			l.flows = append(l.flows, f)
-			l.sumRate += f.Demand
-		}
+		e.attach(f)
 	}
 	ni := r.Int()
 	if err := r.Err(); err != nil {

@@ -73,9 +73,10 @@ func (r *visitRig) pause(h *netsim.Host, kind netsim.Kind) {
 }
 
 // TestVisitCostPins: an idle mesh costs nothing after the check of every
-// link that construction owes, and a mesh with h hot links costs h per tick
-// — at the benchmark's fabric size, where the deleted scan made 5 184
-// checks per tick.
+// link that construction owes, a mesh with h hot links costs h per tick, and
+// an admission beside k active links fills over those and its own path — at
+// the benchmark's fabric size, where the deleted scans made 5 184 checks per
+// tick and walked 5 184 links per fill.
 func TestVisitCostPins(t *testing.T) {
 	r := newVisitRig(t, DefaultConfig(), 24, 96, 12)
 	links := len(r.e.Links())
@@ -114,6 +115,25 @@ func TestVisitCostPins(t *testing.T) {
 	}
 	if r.e.Stats.Promotions != h || r.checks() != 0 || r.pending() != 0 {
 		t.Fatalf("after promotion: stats %+v, %d links still pending", r.e.Stats, r.pending())
+	}
+
+	// Ten cross-leaf flows on disjoint hosts, far below every trigger: each
+	// admission is one fill, over the links active once it is registered.
+	active := map[*Link]bool{}
+	for i := 0; i < 10; i++ {
+		id := r.net.NextFlowID()
+		path := r.m.Path(id, r.fab.HostsAt[1][i], r.fab.HostsAt[2][i])
+		for _, l := range path {
+			active[l] = true
+		}
+		before := r.e.LinkFills
+		r.e.StartFlow(path, FlowOpts{ID: uint64(id), Size: 1 << 30, Demand: simtime.Gbps, Prio: 3, Eligible: true}, noDemote(t), nil)
+		if got := r.e.LinkFills - before; got != uint64(len(active)) {
+			t.Fatalf("admission %d walked %d links with %d active", i, got, len(active))
+		}
+	}
+	if len(active) < 20 || len(active) > 40 {
+		t.Fatalf("%d links active under ten four-hop flows", len(active))
 	}
 }
 

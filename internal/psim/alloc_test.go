@@ -3,6 +3,7 @@ package psim
 import (
 	"testing"
 
+	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/topo"
 )
 
@@ -45,6 +46,22 @@ func TestRemoteArrivalZeroAlloc(t *testing.T) {
 	}
 	if crossed := crossCount(e) - crossed0; crossed == 0 {
 		t.Fatal("measured windows carried no cross-shard packets; the test exercised nothing")
+	}
+}
+
+// TestAllocEngineRunK1: on a one-shard engine the caller of Run is the only
+// goroutine there is — it runs shard 0's windows itself — so a Run makes no
+// worker, no channel and no allocation, however many windows it covers.
+func TestAllocEngineRunK1(t *testing.T) {
+	e := Build(Config{NLeaf: 4, HostsPerLeaf: 4, NSpine: 2, Shards: 1, Seed: 1, Topo: topo.DefaultConfig()})
+	hooked := 0
+	e.OnBarrier(func(simtime.Time) { hooked++ })
+	run := func() { e.Run(e.Now().Add(10 * e.Window)) }
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("Engine.Run on one shard allocates %v/op, want 0", avg)
+	}
+	if windows := int(e.Now() / simtime.Time(e.Window)); hooked < 1000 || hooked != windows {
+		t.Fatalf("%d barriers hooked over %d windows", hooked, windows)
 	}
 }
 

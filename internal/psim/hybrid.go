@@ -13,6 +13,9 @@ package psim
 // layouts just like pure packet runs (TestHybridLayoutIdentity).
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/accnet/acc/internal/dcqcn"
 	"github.com/accnet/acc/internal/faults"
 	"github.com/accnet/acc/internal/hybrid"
@@ -50,9 +53,18 @@ type HybridState struct {
 	// barrier leaves every Tick-time observable (utilization, promotion
 	// hysteresis) exactly as the synchronous release would have.
 	packetDone []bool
-	// pending holds plan indices not yet started, in plan order; each
-	// barrier starts every spec that has come due, preserving that order.
+	// done[s] lists the plan indices whose packetDone mark was set on shard
+	// s since the last barrier, so the barrier finds the window's completions
+	// without scanning every flow. One list per shard because a receiver's
+	// callback runs on the shard that owns it and an append is not a disjoint
+	// slot write; drainDone empties them. Not saved: the marks are, and
+	// RestoreState lists every set mark again.
+	done [][]int
+	// pending holds the plan indices ApplyHybrid did not start, ordered by
+	// (Start, index); pending[next:] are the ones not started yet. A barrier
+	// takes the due prefix and starts it in plan order.
 	pending []int
+	next    int
 }
 
 // ApplyHybrid instantiates the plan with hybrid fidelity: DCQCN flows
@@ -93,6 +105,7 @@ func (e *Engine) ApplyHybrid(p *Plan, cfg hybrid.Config) (*Applied, *hybrid.Engi
 		res:        res,
 		hflows:     make([]*hybrid.Flow, n),
 		packetDone: make([]bool, n),
+		done:       make([][]int, len(e.Shards)),
 		pending:    make([]int, 0, n),
 	}
 	res.Hybrid = h
@@ -105,6 +118,7 @@ func (e *Engine) ApplyHybrid(p *Plan, cfg hybrid.Config) (*Applied, *hybrid.Engi
 			h.pending = append(h.pending, i)
 		}
 	}
+	h.sortPending()
 	e.OnBarrier(h.barrier)
 
 	for _, fe := range p.Faults {
@@ -132,13 +146,14 @@ func (h *HybridState) bind(i int) (startPacket func(*hybrid.Flow, int64), onDone
 	fs := h.p.Flows[i]
 	id := netsim.FlowID(i + 1)
 	src, dst := h.e.Hosts[fs.Src.Leaf][fs.Src.Host], h.e.Hosts[fs.Dst.Leaf][fs.Dst.Host]
+	shard := h.e.hostShard(fs.Dst) // the receiver's: its completion callback runs there
 	switch fs.Transport {
 	case TransportTCP:
 		return func(f *hybrid.Flow, remaining int64) {
 			h.hflows[i] = f
 			h.res.TCPRecv[i] = tcp.StartReceiver(id, src.ID(), dst, remaining, h.p.TCP, func(r *tcp.Receiver) {
 				h.res.End[i] = r.End
-				h.packetDone[i] = true
+				h.markDone(i, shard)
 			})
 			h.res.TCPSend[i] = tcp.StartSender(src.Net(), id, src, dst.ID(), remaining, h.p.TCP)
 		}, nil
@@ -148,7 +163,7 @@ func (h *HybridState) bind(i int) (startPacket func(*hybrid.Flow, int64), onDone
 			h.hflows[i] = f
 			h.res.DCQCNRecv[i] = dcqcn.StartReceiver(id, src.ID(), dst, remaining, h.p.DCQCN, func(r *dcqcn.Receiver) {
 				h.res.End[i] = r.End
-				h.packetDone[i] = true
+				h.markDone(i, shard)
 			})
 			h.res.DCQCNSend[i] = dcqcn.StartSender(src.Net(), id, src, dst.ID(), remaining, h.p.DCQCN)
 		}, func(f *hybrid.Flow, end simtime.Time) { h.res.End[i] = end }
@@ -178,32 +193,57 @@ func (h *HybridState) start(i int) {
 	h.Eng.StartFlow(h.mesh.Path(id, src, dst), opts, startPacket, onDone)
 }
 
+// markDone records flow i's packet-mode completion for the next barrier.
+// Every receiver completion callback ends here, those of restored receivers
+// included; shard is the one the caller runs on, the receiving host's, so
+// concurrent callers write disjoint slots and lists.
+func (h *HybridState) markDone(i, shard int) {
+	h.packetDone[i] = true
+	h.done[shard] = append(h.done[shard], i)
+}
+
 // drainDone releases the window's packet-mode completions with the shards
-// quiescent (see HybridState.packetDone).
+// quiescent (see HybridState.packetDone), in plan order.
 func (h *HybridState) drainDone() {
-	for i, f := range h.hflows {
-		if h.packetDone[i] && f != nil {
-			h.packetDone[i] = false
+	all := h.done[0]
+	for s := 1; s < len(h.done); s++ {
+		all = append(all, h.done[s]...)
+		h.done[s] = h.done[s][:0]
+	}
+	slices.Sort(all)
+	for _, i := range all {
+		h.packetDone[i] = false
+		if f := h.hflows[i]; f != nil {
 			h.hflows[i] = nil
 			h.Eng.PacketDone(f)
 		}
 	}
+	h.done[0] = all[:0]
+}
+
+// sortPending orders pending, a list of ascending plan indices, by
+// (Start, index) and rewinds the cursor.
+func (h *HybridState) sortPending() {
+	slices.SortStableFunc(h.pending, func(a, b int) int {
+		return cmp.Compare(h.p.Flows[a].Start, h.p.Flows[b].Start)
+	})
+	h.next = 0
 }
 
 // barrier is the per-window hook: release completions, then advance the
 // engine — completions past their End and trigger checks see the world
 // before this barrier's admissions — then start every spec that has come
-// due.
+// due, in plan order.
 func (h *HybridState) barrier(b simtime.Time) {
 	h.drainDone()
 	h.Eng.Tick(b)
-	kept := h.pending[:0]
-	for _, i := range h.pending {
-		if h.p.Flows[i].Start <= b {
-			h.start(i)
-		} else {
-			kept = append(kept, i)
-		}
+	from := h.next
+	for h.next < len(h.pending) && h.p.Flows[h.pending[h.next]].Start <= b {
+		h.next++
 	}
-	h.pending = kept
+	due := h.pending[from:h.next]
+	slices.Sort(due)
+	for _, i := range due {
+		h.start(i)
+	}
 }

@@ -1,11 +1,13 @@
 package psim
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/accnet/acc/internal/hybrid"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
+	"github.com/accnet/acc/internal/snap/codec"
 	"github.com/accnet/acc/internal/topo"
 )
 
@@ -139,5 +141,105 @@ func TestHybridBarrierQuantization(t *testing.T) {
 	mid := simtime.Time(window) + simtime.Time(window)/3
 	if got, want := runOne(mid), base.Add(2*window); got != want {
 		t.Fatalf("quantized End %v, want %v (t=0 End %v + 2 windows)", got, want, base)
+	}
+}
+
+// TestHybridRestoreRejectsBadPending: the not-yet-started plan indices in a
+// hybrid image are data, and an image with a valid checksum can still carry
+// any integers there. Restore must take ascending in-range indices — what
+// SaveState writes — and answer anything else with an error, not index the
+// plan with it or start a flow twice.
+func TestHybridRestoreRejectsBadPending(t *testing.T) {
+	cfg := Config{NLeaf: 4, HostsPerLeaf: 2, NSpine: 2, Shards: 1, Seed: 1, Topo: topo.DefaultConfig()}
+	build := func() *HybridState {
+		res, _ := Build(cfg).ApplyHybrid(hybridPlan(cfg.Topo.HostBW), hybrid.DefaultConfig())
+		return res.Hybrid
+	}
+	// image is HybridState.SaveState's layout around an arbitrary index list.
+	image := func(pending ...int) *codec.Reader {
+		h := build()
+		w := codec.NewWriter()
+		w.Tag("psim-hybrid")
+		h.Eng.SaveState(w)
+		w.Int(len(pending))
+		for _, i := range pending {
+			w.Int(i)
+		}
+		for range h.hflows {
+			w.Bool(false)
+			w.Bool(false)
+		}
+		r, err := codec.NewReader(w.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	h := build()
+	if err := h.RestoreState(image(3, 4, 5)); err != nil {
+		t.Fatalf("the indices a fresh instantiation saves were refused: %v", err)
+	}
+	if want := []int{3, 4, 5}; !slices.Equal(h.pending[h.next:], want) {
+		t.Fatalf("restored pending %v, want %v", h.pending[h.next:], want)
+	}
+	n := len(h.p.Flows)
+	for _, bad := range [][]int{{n}, {3, n + 100}, {-1}, {-5, 3}, {4, 4}, {5, 3}, {3, 4, 3}} {
+		if err := build().RestoreState(image(bad...)); err == nil {
+			t.Fatalf("pending %v restored without an error", bad)
+		}
+	}
+}
+
+// TestHybridStartOrder: the plan need not be sorted by Start. Every spec
+// starts at the first barrier at or after its Start, specs that share a
+// barrier start in plan order, and the image lists the waiting ones in
+// ascending index whatever order the cursor holds them in.
+func TestHybridStartOrder(t *testing.T) {
+	cfg := Config{NLeaf: 4, HostsPerLeaf: 4, NSpine: 2, Shards: 1, Seed: 1, Topo: topo.DefaultConfig()}
+	us := func(n int) simtime.Time { return simtime.Time(simtime.Duration(n) * simtime.Microsecond) }
+	starts := []simtime.Time{us(30), us(10), 0, us(10), us(30), us(5), us(10), us(20)}
+	p := NewPlan(cfg.Topo.HostBW)
+	for i, at := range starts {
+		p.Flows = append(p.Flows, FlowSpec{Src: HostRef{i % 4, i / 4}, Dst: HostRef{(i + 1) % 4, 2 + i/4}, Size: 4 * simtime.KB, Start: at})
+	}
+	type started struct {
+		i  int
+		at simtime.Time
+	}
+	var got []started
+	p.OnStart = func(i int, at simtime.Time) { got = append(got, started{i, at}) }
+	e := Build(cfg)
+	res, _ := e.ApplyHybrid(p, hybrid.DefaultConfig())
+
+	e.Run(us(15))
+	w := codec.NewWriter()
+	res.Hybrid.SaveState(w)
+	h := res.Hybrid
+	if waiting, want := h.pending[h.next:], []int{7, 0, 4}; !slices.Equal(waiting, want) {
+		t.Fatalf("waiting at 15us in cursor order: %v, want %v", waiting, want)
+	}
+	r, err := codec.NewReader(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.RestoreState(r); err != nil {
+		t.Fatalf("restore of its own image: %v", err)
+	}
+	if waiting, want := h.pending[h.next:], []int{7, 0, 4}; !slices.Equal(waiting, want) {
+		t.Fatalf("waiting after the restore: %v, want %v", waiting, want)
+	}
+	e.Run(us(40))
+
+	barrier := func(at simtime.Time) simtime.Time {
+		w := simtime.Time(e.Window)
+		return (at + w - 1) / w * w
+	}
+	var want []started
+	for _, i := range []int{2, 5, 1, 3, 6, 7, 0, 4} {
+		want = append(want, started{i, barrier(starts[i])})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("starts %v, want %v", got, want)
 	}
 }

@@ -87,7 +87,8 @@ type crossPkt struct {
 
 // outboxEnd implements netsim.RemoteEnd for one direction of one cross-shard
 // link: Deliver buffers the packet in the transmitting shard's outbox row,
-// which only that shard's worker touches during a window.
+// which only the goroutine running that shard's window touches during it
+// (the coordinator for shard 0, the shard's worker otherwise; see sync.go).
 type outboxEnd struct {
 	eng      *Engine
 	src, dst int
@@ -134,7 +135,8 @@ type Engine struct {
 
 	// outbox[src][dst] buffers cross-shard packets transmitted by shard src
 	// toward shard dst during the current window. Written only by src's
-	// worker while running, drained only by the coordinator at barriers.
+	// window (see sync.go) while it runs, drained only by the coordinator at
+	// barriers.
 	//acclint:ignore snapcover drained at every barrier; empty whenever a snapshot is legal (barriers only)
 	outbox [][][]crossPkt
 
@@ -240,15 +242,19 @@ func Build(cfg Config) *Engine {
 
 // OnBarrier registers a hook to run at every barrier with all shards
 // quiescent at exactly the barrier time. Hooks may read any shard's state,
-// and may mutate it synchronously: workers resume only after every hook
-// returns, so hook-side mutations are ordered by the same channel
-// alternation that orders the packet exchange, and RunBefore has advanced
+// and may mutate it synchronously: the next window starts only after every
+// hook returns, so hook-side mutations are ordered by the same alternation
+// that orders the packet exchange (sync.go), and RunBefore has advanced
 // each shard queue's clock to the barrier, so events a hook schedules land
 // at barrier-relative times identical in every shard layout. The hybrid
 // fast path depends on this — a fidelity demotion at a barrier starts
 // packet transports on the owning shards' queues (see ApplyHybrid).
 // Mutations at arbitrary virtual times still belong in scheduled events.
 func (e *Engine) OnBarrier(h func(barrier simtime.Time)) { e.hooks = append(e.hooks, h) }
+
+// hostShard returns the shard that owns a host, the one its transports'
+// callbacks run on.
+func (e *Engine) hostShard(h HostRef) int { return e.Part.LeafShard[h.Leaf] }
 
 // Now returns the last barrier every shard has reached.
 func (e *Engine) Now() simtime.Time { return e.now }

@@ -2,6 +2,7 @@ package psim
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/accnet/acc/internal/dcqcn"
 	"github.com/accnet/acc/internal/hybrid"
@@ -115,6 +116,7 @@ func (e *Engine) RestoreApplied(r *codec.Reader, a *Applied) error {
 		i := i
 		src := e.Hosts[fs.Src.Leaf][fs.Src.Host]
 		dst := e.Hosts[fs.Dst.Leaf][fs.Dst.Host]
+		shard := e.hostShard(fs.Dst) // the receiver's: its completion callback runs there
 		a.DCQCNSend[i], a.DCQCNRecv[i] = nil, nil
 		a.TCPSend[i], a.TCPRecv[i] = nil, nil
 		if r.Bool() {
@@ -131,14 +133,14 @@ func (e *Engine) RestoreApplied(r *codec.Reader, a *Applied) error {
 				a.DCQCNRecv[i] = dcqcn.RestoreReceiver(dst, func(rx *dcqcn.Receiver) {
 					a.End[i] = rx.End
 					if a.Hybrid != nil {
-						a.Hybrid.packetDone[i] = true
+						a.Hybrid.markDone(i, shard)
 					}
 				}, r)
 			case TransportTCP:
 				a.TCPRecv[i] = tcp.RestoreReceiver(dst, func(rx *tcp.Receiver) {
 					a.End[i] = rx.End
 					if a.Hybrid != nil {
-						a.Hybrid.packetDone[i] = true
+						a.Hybrid.markDone(i, shard)
 					}
 				}, r)
 			}
@@ -224,8 +226,10 @@ func (s *Sampler) RestoreState(r *codec.Reader) error {
 func (h *HybridState) SaveState(w *codec.Writer) {
 	w.Tag("psim-hybrid")
 	h.Eng.SaveState(w)
-	w.Int(len(h.pending))
-	for _, i := range h.pending {
+	waiting := slices.Clone(h.pending[h.next:])
+	slices.Sort(waiting)
+	w.Int(len(waiting))
+	for _, i := range waiting {
 		w.Int(i)
 	}
 	for i, f := range h.hflows {
@@ -257,11 +261,27 @@ func (h *HybridState) RestoreState(r *codec.Reader) error {
 		return fmt.Errorf("psim: hybrid snapshot has %d pending flows, plan has %d", np, len(h.p.Flows))
 	}
 	h.pending = h.pending[:0]
-	for i := 0; i < np; i++ {
-		h.pending = append(h.pending, r.Int())
+	last := -1
+	for k := 0; k < np; k++ {
+		i := r.Int()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if i <= last || i >= len(h.p.Flows) {
+			return fmt.Errorf("psim: hybrid snapshot pending index %d after %d, want ascending indices below %d", i, last, len(h.p.Flows))
+		}
+		h.pending = append(h.pending, i)
+		last = i
+	}
+	h.sortPending()
+	for s := range h.done {
+		h.done[s] = h.done[s][:0]
 	}
 	for i := range h.hflows {
-		h.packetDone[i] = r.Bool()
+		h.packetDone[i] = false
+		if r.Bool() {
+			h.markDone(i, h.e.hostShard(h.p.Flows[i].Dst))
+		}
 		h.hflows[i] = nil
 		if r.Bool() {
 			f, err := h.Eng.RestoreFlow(r)
