@@ -8,6 +8,9 @@
 //	accsim -exp all                # run everything
 //	accsim -exp fig12 -scale 4     # paper-scale fabric/durations
 //	accsim -exp fig9 -csv          # machine-readable output
+//	accsim -exp fig6 -model m.accmodel
+//	                               # deploy a model acctrain wrote instead of
+//	                               # the compiled-in default
 //	accsim -exp fig8 -fidelity hybrid
 //	                               # flow-level fast-forward with packet-level
 //	                               # hotspot demotion (<=1% FCT tolerance)
@@ -59,8 +62,10 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/accnet/acc/internal/acc"
 	"github.com/accnet/acc/internal/exp"
 	"github.com/accnet/acc/internal/obs"
+	"github.com/accnet/acc/internal/rl"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap"
 	"github.com/accnet/acc/internal/sweep"
@@ -92,6 +97,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		scale    = flag.Float64("scale", 1, "duration/fabric scale factor (>=4 restores paper-scale fabrics)")
 		episodes = flag.Int("episodes", 0, "offline pre-training episodes for ACC policies (0 = default)")
+		model    = flag.String("model", "", "deploy this offline model file (written by acctrain) on every ACC policy instead of the compiled-in default")
 		shards   = flag.Int("shards", 0, "drive experiments at the N-shard barrier cadence (tables are byte-identical to sequential; see DESIGN.md 'Parallel simulation')")
 		fidelity = flag.String("fidelity", "", "simulation fidelity: ''/'packet' = byte-identical packet engine, 'hybrid' = flow-level fast-forward with packet-level hotspot demotion (see DESIGN.md 'Hybrid fidelity')")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -258,8 +264,25 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// LoadModel holds the file to the deployed agents' shape, so a wrong
+	// model is one error here, before any simulation runs.
+	var loaded *rl.MLP
+	if *model != "" {
+		if *episodes != 0 {
+			fmt.Fprintln(os.Stderr, "accsim: -model and -episodes both choose the deployed model; give one")
+			os.Exit(2)
+		}
+		m, recipe, err := acc.LoadModel(*model, acc.DefaultConfig().AgentConfig())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "accsim: -model:", err)
+			os.Exit(2)
+		}
+		loaded = m
+		fmt.Fprintf(os.Stderr, "accsim: model %s: %d episodes x %v, seed %d, weights %016x\n",
+			*model, recipe.Episodes, recipe.EpisodeTime, recipe.Seed, m.Digest())
+	}
 	opts := exp.Options{
-		Seed: *seed, Scale: *scale, OfflineEpisodes: *episodes, Shards: *shards,
+		Seed: *seed, Scale: *scale, OfflineEpisodes: *episodes, Model: loaded, ModelFile: *model, Shards: *shards,
 		Fidelity:     *fidelity,
 		WorkloadSpec: *workloadSpec, RecordTrace: *recordTrace, ReplayTrace: *replayTrace,
 		Faults: exp.FaultOptions{

@@ -1,10 +1,11 @@
 // Command acctrain runs ACC's offline pre-training (§4.3) over the
 // synthetic workload suite and saves the resulting model, ready to be
-// installed on switches (loaded by the library or by accsim runs).
+// installed on switches (accsim -model). Its defaults are
+// acc.DefaultOfflineConfig(), the recipe of the model accsim deploys.
 //
 // Usage:
 //
-//	acctrain -o models/pretrained.json -episodes 50
+//	acctrain -o models/pretrained.accmodel -episodes 50
 package main
 
 import (
@@ -18,18 +19,18 @@ import (
 )
 
 func main() {
+	cfg := acc.DefaultOfflineConfig()
 	var (
-		out      = flag.String("o", "acc-model.json", "output model path")
-		episodes = flag.Int("episodes", 30, "training episodes")
-		epTime   = flag.Duration("episode-time", 10*time.Millisecond, "virtual time per episode")
-		seed     = flag.Int64("seed", 1, "training seed")
-		senders  = flag.Int("max-senders", 12, "max incast senders per episode")
-		flows    = flag.Int("max-flows", 16, "max flows per sender per episode")
+		out      = flag.String("o", "acc.accmodel", "output model path")
+		episodes = flag.Int("episodes", cfg.Episodes, "training episodes")
+		epTime   = flag.Duration("episode-time", time.Duration(cfg.EpisodeTime), "virtual time per episode")
+		seed     = flag.Int64("seed", cfg.Seed, "training seed")
+		senders  = flag.Int("max-senders", cfg.MaxSenders, "max incast senders per episode")
+		flows    = flag.Int("max-flows", cfg.MaxFlowsPerSender, "max flows per sender per episode")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
 
-	cfg := acc.DefaultOfflineConfig()
 	cfg.Episodes = *episodes
 	cfg.EpisodeTime = simtime.Duration(epTime.Nanoseconds())
 	cfg.Seed = *seed
@@ -47,12 +48,10 @@ func main() {
 		fmt.Println()
 	}
 
-	desc := fmt.Sprintf("ACC offline model: %d episodes x %v, seed %d, trained %s",
-		cfg.Episodes, cfg.EpisodeTime, cfg.Seed, time.Now().UTC().Format(time.RFC3339))
-	if err := acc.SaveModel(*out, desc, agent, acc.DefaultConfig()); err != nil {
+	if err := acc.SaveModel(*out, cfg, agent.Eval); err != nil {
 		fmt.Fprintln(os.Stderr, "acctrain:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("trained %d episodes in %v; %d transitions in memory; model -> %s\n",
-		cfg.Episodes, time.Since(t0).Round(time.Millisecond), agent.Memory.Len(), *out)
+	fmt.Printf("trained %d episodes in %v; %d transitions in memory; weights %016x -> %s\n",
+		cfg.Episodes, time.Since(t0).Round(time.Millisecond), agent.Memory.Len(), agent.Eval.Digest(), *out)
 }

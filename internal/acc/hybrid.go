@@ -65,10 +65,7 @@ func DefaultHybridConfig() HybridConfig {
 func NewHybrid(net *netsim.Network, switches []*netsim.Switch, model *rl.MLP, cfg HybridConfig) *Hybrid {
 	tc := cfg.Tuner.normalize()
 	tc.TrainOnline = false
-	ac := tc.Agent
-	if ac.StateDim == 0 {
-		ac = rl.DefaultAgentConfig(tc.StateDim(), len(tc.Template))
-	}
+	ac := tc.AgentConfig()
 	h := &Hybrid{
 		Net: net,
 		Cfg: cfg,

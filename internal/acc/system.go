@@ -1,10 +1,6 @@
 package acc
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-
 	"github.com/accnet/acc/internal/eventq"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/rl"
@@ -100,12 +96,7 @@ func NewSystem(net *netsim.Network, switches []*netsim.Switch, model *rl.MLP, cf
 }
 
 func (s *System) newAgent(net *netsim.Network, model *rl.MLP) *rl.Agent {
-	tc := s.Cfg.Tuner.normalize()
-	ac := tc.Agent
-	if ac.StateDim == 0 {
-		ac = rl.DefaultAgentConfig(tc.StateDim(), len(tc.Template))
-	}
-	a := rl.NewAgent(ac, net.Rng)
+	a := rl.NewAgent(s.Cfg.Tuner.AgentConfig(), net.Rng)
 	if model != nil {
 		a.Eval.CopyFrom(model)
 		a.Target.CopyFrom(model)
@@ -149,50 +140,6 @@ func (s *System) exchange() {
 			t.Agent.Memory.Add(tr)
 		}
 	}
-}
-
-// ModelFile is the on-disk format produced by SaveModel.
-type ModelFile struct {
-	Description string   `json:"description"`
-	StateDim    int      `json:"state_dim"`
-	NumActions  int      `json:"num_actions"`
-	Net         *rl.MLP  `json:"net"`
-	TemplateKB  []string `json:"template,omitempty"` // human-readable template
-}
-
-// SaveModel writes an agent's evaluation network to path as JSON.
-func SaveModel(path, description string, agent *rl.Agent, cfg Config) error {
-	cfg = cfg.normalize()
-	mf := ModelFile{
-		Description: description,
-		StateDim:    cfg.StateDim(),
-		NumActions:  len(cfg.Template),
-		Net:         agent.Eval,
-	}
-	for _, tc := range cfg.Template {
-		mf.TemplateKB = append(mf.TemplateKB, tc.String())
-	}
-	data, err := json.MarshalIndent(mf, "", " ")
-	if err != nil {
-		return fmt.Errorf("acc: encoding model: %w", err)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// LoadModel reads a model saved by SaveModel.
-func LoadModel(path string) (*rl.MLP, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var mf ModelFile
-	if err := json.Unmarshal(data, &mf); err != nil {
-		return nil, fmt.Errorf("acc: decoding model %s: %w", path, err)
-	}
-	if mf.Net == nil {
-		return nil, fmt.Errorf("acc: model file %s has no network", path)
-	}
-	return mf.Net, nil
 }
 
 func min(a, b int) int {

@@ -106,6 +106,16 @@ func DefaultConfig() Config {
 // StateDim returns the agent input dimension for the config.
 func (c Config) StateDim() int { return FeaturesPerSlot * c.HistoryK }
 
+// AgentConfig returns the agent the config deploys: Agent when set,
+// otherwise rl's defaults for the config's state and action template.
+func (c Config) AgentConfig() rl.AgentConfig {
+	c = c.normalize()
+	if c.Agent.StateDim != 0 {
+		return c.Agent
+	}
+	return rl.DefaultAgentConfig(c.StateDim(), len(c.Template))
+}
+
 // tunesPrio reports whether the config tunes the given traffic class.
 func (c Config) tunesPrio(prio int) bool {
 	if len(c.Prios) == 0 {
@@ -209,11 +219,7 @@ type Tuner struct {
 func NewTuner(net *netsim.Network, sw *netsim.Switch, agent *rl.Agent, cfg Config) *Tuner {
 	cfg = cfg.normalize()
 	if agent == nil {
-		ac := cfg.Agent
-		if ac.StateDim == 0 {
-			ac = rl.DefaultAgentConfig(cfg.StateDim(), len(cfg.Template))
-		}
-		agent = rl.NewAgent(ac, net.Rng)
+		agent = rl.NewAgent(cfg.AgentConfig(), net.Rng)
 	}
 	src := netsim.NewCountedSource(rand.NewSource(net.Rng.Int63()))
 	t := &Tuner{

@@ -1,8 +1,6 @@
 package acc
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/accnet/acc/internal/dcqcn"
@@ -185,44 +183,6 @@ func TestSystemExchange(t *testing.T) {
 	}
 	if sys.Global.Len() == 0 {
 		t.Fatal("global replay memory empty after exchanges")
-	}
-}
-
-func TestSaveLoadModel(t *testing.T) {
-	net, fab := buildIncast(6, 4)
-	tuner := NewTuner(net, fab.Leaves[0], nil, DefaultConfig())
-	net.RunUntil(simtime.Time(2 * simtime.Millisecond))
-
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := SaveModel(path, "test", tuner.Agent, DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, DefaultConfig().StateDim())
-	a, b := tuner.Agent.Eval.Forward(x), m.Forward(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("loaded model diverges: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestLoadModelErrors(t *testing.T) {
-	if _, err := LoadModel("/nonexistent/model.json"); err == nil {
-		t.Fatal("expected error for missing file")
-	}
-	p := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(p, []byte("{"), 0o644)
-	if _, err := LoadModel(p); err == nil {
-		t.Fatal("expected error for corrupt file")
-	}
-	p2 := filepath.Join(t.TempDir(), "empty.json")
-	os.WriteFile(p2, []byte("{}"), 0o644)
-	if _, err := LoadModel(p2); err == nil {
-		t.Fatal("expected error for model without network")
 	}
 }
 

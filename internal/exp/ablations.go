@@ -109,7 +109,7 @@ func runAblationBusyIdle(o Options) []*Table {
 		fab := topo.TestbedClos(net, topo.DefaultConfig())
 		scfg := acc.DefaultSystemConfig()
 		scfg.Tuner.BusyIdle = gate
-		sys := acc.NewSystem(net, fab.Switches(), PretrainedModel(o.OfflineEpisodes), scfg)
+		sys := acc.NewSystem(net, fab.Switches(), o.model(), scfg)
 		sys.SetEpsilon(0.01)
 		var col stats.FCTCollector
 		gen := workload.StartPoisson(net, workload.PoissonConfig{

@@ -13,6 +13,8 @@ package exp
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -48,6 +50,11 @@ type Options struct {
 	// OfflineEpisodes overrides pre-training length for ACC policies
 	// (0 = package default).
 	OfflineEpisodes int
+	// Model, when set, is the offline model every ACC arm deploys in place
+	// of PretrainedModel(OfflineEpisodes); ModelFile names the file it was
+	// loaded from, for the run manifest (accsim -model).
+	Model     *rl.MLP
+	ModelFile string
 	// Verbose enables progress output on stdout.
 	Verbose bool
 	// Faults parameterizes the robust-* experiments; zero fields fall back
@@ -322,31 +329,63 @@ func accPolicy() Policy {
 	return Policy{Name: "ACC", ACC: true}
 }
 
-// pretrainedMu guards the lazily trained shared model cache keyed by
-// episode count.
+// pretrainedMu guards the shared model cache keyed by episode count.
 var (
 	pretrainedMu sync.Mutex
 	pretrained   = map[int]*rl.MLP{}
 )
 
-// PretrainedModel returns a cached offline-trained model (§4.3). Training
-// happens once per process per episode budget.
+// PretrainedModel returns the offline-trained model (§4.3) of
+// acc.DefaultOfflineConfig() run for the given number of episodes (0 = the
+// recipe's own). The recipe pretrained_weights.go was generated from is
+// read from that table; any other is trained here, once per process.
 func PretrainedModel(episodes int) *rl.MLP {
-	if episodes <= 0 {
-		episodes = 24
+	cfg := acc.DefaultOfflineConfig()
+	if episodes > 0 {
+		cfg.Episodes = episodes
 	}
 	pretrainedMu.Lock()
 	defer pretrainedMu.Unlock()
-	if m, ok := pretrained[episodes]; ok {
+	if m, ok := pretrained[cfg.Episodes]; ok {
 		return m
 	}
-	cfg := acc.DefaultOfflineConfig()
-	cfg.Episodes = episodes
-	cfg.EpisodeTime = 10 * simtime.Millisecond
-	// Keep the weights only: the trained Eval drags its optimizer tensors
-	// along, and nothing that reads the model (CopyFrom, Forward) wants them.
-	m := acc.TrainOffline(cfg).Eval.Clone()
-	pretrained[episodes] = m
+	var m *rl.MLP
+	if sameRecipe(cfg, pretrainedRecipe()) {
+		params := make([]float64, len(pretrainedBits))
+		for i, b := range pretrainedBits {
+			params[i] = math.Float64frombits(b)
+		}
+		var err error
+		if m, err = rl.NewMLPFromParams(pretrainedSizes[:], params); err != nil {
+			panic("exp: pretrained_weights.go: " + err.Error())
+		}
+	} else {
+		// Keep the weights only: the trained Eval drags its optimizer tensors
+		// along, and nothing that reads the model (CopyFrom, Forward) wants them.
+		m = acc.TrainOffline(cfg).Eval.Clone()
+	}
+	pretrained[cfg.Episodes] = m
+	return m
+}
+
+// sameRecipe reports whether a and b train the same model: every field
+// equal but Progress, which only reports, and the same reward function.
+func sameRecipe(a, b acc.OfflineConfig) bool {
+	ra, rb := reflect.ValueOf(a.Tuner.Reward).Pointer(), reflect.ValueOf(b.Tuner.Reward).Pointer()
+	a.Progress, b.Progress, a.Tuner.Reward, b.Tuner.Reward = nil, nil, nil, nil
+	return ra == rb && reflect.DeepEqual(a, b)
+}
+
+// model returns the offline model every ACC arm deploys, Model or else
+// PretrainedModel(OfflineEpisodes), and records it in the run manifest.
+func (o Options) model() *rl.MLP {
+	m, source := o.Model, o.ModelFile
+	if m == nil {
+		m, source = PretrainedModel(o.OfflineEpisodes), "pretrained"
+	}
+	if o.Obs != nil {
+		o.Obs.SetModel(source, m.Digest())
+	}
 	return m
 }
 
@@ -397,7 +436,7 @@ func deployFull(net *netsim.Network, fab *topo.Fabric, p Policy, o Options) (sto
 		var model *rl.MLP
 		if !p.FreshModel && p.HistoryK == 0 && p.Reward == nil {
 			// Only the paper-shaped state/reward can reuse the shared model.
-			model = PretrainedModel(o.OfflineEpisodes)
+			model = o.model()
 		}
 		if model != nil {
 			// Deploying a pre-trained model: online learning is gentle

@@ -63,7 +63,7 @@ func runHybrid(o Options) []*Table {
 		case "D-ACC":
 			stop = deploy(net, fab, accPolicy(), o)
 		case "Hybrid":
-			h := acc.NewHybrid(net, fab.Switches(), PretrainedModel(o.OfflineEpisodes), acc.DefaultHybridConfig())
+			h := acc.NewHybrid(net, fab.Switches(), o.model(), acc.DefaultHybridConfig())
 			h.SetEpsilon(0.01)
 			stop = h.Stop
 		default:

@@ -28,7 +28,7 @@ func runFig15(o Options) []*Table {
 
 	cfg := acc.DefaultConfig()
 	cfg.RecordTrace = true
-	model := PretrainedModel(o.OfflineEpisodes)
+	model := o.model()
 	ac := rl.DefaultAgentConfig(cfg.StateDim(), len(cfg.Template))
 	ac.LR = 1e-4 // fine-tune only
 	cfg.TrainEvery = 4

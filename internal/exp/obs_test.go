@@ -32,6 +32,9 @@ func TestObsFig8Smoke(t *testing.T) {
 	if !m.Finished || m.Experiment != "fig8" || m.Seed != o.Seed || m.Scale != 0.25 {
 		t.Fatalf("manifest header wrong: %+v", m)
 	}
+	if m.Model != "pretrained" || m.ModelDigest != "fdf261adef8455b4" {
+		t.Fatalf("manifest records model %q digest %q, want the 4-episode pretrained model", m.Model, m.ModelDigest)
+	}
 	if m.Networks == 0 || m.EventsProcessed == 0 || m.PacketsAlloced == 0 {
 		t.Fatalf("engine totals empty: networks=%d events=%d packets=%d",
 			m.Networks, m.EventsProcessed, m.PacketsAlloced)

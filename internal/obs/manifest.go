@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -19,6 +20,12 @@ type Manifest struct {
 	StartedAt  time.Time         `json:"started_at"`
 	WallTimeS  float64           `json:"wall_time_s"`
 	Finished   bool              `json:"finished"`
+
+	// Model names the offline model the run's ACC arms deployed: its file,
+	// or "pretrained" (see Config's offline_episodes); ModelDigest is its
+	// weights' FNV-64a.
+	Model       string `json:"model,omitempty"`
+	ModelDigest string `json:"model_digest,omitempty"`
 
 	// Engine totals summed over every Network the run created.
 	Networks        int    `json:"networks"`
@@ -176,6 +183,16 @@ func (r *Run) SetShards(k int) {
 	}
 	r.mu.Lock()
 	r.man.Shards = k
+	r.mu.Unlock()
+}
+
+// SetModel records the deployed offline model's source and weights digest.
+func (r *Run) SetModel(source string, digest uint64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.man.Model, r.man.ModelDigest = source, fmt.Sprintf("%016x", digest)
 	r.mu.Unlock()
 }
 

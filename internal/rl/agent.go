@@ -106,6 +106,11 @@ func DefaultAgentConfig(stateDim, numActions int) AgentConfig {
 	}
 }
 
+// Sizes returns the layer widths of the agent's networks, input first.
+func (c AgentConfig) Sizes() []int {
+	return append(append([]int{c.StateDim}, c.Hidden...), c.NumActions)
+}
+
 // Agent is a (Double-)DQN learner.
 type Agent struct {
 	//acclint:ignore snapcover construction config; restore overlays onto an agent built with the same AgentConfig
@@ -130,9 +135,7 @@ type Agent struct {
 
 // NewAgent builds an agent with freshly initialized networks.
 func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
-	sizes := append([]int{cfg.StateDim}, cfg.Hidden...)
-	sizes = append(sizes, cfg.NumActions)
-	eval := NewMLP(sizes, rng)
+	eval := NewMLP(cfg.Sizes(), rng)
 	return &Agent{
 		Cfg:     cfg,
 		Eval:    eval,

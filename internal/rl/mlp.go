@@ -10,8 +10,9 @@
 package rl
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -36,7 +37,7 @@ type MLP struct {
 	// theta holds every parameter on one contiguous slice: layer l's
 	// Sizes[l+1]×Sizes[l] weight matrix row-major at off[l], its biases
 	// right behind. W and B are theta's row views, keeping the exported
-	// [layer][out][in] shape and the JSON.
+	// [layer][out][in] shape.
 	theta []float64
 	off   []int
 
@@ -73,6 +74,22 @@ func NewMLP(sizes []int, rng *rand.Rand) *MLP {
 		}
 	}
 	return m
+}
+
+// NewMLPFromParams builds a network of the given shape holding a copy of
+// params, every parameter in the layout Params returns: layer by layer,
+// the weight rows then the biases. A length other than the shape's
+// parameter count is an error.
+func NewMLPFromParams(sizes []int, params []float64) (*MLP, error) {
+	if len(sizes) < 2 || slices.Min(sizes) < 1 {
+		return nil, fmt.Errorf("rl: layer sizes %v", sizes)
+	}
+	m := newMLP(sizes)
+	if len(params) != len(m.theta) {
+		return nil, fmt.Errorf("rl: %d parameters for layer sizes %v, want %d", len(params), sizes, len(m.theta))
+	}
+	copy(m.theta, params)
+	return m, nil
 }
 
 // newMLP allocates a zero network of the given shape: the parameters, their
@@ -123,47 +140,6 @@ func (m *MLP) rows(flat []float64) ([][][]float64, [][]float64) {
 	return w, b
 }
 
-// checkShape reports the first place where the row tensors w, b differ
-// from what sizes prescribes: W[l] is Sizes[l+1] rows of Sizes[l], B[l] is
-// Sizes[l+1] long. Both decoders (model JSON, snapshot) gate on it, so a
-// file cannot produce a network whose Forward reads short or runs off a row.
-func checkShape(sizes []int, w [][][]float64, b [][]float64) error {
-	if len(sizes) < 2 || len(w) != len(sizes)-1 || len(b) != len(w) {
-		return fmt.Errorf("%d layer sizes with %d weight and %d bias layers", len(sizes), len(w), len(b))
-	}
-	for l, n := range sizes {
-		if n < 1 {
-			return fmt.Errorf("layer size %d at index %d", n, l)
-		}
-	}
-	for l := range w {
-		in, out := sizes[l], sizes[l+1]
-		if len(w[l]) != out {
-			return fmt.Errorf("layer %d has %d weight rows, want %d", l, len(w[l]), out)
-		}
-		for o, row := range w[l] {
-			if len(row) != in {
-				return fmt.Errorf("layer %d row %d has %d weights, want %d", l, o, len(row), in)
-			}
-		}
-		if len(b[l]) != out {
-			return fmt.Errorf("layer %d has %d biases, want %d", l, len(b[l]), out)
-		}
-	}
-	return nil
-}
-
-// fill copies shape-checked row tensors into flat, a tensor in theta's
-// layout.
-func (m *MLP) fill(flat []float64, w [][][]float64, b [][]float64) {
-	for l, at := range m.off {
-		for _, row := range w[l] {
-			at += copy(flat[at:], row)
-		}
-		copy(flat[at:], b[l])
-	}
-}
-
 // layer returns layer l's block of a tensor in theta's layout: its weight
 // rows, then its biases.
 func (m *MLP) layer(flat []float64, l int) []float64 {
@@ -173,6 +149,23 @@ func (m *MLP) layer(flat []float64, l int) []float64 {
 
 // NumParams returns the number of trainable parameters.
 func (m *MLP) NumParams() int { return len(m.theta) }
+
+// Params returns the network's parameters, layer by layer the weight rows
+// then the biases: the layout NewMLPFromParams takes. The slice is the
+// network's own.
+func (m *MLP) Params() []float64 { return m.theta }
+
+// Digest is the FNV-64a of the parameters' little-endian Float64bits, in
+// Params order: equal digests mean equal weights, to the bit.
+func (m *MLP) Digest() uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, p := range m.theta {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(p))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
 
 // ForwardFlops estimates multiply-accumulate operations for one inference.
 func (m *MLP) ForwardFlops() int {
@@ -256,32 +249,6 @@ func (m *MLP) CopyFrom(other *MLP) {
 		panic(fmt.Sprintf("rl: CopyFrom %v into %v", other.Sizes, m.Sizes))
 	}
 	copy(m.theta, other.theta)
-}
-
-// mlpJSON is the serialized form.
-type mlpJSON struct {
-	Sizes []int         `json:"sizes"`
-	W     [][][]float64 `json:"w"`
-	B     [][]float64   `json:"b"`
-}
-
-// MarshalJSON serializes the architecture and weights.
-func (m *MLP) MarshalJSON() ([]byte, error) {
-	return json.Marshal(mlpJSON{Sizes: m.Sizes, W: m.W, B: m.B})
-}
-
-// UnmarshalJSON restores a network saved with MarshalJSON.
-func (m *MLP) UnmarshalJSON(data []byte) error {
-	var j mlpJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if err := checkShape(j.Sizes, j.W, j.B); err != nil {
-		return fmt.Errorf("rl: malformed MLP JSON: %v", err)
-	}
-	*m = *newMLP(j.Sizes)
-	m.fill(m.theta, j.W, j.B)
-	return nil
 }
 
 // Argmax returns the index of the largest value (first on ties).

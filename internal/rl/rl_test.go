@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,16 +64,18 @@ func TestMLPTrainOnlyUpdatesChosenAction(t *testing.T) {
 	}
 }
 
+// TestMLPSerializationRoundTrip: Params, read back through
+// NewMLPFromParams, is the same network — the path a compiled-in parameter
+// table takes.
 func TestMLPSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewMLP([]int{4, 8, 3}, rng)
-	data, err := json.Marshal(m)
+	m2, err := NewMLPFromParams(m.Sizes, append([]float64(nil), m.Params()...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m2 MLP
-	if err := json.Unmarshal(data, &m2); err != nil {
-		t.Fatal(err)
+	if m2.Digest() != m.Digest() {
+		t.Fatalf("digest %016x after round trip, want %016x", m2.Digest(), m.Digest())
 	}
 	x := []float64{0.1, 0.2, 0.3, 0.4}
 	a, b := m.Forward(x), m2.Forward(x)
@@ -85,13 +86,23 @@ func TestMLPSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMLPUnmarshalRejectsMalformed(t *testing.T) {
-	var m MLP
-	if err := json.Unmarshal([]byte(`{"sizes":[2],"w":[],"b":[]}`), &m); err == nil {
-		t.Fatal("expected error for single-layer network")
+func TestMLPFromParamsRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		sizes []int
+		n     int
+	}{
+		{[]int{2}, 0},       // no output layer
+		{[]int{2, 0, 1}, 1}, // an empty layer
+		{[]int{-2, 3}, 0},   // a negative width
+		{[]int{2, 3}, 8},    // one parameter short
+		{[]int{2, 3}, 10},   // one parameter over
+	} {
+		if _, err := NewMLPFromParams(tc.sizes, make([]float64, tc.n)); err == nil {
+			t.Errorf("sizes %v with %d parameters: no error", tc.sizes, tc.n)
+		}
 	}
-	if err := json.Unmarshal([]byte(`{"sizes":[2,3],"w":[],"b":[]}`), &m); err == nil {
-		t.Fatal("expected error for mismatched weight count")
+	if _, err := NewMLPFromParams([]int{2, 3}, make([]float64, 9)); err != nil {
+		t.Fatalf("well-formed parameters rejected: %v", err)
 	}
 }
 

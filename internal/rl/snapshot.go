@@ -6,10 +6,11 @@ import (
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
-// Snapshot support: unlike the JSON model files (weights only, for
-// deployment), snapshots must resume training bit-identically, so they
-// carry the full optimizer state (Adam first/second moments and step
-// count), the exploration schedule, and the replay memory contents.
+// Snapshot support: snapshots must resume training bit-identically, so
+// they carry the full optimizer state (Adam first/second moments and step
+// count), the exploration schedule, and the replay memory contents. A
+// model file (acc.SaveModel) is the same MLP image of a weights-only
+// network, its moments zeros.
 
 // SaveState writes the network's weights and complete Adam state. Moments
 // optim has not made yet are written as the zeros they stand for, so the
