@@ -131,6 +131,10 @@ type Agent struct {
 	samples []Sample
 	//acclint:ignore snapcover scratch: overwritten by every ActBoltzmann before it is read
 	probs []float64
+	// The four-sample scratch of learn, made by its first call where the
+	// CPU runs the AVX2 kernels and nil elsewhere.
+	//acclint:ignore snapcover scratch: every pass overwrites it before it is read
+	lanes *lanes
 }
 
 // NewAgent builds an agent with freshly initialized networks.
@@ -193,31 +197,76 @@ func (a *Agent) TrainStep(rng *rand.Rand) float64 {
 
 // learn fits Eval to the (Double-)DQN targets of batch with one optimizer
 // step, syncs the target network on schedule and returns the batch loss.
+// Where the CPU runs the AVX2 kernels, the bootstrap passes of the
+// non-terminal transitions and the training passes go four samples at a
+// time, the remainder one by one.
 func (a *Agent) learn(batch []Transition) float64 {
+	if a.lanes == nil && useAVX2 {
+		a.lanes = newLanes(a.Eval.Sizes)
+	}
 	samples := a.samples[:len(batch)]
+	var four [4]int // non-terminal transitions waiting for a four-sample pass
+	k := 0
 	for i := range batch {
 		t := &batch[i]
-		y := t.Reward
-		if !t.Terminal {
-			var q float64
-			if a.Cfg.DoubleDQN {
-				// DDQN target: evaluation net selects, target net evaluates.
-				sel := Argmax(a.Eval.Forward(t.Next))
-				q = a.Target.Forward(t.Next)[sel]
-			} else {
-				tq := a.Target.Forward(t.Next)
-				q = tq[Argmax(tq)]
-			}
-			y += a.Cfg.Gamma * q
+		samples[i] = Sample{X: t.State, Action: t.Action, Target: t.Reward}
+		if t.Terminal {
+			continue
 		}
-		samples[i] = Sample{X: t.State, Action: t.Action, Target: y}
+		if a.lanes == nil {
+			samples[i].Target += a.Cfg.Gamma * a.bootstrap(t.Next)
+			continue
+		}
+		four[k] = i
+		k++
+		if k == len(four) {
+			a.bootstrap4(batch, samples, four)
+			k = 0
+		}
 	}
-	loss := a.Eval.TrainBatch(samples, a.Cfg.LR)
+	for _, i := range four[:k] {
+		samples[i].Target += a.Cfg.Gamma * a.bootstrap(batch[i].Next)
+	}
+	loss := a.Eval.trainBatch(samples, a.Cfg.LR, a.lanes)
 	a.trainSteps++
 	if a.Cfg.TargetSync > 0 && a.trainSteps%a.Cfg.TargetSync == 0 {
 		a.Target.CopyFrom(a.Eval)
 	}
 	return loss
+}
+
+// bootstrap returns the value the target bootstraps from next: the target
+// network's Q of the action the evaluation network selects (DDQN), or the
+// target network's largest Q.
+func (a *Agent) bootstrap(next []float64) float64 {
+	if a.Cfg.DoubleDQN {
+		sel := Argmax(a.Eval.Forward(next))
+		return a.Target.Forward(next)[sel]
+	}
+	tq := a.Target.Forward(next)
+	return tq[Argmax(tq)]
+}
+
+// bootstrap4 adds γ times bootstrap of their Next to the targets of the
+// four transitions of batch at idx, in one four-sample pass per network.
+func (a *Agent) bootstrap4(batch []Transition, samples []Sample, idx [4]int) {
+	ln := a.lanes
+	ln.load(batch[idx[0]].Next, batch[idx[1]].Next, batch[idx[2]].Next, batch[idx[3]].Next)
+	selector := a.Target
+	if a.Cfg.DoubleDQN {
+		selector = a.Eval
+	}
+	q := selector.forwardLanes(ln)
+	var sel [4]int
+	for s := range sel {
+		sel[s] = argmaxLane(q, s)
+	}
+	if selector != a.Target {
+		q = a.Target.forwardLanes(ln)
+	}
+	for s, i := range idx {
+		samples[i].Target += a.Cfg.Gamma * q[4*sel[s]+s]
+	}
 }
 
 // TrainSteps returns how many optimization steps have run.

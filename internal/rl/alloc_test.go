@@ -125,14 +125,15 @@ func TestAllocNewAgentFootprint(t *testing.T) {
 // TestAllocRestoredAgentSizedByUse: a restored agent holds what its image
 // holds. The target network never trained, so its moments were saved as
 // zeros and come back unallocated; the evaluation network trained and gets
-// its optimizer tensors; the replay backing is as long as what was stored,
-// and the whole overlay allocates less than twice the image's size.
+// its moments, but no gradient buffer or four-sample scratch until it
+// trains again; the replay backing is as long as what was stored, and the
+// whole overlay allocates less than twice the image's size.
 func TestAllocRestoredAgentSizedByUse(t *testing.T) {
 	a, rng := benchAgent()
 	for i := 0; i < 3; i++ {
 		a.TrainStep(rng)
 	}
-	if mom, _, _ := a.Eval.optim(); !slices.ContainsFunc(mom, func(x float64) bool { return x != 0 }) {
+	if mom, _ := a.Eval.optim(); !slices.ContainsFunc(mom, func(x float64) bool { return x != 0 }) {
 		t.Fatal("the evaluation network to save never trained: the test would prove nothing")
 	}
 	w := codec.NewWriter()
@@ -161,7 +162,17 @@ func TestAllocRestoredAgentSizedByUse(t *testing.T) {
 	if b.Eval.m == nil {
 		t.Error("the restored evaluation network lost its moments")
 	}
+	if b.Eval.grad != nil || b.lanes != nil {
+		t.Error("the restored agent has training scratch before it trains")
+	}
 	if got, want := cap(b.Memory.buf), a.Memory.Len(); got != want {
 		t.Errorf("restored replay backing holds %d transitions for %d stored", got, want)
+	}
+	b.TrainStep(rng)
+	if b.Eval.grad == nil {
+		t.Error("the restored evaluation network trained without a gradient buffer")
+	}
+	if b.Target.grad != nil {
+		t.Error("training made a gradient buffer for the target network")
 	}
 }

@@ -1,5 +1,7 @@
 package rl
 
+import "math"
+
 // The dense kernels behind every MLP path. Contract (DESIGN.md "RL
 // kernels"): a dot product adds its terms in ascending input index onto
 // the bias, and a gradient or delta cell adds its contributions in
@@ -8,6 +10,14 @@ package rl
 // do is interleave *independent* sums: four output rows share each load of
 // x (forward) or of the input activation and the delta cell (backward), and
 // their floating-point add chains overlap instead of queueing.
+//
+// The Go kernels below are the whole path on CPUs without AVX2 and the
+// reference the AVX2 kernels (kernels_amd64.s) are tested against. The
+// AVX2 kernels keep the contract per lane: forward4 runs four samples side
+// by side, one per lane; backwardVec and adamVec run four neighbouring
+// cells of one sample, each its own sum. Whatever they cannot fill four
+// lanes with — the last rows of forward4, the last columns of backwardVec,
+// the last cells of adamVec — goes through Go.
 
 // forward computes out[o] = b[o] + Σ_i w[o·n+i]·x[i], n = len(x), for one
 // layer's block p — the len(out)×n row-major matrix w, then the biases b —
@@ -51,6 +61,26 @@ func forward(p, x, out []float64, relu bool) {
 			s = 0
 		}
 		out[o] = s
+	}
+}
+
+// forward4Go is forward for four samples interleaved, unit i of sample s at
+// x4[4i+s] and output o at out4[4o+s], over the output rows from on.
+func forward4Go(p, x4, out4 []float64, relu bool, from int) {
+	n, out := len(x4)/4, len(out4)/4
+	w, b := p[:out*n], p[out*n:][:out]
+	for o := from; o < out; o++ {
+		row := w[o*n:][:n]
+		for s := 0; s < 4; s++ {
+			acc := b[o]
+			for i, wi := range row {
+				acc += wi * x4[4*i+s]
+			}
+			if relu && acc < 0 {
+				acc = 0
+			}
+			out4[4*o+s] = acc
+		}
 	}
 }
 
@@ -119,4 +149,80 @@ func backward(p, g, x, d, prev []float64) {
 			prev[i] += do * wr[i]
 		}
 	}
+}
+
+// adamConsts are one Adam step's scalars, each rounded once by Go: the
+// decay rates and their complements, the learning rate, the two bias
+// corrections and the denominator's epsilon. The AVX2 kernel reads them by
+// offset (go_asm.h).
+type adamConsts struct {
+	beta1, c1, beta2, c2, lr, bc1, bc2, eps float64
+}
+
+// adam applies one Adam update with k to every parameter of theta, from
+// the gradient grad, moving the moments mom and vel.
+func adam(theta, mom, vel, grad []float64, k *adamConsts) {
+	beta1, c1, beta2, c2, lr, bc1, bc2, eps := k.beta1, k.c1, k.beta2, k.c2, k.lr, k.bc1, k.bc2, k.eps
+	mom, vel = mom[:len(theta)], vel[:len(theta)]
+	for i, g := range grad[:len(theta)] {
+		mi := beta1*mom[i] + c1*g
+		vi := beta2*vel[i] + c2*g*g
+		mom[i], vel[i] = mi, vi
+		theta[i] -= lr * (mi / bc1) / (math.Sqrt(vi/bc2) + eps)
+	}
+}
+
+// forward4 is forward4Go over every row, with the AVX2 kernel taking the
+// rows four at a time. Only the four-sample path calls it, and that path
+// runs only where useAVX2 holds.
+func forward4(p, x4, out4 []float64, relu bool) {
+	n, out := len(x4)/4, len(out4)/4
+	p, x4, out4 = p[:(n+1)*out], x4[:4*n], out4[:4*out]
+	blocks := out &^ 3
+	if blocks > 0 {
+		forward4AVX2(p, x4, out4, relu)
+	}
+	forward4Go(p, x4, out4, relu, blocks)
+}
+
+// backwardVec is backward, with the AVX2 kernel taking the columns four at
+// a time where the CPU has it and Go the rest.
+func backwardVec(p, g, x, d, prev []float64) {
+	n := len(x)
+	if !useAVX2 || n < 4 {
+		backward(p, g, x, d, prev)
+		return
+	}
+	size := (n + 1) * len(d)
+	p, g = p[:size], g[:size]
+	if prev != nil {
+		prev = prev[:n]
+	}
+	backwardAVX2(p, g, x, d, prev)
+	if n%4 == 0 {
+		return
+	}
+	for o, do := range d {
+		if do == 0 {
+			continue
+		}
+		for i := n &^ 3; i < n; i++ {
+			g[o*n+i] += do * x[i]
+			if prev != nil {
+				prev[i] += do * p[o*n+i]
+			}
+		}
+	}
+}
+
+// adamVec is adam, with the AVX2 kernel taking the cells four at a time
+// where the CPU has it and Go the rest.
+func adamVec(theta, mom, vel, grad []float64, k *adamConsts) {
+	done := 0
+	if useAVX2 {
+		mom, vel, grad = mom[:len(theta)], vel[:len(theta)], grad[:len(theta)]
+		adamAVX2(theta, mom, vel, grad, k)
+		done = len(theta) &^ 3
+	}
+	adam(theta[done:], mom[done:], vel[done:], grad[done:], k)
 }

@@ -4,9 +4,11 @@
 // ε-greedy exploration and periodic target-network synchronization — the
 // algorithmic stack of the paper's §3.4.
 //
-// Everything is pure Go over float64 slices; no external tensor library is
-// used (or available) — the paper's network is four small dense layers
-// ({20,40,40,20} nodes, §6 "Resource Consumption"), for which this is ample.
+// The arithmetic is float64 slices and hand-written kernels; no external
+// tensor library is used (or available) — the paper's network is four small
+// dense layers ({20,40,40,20} nodes, §6 "Resource Consumption"). The kernels
+// are Go, plus AVX2 assembly on amd64 CPUs that have it, chosen once at
+// start-up and bit-identical to the Go kernels (kernels.go).
 package rl
 
 import (
@@ -42,13 +44,17 @@ type MLP struct {
 	off   []int
 
 	// The optimizer tensors, in theta's layout so a step is one flat loop:
-	// m and v (Adam moments; m doubles as SGD velocity) and grad (the batch
-	// gradient, zeroed by each gradients call). All three are nil — read as
+	// m and v, the Adam moments (m doubles as SGD velocity), nil — read as
 	// zeros, saved as zeros — until optim makes them for a network's first
-	// training step, so a network that only infers (every target net, a
-	// frozen policy, the cached pre-trained model) is theta and scratch.
-	m, v, grad []float64
-	adamT      int
+	// training step or a restore that carries them; grad, the batch
+	// gradient, nil until the first gradients call. A network that only
+	// infers (every target net, a frozen policy, the cached pre-trained
+	// model) is theta and scratch; a restored one that never trains again
+	// holds its moments and no gradient.
+	m, v []float64
+	//acclint:ignore snapcover scratch: every gradients call zeroes it before it is read
+	grad  []float64
+	adamT int
 
 	// Scratch: acts[l] is layer l's input (acts[0] aliases the caller's),
 	// acts[len(W)] the output Forward returns; delta[l] backs layer l's
@@ -112,15 +118,15 @@ func newMLP(sizes []int) *MLP {
 	return m
 }
 
-// optim returns the optimizer tensors m, v and grad, making them — zeroed,
-// on one backing array — the first time the network trains.
-func (m *MLP) optim() (mom, vel, grad []float64) {
+// optim returns the Adam moments m and v, making them — zeroed, on one
+// backing array — the first time the network trains.
+func (m *MLP) optim() (mom, vel []float64) {
 	if m.m == nil {
 		n := len(m.theta)
-		buf := make([]float64, 3*n)
-		m.m, m.v, m.grad = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+		buf := make([]float64, 2*n)
+		m.m, m.v = buf[:n:n], buf[n:]
 	}
-	return m.m, m.v, m.grad
+	return m.m, m.v
 }
 
 // rows returns the [layer][out][in] and [layer][out] views of a tensor in
@@ -167,7 +173,8 @@ func (m *MLP) Digest() uint64 {
 	return h.Sum64()
 }
 
-// ForwardFlops estimates multiply-accumulate operations for one inference.
+// ForwardFlops returns the floating-point operations of one inference: a
+// multiply and an add per weight, 2·in·out per layer.
 func (m *MLP) ForwardFlops() int {
 	n := 0
 	for l := 0; l < len(m.Sizes)-1; l++ {
@@ -206,10 +213,16 @@ type Sample struct {
 // TrainBatch performs one Adam step on the mean squared error of the batch
 // and returns the batch loss.
 func (m *MLP) TrainBatch(batch []Sample, lr float64) float64 {
+	return m.trainBatch(batch, lr, nil)
+}
+
+// trainBatch is TrainBatch, running the batch's passes four samples at a
+// time through ln when it is not nil.
+func (m *MLP) trainBatch(batch []Sample, lr float64, ln *lanes) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	loss := m.gradients(batch)
+	loss := m.gradients(batch, ln)
 	m.adamStep(lr)
 	return loss
 }
@@ -223,17 +236,16 @@ func (m *MLP) adamStep(lr float64) {
 		eps   = 1e-8
 	)
 	m.adamT++
-	bc1 := 1 - math.Pow(beta1, float64(m.adamT))
-	bc2 := 1 - math.Pow(beta2, float64(m.adamT))
-	theta := m.theta
-	mom, vel, grad := m.optim()
-	mom, vel = mom[:len(theta)], vel[:len(theta)]
-	for i, g := range grad[:len(theta)] {
-		mi := beta1*mom[i] + (1-beta1)*g
-		vi := beta2*vel[i] + (1-beta2)*g*g
-		mom[i], vel[i] = mi, vi
-		theta[i] -= lr * (mi / bc1) / (math.Sqrt(vi/bc2) + eps)
+	k := adamConsts{
+		beta1: beta1, c1: 1 - beta1,
+		beta2: beta2, c2: 1 - beta2,
+		lr:  lr,
+		bc1: 1 - math.Pow(beta1, float64(m.adamT)),
+		bc2: 1 - math.Pow(beta2, float64(m.adamT)),
+		eps: eps,
 	}
+	mom, vel := m.optim()
+	adamVec(m.theta, mom, vel, m.grad, &k)
 }
 
 // Clone returns a deep copy (optimizer state reset).

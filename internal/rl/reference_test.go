@@ -37,10 +37,10 @@ func refFrom(m *MLP) *refMLP {
 		}
 		return out
 	}
-	mom, vel, grad := m.optim()
+	mom, vel := m.optim()
 	mW, mB := m.rows(mom)
 	vW, vB := m.rows(vel)
-	gW, gB := m.rows(grad)
+	gW, gB := m.rows(gradOrZeros(m))
 	r.W, r.mW, r.vW, r.gW = dup3(m.W), dup3(mW), dup3(vW), dup3(gW)
 	r.B, r.mB, r.vB, r.gB = dup2(m.B), dup2(mB), dup2(vB), dup2(gB)
 	r.delta = dup2(m.B)
@@ -248,10 +248,10 @@ func sameBits(t *testing.T, a, b []float64, what ...any) {
 func sameTensors(t *testing.T, m *MLP, r *refMLP, what ...any) {
 	t.Helper()
 	what = append(what, " layer ")
-	mom, vel, grad := m.optim()
+	mom, vel := m.optim()
 	mW, mB := m.rows(mom)
 	vW, vB := m.rows(vel)
-	gW, gB := m.rows(grad)
+	gW, gB := m.rows(gradOrZeros(m))
 	for l := range m.W {
 		for o := range m.W[l] {
 			sameBits(t, m.W[l][o], r.W[l][o], append(what, l, " W row ", o)...)
@@ -267,6 +267,15 @@ func sameTensors(t *testing.T, m *MLP, r *refMLP, what ...any) {
 	if m.adamT != r.adamT {
 		t.Fatalf("%s: adamT %d vs reference %d", fmt.Sprint(what...), m.adamT, r.adamT)
 	}
+}
+
+// gradOrZeros returns m's gradient buffer, or the zeros it stands for
+// before the network's first gradients call.
+func gradOrZeros(m *MLP) []float64 {
+	if m.grad == nil {
+		return make([]float64, len(m.theta))
+	}
+	return m.grad
 }
 
 // diffShapes exercise every tail of the four-row blocking (row counts 1, 3,
@@ -304,38 +313,55 @@ func randVec(rng *rand.Rand, n int) []float64 {
 
 // TestDifferentialKernels holds Forward, gradients, loss, Adam and SGD to
 // the reference arithmetic bit for bit, on shapes with every blocking tail,
-// batches on both sides of a block of samples, and dead units.
+// batches on both sides of a block of samples, and dead units — one sample
+// at a time through TrainBatch and TrainBatchSGD, and, where the CPU runs
+// the AVX2 kernels, four at a time through the Agent's scratch.
 func TestDifferentialKernels(t *testing.T) {
 	for si, sizes := range diffShapes {
 		for _, batchSize := range []int{1, 31, 32} {
 			for _, sgd := range []bool{false, true} {
-				name := fmt.Sprintf("%v/batch%d/sgd=%v", sizes, batchSize, sgd)
-				rng := rand.New(rand.NewSource(int64(100*si + batchSize)))
-				m := NewMLP(sizes, rng)
-				killUnits(m, rng)
-				ref := refFrom(m)
-				nOut := sizes[len(sizes)-1]
-				for step := 0; step < 12; step++ {
-					x := randVec(rng, sizes[0])
-					sameBits(t, m.Forward(x), ref.forward(x), name, " Forward")
+				for _, four := range []bool{false, true} {
+					if four && !useAVX2 {
+						continue
+					}
+					name := fmt.Sprintf("%v/batch%d/sgd=%v/four=%v", sizes, batchSize, sgd, four)
+					rng := rand.New(rand.NewSource(int64(100*si + batchSize)))
+					m := NewMLP(sizes, rng)
+					killUnits(m, rng)
+					ref := refFrom(m)
+					var ln *lanes
+					if four {
+						ln = newLanes(sizes)
+					}
+					nOut := sizes[len(sizes)-1]
+					for step := 0; step < 12; step++ {
+						x := randVec(rng, sizes[0])
+						sameBits(t, m.Forward(x), ref.forward(x), name, " Forward")
 
-					batch := make([]Sample, batchSize)
-					for i := range batch {
-						batch[i] = Sample{X: randVec(rng, sizes[0]), Action: rng.Intn(nOut), Target: rng.NormFloat64()}
+						batch := make([]Sample, batchSize)
+						for i := range batch {
+							batch[i] = Sample{X: randVec(rng, sizes[0]), Action: rng.Intn(nOut), Target: rng.NormFloat64()}
+						}
+						if step%4 == 3 {
+							// A sample the network already fits exactly: its
+							// error, hence every delta of its pass, is zero.
+							batch[0].Target = ref.forward(batch[0].X)[batch[0].Action]
+						}
+						var loss, want float64
+						switch {
+						case four && sgd:
+							loss, want = m.gradients(batch, ln), ref.trainBatchSGD(batch, 1e-2, 0.9)
+							m.sgdStep(1e-2, 0.9)
+						case four:
+							loss, want = m.trainBatch(batch, 1e-2, ln), ref.trainBatch(batch, 1e-2)
+						case sgd:
+							loss, want = m.TrainBatchSGD(batch, 1e-2, 0.9), ref.trainBatchSGD(batch, 1e-2, 0.9)
+						default:
+							loss, want = m.TrainBatch(batch, 1e-2), ref.trainBatch(batch, 1e-2)
+						}
+						sameBits(t, []float64{loss}, []float64{want}, name, " loss")
+						sameTensors(t, m, ref, name, " step ", step)
 					}
-					if step%4 == 3 {
-						// A sample the network already fits exactly: its
-						// error, hence every delta of its pass, is zero.
-						batch[0].Target = ref.forward(batch[0].X)[batch[0].Action]
-					}
-					var loss, want float64
-					if sgd {
-						loss, want = m.TrainBatchSGD(batch, 1e-2, 0.9), ref.trainBatchSGD(batch, 1e-2, 0.9)
-					} else {
-						loss, want = m.TrainBatch(batch, 1e-2), ref.trainBatch(batch, 1e-2)
-					}
-					sameBits(t, []float64{loss}, []float64{want}, name, " loss")
-					sameTensors(t, m, ref, name, " step ", step)
 				}
 			}
 		}
