@@ -13,8 +13,9 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the checked-in golden tables under testdata/")
 
-// TestGoldenTables pins the rendered fig8 and robust-linkfail tables to
-// checked-in byte-exact golden files. TestDeterminismSameSeed only proves a
+// TestGoldenTables pins the rendered tables of every figure the benchmark's
+// paper-figs workload runs (fig6, fig8, fig10, fig14, fig16) and of
+// robust-linkfail to checked-in byte-exact golden files. TestDeterminismSameSeed only proves a
 // run agrees with itself; this test proves the output also agrees with the
 // output of every previous checkout — the property that lets the event
 // scheduler (or any other engine internals) be rewritten with confidence.
@@ -28,7 +29,7 @@ func TestGoldenTables(t *testing.T) {
 	o := DefaultOptions()
 	o.Scale = 0.25
 	o.OfflineEpisodes = 4
-	for _, id := range []string{"fig8", "robust-linkfail"} {
+	for _, id := range []string{"fig6", "fig8", "fig10", "fig14", "fig16", "robust-linkfail"} {
 		tables, err := Run(id, o)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
