@@ -16,7 +16,7 @@ import (
 // the sharded engine stay pinned under mutation.
 
 // refCallAtSeq mirrors Queue.CallAtSeq on the reference heap. It lives in
-// the test, not reference.go: the reference is a frozen copy of the
+// the fuzz test, not reference_test.go: the reference is a frozen copy of the
 // pre-calendar scheduler, and keyed scheduling only needs the heap's
 // ordering, which already compares (at, seq).
 func refCallAtSeq(q *refQueue, t simtime.Time, seq uint64, fn func(any), arg any) {

@@ -320,3 +320,139 @@ func TestRecoveryTime(t *testing.T) {
 		t.Error("recovery reported with no pre-fault baseline")
 	}
 }
+
+// TestInjectorHealClosesFaultWindow: Heal is a repair like any other. After
+// TestInjectorHeal's plan (one link down, one brownout) it must log one
+// repair per link it restores and close the fault window at the heal
+// instant, so recovery is measured from there.
+func TestInjectorHealClosesFaultWindow(t *testing.T) {
+	net, fab := leafSpine(1)
+	var plan Plan
+	plan.LinkDownUp(LeafSpine, 1, 0, simtime.Second)
+	plan.Brownout(HostLeaf, 0, 0.25, 0, simtime.Second)
+	in, err := NewInjector(net, fab, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Start()
+	healAt := simtime.Time(0).Add(simtime.Microsecond)
+	net.RunUntil(healAt)
+	in.Stop()
+	in.Heal()
+	if in.active != 0 {
+		t.Errorf("%d faults still counted active on a healthy fabric", in.active)
+	}
+	if in.LastRepairAt != healAt {
+		t.Errorf("LastRepairAt = %v, want the heal instant %v", in.LastRepairAt, healAt)
+	}
+	var kinds []Kind
+	for _, a := range in.Log {
+		if a.At == healAt {
+			kinds = append(kinds, a.Kind)
+		}
+	}
+	if want := []Kind{LinkUp, Restore}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("Heal logged %v, want %v", kinds, want)
+	}
+	// The plan's own repairs find nothing left to do.
+	net.Run()
+	if in.active != 0 || in.LastRepairAt != healAt {
+		t.Errorf("after the plan drained: active %d, LastRepairAt %v; want 0, %v", in.active, in.LastRepairAt, healAt)
+	}
+}
+
+// healFlapped runs a one-link flap that has failed link 0 by 60 µs with its
+// repair still pending, and heals the fabric then. It reports false when the
+// seed's flap process did not leave the link down at that instant.
+func healFlapped(t *testing.T, seed int64, plan Plan) (*netsim.Network, *Injector, bool) {
+	t.Helper()
+	net, fab := leafSpine(seed)
+	plan.Flaps = []Flap{{Role: LeafSpine, Links: 1, MTBF: 20 * simtime.Microsecond, MTTR: 100 * simtime.Millisecond}}
+	in, err := NewInjector(net, fab, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Start()
+	net.RunUntil(simtime.Time(0).Add(60 * simtime.Microsecond))
+	if in.FlapDowns != 1 || !in.Links().Of(LeafSpine)[0].Down() {
+		return net, in, false
+	}
+	in.Heal()
+	return net, in, true
+}
+
+// TestHealSupersedesPendingFlapRepair: a flap repair Heal already performed
+// must not raise the link a second time. Here a plan failure takes link 0
+// down again after the heal, and the stale repair would bring it up in the
+// middle of that failure and count a repair that never was.
+func TestHealSupersedesPendingFlapRepair(t *testing.T) {
+	exercised := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		var plan Plan
+		plan.Horizon = 50 * simtime.Microsecond
+		plan.LinkDownUp(LeafSpine, 0, 70*simtime.Microsecond, simtime.Second)
+		net, in, ok := healFlapped(t, seed, plan)
+		if !ok {
+			continue
+		}
+		exercised++
+		healAt := net.Now()
+		link := in.Links().Of(LeafSpine)[0]
+		for _, at := range []simtime.Duration{100 * simtime.Microsecond, simtime.Millisecond, 500 * simtime.Millisecond, 999 * simtime.Millisecond} {
+			net.RunUntil(simtime.Time(0).Add(at))
+			if !link.Down() {
+				t.Fatalf("seed %d: link 0 up at %v, inside the plan's failure: the healed flap repair ran", seed, at)
+			}
+		}
+		if in.LastRepairAt != healAt {
+			t.Errorf("seed %d: LastRepairAt = %v, want the heal instant %v", seed, in.LastRepairAt, healAt)
+		}
+		net.Run()
+		ups := 0
+		for _, a := range in.Log {
+			if a.Kind == LinkUp {
+				ups++
+			}
+		}
+		// One from Heal, one from the plan's own repair at 1 s.
+		if ups != 2 || in.active != 0 {
+			t.Errorf("seed %d: %d LinkUp records and %d active faults after the run, want 2 and 0: %v", seed, ups, in.active, in.Log)
+		}
+	}
+	if exercised == 0 {
+		t.Fatal("no seed left link 0 flapped down at the heal instant")
+	}
+}
+
+// TestHealedFlapRepairRearms: when the injector is still running, the
+// superseded repair event still re-arms the link's next failure, as the
+// repair would have, so Heal does not end a flap process.
+func TestHealedFlapRepairRearms(t *testing.T) {
+	exercised := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		net, in, ok := healFlapped(t, seed, Plan{})
+		if !ok {
+			continue
+		}
+		exercised++
+		net.RunUntil(simtime.Time(0).Add(2 * simtime.Second))
+		if in.FlapDowns < 2 {
+			t.Errorf("seed %d: %d flap failures in 2 s at MTBF 20 µs: Heal ended the flap process", seed, in.FlapDowns)
+		}
+		downs, ups := 0, 0
+		for _, a := range in.Log {
+			switch a.Kind {
+			case LinkDown:
+				downs++
+			case LinkUp:
+				ups++
+			}
+		}
+		if open := downs - ups; open != in.active || open < 0 || open > 1 {
+			t.Errorf("seed %d: %d downs, %d ups, %d active: each failure must have exactly one repair", seed, downs, ups, in.active)
+		}
+	}
+	if exercised == 0 {
+		t.Fatal("no seed left link 0 flapped down at the heal instant")
+	}
+}

@@ -27,16 +27,20 @@ type Injector struct {
 
 	links *LinkSet
 	rng   *rand.Rand
-	// nominal remembers each degraded port's pre-fault bandwidth; degraded
-	// keeps the same ports in insertion order so Heal restores them
-	// deterministically (a map range would replay in a different order
-	// each run, reordering any events SetBandwidth-adjacent code emits).
-	nominal  map[*netsim.Port]simtime.Rate
-	degraded []*netsim.Port
-	start    simtime.Time
-	started  bool
-	stopped  bool
-	active   int // faults currently in effect (down or degraded links)
+	// degraded lists the links in a brownout with their ends' pre-fault
+	// bandwidths, in the order they were degraded, so Heal restores them
+	// deterministically.
+	degraded []brownout
+	// flapDown maps each link a flap process failed (by its A end) to the
+	// serial of that failure, until the failure is repaired by its own
+	// repair event or by Heal; a repair event whose serial is no longer
+	// listed finds its work done.
+	flapDown   map[*netsim.Port]uint64
+	flapSerial uint64
+	start      simtime.Time
+	started    bool
+	stopped    bool
+	active     int // faults currently in effect (down or degraded links)
 
 	// Log is every action applied, in application order.
 	Log []Applied
@@ -59,12 +63,19 @@ func NewInjector(net *netsim.Network, fab *topo.Fabric, plan Plan) (*Injector, e
 		return nil, err
 	}
 	return &Injector{
-		Net:     net,
-		Plan:    plan,
-		links:   links,
-		rng:     rand.New(rand.NewSource(net.Rng.Int63())),
-		nominal: make(map[*netsim.Port]simtime.Rate),
+		Net:      net,
+		Plan:     plan,
+		links:    links,
+		rng:      rand.New(rand.NewSource(net.Rng.Int63())),
+		flapDown: make(map[*netsim.Port]uint64),
 	}, nil
+}
+
+// brownout is one degraded link and the nominal bandwidths of its A and B
+// ends.
+type brownout struct {
+	link    Link
+	nominal [2]simtime.Rate
 }
 
 // Links exposes the bound link set (for experiments that report per-link
@@ -102,22 +113,27 @@ func (in *Injector) Start() {
 func (in *Injector) Stop() { in.stopped = true }
 
 // Heal force-repairs the fabric: every downed link in the set comes up and
-// every degraded port returns to nominal bandwidth.
+// every degraded link returns to nominal bandwidth. Each link restored
+// counts as one repair and is logged (LinkUp or Restore), exactly as the
+// plan's own repair would have been. A flap repair still pending for a link
+// Heal raised is then not performed again; it only re-arms the link's next
+// failure if the injector is still running.
 func (in *Injector) Heal() {
 	for r := Role(0); r < numRoles; r++ {
 		for _, l := range in.links.Of(r) {
 			if l.Down() {
 				l.A.SetDown(false)
+				delete(in.flapDown, l.A)
 				in.record(LinkUp, l)
 				in.markRepair()
 			}
 		}
 	}
-	for _, port := range in.degraded {
-		port.SetBandwidth(in.nominal[port])
+	for len(in.degraded) > 0 {
+		l := in.degraded[0].link
+		in.restore(l)
+		in.record(Restore, l)
 	}
-	in.nominal = make(map[*netsim.Port]simtime.Rate)
-	in.degraded = in.degraded[:0]
 }
 
 // apply performs one timeline event.
@@ -142,39 +158,38 @@ func (in *Injector) apply(ev Event) {
 	in.record(ev.Kind, l)
 }
 
-func (in *Injector) degrade(l Link, factor float64) {
-	fresh := false
-	for _, port := range [2]*netsim.Port{l.A, l.B} {
-		if _, ok := in.nominal[port]; !ok {
-			in.nominal[port] = port.Bandwidth
-			in.degraded = append(in.degraded, port)
-			fresh = true
+// brownoutOf returns the index of l in degraded, or -1.
+func (in *Injector) brownoutOf(l Link) int {
+	for i, b := range in.degraded {
+		if b.link.A == l.A {
+			return i
 		}
-		port.SetBandwidth(in.nominal[port] * simtime.Rate(factor))
 	}
-	if fresh {
+	return -1
+}
+
+func (in *Injector) degrade(l Link, factor float64) {
+	i := in.brownoutOf(l)
+	if i < 0 {
+		in.degraded = append(in.degraded, brownout{link: l, nominal: [2]simtime.Rate{l.A.Bandwidth, l.B.Bandwidth}})
+		i = len(in.degraded) - 1
 		in.markFault()
 	}
+	b := in.degraded[i]
+	l.A.SetBandwidth(b.nominal[0] * simtime.Rate(factor))
+	l.B.SetBandwidth(b.nominal[1] * simtime.Rate(factor))
 }
 
 func (in *Injector) restore(l Link) {
-	restored := false
-	for _, port := range [2]*netsim.Port{l.A, l.B} {
-		if bw, ok := in.nominal[port]; ok {
-			port.SetBandwidth(bw)
-			delete(in.nominal, port)
-			for i, p := range in.degraded {
-				if p == port {
-					in.degraded = append(in.degraded[:i], in.degraded[i+1:]...)
-					break
-				}
-			}
-			restored = true
-		}
+	i := in.brownoutOf(l)
+	if i < 0 {
+		return
 	}
-	if restored {
-		in.markRepair()
-	}
+	b := in.degraded[i]
+	l.A.SetBandwidth(b.nominal[0])
+	l.B.SetBandwidth(b.nominal[1])
+	in.degraded = append(in.degraded[:i], in.degraded[i+1:]...)
+	in.markRepair()
 }
 
 // scheduleFlap arms the next failure of one flapping link.
@@ -188,13 +203,20 @@ func (in *Injector) scheduleFlap(l Link, f Flap) {
 		l.A.SetDown(true)
 		in.FlapDowns++
 		in.record(LinkDown, l)
+		in.flapSerial++
+		serial := in.flapSerial
+		in.flapDown[l.A] = serial
 		down := simtime.Duration(in.rng.ExpFloat64() * float64(f.MTTR))
 		in.Net.Q.After(down, func() {
 			// The repair always runs — even stopped or past-horizon
-			// injectors never strand a link they failed.
-			l.A.SetDown(false)
-			in.markRepair()
-			in.record(LinkUp, l)
+			// injectors never strand a link they failed — unless Heal
+			// already performed it.
+			if in.flapDown[l.A] == serial {
+				delete(in.flapDown, l.A)
+				l.A.SetDown(false)
+				in.markRepair()
+				in.record(LinkUp, l)
+			}
 			if !in.stopped && !in.pastHorizon() {
 				in.scheduleFlap(l, f)
 			}

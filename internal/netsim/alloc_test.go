@@ -126,6 +126,38 @@ func TestAllocFreeForwardDownedUplink(t *testing.T) {
 	}
 }
 
+// TestAllocFreeForwardAndDeliver pins a switched hop at zero allocations on
+// both table lookups it makes: the switch's route classes, and the Network's
+// endpoint table, through a slot and through the overflow map (a third host
+// bound on one id, and an id far beyond the table's bound).
+func TestAllocFreeForwardAndDeliver(t *testing.T) {
+	net, h1, h2, _ := rig(t, nil)
+	h3 := NewHost(net, "h3")
+	delivered, sent := 0, 0
+	flows := []FlowID{1, 2, 3, 4, 5, 6, 7, 8, 1 << 40}
+	for _, f := range flows {
+		h1.Register(f, EndpointFunc(func(*Packet) {}))
+		h2.Register(f, EndpointFunc(func(*Packet) { delivered++ }))
+	}
+	h3.Register(1, EndpointFunc(func(*Packet) {}))
+	if len(net.endpoints.over) != 3 {
+		t.Fatalf("%d overflow bindings, want 3: the overflow lookup is not exercised", len(net.endpoints.over))
+	}
+	sendOne := func() {
+		sendPooled(net, h1, h2, flows[sent%len(flows)])
+		sent++
+	}
+	for i := 0; i < 64; i++ {
+		sendOne()
+	}
+	if avg := testing.AllocsPerRun(1000, sendOne); avg != 0 {
+		t.Fatalf("a switched hop with table dispatch allocates %v/op, want 0", avg)
+	}
+	if delivered != sent {
+		t.Fatalf("delivered %d of %d packets", delivered, sent)
+	}
+}
+
 // TestAllocFreeSaturatedLinkResidency pins what a FIFO that never empties
 // costs: a closed loop keeps eight packets between h1's NIC queue and the
 // wire for 10^5 packets, so neither the flight ring nor the queue ever

@@ -21,7 +21,7 @@ func (f EndpointFunc) Handle(pkt *Packet) { f(pkt) }
 
 // Host is an end server with a single NIC port. Transports enqueue packets
 // through Send; inbound packets are dispatched to the Endpoint registered
-// for their flow.
+// for their flow (in the owning Network's endpoint table).
 type Host struct {
 	id int
 	//acclint:ignore snapcover construction identity (topology naming); not part of dynamic state
@@ -30,9 +30,6 @@ type Host struct {
 	//acclint:ignore snapcover per-node stream wrapper; Network.SaveState saves each stream's draw count and restore fast-forwards it
 	rng  *rand.Rand // per-node stream keyed on (seed, id); see Network.nodeRng
 	Port *Port
-
-	//acclint:ignore snapcover transport registration; restore resets it (ResetEndpoints) and the rebuilt transports re-register
-	endpoints map[FlowID]Endpoint
 
 	// PauseHooks are notified when the NIC's pause state changes, letting
 	// rate-based transports observe PFC back-pressure.
@@ -49,7 +46,7 @@ func NewHost(net *Network, name string) *Host {
 // builds that must reproduce the sequential build's id assignment (node ids
 // double as routing addresses).
 func NewHostAt(net *Network, name string, id int) *Host {
-	h := &Host{name: name, net: net, endpoints: make(map[FlowID]Endpoint)}
+	h := &Host{name: name, net: net}
 	h.id = net.registerAt(h, id)
 	h.rng = net.nodeRng(h.id)
 	return h
@@ -72,16 +69,15 @@ func (h *Host) AttachPort(bw simtime.Rate, delay simtime.Duration, weights []int
 	return h.Port
 }
 
-// Register binds an endpoint to a flow id for inbound dispatch.
-func (h *Host) Register(f FlowID, e Endpoint) { h.endpoints[f] = e }
+// Register binds an endpoint to a flow id for inbound dispatch at h,
+// replacing the host's previous binding of that id.
+func (h *Host) Register(f FlowID, e Endpoint) { h.net.endpoints.set(h, f, e) }
 
 // Unregister removes a flow binding.
-func (h *Host) Unregister(f FlowID) { delete(h.endpoints, f) }
+func (h *Host) Unregister(f FlowID) { h.net.endpoints.unset(h, f) }
 
-// ResetEndpoints removes every flow binding. Snapshot restore uses it to
-// discard construction-time transports the overlay supersedes (hybrid
-// applications start due flows synchronously at apply time).
-func (h *Host) ResetEndpoints() { clear(h.endpoints) }
+// Endpoint returns the endpoint registered for flow f at h, or nil.
+func (h *Host) Endpoint(f FlowID) Endpoint { return h.net.endpoints.get(h, f) }
 
 // Send enqueues a packet on the NIC egress queue for its priority. The
 // network owns the packet from this point on; a WRED drop at the NIC retires
@@ -114,7 +110,7 @@ func (h *Host) Receive(pkt *Packet, in *Port) {
 		h.net.ReleasePacket(pkt)
 		return
 	}
-	if e, ok := h.endpoints[pkt.Flow]; ok {
+	if e := h.net.endpoints.get(h, pkt.Flow); e != nil {
 		e.Handle(pkt)
 	}
 	h.net.ReleasePacket(pkt)

@@ -29,12 +29,14 @@ func TestLayout(t *testing.T) {
 			// Enqueue and trySend's idle-or-busy check: down's line, where
 			// PR 17 paid to put touched and watch.
 			{"busy", "down", "paused", "touched", "watch", "prioQ", "Queues", "Peer", "net"},
-			// The rest of trySend.
-			{"remote", "rr", "quantum", "Bandwidth", "txPkt", "txAt", "txEvSeq"},
+			// The rest of trySend, with the serialization-time memo on the
+			// line that holds the Bandwidth it is keyed on.
+			{"rr", "Bandwidth", "txPkt", "txAt", "txEvSeq", "txMemoSize", "txMemoRate", "txMemo"},
 			// txDone, deliver, and the receiving end of an arrival.
 			{"Owner", "Index", "RxBytesTotal", "TxBytesTotal", "Delay", "rxStream", "txSeq", "txDoneFn"},
-			// The wire: deliver pushes, arrive pops.
-			{"flight", "arriveFn", "remoteArriveFn"},
+			// The wire: deliver pushes, arrive pops; remote, which deliver
+			// reads and trySend only for a port with no Peer.
+			{"flight", "arriveFn", "remoteArriveFn", "remote"},
 		}},
 		{reflect.TypeOf(EgressQueue{}), 256, [][]string{
 			// push and pop.

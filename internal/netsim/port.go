@@ -22,7 +22,8 @@ type EgressQueue struct {
 	bytes      int
 	byteTime   float64 // ∫ qlen dt, in byte·seconds
 	lastChange simtime.Time
-	clock      func() simtime.Time
+	//acclint:ignore snapcover construction wiring: the owning Network's event queue, read for the clock
+	clock *eventq.Queue
 
 	// Line 1 — admission (Enqueue, CanInject) and the DWRR turn.
 	ECNEnabled bool
@@ -85,13 +86,15 @@ func (q *EgressQueue) Parked() []WaiterRef {
 	return refs
 }
 
-// accrue integrates qlen·dt up to the current time.
+// accrue integrates qlen·dt up to the current time. A step over an empty
+// queue or over no elapsed time would add exactly +0 to a non-negative sum,
+// so it leaves byteTime alone: the same bits without the floating-point
+// step, on most pushes and pops.
 func (q *EgressQueue) accrue() {
-	if q.clock == nil {
-		return
+	now := q.clock.Now()
+	if q.bytes != 0 && now != q.lastChange {
+		q.byteTime += float64(q.bytes) * now.Sub(q.lastChange).Seconds()
 	}
-	now := q.clock()
-	q.byteTime += float64(q.bytes) * now.Sub(q.lastChange).Seconds()
 	q.lastChange = now
 }
 
@@ -145,14 +148,7 @@ type Port struct {
 	net  *Network
 
 	// Line 1 — the rest of trySend.
-
-	// remote, when non-nil, marks the far end of this port's link as living
-	// in another shard: deliver hands finished packets to it (by value)
-	// instead of scheduling a local arrival, and Peer stays nil.
-	remote RemoteEnd
-	rr     int // DWRR round-robin pointer
-	//acclint:ignore snapcover derived at construction from queue weights
-	quantum   int          // base DWRR quantum in bytes (scaled by queue weight)
+	rr        int          // DWRR round-robin pointer
 	Bandwidth simtime.Rate // line rate of the attached link
 
 	// Snapshot bookkeeping for the two in-flight packet populations of a
@@ -162,6 +158,15 @@ type Port struct {
 	txPkt   *Packet
 	txAt    simtime.Time
 	txEvSeq uint64
+
+	// The serialization-time memo: txMemo is the time txMemoSize bytes take
+	// at txMemoRate (see txTime).
+	//acclint:ignore snapcover derived: a memo keyed on the values it was computed from, so any state is a correct one
+	txMemoSize int
+	//acclint:ignore snapcover derived, like txMemoSize
+	txMemoRate simtime.Rate
+	//acclint:ignore snapcover derived, like txMemoSize
+	txMemo simtime.Duration
 
 	// Line 2 — txDone and deliver on the transmit side, and all an arrival
 	// touches of the receiving port (Owner, Index, RxBytesTotal).
@@ -201,6 +206,11 @@ type Port struct {
 	flight         ring[flightRec]
 	arriveFn       func(any)
 	remoteArriveFn func(any)
+	// remote, when non-nil, marks the far end of this port's link as living
+	// in another shard: deliver hands finished packets to it (by value)
+	// instead of scheduling a local arrival, and Peer stays nil. trySend
+	// reads it only for a port without a Peer.
+	remote RemoteEnd
 
 	// Behind the hot lines: cumulative counters a packet hop never touches.
 	AnalyticTxBytes uint64 // wire bytes fast-forwarded in closed form (internal/hybrid)
@@ -216,10 +226,14 @@ type Port struct {
 	pausedSince       [NumPrio]simtime.Time
 
 	// Pads the struct to a whole number of lines, so its size class hands
-	// out line-aligned objects: the fields alone are 352 bytes, which is a
+	// out line-aligned objects: the fields alone are 368 bytes, which is a
 	// size class of its own and is not (TestLayout).
-	_ [32]byte
+	_ [16]byte
 }
+
+// dwrrQuantum is the base DWRR quantum in bytes, scaled by each queue's
+// Weight.
+const dwrrQuantum = 2 * DefaultMTU
 
 // newPort creates a port with one egress queue per entry in weights
 // (prio i gets weights[i]; zero-weight entries are skipped).
@@ -230,7 +244,6 @@ func newPort(net *Network, owner Node, index int, bw simtime.Rate, delay simtime
 		Bandwidth: bw,
 		Delay:     delay,
 		net:       net,
-		quantum:   2 * DefaultMTU,
 	}
 	p.txDoneFn = p.txDone
 	p.arriveFn = p.arrive
@@ -239,10 +252,10 @@ func newPort(net *Network, owner Node, index int, bw simtime.Rate, delay simtime
 		if w <= 0 {
 			continue
 		}
-		p.Queues = append(p.Queues, &EgressQueue{Prio: prio, Weight: w, clock: net.Q.Now})
+		p.Queues = append(p.Queues, &EgressQueue{Prio: prio, Weight: w, clock: net.Q})
 	}
 	if len(p.Queues) == 0 {
-		p.Queues = append(p.Queues, &EgressQueue{Prio: 0, Weight: 1, clock: net.Q.Now})
+		p.Queues = append(p.Queues, &EgressQueue{Prio: 0, Weight: 1, clock: net.Q})
 	}
 	for i, q := range p.Queues {
 		p.prioQ[q.Prio] = uint8(i + 1)
@@ -554,7 +567,7 @@ func (p *Port) nextPacket() (*EgressQueue, *Packet) {
 		q := p.Queues[p.rr]
 		if q.Len() > 0 && !p.paused[q.Prio] {
 			if !q.inTurn {
-				q.deficit += q.Weight * p.quantum
+				q.deficit += q.Weight * dwrrQuantum
 				q.inTurn = true
 			}
 			if head := q.peek(); q.deficit >= head.Size {
@@ -586,11 +599,25 @@ func (p *Port) trySend() {
 	}
 	p.busy = true
 	p.wakeWaiters(q)
-	txd := simtime.TxTime(pkt.Size, p.Bandwidth)
+	txd := p.txTime(pkt.Size)
 	p.txPkt = pkt
 	p.txAt = p.net.Q.Now().Add(txd)
 	p.txEvSeq = p.net.Q.Seq()
 	p.net.Q.CallAfter(txd, p.txDoneFn, pkt)
+}
+
+// txTime returns the serialization time of size bytes at the current
+// Bandwidth. Back-to-back packets of a port are nearly always the same size
+// at the same rate, so the last answer is kept, keyed on both of the values
+// it was computed from: a brownout's SetBandwidth, or a restore, changes the
+// key, so no writer of Bandwidth can leave a stale time behind. The zero
+// memo is correct too: TxTime(0, 0) is 0.
+func (p *Port) txTime(size int) simtime.Duration {
+	if size != p.txMemoSize || p.Bandwidth != p.txMemoRate {
+		p.txMemoSize, p.txMemoRate = size, p.Bandwidth
+		p.txMemo = simtime.TxTime(size, p.Bandwidth)
+	}
+	return p.txMemo
 }
 
 // txDone runs when a packet finishes serializing onto the link: it frees the
@@ -600,8 +627,8 @@ func (p *Port) txDone(arg any) {
 	pkt := arg.(*Packet)
 	p.busy = false
 	p.txPkt = nil
-	if rel, ok := p.Owner.(bufferReleaser); ok {
-		rel.releaseBuffer(pkt)
+	if sw, ok := p.Owner.(*Switch); ok {
+		sw.releaseBuffer(pkt)
 	}
 	if p.down {
 		// The link died mid-serialization: the partial frame never
@@ -709,10 +736,4 @@ func (p *Port) SendCtrl(pkt *Packet) {
 	}
 	p.PauseTxEvents++
 	p.deliver(pkt)
-}
-
-// bufferReleaser is implemented by nodes with shared-buffer accounting
-// (switches) that must release space when a packet finishes serializing.
-type bufferReleaser interface {
-	releaseBuffer(pkt *Packet)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
@@ -464,22 +463,6 @@ func (n *Network) ResolveWaiters(resolve func(kind uint8, flow FlowID) Waiter) e
 	}
 	return nil
 }
-
-// EndpointFlows returns the flow ids with endpoints registered at h, in
-// ascending order — the deterministic enumeration snapshots use to save
-// live transport objects.
-func (h *Host) EndpointFlows() []FlowID {
-	out := make([]FlowID, 0, len(h.endpoints))
-	//acclint:ignore determinism@1 key collection followed by sort is iteration-order-independent
-	for f := range h.endpoints {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Endpoint returns the endpoint registered for flow f, or nil.
-func (h *Host) Endpoint(f FlowID) Endpoint { return h.endpoints[f] }
 
 // SetNextFlowID forces the flow-id allocator (restore support for worlds
 // that allocate flow ids outside plan order).

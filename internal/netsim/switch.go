@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/accnet/acc/internal/obs"
 	"github.com/accnet/acc/internal/red"
@@ -62,11 +64,17 @@ type Switch struct {
 	//acclint:ignore snapcover construction config
 	cfg SwitchConfig
 
-	// routes[dst] is the candidate egress ports (ECMP set) toward destination
-	// node id dst; nil where no route is set. A dense table, so forwarding
-	// costs one bounds check and one load whatever the fabric size.
+	// routes[dst] indexes routeSets, the switch's distinct candidate egress
+	// port sets (ECMP sets), for the set toward destination node id dst; 0
+	// means no route. A dense table of two bytes per node, so forwarding
+	// costs one bounds check and two loads whatever the fabric size, and
+	// the table of a 2 304-host fabric's switch stays in a few kilobytes.
 	//acclint:ignore snapcover ECMP routing wiring, rebuilt by topology construction
-	routes [][]*Port
+	routes []uint16
+	// routeSets holds each distinct candidate set once, deduplicated by
+	// content at SetRoute; routeSets[0] is the empty set.
+	//acclint:ignore snapcover ECMP routing wiring, rebuilt by topology construction
+	routeSets [][]*Port
 
 	// Shared-buffer accounting for PFC: bytes resident per (ingress port,
 	// priority), plus the total.
@@ -106,9 +114,10 @@ func NewSwitchAt(net *Network, cfg SwitchConfig, id int) *Switch {
 		cfg.BufferBytes = 24 * simtime.MB
 	}
 	s := &Switch{
-		name: cfg.Name,
-		net:  net,
-		cfg:  cfg,
+		name:      cfg.Name,
+		net:       net,
+		cfg:       cfg,
+		routeSets: [][]*Port{nil},
 	}
 	s.id = net.registerAt(s, id)
 	s.rng = net.nodeRng(s.id)
@@ -156,25 +165,45 @@ func (s *Switch) AddPort(bw simtime.Rate, delay simtime.Duration, weights []int)
 	return p
 }
 
-// SetRoute sets the ECMP candidate ports toward destination host dst. The
-// first call sizes the table to the node registry, which topology
-// construction has filled by the time it installs routes; a shard-local
-// registry that stops short of dst grows the table the way append would.
+// SetRoute sets the ECMP candidate ports toward destination host dst; the
+// switch keeps its own copy of the set. The first call sizes the table to
+// the node registry, which topology construction has filled by the time it
+// installs routes; a shard-local registry that stops short of dst grows the
+// table the way append would.
 func (s *Switch) SetRoute(dst int, ports ...*Port) {
 	if dst >= len(s.routes) {
 		n := max(dst+1, len(s.net.nodes))
-		s.routes = append(s.routes, make([][]*Port, n-len(s.routes))...)
+		s.routes = append(s.routes, make([]uint16, n-len(s.routes))...)
 	}
-	s.routes[dst] = ports
+	s.routes[dst] = s.routeSet(ports)
+}
+
+// routeSet returns the index of the candidate set equal to ports, adding a
+// copy when the switch has none. The search starts at the newest set:
+// topology construction installs a run of destinations per set.
+func (s *Switch) routeSet(ports []*Port) uint16 {
+	if len(ports) == 0 {
+		return 0
+	}
+	for i := len(s.routeSets) - 1; i > 0; i-- {
+		if slices.Equal(s.routeSets[i], ports) {
+			return uint16(i)
+		}
+	}
+	if len(s.routeSets) > math.MaxUint16 {
+		panic("netsim: switch has more distinct route sets than a uint16 indexes")
+	}
+	s.routeSets = append(s.routeSets, slices.Clone(ports))
+	return uint16(len(s.routeSets) - 1)
 }
 
 // Route returns the ECMP candidate ports toward destination node id dst, or
-// nil when the switch has no route to it.
+// nil when the switch has no route to it. The slice is the switch's own.
 func (s *Switch) Route(dst int) []*Port {
 	if uint(dst) >= uint(len(s.routes)) {
 		return nil
 	}
-	return s.routes[dst]
+	return s.routeSets[s.routes[dst]]
 }
 
 // SetRED applies an ECN template to every ECN-enabled queue of every port.
@@ -337,8 +366,8 @@ func (s *Switch) checkResume(portIdx, prio int) {
 	}
 }
 
-// releaseBuffer implements bufferReleaser: called when a packet finishes
-// serializing out of (or is dropped inside) this switch.
+// releaseBuffer releases a packet's shared-buffer accounting when it
+// finishes serializing out of (or is dropped inside) this switch.
 func (s *Switch) releaseBuffer(pkt *Packet) {
 	s.ingUsed[pkt.inPort][pkt.Prio] -= pkt.Size
 	s.totalUsed -= pkt.Size

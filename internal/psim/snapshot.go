@@ -107,10 +107,8 @@ func (e *Engine) RestoreApplied(r *codec.Reader, a *Applied) error {
 	// Discard construction-time transports before the overlay: a hybrid
 	// rebuild starts due flows synchronously at apply time, registering
 	// endpoints the snapshot supersedes.
-	for _, row := range e.Hosts {
-		for _, h := range row {
-			h.ResetEndpoints()
-		}
+	for _, sh := range e.Shards {
+		sh.Net.ResetEndpoints()
 	}
 	for i, fs := range a.Plan.Flows {
 		i := i
