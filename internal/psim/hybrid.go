@@ -109,6 +109,9 @@ func (e *Engine) ApplyHybrid(p *Plan, cfg hybrid.Config) (*Applied, *hybrid.Engi
 		pending:    make([]int, 0, n),
 	}
 	res.Hybrid = h
+	for _, sh := range e.Shards {
+		sh.Net.DeclareFlowIDs(netsim.FlowID(n))
+	}
 
 	now := e.Now()
 	for i, fs := range p.Flows {

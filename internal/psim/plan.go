@@ -218,6 +218,9 @@ func applyPlan(p *Plan, host func(HostRef) *netsim.Host, link func(LinkRef) (aEn
 	for i, fs := range p.Flows {
 		id := netsim.FlowID(i + 1)
 		src, dst := host(fs.Src), host(fs.Dst)
+		// Ids 1..n are the plan's on every network it touches.
+		src.Net().DeclareFlowIDs(netsim.FlowID(n))
+		dst.Net().DeclareFlowIDs(netsim.FlowID(n))
 		// Receiver first, then sender: both fire at fs.Start, and keeping
 		// one fixed relative order on a shared queue keeps the sequential
 		// and sharded schedules aligned.
