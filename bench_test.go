@@ -14,11 +14,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/accnet/acc/internal/exp"
-	"github.com/accnet/acc/internal/perf"
-	"github.com/accnet/acc/internal/simtime"
 )
 
 // benchOpts returns deterministic, laptop-scale options.
@@ -222,32 +219,4 @@ func BenchmarkHybridDesign(b *testing.B) {
 func BenchmarkStressFailure(b *testing.B) {
 	tables := runExp(b, "stress-failure", benchOpts())
 	b.ReportMetric(metric(tables[0], 1, 1), "secn1-fct-over-acc(failure)")
-}
-
-// BenchmarkSimulatorCore measures raw engine throughput — a leaf-spine
-// fabric saturated by line-rate DCQCN flows with no experiment logic on top
-// — so regressions in the per-packet/per-event hot path are visible
-// independently of any figure. One op is 100µs of virtual time on the
-// warmed-up fabric; events/sec and allocs/op are the headline numbers (the
-// pooled hot path should keep allocs/op near zero).
-func BenchmarkSimulatorCore(b *testing.B) {
-	o := perf.DefaultCoreOptions()
-	c := perf.NewCore(o)
-	c.Warmup(o.Warmup)
-	slice := 100 * simtime.Microsecond
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events uint64
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		events += c.Advance(slice)
-	}
-	wall := time.Since(start).Seconds()
-	if wall > 0 {
-		b.ReportMetric(float64(events)/wall, "events/sec")
-	}
-	if b.N > 0 {
-		b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	}
 }

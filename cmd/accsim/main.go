@@ -65,7 +65,6 @@ import (
 	"github.com/accnet/acc/internal/acc"
 	"github.com/accnet/acc/internal/exp"
 	"github.com/accnet/acc/internal/obs"
-	"github.com/accnet/acc/internal/rl"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap"
 	"github.com/accnet/acc/internal/sweep"
@@ -233,19 +232,31 @@ func main() {
 		return
 	}
 
-	if *expID != "all" {
-		known := false
+	ids := []string{*expID}
+	if *expID == "all" {
+		ids = ids[:0]
 		for _, e := range exp.List() {
-			if e[0] == *expID {
-				known = true
-				break
-			}
+			ids = append(ids, e[0])
 		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "accsim: unknown experiment %q; valid experiments:\n", *expID)
-			for _, e := range exp.List() {
-				fmt.Fprintf(os.Stderr, "  %-18s %s\n", e[0], e[1])
-			}
+	}
+	opts := exp.Options{
+		Seed: *seed, Scale: *scale, OfflineEpisodes: *episodes, ModelFile: *model, Shards: *shards,
+		Fidelity:     *fidelity,
+		WorkloadSpec: *workloadSpec, RecordTrace: *recordTrace, ReplayTrace: *replayTrace,
+		Faults: exp.FaultOptions{
+			MTBF:     simtime.Duration((*faultMTBF).Nanoseconds()),
+			MTTR:     simtime.Duration((*faultMTTR).Nanoseconds()),
+			Links:    *faultLinks,
+			Stale:    *faultStale,
+			DropProb: *faultDrop,
+			Degrade:  *faultDegrade,
+		},
+	}
+	// An unknown id, or an option a selected experiment would ignore, is a
+	// user error: say so before anything runs rather than run without it.
+	for _, id := range ids {
+		if err := exp.Check(id, opts); err != nil {
+			fmt.Fprintln(os.Stderr, "accsim:", err)
 			os.Exit(2)
 		}
 	}
@@ -266,7 +277,6 @@ func main() {
 	}
 	// LoadModel holds the file to the deployed agents' shape, so a wrong
 	// model is one error here, before any simulation runs.
-	var loaded *rl.MLP
 	if *model != "" {
 		if *episodes != 0 {
 			fmt.Fprintln(os.Stderr, "accsim: -model and -episodes both choose the deployed model; give one")
@@ -277,22 +287,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "accsim: -model:", err)
 			os.Exit(2)
 		}
-		loaded = m
+		opts.Model = m
 		fmt.Fprintf(os.Stderr, "accsim: model %s: %d episodes x %v, seed %d, weights %016x\n",
 			*model, recipe.Episodes, recipe.EpisodeTime, recipe.Seed, m.Digest())
-	}
-	opts := exp.Options{
-		Seed: *seed, Scale: *scale, OfflineEpisodes: *episodes, Model: loaded, ModelFile: *model, Shards: *shards,
-		Fidelity:     *fidelity,
-		WorkloadSpec: *workloadSpec, RecordTrace: *recordTrace, ReplayTrace: *replayTrace,
-		Faults: exp.FaultOptions{
-			MTBF:     simtime.Duration((*faultMTBF).Nanoseconds()),
-			MTTR:     simtime.Duration((*faultMTTR).Nanoseconds()),
-			Links:    *faultLinks,
-			Stale:    *faultStale,
-			DropProb: *faultDrop,
-			Degrade:  *faultDegrade,
-		},
 	}
 	obsOn := *obsAddr != "" || *obsDir != ""
 	var server *obs.Server
@@ -306,13 +303,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "accsim: introspection on http://%s (/metrics /manifest /trace /debug/pprof)\n", *obsAddr)
 	}
 
-	ids := []string{*expID}
-	if *expID == "all" {
-		ids = ids[:0]
-		for _, e := range exp.List() {
-			ids = append(ids, e[0])
-		}
-	}
 	for _, id := range ids {
 		t0 := time.Now()
 		runOpts := opts

@@ -45,7 +45,8 @@ type Options struct {
 	// Network per policy arm with workload closures bound to it, so they
 	// execute sequentially either way; the flag proves the windowed driver
 	// is observationally identical (byte-identical golden tables), while
-	// true multi-queue sharding runs in psim and cmd/accbench -shards.
+	// true multi-queue sharding runs in psim and is measured by
+	// `sh bench/run.sh --workload fabric-sharded`.
 	Shards int
 	// OfflineEpisodes overrides pre-training length for ACC policies
 	// (0 = package default).
@@ -69,19 +70,42 @@ type Options struct {
 	// Fidelity selects the simulation mode: "" or "packet" is the full
 	// packet-level engine (byte-identical to historical goldens), "hybrid"
 	// fast-forwards uncongested traffic in closed form with deterministic
-	// demotion to packet level at hotspots (internal/hybrid). Experiments
-	// that have not been wired for hybrid ignore the flag.
+	// demotion to packet level at hotspots (internal/hybrid). Run refuses
+	// "hybrid" for an experiment that has not been wired for it.
 	Fidelity string
-	// WorkloadSpec is a workload-spec JSON file (workload.ParseSpec) for the
-	// mix-* experiments; empty selects the built-in three-class default.
+	// WorkloadSpec is a workload-spec JSON file (workload.ParseSpec) for
+	// mix-spec and mix-replay; empty selects the built-in three-class default.
 	WorkloadSpec string
 	// RecordTrace, when set, writes the run's as-executed flow trace to the
 	// given file (.bin selects the compact binary format, anything else
 	// JSONL). Honored by the mix-* experiments.
 	RecordTrace string
 	// ReplayTrace, when set, replays the given flow-trace file instead of
-	// generating traffic from a spec. Honored by the mix-* experiments.
+	// generating traffic from a spec. Honored by mix-spec and mix-replay.
 	ReplayTrace string
+}
+
+// An option is an Options setting only some runners read. A runner names
+// the ones it reads when it registers, and Run refuses the others.
+type option uint8
+
+const (
+	hybridFidelity option = 1 << iota // Fidelity "hybrid"
+	workloadSpec
+	recordTrace
+	replayTrace
+)
+
+// options names each option by the accsim flag that sets it.
+var options = []struct {
+	opt  option
+	flag string
+	set  func(Options) bool
+}{
+	{hybridFidelity, "-fidelity hybrid", Options.Hybrid},
+	{workloadSpec, "-workload-spec", func(o Options) bool { return o.WorkloadSpec != "" }},
+	{recordTrace, "-record-trace", func(o Options) bool { return o.RecordTrace != "" }},
+	{replayTrace, "-replay-trace", func(o Options) bool { return o.ReplayTrace != "" }},
 }
 
 // Hybrid reports whether the run requests the hybrid-fidelity fast path.
@@ -185,16 +209,47 @@ func (t *Table) CSV() string {
 type Runner func(Options) []*Table
 
 // registry of experiments by id (fig1, fig2, ... table1, ablation-*).
-var registry = map[string]struct {
-	Desc string
-	Run  Runner
-}{}
+var registry = map[string]entry{}
 
-func register(id, desc string, r Runner) {
-	registry[id] = struct {
-		Desc string
-		Run  Runner
-	}{desc, r}
+type entry struct {
+	Desc  string
+	Run   Runner
+	reads option
+}
+
+// register adds a runner under id, with the options it reads.
+func register(id, desc string, r Runner, reads ...option) {
+	e := entry{Desc: desc, Run: r}
+	for _, opt := range reads {
+		e.reads |= opt
+	}
+	registry[id] = e
+}
+
+// Check reports whether Run would accept id with o: the experiment exists
+// and reads every option o sets.
+func Check(id string, o Options) error {
+	e, ok := registry[id]
+	if !ok {
+		var valid []string
+		for _, l := range List() {
+			valid = append(valid, l[0])
+		}
+		return fmt.Errorf("exp: unknown experiment %q (valid: %s)", id, strings.Join(valid, " "))
+	}
+	for _, c := range options {
+		if !c.set(o) || e.reads&c.opt != 0 {
+			continue
+		}
+		var readers []string
+		for _, l := range List() {
+			if registry[l[0]].reads&c.opt != 0 {
+				readers = append(readers, l[0])
+			}
+		}
+		return fmt.Errorf("exp: %s ignores %s (read only by %s)", id, c.flag, strings.Join(readers, ", "))
+	}
+	return nil
 }
 
 // Run executes the experiment with the given id. With Options.Obs set,
@@ -202,10 +257,10 @@ func register(id, desc string, r Runner) {
 // network exists, Finish once the last table is produced (when all the
 // run's engines are idle again).
 func Run(id string, o Options) ([]*Table, error) {
-	e, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown experiment %q (use List)", id)
+	if err := Check(id, o); err != nil {
+		return nil, err
 	}
+	e := registry[id]
 	o.Obs.Begin(id, o.Seed, o.Scale, obsConfig(o))
 	o.Obs.SetShards(o.Shards)
 	tables := e.Run(o)

@@ -57,6 +57,27 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunRejectsIgnoredOptions: an option the experiment does not read is
+// an error, not a run without it.
+func TestRunRejectsIgnoredOptions(t *testing.T) {
+	for id, set := range map[string]func(*Options){
+		"table1":         func(o *Options) { o.Fidelity = "hybrid" },
+		"fig6":           func(o *Options) { o.RecordTrace = "x.bin" },
+		"mix-collective": func(o *Options) { o.WorkloadSpec = "spec.json" },
+	} {
+		o := DefaultOptions()
+		set(&o)
+		if _, err := Run(id, o); err == nil {
+			t.Errorf("%s ran with an option it ignores: %+v", id, o)
+		}
+	}
+	o := DefaultOptions()
+	o.Fidelity = "hybrid"
+	if err := Check("fig8", o); err != nil {
+		t.Errorf("fig8 refused hybrid fidelity: %v", err)
+	}
+}
+
 func TestNormalize(t *testing.T) {
 	if normalize(4, 2) != 2 {
 		t.Fatal("normalize wrong")

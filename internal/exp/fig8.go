@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register("fig8", "RDMA/TCP weighted fair sharing (70/30 DWRR): throughput ratio, ACC vs SECN", runFig8)
+	register("fig8", "RDMA/TCP weighted fair sharing (70/30 DWRR): throughput ratio, ACC vs SECN", runFig8, hybridFidelity)
 }
 
 // runFig8 reproduces Figure 8 (§5.2 "Fairness between RDMA and TCP

@@ -38,9 +38,12 @@ import (
 )
 
 func init() {
-	register("mix-spec", "multi-client workload spec: per-SLO-class FCT tails + Jain fairness (workload engine)", runMixSpec)
-	register("mix-replay", "record→replay determinism: run, re-record, replay, assert bit-identity", runMixReplay)
-	register("mix-collective", "AI-fabric collectives (tree allreduce, MoE all-to-all, pipeline) over background traffic", runMixCollective)
+	register("mix-spec", "multi-client workload spec: per-SLO-class FCT tails + Jain fairness (workload engine)", runMixSpec,
+		hybridFidelity, workloadSpec, recordTrace, replayTrace)
+	register("mix-replay", "record→replay determinism: run, re-record, replay, assert bit-identity", runMixReplay,
+		hybridFidelity, workloadSpec, recordTrace, replayTrace)
+	register("mix-collective", "AI-fabric collectives (tree allreduce, MoE all-to-all, pipeline) over background traffic", runMixCollective,
+		recordTrace)
 }
 
 const mixSamplePeriod = 20 * simtime.Microsecond

@@ -146,3 +146,81 @@ func TestDifferentialConservationUnderChurn(t *testing.T) {
 		t.Fatalf("downlink delivered %d wire bytes, want %d", got, want)
 	}
 }
+
+// TestRenewalLoopFastForwards runs one renewing workload at packet and at
+// hybrid fidelity over the same window: four senders per leaf of a 48-host
+// fabric each restart a 1 MB flow to the same-indexed host on the next leaf
+// as the last one ends. The hybrid run must execute under a fifth of the
+// packet run's events and commit payload in closed form, and every demotion
+// must split a flow's bytes exactly between its analytic and packet lives.
+func TestRenewalLoopFastForwards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	const leaves, senders = 6, 4
+	size := int64(simtime.MB)
+	cfg := topo.DefaultConfig()
+	params := dcqcn.DefaultParams(cfg.HostBW)
+	// run builds the fabric, hands every sender pair to the starter wire
+	// returns, and counts the events of the 400 µs after a 100 µs warm-up.
+	run := func(wire func(net *netsim.Network, fab *topo.Fabric) func(src, dst *netsim.Host)) uint64 {
+		net := netsim.New(1)
+		fab := topo.LeafSpine(net, leaves, 8, 4, cfg)
+		start := wire(net, fab)
+		for l := 0; l < leaves; l++ {
+			for s := 0; s < senders; s++ {
+				start(fab.HostsAt[l][s], fab.HostsAt[(l+1)%leaves][s])
+			}
+		}
+		net.Q.RunBefore(simtime.Time(100 * simtime.Microsecond))
+		before := net.Q.Processed()
+		net.Q.RunBefore(simtime.Time(500 * simtime.Microsecond))
+		return net.Q.Processed() - before
+	}
+
+	pktEvents := run(func(net *netsim.Network, _ *topo.Fabric) func(src, dst *netsim.Host) {
+		return func(src, dst *netsim.Host) {
+			var loop func()
+			loop = func() { dcqcn.Start(net, src, dst, size, params, func(*dcqcn.Flow) { loop() }) }
+			loop()
+		}
+	})
+
+	var eng *Engine
+	hybEvents := run(func(net *netsim.Network, fab *topo.Fabric) func(src, dst *netsim.Host) {
+		eng = New(DefaultConfig(), net.Q, net.Tracer)
+		mesh := ForFabric(eng, fab)
+		eng.StartTicker()
+		return func(src, dst *netsim.Host) {
+			var loop func()
+			demote := func(f *Flow, remaining int64) {
+				if f.AnalyticPayload()+remaining != size {
+					t.Errorf("flow %d split not conserved at demotion: %d + %d != %d", f.ID, f.AnalyticPayload(), remaining, size)
+				}
+				id := netsim.FlowID(f.ID)
+				dcqcn.StartReceiver(id, src.ID(), dst, remaining, params, func(*dcqcn.Receiver) {
+					eng.PacketDone(f)
+					loop()
+				})
+				dcqcn.StartSender(net, id, src, dst.ID(), remaining, params)
+			}
+			done := func(*Flow, simtime.Time) { loop() }
+			loop = func() {
+				id := net.NextFlowID()
+				eng.StartFlow(mesh.Path(id, src, dst),
+					FlowOpts{ID: uint64(id), Size: size, Prio: params.Prio, Eligible: true}, demote, done)
+			}
+			loop()
+		}
+	})
+
+	if pktEvents == 0 {
+		t.Fatal("packet run executed no events")
+	}
+	if hybEvents >= pktEvents/5 {
+		t.Fatalf("hybrid run executed %d events vs packet %d; the fast path is not fast-forwarding", hybEvents, pktEvents)
+	}
+	if eng.Stats.AnalyticFlows == 0 || eng.Stats.AnalyticPayload == 0 {
+		t.Fatalf("no payload committed in closed form: %+v", eng.Stats)
+	}
+}

@@ -283,13 +283,6 @@ func DefaultConfig() *Config {
 					"are no shard windows, so StartFlow/PacketDone/Stop from completion callbacks " +
 					"cannot race the (nonexistent) coordinator",
 			},
-			{
-				Check: "barriermut",
-				Pkg:   Module + "/internal/perf",
-				File:  "hybridbench.go",
-				Reason: "sequential-mode hybrid benchmark: single event queue, no shard windows; the " +
-					"closures are plain event callbacks, not window-escaping shard code",
-			},
 		},
 	}
 }

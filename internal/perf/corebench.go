@@ -1,16 +1,12 @@
-// Package perf drives the discrete-event engine at line rate on a raw
-// leaf-spine fabric, with no experiment logic or ACC control loop on top.
-// It is the shared core behind BenchmarkSimulatorCore and cmd/accbench: the
-// numbers it produces (events/sec, ns/event, allocations/event) isolate the
-// engine hot path — eventq scheduling, port serialization/propagation,
-// switch forwarding, and transport pacing — from everything an experiment
-// adds, so engine regressions are visible independently of any figure.
+// Package perf builds the raw-fabric workload bench/ measures as
+// netsim.ns_per_event_16: a leaf-spine fabric saturated by line-rate DCQCN
+// flows, with no experiment logic or ACC control loop on top, so the engine
+// hot path — eventq scheduling, port serialization/propagation, switch
+// forwarding, and transport pacing — is timed apart from everything an
+// experiment adds. The package exists for bench/, which imports it.
 package perf
 
 import (
-	"runtime"
-	"time"
-
 	"github.com/accnet/acc/internal/dcqcn"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
@@ -46,20 +42,6 @@ func DefaultCoreOptions() CoreOptions {
 		Warmup:       2 * simtime.Millisecond,
 		Window:       simtime.Millisecond,
 	}
-}
-
-// CoreResult is one measurement of the engine hot path.
-type CoreResult struct {
-	Events       uint64  `json:"events"`       // events executed in the window
-	VirtualUsec  float64 `json:"virtual_usec"` // measured virtual time
-	WallSeconds  float64 `json:"wall_seconds"` // wall time for the window
-	EventsPerSec float64 `json:"events_per_sec"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	// Allocation pressure per event, from runtime.MemStats deltas around the
-	// measured window. In steady state the pooled hot path keeps this near
-	// zero; a regression shows up here before it shows up in wall time.
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	BytesPerEvent  float64 `json:"bytes_per_event"`
 }
 
 // Core is a warmed-up raw fabric ready to advance in measured slices.
@@ -98,33 +80,4 @@ func (c *Core) Advance(d simtime.Duration) uint64 {
 	before := c.Net.Q.Processed()
 	c.Net.RunFor(d)
 	return c.Net.Q.Processed() - before
-}
-
-// RunCore executes the full benchmark — build, warm up, measure — and
-// returns the engine metrics. It is what cmd/accbench snapshots into
-// BENCH_core.json.
-func RunCore(o CoreOptions) CoreResult {
-	c := NewCore(o)
-	c.Warmup(o.Warmup)
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	events := c.Advance(o.Window)
-	wall := time.Since(start).Seconds()
-	runtime.ReadMemStats(&after)
-
-	r := CoreResult{
-		Events:      events,
-		VirtualUsec: o.Window.Seconds() * 1e6,
-		WallSeconds: wall,
-	}
-	if events > 0 {
-		r.EventsPerSec = float64(events) / wall
-		r.NsPerEvent = wall * 1e9 / float64(events)
-		r.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(events)
-		r.BytesPerEvent = float64(after.TotalAlloc-before.TotalAlloc) / float64(events)
-	}
-	return r
 }
