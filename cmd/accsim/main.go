@@ -97,7 +97,7 @@ func main() {
 		scale    = flag.Float64("scale", 1, "duration/fabric scale factor (>=4 restores paper-scale fabrics)")
 		episodes = flag.Int("episodes", 0, "offline pre-training episodes for ACC policies (0 = default)")
 		model    = flag.String("model", "", "deploy this offline model file (written by acctrain) on every ACC policy instead of the compiled-in default")
-		shards   = flag.Int("shards", 0, "drive experiments at the N-shard barrier cadence (tables are byte-identical to sequential; see DESIGN.md 'Parallel simulation')")
+		shards   = flag.Int("shards", 0, "split the fabric across N event queues of the parallel engine: mix-spec, mix-replay, -snapshot and -sweep (results are bit-identical to one; see DESIGN.md 'Parallel simulation')")
 		fidelity = flag.String("fidelity", "", "simulation fidelity: ''/'packet' = byte-identical packet engine, 'hybrid' = flow-level fast-forward with packet-level hotspot demotion (see DESIGN.md 'Hybrid fidelity')")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 

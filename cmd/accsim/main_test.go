@@ -56,6 +56,7 @@ func TestPreflightRejects(t *testing.T) {
 		"trace where ignored":    {"-exp", "fig6", "-record-trace", filepath.Join(dir, "x.bin")},
 		"ignored under -exp all": {"-exp", "all", "-fidelity", "hybrid"},
 		"replay where ignored":   {"-exp", "mix-collective", "-replay-trace", filepath.Join(dir, "t.bin")},
+		"shards where ignored":   {"-exp", "fig8", "-shards", "4"},
 	} {
 		code, stderr := accsim(t, args...)
 		if lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n"); code != 2 || len(lines) != 1 || lines[0] == "" {

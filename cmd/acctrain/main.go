@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"github.com/accnet/acc/internal/acc"
@@ -30,6 +31,32 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
+
+	// A value training would replace with its default, or an output
+	// directory that does not exist, is a user error: say so in one line
+	// before training rather than after it, or record a recipe that did not
+	// run.
+	for _, c := range []struct {
+		flag   string
+		bad    bool
+		needed string
+	}{
+		{"-episodes", *episodes < 1, "at least 1"},
+		{"-episode-time", *epTime <= 0, "positive"},
+		{"-max-senders", *senders < 2, "at least 2"},
+		{"-max-flows", *flows < 1, "at least 1"},
+	} {
+		if c.bad {
+			fmt.Fprintf(os.Stderr, "acctrain: %s must be %s\n", c.flag, c.needed)
+			os.Exit(2)
+		}
+	}
+	if dir := filepath.Dir(*out); dir != "." {
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			fmt.Fprintf(os.Stderr, "acctrain: -o: directory %s does not exist\n", dir)
+			os.Exit(2)
+		}
+	}
 
 	cfg.Episodes = *episodes
 	cfg.EpisodeTime = simtime.Duration(epTime.Nanoseconds())

@@ -6,40 +6,35 @@ import (
 	"os"
 
 	"github.com/accnet/acc/internal/rl"
-	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
 // SaveModel writes net, trained by recipe, to path as one snap/codec
-// image: the "accmodel" tag, the recipe's scalar fields, then
-// MLP.SaveState of a weights-only clone, so the file does not depend on
-// the optimizer state net still holds.
+// image (modelState) of a weights-only clone, so the file does not depend
+// on the optimizer state net still holds.
 func SaveModel(path string, recipe OfflineConfig, net *rl.MLP) error {
 	w := codec.NewWriter()
-	saveModel(w, recipe, net.Clone())
+	modelState(codec.Save(w), &recipe, net.Clone())
 	return os.WriteFile(path, w.Finish(), 0o644)
 }
 
-func saveModel(w *codec.Writer, recipe OfflineConfig, net *rl.MLP) {
-	w.Tag("accmodel")
-	w.Int(recipe.Episodes)
-	w.I64(int64(recipe.EpisodeTime))
-	w.I64(recipe.Seed)
-	w.F64(float64(recipe.HostBW))
-	w.Int(recipe.MaxSenders)
-	w.Int(recipe.MaxFlowsPerSender)
-	net.SaveState(w)
+// modelState visits a model image: the "accmodel" tag, the recipe's scalar
+// fields, then the network's State.
+func modelState(v *codec.Visitor, recipe *OfflineConfig, net *rl.MLP) {
+	v.Tag("accmodel")
+	recipe.state(v)
+	net.State(v)
 }
 
-func loadModel(r *codec.Reader, recipe *OfflineConfig, net *rl.MLP) {
-	r.Expect("accmodel")
-	recipe.Episodes = r.Int()
-	recipe.EpisodeTime = simtime.Duration(r.I64())
-	recipe.Seed = r.I64()
-	recipe.HostBW = simtime.Rate(r.F64())
-	recipe.MaxSenders = r.Int()
-	recipe.MaxFlowsPerSender = r.Int()
-	net.RestoreState(r)
+// state visits the recipe's scalar fields, the part of it a model file
+// records.
+func (c *OfflineConfig) state(v *codec.Visitor) {
+	v.Int(&c.Episodes)
+	codec.Int64(v, &c.EpisodeTime)
+	v.I64(&c.Seed)
+	v.F64((*float64)(&c.HostBW))
+	v.Int(&c.MaxSenders)
+	v.Int(&c.MaxFlowsPerSender)
 }
 
 // LoadModel reads a model file SaveModel wrote, for a deployment whose
@@ -66,7 +61,7 @@ func decodeModel(data []byte, shape rl.AgentConfig) (*rl.MLP, OfflineConfig, err
 	}
 	// The image overwrites every weight; the initial draw only sizes the net.
 	net := rl.NewMLP(shape.Sizes(), rand.New(rand.NewSource(1)))
-	if loadModel(r, &recipe, net); r.Err() == nil && r.Remaining() != 0 {
+	if modelState(codec.Load(r), &recipe, net); r.Err() == nil && r.Remaining() != 0 {
 		r.Fail("%d bytes after the network", r.Remaining())
 	}
 	return net, recipe, r.Err()

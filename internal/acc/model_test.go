@@ -21,7 +21,8 @@ import (
 // shape's sizes.
 func modelImage(shape rl.AgentConfig, seed int64) []byte {
 	w := codec.NewWriter()
-	saveModel(w, DefaultOfflineConfig(), rl.NewMLP(shape.Sizes(), rand.New(rand.NewSource(seed))))
+	recipe := DefaultOfflineConfig()
+	modelState(codec.Save(w), &recipe, rl.NewMLP(shape.Sizes(), rand.New(rand.NewSource(seed))))
 	return w.Finish()
 }
 

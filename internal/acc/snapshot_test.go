@@ -43,7 +43,7 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(60); seed <= 62; seed++ {
 		_, sys := trainedSystem(t, seed)
 		w := codec.NewWriter()
-		sys.SaveState(w)
+		sys.State(codec.Save(w))
 		img := w.Finish()
 
 		_, sys2 := freshSystem(t, seed)
@@ -51,9 +51,9 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
-		sys2.RestoreState(r)
+		sys2.State(codec.Load(r))
 		if r.Err() != nil {
-			t.Fatalf("seed %d: RestoreState: %v", seed, r.Err())
+			t.Fatalf("seed %d: restore: %v", seed, r.Err())
 		}
 		if sys2.Exchanges != sys.Exchanges {
 			t.Fatalf("seed %d: exchanges %d, want %d", seed, sys2.Exchanges, sys.Exchanges)
@@ -65,7 +65,7 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 		w2 := codec.NewWriter()
-		sys2.SaveState(w2)
+		sys2.State(codec.Save(w2))
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes (%d vs %d)", seed, len(img), len(img2))
 		}
@@ -77,7 +77,7 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 func TestTunerSnapshotRejectsMismatch(t *testing.T) {
 	_, sys := trainedSystem(t, 63)
 	w := codec.NewWriter()
-	sys.Tuners[0].SaveState(w)
+	sys.Tuners[0].state(codec.Save(w))
 	img := w.Finish()
 
 	net2 := netsim.New(63)
@@ -87,7 +87,7 @@ func TestTunerSnapshotRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	other.Tuners[0].RestoreState(r)
+	other.Tuners[0].state(codec.Load(r))
 	if r.Err() == nil {
 		t.Fatal("tuner with a different queue count accepted the snapshot")
 	}

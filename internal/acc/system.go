@@ -39,10 +39,12 @@ func DefaultSystemConfig() SystemConfig {
 
 // System manages one ACC tuner per switch plus the global replay memory.
 type System struct {
+	//acclint:ignore snapcover construction wiring: NewSystem on the rebuilt shard Network
 	Net    *netsim.Network
 	Tuners []*Tuner
 	Global *rl.Replay
-	Cfg    SystemConfig
+	//acclint:ignore snapcover construction config: restore overlays a System NewSystem built with the same config, which also fixes the image's shape (one shared agent or one per tuner)
+	Cfg SystemConfig
 
 	Exchanges uint64
 	stopped   bool

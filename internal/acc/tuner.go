@@ -156,8 +156,10 @@ func (c Config) normalize() Config {
 
 // queueState is the tuner's bookkeeping for one monitored egress queue.
 type queueState struct {
+	//acclint:ignore snapcover construction wiring: NewTuner on the rebuilt switch
 	port *netsim.Port
-	q    *netsim.EgressQueue
+	//acclint:ignore snapcover construction wiring: NewTuner on the rebuilt switch
+	q *netsim.EgressQueue
 
 	hist       [][]float64
 	prevState  []float64
@@ -168,6 +170,7 @@ type queueState struct {
 	lastMarked   uint64
 	lastIntegral float64
 
+	//acclint:ignore snapcover derived by NewTuner from the rebuilt port's DWRR weights
 	share float64 // DWRR bandwidth fraction of this queue's class
 
 	lastReward float64
@@ -182,10 +185,11 @@ type queueState struct {
 // Tuner is the per-switch ACC module (Figure 5): collector → data processor
 // → DRL agent → configurator, on one ΔT loop.
 type Tuner struct {
+	//acclint:ignore snapcover construction wiring: NewTuner on the rebuilt Network
 	Net *netsim.Network
 	//acclint:ignore snapcover construction wiring: restore rebuilds the tuner on the same switch; dynamic state lives in rngSrc and queues
 	Switch *netsim.Switch
-	//acclint:ignore snapcover saved by its owner (System.SaveState or the world) because agents may be shared across tuners
+	//acclint:ignore snapcover visited by its owner (System.State) because agents may be shared across tuners
 	Agent *rl.Agent
 	Cfg   Config
 
@@ -336,8 +340,8 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// state flattens the last k slots, zero-padding the warmup.
-func (t *Tuner) state(qs *queueState) []float64 {
+// observation flattens the last k slots, zero-padding the warmup.
+func (t *Tuner) observation(qs *queueState) []float64 {
 	k := t.Cfg.HistoryK
 	out := make([]float64, (k-len(qs.hist))*FeaturesPerSlot, k*FeaturesPerSlot)
 	for _, s := range qs.hist {
@@ -370,7 +374,7 @@ func (t *Tuner) tickQueue(qi int, qs *queueState) {
 	if len(qs.hist) > t.Cfg.HistoryK {
 		qs.hist = qs.hist[1:]
 	}
-	state := t.state(qs)
+	state := t.observation(qs)
 
 	reward := Reward(t.Cfg.W1, t.Cfg.W2, util, t.Cfg.Reward(avgQ))
 	if t.Cfg.RecordTrace {

@@ -79,7 +79,7 @@ type Flow struct {
 	P     Params
 
 	Start simtime.Time
-	//acclint:ignore snapcover zero while the sender half is live, and only live halves are saved (SaveApplied); completion re-mirrors it via the receiver callback
+	//acclint:ignore snapcover zero while the sender half is live, and only live halves are saved (Applied.State); completion re-mirrors it via the receiver callback
 	End simtime.Time // mirrored from the Receiver by Start's wrapper
 
 	net  *netsim.Network

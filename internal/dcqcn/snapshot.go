@@ -1,143 +1,95 @@
 package dcqcn
 
 import (
-	"github.com/accnet/acc/internal/eventq"
 	"github.com/accnet/acc/internal/netsim"
-	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
 // Snapshot support. A live Flow (reaction point) or Receiver (notification
-// point) serializes its complete dynamic state; restore constructors
-// rebuild the object on a freshly restored Network — registering the
-// endpoint and re-arming timers at their recorded (time, seq) slots,
-// without the initial trySend or any other construction side effect.
-// Completed halves unregister themselves and are never enumerated, so only
-// live flows appear in snapshots.
+// point) visits its complete dynamic state; restore constructors rebuild
+// the object on a freshly restored Network — registering the endpoint and
+// re-arming timers at their recorded (time, seq) slots, without the
+// initial trySend or any other construction side effect. Completed halves
+// unregister themselves and are never enumerated, so only live flows
+// appear in snapshots.
 
-func saveParams(w *codec.Writer, p Params) {
-	w.Int(p.MTU)
-	w.Int(p.Prio)
-	w.I64(int64(p.CNPInterval))
-	w.F64(p.G)
-	w.I64(int64(p.AlphaTimer))
-	w.I64(int64(p.IncreaseTimer))
-	w.I64(p.ByteCounter)
-	w.Int(p.FastRecoverySteps)
-	w.I64(int64(p.RateAI))
-	w.I64(int64(p.RateHAI))
-	w.I64(int64(p.MinRate))
-	w.I64(int64(p.InitRate))
-	w.Bool(p.ClampTargetRate)
+func (p *Params) state(v *codec.Visitor) {
+	v.Int(&p.MTU)
+	v.Int(&p.Prio)
+	codec.Int64(v, &p.CNPInterval)
+	v.F64(&p.G)
+	codec.Int64(v, &p.AlphaTimer)
+	codec.Int64(v, &p.IncreaseTimer)
+	v.I64(&p.ByteCounter)
+	v.Int(&p.FastRecoverySteps)
+	codec.Int64(v, &p.RateAI)
+	codec.Int64(v, &p.RateHAI)
+	codec.Int64(v, &p.MinRate)
+	codec.Int64(v, &p.InitRate)
+	v.Bool(&p.ClampTargetRate)
 }
 
-func loadParams(r *codec.Reader) Params {
-	var p Params
-	p.MTU = r.Int()
-	p.Prio = r.Int()
-	p.CNPInterval = simtime.Duration(r.I64())
-	p.G = r.F64()
-	p.AlphaTimer = simtime.Duration(r.I64())
-	p.IncreaseTimer = simtime.Duration(r.I64())
-	p.ByteCounter = r.I64()
-	p.FastRecoverySteps = r.Int()
-	p.RateAI = simtime.Rate(r.I64())
-	p.RateHAI = simtime.Rate(r.I64())
-	p.MinRate = simtime.Rate(r.I64())
-	p.InitRate = simtime.Rate(r.I64())
-	p.ClampTargetRate = r.Bool()
-	return p
+// State visits the reaction point's dynamic state; RestoreSender reads it
+// into a new Flow.
+func (f *Flow) State(v *codec.Visitor) {
+	v.Tag("dcqcn-tx")
+	codec.Uint64(v, &f.ID)
+	v.Int(&f.DstID)
+	v.I64(&f.Size)
+	f.P.state(v)
+	codec.Int64(v, &f.Start)
+	codec.Int64(v, &f.line)
+	codec.Int64(v, &f.rc)
+	codec.Int64(v, &f.rt)
+	v.F64(&f.alpha)
+	v.Int(&f.tc)
+	v.Int(&f.bc)
+	v.I64(&f.incBytes)
+	v.I64(&f.sent)
+	v.Bool(&f.increased)
+	v.U64(&f.CNPs)
+	v.U64(&f.RateCuts)
+	f.net.Q.Timer(v, &f.paceEv, f.trySendFn)
+	f.net.Q.Timer(v, &f.alphaEv, f.alphaFn)
+	f.net.Q.Timer(v, &f.incEv, f.incFn)
 }
 
-// SaveState writes the reaction point's dynamic state.
-func (f *Flow) SaveState(w *codec.Writer) {
-	w.Tag("dcqcn-tx")
-	w.U64(uint64(f.ID))
-	w.Int(f.DstID)
-	w.I64(f.Size)
-	saveParams(w, f.P)
-	w.I64(int64(f.Start))
-	w.I64(int64(f.line))
-	w.I64(int64(f.rc))
-	w.I64(int64(f.rt))
-	w.F64(f.alpha)
-	w.Int(f.tc)
-	w.Int(f.bc)
-	w.I64(f.incBytes)
-	w.I64(f.sent)
-	w.Bool(f.increased)
-	w.U64(f.CNPs)
-	w.U64(f.RateCuts)
-	eventq.SaveTimer(w, f.paceEv)
-	eventq.SaveTimer(w, f.alphaEv)
-	eventq.SaveTimer(w, f.incEv)
-}
-
-// RestoreSender rebuilds a live reaction point saved by SaveState on src,
-// registering its endpoint and re-arming its timers. No packets are sent
-// and no RNG is drawn.
-func RestoreSender(net *netsim.Network, src *netsim.Host, r *codec.Reader) *Flow {
-	r.Expect("dcqcn-tx")
+// RestoreSender rebuilds a live reaction point from v on src, registering
+// its endpoint and re-arming its timers. No packets are sent and no RNG is
+// drawn.
+func RestoreSender(net *netsim.Network, src *netsim.Host, v *codec.Visitor) *Flow {
 	f := &Flow{Src: src, net: net}
-	f.ID = netsim.FlowID(r.U64())
-	f.DstID = r.Int()
-	f.Size = r.I64()
-	f.P = loadParams(r)
-	f.Start = simtime.Time(r.I64())
-	f.line = simtime.Rate(r.I64())
-	f.rc = simtime.Rate(r.I64())
-	f.rt = simtime.Rate(r.I64())
-	f.alpha = r.F64()
-	f.tc = r.Int()
-	f.bc = r.Int()
-	f.incBytes = r.I64()
-	f.sent = r.I64()
-	f.increased = r.Bool()
-	f.CNPs = r.U64()
-	f.RateCuts = r.U64()
 	f.trySendFn = f.trySend
 	f.alphaFn = f.alphaTick
 	f.incFn = f.incTick
-	f.paceEv = net.Q.RestoreTimer(r, f.trySendFn)
-	f.alphaEv = net.Q.RestoreTimer(r, f.alphaFn)
-	f.incEv = net.Q.RestoreTimer(r, f.incFn)
-	if r.Err() != nil {
+	if f.State(v); v.Err() != nil {
 		return nil
 	}
 	src.Register(f.ID, netsim.EndpointFunc(f.senderHandle))
 	return f
 }
 
-// SaveState writes the notification point's dynamic state.
-func (rx *Receiver) SaveState(w *codec.Writer) {
-	w.Tag("dcqcn-rx")
-	w.U64(uint64(rx.ID))
-	w.Int(rx.SrcID)
-	w.I64(rx.Size)
-	saveParams(w, rx.P)
-	w.I64(int64(rx.Start))
-	w.I64(rx.rcvd)
-	w.I64(int64(rx.lastCNP))
-	w.Bool(rx.cnpSent)
-	w.U64(rx.MarkedSeen)
+// State visits the notification point's dynamic state; RestoreReceiver
+// reads it into a new Receiver.
+func (rx *Receiver) State(v *codec.Visitor) {
+	v.Tag("dcqcn-rx")
+	codec.Uint64(v, &rx.ID)
+	v.Int(&rx.SrcID)
+	v.I64(&rx.Size)
+	rx.P.state(v)
+	codec.Int64(v, &rx.Start)
+	v.I64(&rx.rcvd)
+	codec.Int64(v, &rx.lastCNP)
+	v.Bool(&rx.cnpSent)
+	v.U64(&rx.MarkedSeen)
 }
 
-// RestoreReceiver rebuilds a live notification point on dst. onDone is the
-// world's completion callback, re-bound by the caller (it cannot be
+// RestoreReceiver rebuilds a live notification point from v on dst. onDone
+// is the world's completion callback, re-bound by the caller (it cannot be
 // serialized).
-func RestoreReceiver(dst *netsim.Host, onDone func(*Receiver), r *codec.Reader) *Receiver {
-	r.Expect("dcqcn-rx")
+func RestoreReceiver(dst *netsim.Host, onDone func(*Receiver), v *codec.Visitor) *Receiver {
 	rx := &Receiver{Dst: dst, net: dst.Net(), onDone: onDone}
-	rx.ID = netsim.FlowID(r.U64())
-	rx.SrcID = r.Int()
-	rx.Size = r.I64()
-	rx.P = loadParams(r)
-	rx.Start = simtime.Time(r.I64())
-	rx.rcvd = r.I64()
-	rx.lastCNP = simtime.Time(r.I64())
-	rx.cnpSent = r.Bool()
-	rx.MarkedSeen = r.U64()
-	if r.Err() != nil {
+	if rx.State(v); v.Err() != nil {
 		return nil
 	}
 	dst.Register(rx.ID, netsim.EndpointFunc(rx.handle))

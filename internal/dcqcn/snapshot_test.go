@@ -40,7 +40,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, fl, _ := midFlight(t, seed)
 		w := codec.NewWriter()
-		fl.SaveState(w)
+		fl.State(codec.Save(w))
 		img := w.Finish()
 
 		net2, f2 := star(t, 6, seed)
@@ -48,7 +48,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
-		fl2 := dcqcn.RestoreSender(net2, f2.Hosts[0], r)
+		fl2 := dcqcn.RestoreSender(net2, f2.Hosts[0], codec.Load(r))
 		if fl2 == nil || r.Err() != nil {
 			t.Fatalf("seed %d: RestoreSender: %v", seed, r.Err())
 		}
@@ -57,7 +57,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 				seed, fl2.ID, fl.ID, fl2.Sent(), fl.Sent(), fl2.CNPs, fl.CNPs)
 		}
 		w2 := codec.NewWriter()
-		fl2.SaveState(w2)
+		fl2.State(codec.Save(w2))
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes (%d vs %d)", seed, len(img), len(img2))
 		}
@@ -69,7 +69,7 @@ func TestReceiverSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, _, rx := midFlight(t, seed)
 		w := codec.NewWriter()
-		rx.SaveState(w)
+		rx.State(codec.Save(w))
 		img := w.Finish()
 
 		_, f2 := star(t, 6, seed)
@@ -77,12 +77,12 @@ func TestReceiverSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
-		rx2 := dcqcn.RestoreReceiver(f2.Hosts[5], nil, r)
+		rx2 := dcqcn.RestoreReceiver(f2.Hosts[5], nil, codec.Load(r))
 		if rx2 == nil || r.Err() != nil {
 			t.Fatalf("seed %d: RestoreReceiver: %v", seed, r.Err())
 		}
 		w2 := codec.NewWriter()
-		rx2.SaveState(w2)
+		rx2.State(codec.Save(w2))
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes", seed)
 		}

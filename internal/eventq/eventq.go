@@ -167,6 +167,7 @@ type Queue struct {
 	processed uint64
 	free      []*Event // recycled CallAt events
 
+	//acclint:ignore snapcover the calendar's storage: State empties it (Clear) and owners refill it through RestoreEvent, Timer and CallSlot
 	buckets []bucket // calendar window, allocated on first insert
 	baseDay int64    // first day covered by the window
 	curDay  int64    // lower bound on the earliest calendar entry's day
@@ -183,6 +184,7 @@ type Queue struct {
 	// bucket's all-time occupancy record, which a long run keeps breaking.
 	// That distinction is what makes the steady-state hot path allocation-free
 	// even under bursty arrivals.
+	//acclint:ignore snapcover a pool of spare bucket arrays, rebuilt by Clear returning drained ones: any content is correct
 	slabs [numSlabClasses][][]entry
 
 	// scratch is sortDay's distribution target: sized to the densest day

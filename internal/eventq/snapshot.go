@@ -18,45 +18,44 @@ import (
 //
 //   - RestoreEvent re-inserts a construction-time handle (the closure is
 //     already bound to the rebuilt world) at the (at, seq) it carries.
-//   - RestoreAt / RestoreCallAt materialize a component timer or in-flight
-//     packet event at an explicitly recorded (at, seq) without consuming
-//     the sequence counter, so the restored schedule is bit-identical to
-//     the original.
+//   - Timer and CallSlot re-arm a component timer or an in-flight packet
+//     event at an explicitly recorded (at, seq) without consuming the
+//     sequence counter, so the restored schedule is bit-identical to the
+//     original.
 //
 // See DESIGN.md "Snapshot & fork" for the full restore protocol.
 
-// SaveState writes the queue's counters and a free-pool prewarm hint.
-// The schedule contents are saved by their owners (see package comment).
-func (q *Queue) SaveState(w *codec.Writer) {
-	w.Tag("eventq")
-	w.I64(int64(q.now))
-	w.U64(q.seq)
-	w.U64(q.processed)
-	w.Int(len(q.free) + q.pooledLive())
-}
+// maxPrewarm bounds the free-list prewarm a restore honours. The hint sizes
+// an allocation but is not state — a shorter free list only means the run
+// allocates the rest on demand — so a hint beyond any pool a snapshotted
+// world keeps is clamped rather than trusted.
+const maxPrewarm = 1 << 16
 
-// RestoreState clears the queue and restores the counters saved by
-// SaveState, prewarming the event free list so post-restore scheduling is
-// allocation-free. Owners then re-insert still-pending work via
-// RestoreEvent / RestoreAt / RestoreCallAt.
-func (q *Queue) RestoreState(r *codec.Reader) {
-	r.Expect("eventq")
-	now := simtime.Time(r.I64())
-	seq := r.U64()
-	processed := r.U64()
-	warm := r.Int()
-	if r.Err() != nil {
-		return
+// State visits the queue's counters and a free-pool prewarm hint. The
+// schedule's contents are visited by their owners (see package comment).
+// Reading, it first empties the schedule, then restores the counters and
+// prewarms the free list so post-restore scheduling allocates nothing;
+// owners then re-insert still-pending work through RestoreEvent, Timer and
+// CallSlot.
+func (q *Queue) State(v *codec.Visitor) {
+	v.Tag("eventq")
+	if v.Reading() {
+		q.Clear()
 	}
-	q.Clear()
-	q.now = now
-	q.seq = seq
-	q.processed = processed
-	if q.buckets != nil {
-		q.baseDay = dayOf(now)
-		q.curDay = q.baseDay
+	codec.Int64(v, &q.now)
+	v.U64(&q.seq)
+	v.U64(&q.processed)
+	warm := len(q.free) + q.pooledLive()
+	v.Int(&warm)
+	if v.Reading() {
+		if q.buckets != nil {
+			q.baseDay = dayOf(q.now)
+			q.curDay = q.baseDay
+		}
+		for len(q.free) < min(warm, maxPrewarm) {
+			q.free = append(q.free, &Event{q: q})
+		}
 	}
-	q.Prewarm(warm)
 }
 
 // pooledLive counts resident pooled (CallAt-path) events, live or
@@ -139,22 +138,40 @@ func (q *Queue) RestoreEvent(ev *Event) {
 	q.schedule(ev)
 }
 
-// RestoreAt schedules fn at an explicitly recorded (at, seq) and returns
-// the handle, without consuming the monotonic sequence counter. It is the
-// restore-side counterpart of At/Reset for component timers whose original
-// sequence numbers were recorded in a snapshot.
-func (q *Queue) RestoreAt(t simtime.Time, seq uint64, fn func()) *Event {
-	q.checkTime(t)
-	e := &Event{at: t, seq: seq, fn: fn, q: q}
-	q.schedule(e)
-	return e
+// Timer visits one handle timer's slot: a pending flag and, when pending,
+// its (at, seq) through codec.Slot. Reading, it re-arms fn at the recorded
+// slot without consuming the sequence counter — the restore-side
+// counterpart of At/Reset — and stores the new handle in *ev, nil when the
+// timer was idle.
+func (q *Queue) Timer(v *codec.Visitor, ev **Event, fn func()) {
+	e := *ev
+	pending := e.Pending()
+	v.Bool(&pending)
+	if v.Reading() {
+		*ev = nil
+	}
+	if !pending {
+		return
+	}
+	if v.Reading() {
+		e = &Event{fn: fn, q: q}
+	}
+	codec.Slot(v, &e.at, &e.seq, q.now)
+	if v.Reading() && v.Err() == nil {
+		q.schedule(e)
+		*ev = e
+	}
 }
 
-// RestoreCallAt schedules fn(arg) on a recycled event at an explicitly
-// recorded (at, seq) without consuming the sequence counter — the
-// restore-side counterpart of CallAt/CallAfter/CallAtSeq.
-func (q *Queue) RestoreCallAt(t simtime.Time, seq uint64, fn func(any), arg any) {
-	q.checkTime(t)
+// CallSlot visits one pooled event's (at, seq) through codec.Slot. Reading,
+// it schedules fn(arg) on a recycled event at the recorded slot without
+// consuming the sequence counter — the restore-side counterpart of
+// CallAt/CallAfter/CallAtSeq.
+func (q *Queue) CallSlot(v *codec.Visitor, at *simtime.Time, seq *uint64, fn func(any), arg any) {
+	codec.Slot(v, at, seq, q.now)
+	if !v.Reading() || v.Err() != nil {
+		return
+	}
 	var e *Event
 	if n := len(q.free); n > 0 {
 		e = q.free[n-1]
@@ -163,8 +180,8 @@ func (q *Queue) RestoreCallAt(t simtime.Time, seq uint64, fn func(any), arg any)
 	} else {
 		e = &Event{q: q}
 	}
-	e.at = t
-	e.seq = seq
+	e.at = *at
+	e.seq = *seq
 	e.afn = fn
 	e.arg = arg
 	e.pooled = true
@@ -172,46 +189,12 @@ func (q *Queue) RestoreCallAt(t simtime.Time, seq uint64, fn func(any), arg any)
 	q.schedule(e)
 }
 
-// Prewarm grows the event free list to at least n events so subsequent
-// CallAt-path scheduling allocates nothing.
-func (q *Queue) Prewarm(n int) {
-	for len(q.free) < n {
-		q.free = append(q.free, &Event{q: q})
-	}
-}
-
-// SaveTimer records one handle timer's scheduling slot: a pending flag
-// and, when pending, its (at, seq).
-func SaveTimer(w *codec.Writer, ev *Event) {
-	if ev.Pending() {
-		w.Bool(true)
-		w.I64(int64(ev.at))
-		w.U64(ev.seq)
-	} else {
-		w.Bool(false)
-	}
-}
-
-// RestoreTimer re-arms a timer slot recorded by SaveTimer, returning the
-// new handle (nil when the timer was not pending).
-func (q *Queue) RestoreTimer(r *codec.Reader, fn func()) *Event {
-	if !r.Bool() || r.Err() != nil {
-		return nil
-	}
-	at := simtime.Time(r.I64())
-	seq := r.U64()
-	if r.Err() != nil {
-		return nil
-	}
-	return q.RestoreAt(at, seq, fn)
-}
-
 // Seq returns the next monotonic sequence number the queue will assign.
 // Snapshot differential tests use it to assert rebuild equivalence.
 func (q *Queue) Seq() uint64 { return q.seq }
 
-// EventSeq returns the sequence number of a handle event, and EventPending
-// whether it is scheduled: owners record these to re-arm timers on restore.
+// Seq returns the sequence number of a handle event: owners record it to
+// re-arm timers on restore.
 func (e *Event) Seq() uint64 { return e.seq }
 
 // Pending reports whether the event is scheduled and will fire.

@@ -33,7 +33,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 
 		w := codec.NewWriter()
-		q.SaveState(w)
+		q.State(codec.Save(w))
 		img := w.Finish()
 
 		r, err := codec.NewReader(img)
@@ -41,9 +41,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
 		q2 := eventq.New()
-		q2.RestoreState(r)
+		q2.State(codec.Load(r))
 		if r.Err() != nil {
-			t.Fatalf("seed %d: RestoreState: %v", seed, r.Err())
+			t.Fatalf("seed %d: restore: %v", seed, r.Err())
 		}
 		if q2.Now() != q.Now() || q2.Seq() != q.Seq() || q2.Processed() != q.Processed() {
 			t.Fatalf("seed %d: counters (now %v seq %d processed %d) != (now %v seq %d processed %d)",
@@ -51,23 +51,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 
 		w2 := codec.NewWriter()
-		q2.SaveState(w2)
+		q2.State(codec.Save(w2))
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes (%d vs %d)", seed, len(img), len(img2))
 		}
 	}
 }
 
-// TestTimerSlotRoundTrip: SaveTimer/RestoreTimer must preserve the exact
-// (at, seq) slot — pending and idle timers alike.
+// TestTimerSlotRoundTrip: Queue.Timer must preserve the exact (at, seq)
+// slot — pending and idle timers alike.
 func TestTimerSlotRoundTrip(t *testing.T) {
 	q := eventq.New()
 	pending := q.At(simtime.Time(30*simtime.Microsecond), func() {})
 	var idle *eventq.Event // a never-armed timer slot
 
 	w := codec.NewWriter()
-	eventq.SaveTimer(w, pending)
-	eventq.SaveTimer(w, idle)
+	q.Timer(codec.Save(w), &pending, nil)
+	q.Timer(codec.Save(w), &idle, nil)
 	img := w.Finish()
 
 	r, err := codec.NewReader(img)
@@ -75,14 +75,15 @@ func TestTimerSlotRoundTrip(t *testing.T) {
 		t.Fatalf("NewReader: %v", err)
 	}
 	q2 := eventq.New()
-	got := q2.RestoreTimer(r, func() {})
+	var got, idle2 *eventq.Event
+	q2.Timer(codec.Load(r), &got, func() {})
 	if got == nil || !got.Pending() {
 		t.Fatal("pending timer did not restore as pending")
 	}
 	if got.Seq() != pending.Seq() {
 		t.Fatalf("restored timer seq %d, want %d", got.Seq(), pending.Seq())
 	}
-	if idle2 := q2.RestoreTimer(r, func() {}); idle2 != nil {
+	if q2.Timer(codec.Load(r), &idle2, func() {}); idle2 != nil {
 		t.Fatal("idle timer restored as pending")
 	}
 	if r.Err() != nil {

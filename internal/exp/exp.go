@@ -38,15 +38,9 @@ type Options struct {
 	// Scale multiplies experiment durations (1 = quick defaults; the paper's
 	// timescales correspond to Scale >> 1).
 	Scale float64
-	// Shards, when > 1, drives every Network the experiment creates in
-	// conservative barrier windows (netsim.SyncWindow at the topology's
-	// cross-shard lookahead) — the cadence the parallel engine
-	// (internal/psim) imposes on a shard. Experiment runners own one
-	// Network per policy arm with workload closures bound to it, so they
-	// execute sequentially either way; the flag proves the windowed driver
-	// is observationally identical (byte-identical golden tables), while
-	// true multi-queue sharding runs in psim and is measured by
-	// `sh bench/run.sh --workload fabric-sharded`.
+	// Shards, when > 1, splits the fabric across that many event queues of
+	// the parallel engine (internal/psim). Only the experiments that run on
+	// psim read it (mix-spec, mix-replay); Run refuses it elsewhere.
 	Shards int
 	// OfflineEpisodes overrides pre-training length for ACC policies
 	// (0 = package default).
@@ -91,6 +85,7 @@ type option uint8
 
 const (
 	hybridFidelity option = 1 << iota // Fidelity "hybrid"
+	shards                            // Shards > 1
 	workloadSpec
 	recordTrace
 	replayTrace
@@ -103,6 +98,7 @@ var options = []struct {
 	set  func(Options) bool
 }{
 	{hybridFidelity, "-fidelity hybrid", Options.Hybrid},
+	{shards, "-shards", func(o Options) bool { return o.Shards > 1 }},
 	{workloadSpec, "-workload-spec", func(o Options) bool { return o.WorkloadSpec != "" }},
 	{recordTrace, "-record-trace", func(o Options) bool { return o.RecordTrace != "" }},
 	{replayTrace, "-replay-trace", func(o Options) bool { return o.ReplayTrace != "" }},
@@ -322,9 +318,6 @@ func obsConfig(o Options) map[string]string {
 // every experiment, including ones that build many Networks in parallel.
 func newNet(o Options, seed int64) *netsim.Network {
 	n := netsim.New(seed)
-	if o.Shards > 1 {
-		n.SyncWindow = topo.DefaultConfig().FabDelay
-	}
 	if o.Obs != nil {
 		n.Tracer = o.Obs.Tracer
 		o.Obs.RegisterEngine(n.Q.Processed, n.PacketsAlloced)

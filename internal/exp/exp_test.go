@@ -64,6 +64,7 @@ func TestRunRejectsIgnoredOptions(t *testing.T) {
 		"table1":         func(o *Options) { o.Fidelity = "hybrid" },
 		"fig6":           func(o *Options) { o.RecordTrace = "x.bin" },
 		"mix-collective": func(o *Options) { o.WorkloadSpec = "spec.json" },
+		"fig8":           func(o *Options) { o.Shards = 4 },
 	} {
 		o := DefaultOptions()
 		set(&o)
@@ -75,6 +76,15 @@ func TestRunRejectsIgnoredOptions(t *testing.T) {
 	o.Fidelity = "hybrid"
 	if err := Check("fig8", o); err != nil {
 		t.Errorf("fig8 refused hybrid fidelity: %v", err)
+	}
+	o = DefaultOptions()
+	o.Shards = 4
+	want := "exp: fig8 ignores -shards (read only by mix-replay, mix-spec)"
+	if err := Check("fig8", o); err == nil || err.Error() != want {
+		t.Errorf("fig8 with -shards 4: %v, want %q", err, want)
+	}
+	if err := Check("mix-spec", o); err != nil {
+		t.Errorf("mix-spec refused -shards: %v", err)
 	}
 }
 

@@ -71,29 +71,3 @@ func TestHybridFig8Tolerance(t *testing.T) {
 		t.Fatalf("manifest config missing fidelity knob: %v", man.Config)
 	}
 }
-
-// TestHybridShardedIdentity proves fidelity transitions are shard-safe at
-// the experiment level: fig8 under -fidelity hybrid renders byte-identical
-// tables whether events run free or in conservative barrier windows
-// (Options.Shards > 1), demotions landing inside windows included.
-func TestHybridShardedIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	o := DefaultOptions()
-	o.Scale = 0.25
-	o.OfflineEpisodes = 4
-	o.Fidelity = "hybrid"
-	seq, err := Run("fig8", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Shards = 4
-	win, err := Run("fig8", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := renderTables(win), renderTables(seq); got != want {
-		t.Errorf("hybrid -shards 4 diverged from the sequential hybrid run:\n--- windowed ---\n%s\n--- sequential ---\n%s", got, want)
-	}
-}

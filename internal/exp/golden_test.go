@@ -55,37 +55,6 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
-// TestShardedGoldenIdentity proves `accsim -shards N` changes nothing: the
-// windowed conservative driver (Options.Shards > 1 → netsim.SyncWindow at
-// the cross-shard lookahead) must render byte-identical fig8 and
-// robust-linkfail tables against the same goldens the sequential run is
-// pinned to. Together with internal/psim's differential tests (true
-// multi-queue sharding, bit-identical under GOMAXPROCS 1..N) this is the
-// user-facing half of the parallel-simulation equivalence contract.
-func TestShardedGoldenIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	o := DefaultOptions()
-	o.Scale = 0.25
-	o.OfflineEpisodes = 4
-	o.Shards = 4
-	for _, id := range []string{"fig8", "robust-linkfail"} {
-		tables, err := Run(id, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		got := renderTables(tables)
-		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
-		if err != nil {
-			t.Fatalf("%s: missing golden (regenerate with -update-golden): %v", id, err)
-		}
-		if got != string(want) {
-			t.Errorf("%s: -shards 4 output diverged from the sequential golden:\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
-		}
-	}
-}
-
 // TestPretrainedWeightDigest pins the four-episode model every golden run
 // above deploys: FNV-64a over the little-endian Float64bits of W rows then
 // B, layer by layer. The tables would also move if training did, but only

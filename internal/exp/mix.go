@@ -39,9 +39,9 @@ import (
 
 func init() {
 	register("mix-spec", "multi-client workload spec: per-SLO-class FCT tails + Jain fairness (workload engine)", runMixSpec,
-		hybridFidelity, workloadSpec, recordTrace, replayTrace)
+		hybridFidelity, shards, workloadSpec, recordTrace, replayTrace)
 	register("mix-replay", "record→replay determinism: run, re-record, replay, assert bit-identity", runMixReplay,
-		hybridFidelity, workloadSpec, recordTrace, replayTrace)
+		hybridFidelity, shards, workloadSpec, recordTrace, replayTrace)
 	register("mix-collective", "AI-fabric collectives (tree allreduce, MoE all-to-all, pipeline) over background traffic", runMixCollective,
 		recordTrace)
 }
@@ -67,14 +67,10 @@ func runMixTrace(o Options, tr *workload.Trace) *mixResult {
 	if err := tr.Validate(); err != nil {
 		panic(fmt.Sprintf("exp: mix trace: %v", err))
 	}
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	tc := topo.DefaultConfig()
 	e := psim.Build(psim.Config{
 		NLeaf: tr.NLeaf, HostsPerLeaf: tr.HostsPerLeaf, NSpine: tr.NSpine,
-		Shards: shards, Seed: tr.Seed, Topo: tc,
+		Shards: max(o.Shards, 1), Seed: tr.Seed, Topo: tc,
 	})
 	e.AttachObs(o.Obs)
 

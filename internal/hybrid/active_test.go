@@ -192,15 +192,15 @@ func (r *churnRig) onDone(f *Flow, end simtime.Time) {
 func (r *churnRig) restoreInPlace(t *testing.T) {
 	t.Helper()
 	w := codec.NewWriter()
-	r.e.SaveState(w)
+	r.e.State(codec.Save(w), nil)
 	rd, err := codec.NewReader(w.Finish())
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.e.RestoreState(rd, func(uint64) (func(*Flow, int64), func(*Flow, simtime.Time)) {
+	r.e.State(codec.Load(rd), func(uint64) (func(*Flow, int64), func(*Flow, simtime.Time)) {
 		return r.startPacket, r.onDone
 	})
-	if err != nil {
+	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -396,7 +396,7 @@ func TestActiveSetEqualsAllLinksScan(t *testing.T) {
 // paced out detaches the flow and leaves it to complete analytically at its
 // End, where complete detaches it again. The second detach must debit
 // nothing: every link's sumRate stays the demand of the flows it lists, and
-// a run restored after the demotion or after the completion — RestoreState
+// a run restored after the demotion or after the completion — the restore
 // recomputes sumRate from the live flows — matches the uninterrupted one at
 // every tick, through the promotion that reads sumRate.
 func TestPacedOutFlowDetachesOnce(t *testing.T) {

@@ -119,11 +119,15 @@ func DefaultConfig() Config {
 // Link is one modeled hop: a physical egress port plus the capacity the
 // fluid model shares among the flows crossing it.
 type Link struct {
+	//acclint:ignore snapcover construction wiring: AddLink on the rebuilt fabric
 	Port *netsim.Port
 
-	Cap     simtime.Rate     // capacity water-filling distributes
-	SerRate simtime.Rate     // per-frame serialization rate (store-and-forward)
-	Delay   simtime.Duration // propagation delay of this hop
+	//acclint:ignore snapcover construction config: AddLink derives it from the rebuilt port
+	Cap simtime.Rate // capacity water-filling distributes
+	//acclint:ignore snapcover construction config: AddLink derives it from the rebuilt port
+	SerRate simtime.Rate // per-frame serialization rate (store-and-forward)
+	//acclint:ignore snapcover construction config: AddLink derives it from the rebuilt port
+	Delay simtime.Duration // propagation delay of this hop
 
 	hot  bool // demoted: no analytic admissions until promotion
 	cold int  // consecutive quiet windows observed while hot
@@ -136,12 +140,16 @@ type Link struct {
 	lastPauseRx uint64 // Port.PauseRxEvents at the last trigger check
 	wasDown     bool   // Port.IsDown at the last trigger check
 
-	idx    int   // registration index, the snapshot codec's link identity
+	//acclint:ignore snapcover registration index, assigned again by AddLink in the same order on the rebuilt fabric
+	idx int // the snapshot codec's link identity
+	//acclint:ignore snapcover ECMP wiring registered at construction
 	groups []int // indices into Engine.groups of the ECMP groups this link is in
 
-	// Water-filling scratch.
+	// Water-filling scratch, recomputed by every fill before it is read.
+	//acclint:ignore snapcover water-filling scratch, recomputed by every fill
 	avail float64
-	nUn   int
+	//acclint:ignore snapcover water-filling scratch, recomputed by every fill
+	nUn int
 }
 
 // Hot reports whether the link is currently demoted to packet fidelity.
@@ -238,6 +246,7 @@ type Engine struct {
 	//acclint:ignore snapcover construction config; restore overlays onto an engine built with the same Config
 	Cfg Config
 
+	//acclint:ignore snapcover nil in every engine NewBarrier builds, and State refuses any other
 	q     *eventq.Queue
 	clock func() simtime.Time
 
@@ -255,17 +264,19 @@ type Engine struct {
 	// (drain), stay set while a link is hot (demoteLink sets, promotion
 	// clears), and start all set (AddLink, MarkAll on restore) — visiting a
 	// link that did not need it is always legal, only skipping one that did
-	// is not. Not saved for that reason: RestoreState marks every link.
+	// is not. Not saved for that reason: a restore marks every link.
 	// See DESIGN.md "Hybrid fidelity".
+	//acclint:ignore snapcover rebuilt by State's MarkAll, a superset of the set it stands for
 	visit []uint64
 	// active is the set of links that carry at least one analytic flow, one
 	// bit per link registration index: exactly {l : len(l.flows) > 0}.
 	// waterfill and the near-saturation trigger walk it in place of every
 	// link — a link outside it has no unfrozen flow to bound and no flow to
 	// read its avail, so what they compute is the same. StartFlow and
-	// RestoreState set a bit where a link gains its first flow, detach clears
-	// it where the last one leaves. Not saved: RestoreState rebuilds it with
+	// a restore set a bit where a link gains its first flow, detach clears
+	// it where the last one leaves. Not saved: a restore rebuilds it with
 	// the flow lists it is derived from. See DESIGN.md "Hybrid fidelity".
+	//acclint:ignore snapcover rebuilt by State: cleared, then set by attach for every restored analytic flow
 	active []uint64
 	//acclint:ignore snapcover intra-fill scratch: the active links in ascending index, rebuilt by every waterfill
 	fill []*Link
@@ -382,7 +393,7 @@ func (e *Engine) attach(f *Flow) {
 }
 
 // MarkAll puts every link in the visit set, which makes the next Tick a
-// check of all links. RestoreState uses it in place of saved visit state.
+// check of all links. A restore uses it in place of saved visit state.
 func (e *Engine) MarkAll() {
 	for i := range e.links {
 		e.mark(i)

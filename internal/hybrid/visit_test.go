@@ -357,7 +357,7 @@ func TestVisitSeesQueuesFilledByThisTicksDemotions(t *testing.T) {
 	}
 }
 
-// TestRestoreMarksEveryLink: RestoreState stands in for saved visit state by
+// TestRestoreMarksEveryLink: a restore stands in for saved visit state by
 // marking all links, whatever the engine it overlays had left pending.
 func TestRestoreMarksEveryLink(t *testing.T) {
 	r := newVisitRig(t, DefaultConfig(), 2, 2, 2)
@@ -365,15 +365,15 @@ func TestRestoreMarksEveryLink(t *testing.T) {
 		t.Fatalf("%d links pending on an idle ticked engine", r.pending())
 	}
 	w := codec.NewWriter()
-	r.e.SaveState(w)
+	r.e.State(codec.Save(w), nil)
 	rd, err := codec.NewReader(w.Finish())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.e.RestoreState(rd, nil); err != nil {
-		t.Fatal(err)
+	if r.e.State(codec.Load(rd), nil); rd.Err() != nil {
+		t.Fatal(rd.Err())
 	}
 	if got := r.pending(); got != len(r.e.links) {
-		t.Fatalf("%d of %d links marked after RestoreState", got, len(r.e.links))
+		t.Fatalf("%d of %d links marked after the restore", got, len(r.e.links))
 	}
 }

@@ -68,3 +68,50 @@ func isIdentNamed(e ast.Expr, name string) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == name
 }
+
+// namedKey renders the "importpath.TypeName" key of t, unwrapping one
+// pointer level; "" for unnamed or builtin types.
+func namedKey(t types.Type) string {
+	if t == nil {
+		return ""
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return ""
+	}
+	return typeKey(n.Obj().Pkg().Path(), n.Obj().Name())
+}
+
+// shortFuncName renders fn compactly for diagnostics: pkg.Type.Method.
+func shortFuncName(fn *types.Func) string {
+	if _, typeName, ok := recvNamed(fn); ok && fn.Pkg() != nil {
+		return fn.Pkg().Name() + "." + typeName + "." + fn.Name()
+	}
+	if fn.Pkg() != nil {
+		return fn.Pkg().Name() + "." + fn.Name()
+	}
+	return fn.Name()
+}
+
+// declFuncs returns every function declaration with a body, in
+// deterministic (package, file, declaration) order.
+func declFuncs(prog *Program) []*funcNode {
+	var out []*funcNode
+	for _, pkg := range prog.Pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					out = append(out, &funcNode{fn: fn, decl: fd, pkg: pkg})
+				}
+			}
+		}
+	}
+	return out
+}

@@ -29,17 +29,11 @@ type Config struct {
 	// root must not format or concatenate strings.
 	HotRoots []string
 
-	// CodecWriterType / CodecReaderType name the snapshot codec's stream
-	// types ("importpath.TypeName"). They anchor the codecsym and
-	// snapcover checkers; when empty, both checkers are inert.
-	CodecWriterType string
-	CodecReaderType string
-
-	// SnapSaveFuncs are save helpers ("importpath.Func" or
-	// "importpath.Type.Method") whose named-struct parameters are held to
-	// the snapcover completeness obligation in addition to every type
-	// with a SaveState/saveState method.
-	SnapSaveFuncs []string
+	// CodecVisitorType names the snapshot codec's Visitor
+	// ("importpath.TypeName"): a method named state or State that takes it
+	// is a state walk, which anchors the snapcover checker. When empty,
+	// snapcover is inert.
+	CodecVisitorType string
 
 	// BarrierOwnedTypes name coordinator-owned types
 	// ("importpath.TypeName") whose fields may only be mutated in barrier
@@ -176,22 +170,8 @@ func DefaultConfig() *Config {
 			Module + "/internal/hybrid.Engine.commitTo",
 			Module + "/internal/hybrid.Engine.waterfill",
 		},
-		// The snapshot codec stream types: every SaveState/LoadState pair
-		// in the tree moves bytes through these two.
-		CodecWriterType: Module + "/internal/snap/codec.Writer",
-		CodecReaderType: Module + "/internal/snap/codec.Reader",
-		// Save helpers that serialize a struct passed as a parameter
-		// rather than a receiver; snapcover binds the completeness
-		// obligation to the named-struct parameter.
-		SnapSaveFuncs: []string{
-			Module + "/internal/dcqcn.saveParams",
-			Module + "/internal/tcp.saveParams",
-			Module + "/internal/netsim.savePacket",
-			Module + "/internal/hybrid.Engine.SaveFlow",
-			Module + "/internal/psim.Engine.SaveApplied",
-			Module + "/internal/snap.saveScenario",
-			Module + "/internal/rl.saveTransition",
-		},
+		// Every state walk in the tree saves and restores through it.
+		CodecVisitorType: Module + "/internal/snap/codec.Visitor",
 		// Coordinator-owned state in the parallel engine and the hybrid
 		// overlay: mutations must happen at the barrier (or through the
 		// slot fields below).

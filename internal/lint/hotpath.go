@@ -108,18 +108,8 @@ type funcNode struct {
 // the pipeline can reach.
 func (Hotpath) checkReachable(prog *Program, cfg *Config) []Diagnostic {
 	index := map[*types.Func]*funcNode{}
-	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					index[fn] = &funcNode{fn: fn, decl: fd, pkg: pkg}
-				}
-			}
-		}
+	for _, n := range declFuncs(prog) {
+		index[n.fn] = n
 	}
 
 	callees := func(n *funcNode) []*types.Func {

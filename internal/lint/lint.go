@@ -11,7 +11,7 @@
 // allocations anywhere the tests do not reach. The checkers in this
 // package prove the properties over the whole source tree on every build.
 //
-// Three domain checkers ship today (see determinism.go, hotpath.go,
+// Five domain checkers ship today (see determinism.go, hotpath.go,
 // tracerguard.go). Checkers run over a type-checked Program loaded by
 // Loader (load.go) and report Diagnostics. Deliberate violations are
 // annotated in source with
@@ -59,7 +59,7 @@ type Checker interface {
 
 // AllCheckers returns the full suite in a fixed order.
 func AllCheckers() []Checker {
-	return []Checker{Determinism{}, Hotpath{}, TracerGuard{}, Snapcover{}, Codecsym{}, Barriermut{}}
+	return []Checker{Determinism{}, Hotpath{}, TracerGuard{}, Snapcover{}, Barriermut{}}
 }
 
 // Run executes the checkers over prog, applies the //acclint:ignore

@@ -39,16 +39,8 @@ func fixtureCases() []fixtureCase {
 	tracer := func(ipath string) *lint.Config {
 		return &lint.Config{TracerTypes: []string{ipath + ".Tracer"}}
 	}
-	codec := func(ipath string) *lint.Config {
-		return &lint.Config{
-			CodecWriterType: ipath + ".Writer",
-			CodecReaderType: ipath + ".Reader",
-		}
-	}
 	snapcover := func(ipath string) *lint.Config {
-		cfg := codec(ipath)
-		cfg.SnapSaveFuncs = []string{ipath + ".saveParams"}
-		return cfg
+		return &lint.Config{CodecVisitorType: ipath + ".Visitor"}
 	}
 	barrier := func(ipath string) *lint.Config {
 		return &lint.Config{
@@ -74,8 +66,6 @@ func fixtureCases() []fixtureCase {
 		{"hotpath_ok", hotpath},
 		{"tracerguard_bad", tracer},
 		{"tracerguard_ok", tracer},
-		{"codecsym_bad", codec},
-		{"codecsym_ok", codec},
 		{"snapcover_bad", snapcover},
 		{"snapcover_ok", snapcover},
 		{"barriermut_bad", barrier},

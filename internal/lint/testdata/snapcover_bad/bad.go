@@ -1,77 +1,71 @@
-// Package snapcover_bad seeds the failure snapcover exists to catch:
-// fields dropped SYMMETRICALLY from both the save and load sides, so the
-// codec stays aligned (codecsym is silent) but a restored object diverges
-// from the cold run the first time the field matters.
+// Package snapcover_bad seeds the failures snapcover exists to catch: a
+// field a state walk never visits and no restore path rebuilds, so a
+// restored object diverges from the cold run the first time the field
+// matters — including the near misses that look like coverage and are not.
 package snapcover_bad
 
-// Writer and Reader are the fixture's own codec stream types; the test
-// config points CodecWriterType/CodecReaderType at them.
-type Writer struct{}
+// Visitor is the fixture's own codec Visitor; the test config points
+// CodecVisitorType at it.
+type Visitor struct{ reading bool }
 
-func (w *Writer) Tag(string)  {}
-func (w *Writer) I64(int64)   {}
-func (w *Writer) Int(int)     {}
-func (w *Writer) F64(float64) {}
+func (v *Visitor) Tag(string)          {}
+func (v *Visitor) I64(*int64)          {}
+func (v *Visitor) Int(*int)            {}
+func (v *Visitor) Bool(*bool)          {}
+func (v *Visitor) F64(*float64)        {}
+func (v *Visitor) Reading() bool       { return v.reading }
+func (v *Visitor) Fail(string, ...any) {}
+func (v *Visitor) F64s(*[]float64)     {}
 
-type Reader struct{ err error }
-
-func (r *Reader) Expect(string) {}
-func (r *Reader) I64() int64    { return 0 }
-func (r *Reader) Int() int      { return 0 }
-func (r *Reader) F64() float64  { return 0 }
-func (r *Reader) Err() error    { return r.err }
-
-// flow drops acked from both halves of an otherwise symmetric pair: the
-// stream verifies, but every restore silently zeroes the ack counter.
+// flow drops acked from its walk: every restore silently zeroes the ack
+// counter.
 type flow struct {
 	sent  int64
 	acked int64
 	rate  float64
 }
 
-func (f *flow) SaveState(w *Writer) {
-	w.Tag("flow")
-	w.I64(f.sent)
-	w.F64(f.rate)
+func (f *flow) state(v *Visitor) {
+	v.Tag("flow")
+	v.I64(&f.sent)
+	v.F64(&f.rate)
 }
 
-func (f *flow) RestoreState(r *Reader) {
-	r.Expect("flow")
-	f.sent = r.I64()
-	f.rate = r.F64()
-}
-
-// params is serialized through a configured save helper
-// (Config.SnapSaveFuncs names saveParams): the completeness obligation
-// binds to the named-struct parameter, and dropped is missing from both
-// sides.
+// params is visited through its own walk, which drops dropped.
 type params struct {
 	kmin    int
 	kmax    int
 	dropped int
 }
 
-func saveParams(w *Writer, p *params) {
-	w.Int(p.kmin)
-	w.Int(p.kmax)
+func (p *params) state(v *Visitor) {
+	v.Int(&p.kmin)
+	v.Int(&p.kmax)
 }
 
-func loadParams(r *Reader, p *params) {
-	p.kmin = r.Int()
-	p.kmax = r.Int()
-}
-
-// device is the tagged root that pairs the helper halves.
+// device nests params and looks covered three ways that do not count:
+// next is copied out and written back without being visited in between
+// (a round trip); limit is only named in a Fail check, which visits
+// nothing; and opt is reset under a condition read from the image but its
+// payload is never visited.
 type device struct {
-	p params
+	p     params
+	next  int
+	limit int
+	has   bool
+	opt   []float64
 }
 
-func (d *device) SaveState(w *Writer) {
-	w.Tag("device")
-	saveParams(w, &d.p)
-}
-
-func (d *device) RestoreState(r *Reader) {
-	r.Expect("device")
-	loadParams(r, &d.p)
+func (d *device) state(v *Visitor) {
+	v.Tag("device")
+	d.p.state(v)
+	next := d.next
+	if next > d.limit {
+		v.Fail("ring position %d past %d", next, d.limit)
+	}
+	d.next = next
+	has := d.has
+	if v.Bool(&has); !has && v.Reading() {
+		d.opt = nil
+	}
 }

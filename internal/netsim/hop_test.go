@@ -37,14 +37,14 @@ func TestByteTimeIntegralExact(t *testing.T) {
 	for step := 0; step < 20000; step++ {
 		if step == 10000 {
 			w := codec.NewWriter()
-			net.SaveState(w)
+			net.State(codec.Save(w))
 			r, err := codec.NewReader(w.Finish())
 			if err != nil {
 				t.Fatal(err)
 			}
 			restored, rq := byteTimeWorld()
-			if err := restored.RestoreState(r); err != nil {
-				t.Fatalf("RestoreState: %v", err)
+			if restored.State(codec.Load(r)); r.Err() != nil {
+				t.Fatalf("restore: %v", r.Err())
 			}
 			net, q = restored, rq
 		}

@@ -31,16 +31,6 @@ type Network struct {
 	//acclint:ignore snapcover observability wiring, shareable across Networks; re-attached at construction
 	Tracer *obs.Tracer
 
-	// SyncWindow, when nonzero, makes RunUntil/RunFor drive the queue in
-	// conservative barrier windows of this width (Queue.RunBefore) — the
-	// exact cadence a shard executes under in the parallel engine
-	// (internal/psim). The queue fires events in (time, seq) order either
-	// way, so results are bit-identical; the field lets a sequential run
-	// mirror a sharded run's clock trajectory (`accsim -shards N`), which
-	// the golden tests use to prove the windowed driver perturbs nothing.
-	//acclint:ignore snapcover driver cadence config, not simulation state; set at construction
-	SyncWindow simtime.Duration
-
 	//acclint:ignore snapcover construction config; restore requires a Network built from the same seed (RNG derivation depends on it)
 	seed     int64
 	nodes    []Node
@@ -213,16 +203,8 @@ func ConnectRemote(p *Port, re RemoteEnd, rxNode, rxPort int) {
 // Run executes events until the queue drains.
 func (n *Network) Run() { n.Q.Run() }
 
-// RunUntil executes events up to the deadline (in SyncWindow-sized barrier
-// windows when the windowed driver is enabled; see SyncWindow).
-func (n *Network) RunUntil(t simtime.Time) {
-	if n.SyncWindow > 0 {
-		for b := n.Q.Now().Add(n.SyncWindow); b < t; b = b.Add(n.SyncWindow) {
-			n.Q.RunBefore(b)
-		}
-	}
-	n.Q.RunUntil(t)
-}
+// RunUntil executes events up to the deadline.
+func (n *Network) RunUntil(t simtime.Time) { n.Q.RunUntil(t) }
 
 // RunFor executes events for a span of virtual time from now.
 func (n *Network) RunFor(d simtime.Duration) { n.RunUntil(n.Now().Add(d)) }

@@ -90,7 +90,7 @@ type Packet struct {
 	// pooled marks a packet currently resting in its Network's free list,
 	// guarding against double release (which would otherwise silently alias
 	// two in-flight packets).
-	//acclint:ignore snapcover free-list bookkeeping; loadPacket allocates via AllocPacket, which manages the mark
+	//acclint:ignore snapcover free-list bookkeeping; a restore takes packets through AllocPacket, which manages the mark
 	pooled bool
 }
 

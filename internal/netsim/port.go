@@ -145,7 +145,8 @@ type Port struct {
 	Queues []*EgressQueue
 	//acclint:ignore snapcover construction wiring (link far end)
 	Peer *Port // remote end of the link
-	net  *Network
+	//acclint:ignore snapcover construction wiring: the Network that rebuilds the port
+	net *Network
 
 	// Line 1 — the rest of trySend.
 	rr        int          // DWRR round-robin pointer
@@ -170,7 +171,8 @@ type Port struct {
 
 	// Line 2 — txDone and deliver on the transmit side, and all an arrival
 	// touches of the receiving port (Owner, Index, RxBytesTotal).
-	Owner Node // construction wiring; restore reads it to recount downed ports
+	//acclint:ignore snapcover construction wiring: the rebuilt port hangs off the same node
+	Owner Node
 	//acclint:ignore snapcover construction wiring (port slot)
 	Index        int // port index within the owner
 	RxBytesTotal uint64
@@ -210,6 +212,7 @@ type Port struct {
 	// in another shard: deliver hands finished packets to it (by value)
 	// instead of scheduling a local arrival, and Peer stays nil. trySend
 	// reads it only for a port without a Peer.
+	//acclint:ignore snapcover construction wiring: the rebuilt engine connects the cross-shard end again
 	remote RemoteEnd
 
 	// Behind the hot lines: cumulative counters a packet hop never touches.

@@ -9,8 +9,8 @@ package netsim
 //
 // Order is the only observable: at(0) is the oldest element whatever the
 // ring's phase (where head sits, how often it wrapped or grew), and
-// snapshots save and restore through at and push, so image bytes do not
-// depend on phase either.
+// snapshots visit elements through ref in that order, so image bytes do
+// not depend on phase either.
 type ring[T any] struct {
 	buf  []T // len(buf) is zero or a power of two
 	head uint32
@@ -22,6 +22,11 @@ func (r *ring[T]) len() int { return int(r.n) }
 // at returns the i-th oldest element, 0 <= i < len.
 func (r *ring[T]) at(i int) T {
 	return r.buf[(r.head+uint32(i))&uint32(len(r.buf)-1)]
+}
+
+// ref returns the i-th oldest slot, 0 <= i < len, for visiting in place.
+func (r *ring[T]) ref(i int) *T {
+	return &r.buf[(r.head+uint32(i))&uint32(len(r.buf)-1)]
 }
 
 func (r *ring[T]) push(v T) {

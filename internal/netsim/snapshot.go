@@ -2,10 +2,8 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
-	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
@@ -14,13 +12,13 @@ import (
 // A Network snapshot is restored into a *freshly rebuilt* world: the same
 // construction code (topology, plan application) runs again, so every
 // closure, pre-bound method value, and routing table exists and is bound
-// to live objects; RestoreState then clears the rebuilt event queue,
-// restores counters and per-object dynamic state, re-materializes the
-// in-flight packet population at its recorded (time, seq) slots, and
-// fast-forwards every RNG stream to its recorded draw count. Because the
-// streams are replayed — not replaced — the numeric sequences are exactly
-// those of the uninterrupted run, which is what makes restore-then-run
-// bit-identical to never having snapshotted.
+// to live objects; State then clears the rebuilt event queue, restores
+// counters and per-object dynamic state, re-materializes the in-flight
+// packet population at its recorded (time, seq) slots, and fast-forwards
+// every RNG stream to its recorded draw count. Because the streams are
+// replayed — not replaced — the numeric sequences are exactly those of the
+// uninterrupted run, which is what makes restore-then-run bit-identical to
+// never having snapshotted.
 
 // CountedSource wraps a rand.Source64 and counts draws. Int63 and Uint64
 // advance the underlying generator by exactly one step each, so a stream
@@ -33,7 +31,8 @@ import (
 // stream never drawn from saves a count of zero and a restore to zero skips
 // nothing, so neither builds it and the image cannot tell.
 type CountedSource struct {
-	src  rand.Source64 // nil until the first draw of a lazily seeded stream
+	src rand.Source64 // nil until the first draw of a lazily seeded stream
+	//acclint:ignore snapcover the stream's derivation, set again by whoever rebuilds the stream; State visits its draw count
 	seed int64
 	n    uint64
 }
@@ -66,22 +65,30 @@ func (c *CountedSource) Seed(seed int64) {
 	c.seed, c.n = seed, 0
 }
 
-// Draws returns how many values have been drawn from the stream.
-func (c *CountedSource) Draws() uint64 { return c.n }
+// maxSkip bounds how many draws a restore replays on one stream: replay is
+// O(draws), so a count beyond it is refused rather than spun through. It is
+// far past what any snapshotted world draws between construction and its
+// snapshot (thousands to tens of thousands per stream).
+const maxSkip = 1 << 24
 
-// skipTo fast-forwards the stream to the target draw count. The rebuilt
-// world must be behind the snapshot (construction draws are a prefix of
-// the saved run's draws); anything else means the snapshot belongs to a
-// different world.
-func (c *CountedSource) SkipTo(target uint64) error {
-	if target < c.n {
-		return fmt.Errorf("rng stream at draw %d is ahead of snapshot draw %d (snapshot from a different world?)", c.n, target)
+// State visits the stream's draw count. Reading, it fast-forwards the
+// stream to it. The rebuilt world must be behind the snapshot
+// (construction draws are a prefix of the saved run's draws); anything else
+// means the snapshot belongs to a different world.
+func (c *CountedSource) State(v *codec.Visitor) {
+	n := c.n
+	v.U64(&n)
+	if !v.Reading() || v.Err() != nil {
+		return
 	}
-	for c.n < target {
+	if n < c.n || n-c.n > maxSkip {
+		v.Fail("rng stream at draw %d cannot replay to snapshot draw %d (snapshot from a different world?)", c.n, n)
+		return
+	}
+	for c.n < n {
 		c.source().Uint64()
 		c.n++
 	}
-	return nil
 }
 
 // WaiterRef identifies a parked NIC waiter in a snapshot.
@@ -90,346 +97,220 @@ type WaiterRef struct {
 	Flow FlowID
 }
 
-// savePacket writes every wire-visible field of p.
-func savePacket(w *codec.Writer, p *Packet) {
-	w.Int(int(p.Kind))
-	w.U64(uint64(p.Flow))
-	w.Int(p.Src)
-	w.Int(p.Dst)
-	w.Int(int(p.Prio))
-	w.Int(p.Size)
-	w.I64(p.Seq)
-	w.I64(p.FlowBytes)
-	w.Bool(p.Last)
-	w.Bool(p.Retx)
-	w.Bool(p.ECT)
-	w.Bool(p.CE)
-	w.Bool(p.ECE)
-	w.Int(int(p.PausePrio))
-	w.Int(int(p.inPort))
+func (w *WaiterRef) state(v *codec.Visitor) {
+	codec.Uint64(v, &w.Kind)
+	codec.Uint64(v, &w.Flow)
 }
 
-// loadPacket reads a packet saved by savePacket into a pooled object. Prio,
-// PausePrio and inPort are narrower than the Int they are saved as; a value
-// the field cannot hold fails the read — it is a corrupt image, not
-// something to truncate into a plausible packet.
-func (n *Network) loadPacket(r *codec.Reader) *Packet {
-	p := n.AllocPacket()
-	p.Kind = Kind(r.Int())
-	p.Flow = FlowID(r.U64())
-	p.Src = r.Int()
-	p.Dst = r.Int()
-	prio := r.Int()
-	p.Size = r.Int()
-	p.Seq = r.I64()
-	p.FlowBytes = r.I64()
-	p.Last = r.Bool()
-	p.Retx = r.Bool()
-	p.ECT = r.Bool()
-	p.CE = r.Bool()
-	p.ECE = r.Bool()
-	pausePrio := r.Int()
-	inPort := r.Int()
-	if uint(prio) > math.MaxUint8 || uint(pausePrio) > math.MaxUint8 || uint(inPort) > math.MaxUint16 {
-		r.Fail("packet prio %d, pause prio %d or ingress port %d does not fit its field", prio, pausePrio, inPort)
-	}
-	p.Prio, p.PausePrio, p.inPort = uint8(prio), uint8(pausePrio), uint16(inPort)
-	return p
+// The fewest bytes a packet, a flight record and a parked waiter take in an
+// image: one per varint and bool, which is what bounds their counts.
+const (
+	minPacketBytes = 15
+	minFlightBytes = minPacketBytes + 2
+	minWaiterBytes = 2
+)
+
+// state visits every wire-visible field of p. Prio, PausePrio and inPort
+// are narrower than the Int they are saved as; a value the field cannot
+// hold fails the read.
+func (p *Packet) state(v *codec.Visitor) {
+	codec.Int64(v, &p.Kind)
+	codec.Uint64(v, &p.Flow)
+	v.Int(&p.Src)
+	v.Int(&p.Dst)
+	codec.Int64(v, &p.Prio)
+	v.Int(&p.Size)
+	v.I64(&p.Seq)
+	v.I64(&p.FlowBytes)
+	v.Bool(&p.Last)
+	v.Bool(&p.Retx)
+	v.Bool(&p.ECT)
+	v.Bool(&p.CE)
+	v.Bool(&p.ECE)
+	codec.Int64(v, &p.PausePrio)
+	codec.Int64(v, &p.inPort)
 }
 
-// SaveState writes the network's full dynamic state: event-queue counters,
-// RNG draw counts, per-node buffers and counters, and every live packet
-// (queued, serializing, or propagating).
-func (n *Network) SaveState(w *codec.Writer) {
-	w.Tag("netsim")
-	n.Q.SaveState(w)
-	if n.rootSrc == nil {
-		panic("netsim: SaveState on a Network not built with New")
+// packet visits one live packet; reading, it first takes a pooled packet
+// for *p to read into.
+func (n *Network) packet(v *codec.Visitor, p **Packet) {
+	if v.Reading() {
+		*p = n.AllocPacket()
 	}
-	w.U64(n.rootSrc.n)
-	w.U64(uint64(n.nextFlow))
-	for id, node := range n.nodes {
-		switch v := node.(type) {
-		case *Host:
-			w.Tag("host")
-			w.Int(id)
-			v.saveState(w)
-		case *Switch:
-			w.Tag("switch")
-			w.Int(id)
-			v.saveState(w)
-		}
-	}
-	w.Tag("endnodes")
-	w.Int(len(n.pktFree))
-	w.U64(n.pktAlloced)
+	(*p).state(v)
 }
 
-// RestoreState restores state saved by SaveState into this freshly rebuilt
-// network. The rebuilt topology must match the saved one exactly; nodes are
-// visited in the same id order. Transport endpoints and parked NIC waiters
+// State visits the network's full dynamic state: event-queue counters, RNG
+// draw counts, per-node buffers and counters, and every live packet
+// (queued, serializing, or propagating). Reading, it restores into this
+// freshly rebuilt network, whose topology must match the saved one exactly:
+// nodes are visited in id order. Transport endpoints and parked NIC waiters
 // are restored separately (by their owners, then ResolveWaiters).
-func (n *Network) RestoreState(r *codec.Reader) error {
-	r.Expect("netsim")
-	n.Q.RestoreState(r)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := n.rootSrc.SkipTo(r.U64()); err != nil {
-		return fmt.Errorf("netsim: root rng: %w", err)
-	}
-	n.nextFlow = FlowID(r.U64())
+func (n *Network) State(v *codec.Visitor) {
+	v.Tag("netsim")
+	n.Q.State(v)
+	n.rootSrc.State(v)
+	codec.Uint64(v, &n.nextFlow)
 	for id, node := range n.nodes {
-		switch v := node.(type) {
+		switch node := node.(type) {
 		case *Host:
-			r.Expect("host")
-			if got := r.Int(); got != id && r.Err() == nil {
-				return fmt.Errorf("netsim: snapshot host id %d, world has %d (layout mismatch)", got, id)
-			}
-			v.restoreState(r)
+			v.Tag("host")
+			n.nodeID(v, id)
+			node.state(v)
 		case *Switch:
-			r.Expect("switch")
-			if got := r.Int(); got != id && r.Err() == nil {
-				return fmt.Errorf("netsim: snapshot switch id %d, world has %d (layout mismatch)", got, id)
+			v.Tag("switch")
+			n.nodeID(v, id)
+			node.state(v)
+		}
+		if v.Err() != nil {
+			return
+		}
+	}
+	v.Tag("endnodes")
+	warm := len(n.pktFree)
+	v.Int(&warm)
+	v.U64(&n.pktAlloced)
+	if v.Reading() {
+		for len(n.pktFree) < min(warm, maxPoolWarm) {
+			n.pktFree = append(n.pktFree, &Packet{pooled: true})
+		}
+	}
+}
+
+// maxPoolWarm bounds the packet-pool prewarm a restore honours, for the
+// reason eventq bounds its free-list prewarm: the hint sizes an allocation
+// but is not state.
+const maxPoolWarm = 1 << 16
+
+// nodeID visits a node's id, which must be the rebuilt world's.
+func (n *Network) nodeID(v *codec.Visitor, id int) {
+	got := id
+	v.Int(&got)
+	if got != id {
+		v.Fail("netsim: snapshot node id %d, world has %d (layout mismatch)", got, id)
+	}
+}
+
+func (h *Host) state(v *codec.Visitor) {
+	h.net.nodeSrc[h.id].State(v)
+	h.Port.state(v)
+}
+
+func (s *Switch) state(v *codec.Visitor) {
+	s.net.nodeSrc[s.id].State(v)
+	v.Int(&s.totalUsed)
+	for pi := range s.Ports {
+		for prio := 0; prio < NumPrio; prio++ {
+			v.Int(&s.ingUsed[pi][prio])
+			v.Bool(&s.pauseSent[pi][prio])
+		}
+	}
+	v.U64(&s.DropsTotal)
+	v.U64(&s.MarksTotal)
+	v.U64(&s.WREDDrops)
+	v.U64(&s.OverflowDrops)
+	v.U64(&s.RouteBlackholes)
+	for _, p := range s.Ports {
+		p.state(v)
+	}
+	if v.Reading() {
+		s.downPorts = 0
+		for _, p := range s.Ports {
+			if p.down {
+				s.downPorts++
 			}
-			v.restoreState(r)
-		}
-		if err := r.Err(); err != nil {
-			return err
 		}
 	}
-	r.Expect("endnodes")
-	poolWarm := r.Int()
-	alloced := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for len(n.pktFree) < poolWarm {
-		n.pktFree = append(n.pktFree, &Packet{pooled: true})
-	}
-	n.pktAlloced = alloced
-	return nil
 }
 
-func (n *Network) saveNodeRng(w *codec.Writer, id int) {
-	src := n.nodeSrc[id]
-	if src == nil {
-		panic("netsim: node has no counted rng stream")
-	}
-	w.U64(src.n)
-}
-
-func (n *Network) restoreNodeRng(r *codec.Reader, id int) {
-	src := n.nodeSrc[id]
-	if src == nil {
-		r.Fail("node %d has no counted rng stream", id)
-		return
-	}
-	if err := src.SkipTo(r.U64()); err != nil {
-		r.Fail("node %d rng: %v", id, err)
-	}
-}
-
-func (h *Host) saveState(w *codec.Writer) {
-	h.net.saveNodeRng(w, h.id)
-	h.Port.saveState(w)
-}
-
-func (h *Host) restoreState(r *codec.Reader) {
-	h.net.restoreNodeRng(r, h.id)
-	h.Port.restoreState(r)
-}
-
-func (s *Switch) saveState(w *codec.Writer) {
-	s.net.saveNodeRng(w, s.id)
-	w.Int(s.totalUsed)
-	for pi := range s.Ports {
-		for prio := 0; prio < NumPrio; prio++ {
-			w.Int(s.ingUsed[pi][prio])
-			w.Bool(s.pauseSent[pi][prio])
-		}
-	}
-	w.U64(s.DropsTotal)
-	w.U64(s.MarksTotal)
-	w.U64(s.WREDDrops)
-	w.U64(s.OverflowDrops)
-	w.U64(s.RouteBlackholes)
-	for _, p := range s.Ports {
-		p.saveState(w)
-	}
-}
-
-func (s *Switch) restoreState(r *codec.Reader) {
-	s.net.restoreNodeRng(r, s.id)
-	s.totalUsed = r.Int()
-	for pi := range s.Ports {
-		for prio := 0; prio < NumPrio; prio++ {
-			s.ingUsed[pi][prio] = r.Int()
-			s.pauseSent[pi][prio] = r.Bool()
-		}
-	}
-	s.DropsTotal = r.U64()
-	s.MarksTotal = r.U64()
-	s.WREDDrops = r.U64()
-	s.OverflowDrops = r.U64()
-	s.RouteBlackholes = r.U64()
-	for _, p := range s.Ports {
-		p.restoreState(r)
-	}
-}
-
-func (p *Port) saveState(w *codec.Writer) {
-	w.Tag("port")
-	w.I64(int64(p.Bandwidth))
-	w.Bool(p.busy)
-	w.Bool(p.down)
+func (p *Port) state(v *codec.Visitor) {
+	v.Tag("port")
+	codec.Int64(v, &p.Bandwidth)
+	v.Bool(&p.busy)
+	v.Bool(&p.down)
 	for i := 0; i < NumPrio; i++ {
-		w.Bool(p.paused[i])
-		w.I64(int64(p.pausedSince[i]))
+		v.Bool(&p.paused[i])
+		codec.Int64(v, &p.pausedSince[i])
 	}
-	w.Int(p.rr)
-	w.U64(uint64(p.txSeq))
-	w.Int(int(p.fidelity))
-	w.U64(p.TxBytesTotal)
-	w.U64(p.AnalyticTxBytes)
-	w.U64(p.RxBytesTotal)
-	w.U64(p.PauseRxEvents)
-	w.U64(p.PauseTxEvents)
-	w.I64(int64(p.PausedDuration))
-	w.U64(p.BlackholedPackets)
-	w.U64(p.BlackholedBytes)
-	w.Bool(p.txPkt != nil)
-	if p.txPkt != nil {
-		savePacket(w, p.txPkt)
-		w.I64(int64(p.txAt))
-		w.U64(p.txEvSeq)
+	v.Int(&p.rr)
+	codec.Uint64(v, &p.txSeq)
+	codec.Int64(v, &p.fidelity)
+	v.U64(&p.TxBytesTotal)
+	v.U64(&p.AnalyticTxBytes)
+	v.U64(&p.RxBytesTotal)
+	v.U64(&p.PauseRxEvents)
+	v.U64(&p.PauseTxEvents)
+	codec.Int64(v, &p.PausedDuration)
+	v.U64(&p.BlackholedPackets)
+	v.U64(&p.BlackholedBytes)
+	tx := p.txPkt != nil
+	v.Bool(&tx)
+	if tx {
+		p.net.packet(v, &p.txPkt)
+		p.net.Q.CallSlot(v, &p.txAt, &p.txEvSeq, p.txDoneFn, p.txPkt)
 	}
-	w.Int(p.flight.len())
-	for i := 0; i < p.flight.len(); i++ {
-		rec := p.flight.at(i)
-		savePacket(w, rec.pkt)
-		w.I64(int64(rec.at))
-		w.U64(rec.key)
+	arrive := p.arriveFn
+	if p.remote != nil {
+		arrive = p.remoteArriveFn
+	}
+	for i := range v.Count("flight length", p.flight.len(), minFlightBytes) {
+		if v.Reading() {
+			p.flight.push(flightRec{})
+		}
+		rec := p.flight.ref(i)
+		p.net.packet(v, &rec.pkt)
+		p.net.Q.CallSlot(v, &rec.at, &rec.key, arrive, rec.pkt)
 	}
 	for _, q := range p.Queues {
-		q.saveState(w)
+		q.state(v, p.net)
 	}
 }
 
-func (p *Port) restoreState(r *codec.Reader) {
-	r.Expect("port")
-	p.Bandwidth = simtime.Rate(r.I64())
-	p.busy = r.Bool()
-	p.setDown(r.Bool())
-	for i := 0; i < NumPrio; i++ {
-		p.paused[i] = r.Bool()
-		p.pausedSince[i] = simtime.Time(r.I64())
+func (q *EgressQueue) state(v *codec.Visitor, net *Network) {
+	v.Tag("eq")
+	q.RED.State(v)
+	v.Bool(&q.ECNEnabled)
+	n := v.Count("queue length", q.pkts.len(), minPacketBytes)
+	if v.Reading() {
+		q.pkts.reset()
+		q.bytes = 0
 	}
-	p.rr = r.Int()
-	p.txSeq = uint32(r.U64())
-	p.fidelity = Fidelity(r.Int())
-	p.TxBytesTotal = r.U64()
-	p.AnalyticTxBytes = r.U64()
-	p.RxBytesTotal = r.U64()
-	p.PauseRxEvents = r.U64()
-	p.PauseTxEvents = r.U64()
-	p.PausedDuration = simtime.Duration(r.I64())
-	p.BlackholedPackets = r.U64()
-	p.BlackholedBytes = r.U64()
-	if r.Bool() && r.Err() == nil {
-		pkt := p.net.loadPacket(r)
-		at := simtime.Time(r.I64())
-		seq := r.U64()
-		if r.Err() == nil {
-			p.txPkt = pkt
-			p.txAt = at
-			p.txEvSeq = seq
-			p.net.Q.RestoreCallAt(at, seq, p.txDoneFn, pkt)
+	for i := range n {
+		if v.Reading() {
+			q.pkts.push(nil)
+		}
+		pkt := q.pkts.ref(i)
+		net.packet(v, pkt)
+		if v.Reading() {
+			q.bytes += (*pkt).Size
 		}
 	}
-	nFlight := r.Int()
-	for i := 0; i < nFlight && r.Err() == nil; i++ {
-		pkt := p.net.loadPacket(r)
-		at := simtime.Time(r.I64())
-		key := r.U64()
-		if r.Err() != nil {
-			break
-		}
-		p.flight.push(flightRec{pkt: pkt, at: at, key: key})
-		if p.remote != nil {
-			p.net.Q.RestoreCallAt(at, key, p.remoteArriveFn, pkt)
-		} else {
-			p.net.Q.RestoreCallAt(at, key, p.arriveFn, pkt)
-		}
+	v.F64(&q.byteTime)
+	codec.Int64(v, &q.lastChange)
+	v.Int(&q.deficit)
+	v.Bool(&q.inTurn)
+	v.U64(&q.TxBytes)
+	v.U64(&q.AnalyticTxBytes)
+	v.U64(&q.TxPackets)
+	v.U64(&q.TxMarkedBytes)
+	v.U64(&q.TxMarkedPkts)
+	v.U64(&q.EnqBytes)
+	v.U64(&q.DropPackets)
+	v.U64(&q.DropBytes)
+	refs := q.Parked()
+	n = v.Count("parked senders", q.waiters.len(), minWaiterBytes)
+	if v.Reading() {
+		// Drop waiters parked by construction-time transports (hybrid
+		// rebuilds start due flows at apply time); the snapshot's refs
+		// replace them once ResolveWaiters has the rebuilt transports.
+		q.waiters.reset()
+		refs = make([]WaiterRef, n)
 	}
-	for _, q := range p.Queues {
-		q.restoreState(r, p.net)
+	for i := range refs {
+		refs[i].state(v)
 	}
-}
-
-func (q *EgressQueue) saveState(w *codec.Writer) {
-	w.Tag("eq")
-	w.Int(q.RED.Kmin)
-	w.Int(q.RED.Kmax)
-	w.F64(q.RED.Pmax)
-	w.Bool(q.ECNEnabled)
-	w.Int(q.Len())
-	for i := 0; i < q.pkts.len(); i++ {
-		savePacket(w, q.pkts.at(i))
-	}
-	w.F64(q.byteTime)
-	w.I64(int64(q.lastChange))
-	w.Int(q.deficit)
-	w.Bool(q.inTurn)
-	w.U64(q.TxBytes)
-	w.U64(q.AnalyticTxBytes)
-	w.U64(q.TxPackets)
-	w.U64(q.TxMarkedBytes)
-	w.U64(q.TxMarkedPkts)
-	w.U64(q.EnqBytes)
-	w.U64(q.DropPackets)
-	w.U64(q.DropBytes)
-	parked := q.Parked()
-	w.Int(len(parked))
-	for _, ref := range parked {
-		w.U64(uint64(ref.Kind))
-		w.U64(uint64(ref.Flow))
-	}
-}
-
-func (q *EgressQueue) restoreState(r *codec.Reader, net *Network) {
-	r.Expect("eq")
-	q.RED.Kmin = r.Int()
-	q.RED.Kmax = r.Int()
-	q.RED.Pmax = r.F64()
-	q.ECNEnabled = r.Bool()
-	nPkts := r.Int()
-	q.pkts.reset()
-	q.bytes = 0
-	for i := 0; i < nPkts && r.Err() == nil; i++ {
-		pkt := net.loadPacket(r)
-		q.pkts.push(pkt)
-		q.bytes += pkt.Size
-	}
-	q.byteTime = r.F64()
-	q.lastChange = simtime.Time(r.I64())
-	q.deficit = r.Int()
-	q.inTurn = r.Bool()
-	q.TxBytes = r.U64()
-	q.AnalyticTxBytes = r.U64()
-	q.TxPackets = r.U64()
-	q.TxMarkedBytes = r.U64()
-	q.TxMarkedPkts = r.U64()
-	q.EnqBytes = r.U64()
-	q.DropPackets = r.U64()
-	q.DropBytes = r.U64()
-	nWait := r.Int()
-	// Drop waiters parked by construction-time transports (hybrid rebuilds
-	// start due flows at apply time); the snapshot's refs replace them.
-	q.waiters.reset()
-	q.restoreWaiters = q.restoreWaiters[:0]
-	for i := 0; i < nWait && r.Err() == nil; i++ {
-		q.restoreWaiters = append(q.restoreWaiters, WaiterRef{Kind: uint8(r.U64()), Flow: FlowID(r.U64())})
+	if v.Reading() {
+		q.restoreWaiters = refs
 	}
 }
 
@@ -463,7 +344,3 @@ func (n *Network) ResolveWaiters(resolve func(kind uint8, flow FlowID) Waiter) e
 	}
 	return nil
 }
-
-// SetNextFlowID forces the flow-id allocator (restore support for worlds
-// that allocate flow ids outside plan order).
-func (n *Network) SetNextFlowID(f FlowID) { n.nextFlow = f }

@@ -35,7 +35,7 @@ func pfcWorld() (*Network, *Host, *Host, *Switch) {
 
 func saveNet(net *Network) []byte {
 	w := codec.NewWriter()
-	net.SaveState(w)
+	net.State(codec.Save(w))
 	return w.Finish()
 }
 
@@ -67,8 +67,8 @@ func TestSnapshotRoundTripIngressAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	if err := net2.RestoreState(r); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	if net2.State(codec.Load(r)); r.Err() != nil {
+		t.Fatalf("restore: %v", r.Err())
 	}
 	if sw2.ingUsed[0] != sw.ingUsed[0] || sw2.pauseSent[0] != sw.pauseSent[0] || sw2.totalUsed != sw.totalUsed {
 		t.Fatalf("restored accounting %v %v %d, want %v %v %d",
@@ -185,8 +185,8 @@ func TestSnapshotIndependentOfRingPhase(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewReader: %v", err)
 		}
-		if err := net.RestoreState(r); err != nil {
-			t.Fatalf("RestoreState: %v", err)
+		if net.State(codec.Load(r)); r.Err() != nil {
+			t.Fatalf("restore: %v", r.Err())
 		}
 		if err := net.ResolveWaiters(resolve); err != nil {
 			t.Fatalf("ResolveWaiters: %v", err)
@@ -208,7 +208,7 @@ func TestSnapshotIndependentOfRingPhase(t *testing.T) {
 // Ints wider than their fields; an image carrying a value the field cannot
 // hold must fail the read, not restore a truncated packet.
 func TestLoadPacketRejectsOutOfRange(t *testing.T) {
-	// raw writes savePacket's sequence with free choice of the three.
+	// raw writes Packet.state's sequence with free choice of the three.
 	raw := func(prio, pausePrio, inPort int) []byte {
 		w := codec.NewWriter()
 		w.Int(int(KindData))
@@ -227,10 +227,10 @@ func TestLoadPacketRejectsOutOfRange(t *testing.T) {
 		return w.Finish()
 	}
 	w := codec.NewWriter()
-	savePacket(w, &Packet{Kind: KindData, Flow: 7, Src: 1, Dst: 2, Prio: 255, Size: 1048, Seq: 3, FlowBytes: 4,
-		Last: true, ECT: true, ECE: true, PausePrio: 255, inPort: 65535})
+	(&Packet{Kind: KindData, Flow: 7, Src: 1, Dst: 2, Prio: 255, Size: 1048, Seq: 3, FlowBytes: 4,
+		Last: true, ECT: true, ECE: true, PausePrio: 255, inPort: 65535}).state(codec.Save(w))
 	if !bytes.Equal(w.Finish(), raw(255, 255, 65535)) {
-		t.Fatal("raw no longer writes what savePacket writes: update it")
+		t.Fatal("raw no longer writes what Packet.state writes: update it")
 	}
 	for _, tc := range []struct {
 		prio, pausePrio, inPort int
@@ -248,7 +248,8 @@ func TestLoadPacketRejectsOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewReader: %v", err)
 		}
-		p := New(1).loadPacket(r)
+		var p *Packet
+		New(1).packet(codec.Load(r), &p)
 		if got := r.Err() == nil; got != tc.ok {
 			t.Errorf("prio %d, pause prio %d, ingress port %d: read error %v, want ok=%v", tc.prio, tc.pausePrio, tc.inPort, r.Err(), tc.ok)
 		}

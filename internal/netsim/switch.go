@@ -56,7 +56,7 @@ type Switch struct {
 	//acclint:ignore snapcover construction identity (topology naming); not part of dynamic state
 	name string
 	net  *Network
-	//acclint:ignore snapcover per-node stream wrapper; Network.SaveState saves each stream's draw count and restore fast-forwards it
+	//acclint:ignore snapcover per-node stream wrapper; Network.State visits each stream's draw count and restore fast-forwards it
 	rng *rand.Rand // per-node stream keyed on (seed, id); see Network.nodeRng
 
 	Ports []*Port

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"github.com/accnet/acc/internal/snap/codec"
 )
 
 // Manifest describes one experiment run: what was run, with which knobs,
@@ -61,6 +63,17 @@ type FidelitySummary struct {
 	Promotions      uint64 `json:"promotions"`             // link packet→analytic transitions
 	AnalyticPayload uint64 `json:"analytic_payload_bytes"` // payload bytes delivered in closed form
 	Ticks           uint64 `json:"ticks"`                  // analytic advance windows executed
+}
+
+// State visits the summary (snapshot support: a hybrid engine's counters).
+func (s *FidelitySummary) State(v *codec.Visitor) {
+	v.U64(&s.FlowsStarted)
+	v.U64(&s.AnalyticFlows)
+	v.U64(&s.PacketFlows)
+	v.U64(&s.Demotions)
+	v.U64(&s.Promotions)
+	v.U64(&s.AnalyticPayload)
+	v.U64(&s.Ticks)
 }
 
 // AddFidelity merges one hybrid engine's summary into the manifest,

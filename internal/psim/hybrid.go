@@ -33,11 +33,14 @@ type HybridState struct {
 	// Eng is the hybrid fast-forward engine driving this instantiation.
 	Eng *hybrid.Engine
 
+	//acclint:ignore snapcover construction wiring: ApplyHybrid on the rebuilt engine
 	e *Engine
-	//acclint:ignore snapcover derived topology view: RestoreApplied rebuilds the mesh from the fabric before reconstructing HybridState, mirroring ApplyHybrid's construction order
+	//acclint:ignore snapcover derived topology view: ApplyHybrid on the rebuilt engine builds the mesh from the fabric
 	mesh *hybrid.Mesh
-	p    *Plan
-	res  *Applied
+	//acclint:ignore snapcover construction wiring: ApplyHybrid of the plan Build makes again
+	p *Plan
+	//acclint:ignore snapcover construction wiring: ApplyHybrid on the rebuilt engine
+	res *Applied
 
 	// hflows[i] is flow i's hybrid registration while it runs at packet
 	// fidelity — held from the demotion that started the transport until
@@ -58,7 +61,8 @@ type HybridState struct {
 	// without scanning every flow. One list per shard because a receiver's
 	// callback runs on the shard that owns it and an append is not a disjoint
 	// slot write; drainDone empties them. Not saved: the marks are, and
-	// RestoreState lists every set mark again.
+	// a restore lists every set mark again.
+	//acclint:ignore snapcover rebuilt by state: emptied, then refilled by markDone for every restored mark
 	done [][]int
 	// pending holds the plan indices ApplyHybrid did not start, ordered by
 	// (Start, index); pending[next:] are the ones not started yet. A barrier

@@ -147,7 +147,7 @@ func TestHybridBarrierQuantization(t *testing.T) {
 // TestHybridRestoreRejectsBadPending: the not-yet-started plan indices in a
 // hybrid image are data, and an image with a valid checksum can still carry
 // any integers there. Restore must take ascending in-range indices — what
-// SaveState writes — and answer anything else with an error, not index the
+// state saves — and answer anything else with an error, not index the
 // plan with it or start a flow twice.
 func TestHybridRestoreRejectsBadPending(t *testing.T) {
 	cfg := Config{NLeaf: 4, HostsPerLeaf: 2, NSpine: 2, Shards: 1, Seed: 1, Topo: topo.DefaultConfig()}
@@ -155,12 +155,12 @@ func TestHybridRestoreRejectsBadPending(t *testing.T) {
 		res, _ := Build(cfg).ApplyHybrid(hybridPlan(cfg.Topo.HostBW), hybrid.DefaultConfig())
 		return res.Hybrid
 	}
-	// image is HybridState.SaveState's layout around an arbitrary index list.
+	// image is HybridState.state's layout around an arbitrary index list.
 	image := func(pending ...int) *codec.Reader {
 		h := build()
 		w := codec.NewWriter()
 		w.Tag("psim-hybrid")
-		h.Eng.SaveState(w)
+		h.Eng.State(codec.Save(w), nil)
 		w.Int(len(pending))
 		for _, i := range pending {
 			w.Int(i)
@@ -177,15 +177,17 @@ func TestHybridRestoreRejectsBadPending(t *testing.T) {
 	}
 
 	h := build()
-	if err := h.RestoreState(image(3, 4, 5)); err != nil {
-		t.Fatalf("the indices a fresh instantiation saves were refused: %v", err)
+	r := image(3, 4, 5)
+	if h.state(codec.Load(r)); r.Err() != nil {
+		t.Fatalf("the indices a fresh instantiation saves were refused: %v", r.Err())
 	}
 	if want := []int{3, 4, 5}; !slices.Equal(h.pending[h.next:], want) {
 		t.Fatalf("restored pending %v, want %v", h.pending[h.next:], want)
 	}
 	n := len(h.p.Flows)
 	for _, bad := range [][]int{{n}, {3, n + 100}, {-1}, {-5, 3}, {4, 4}, {5, 3}, {3, 4, 3}} {
-		if err := build().RestoreState(image(bad...)); err == nil {
+		r := image(bad...)
+		if build().state(codec.Load(r)); r.Err() == nil {
 			t.Fatalf("pending %v restored without an error", bad)
 		}
 	}
@@ -214,7 +216,7 @@ func TestHybridStartOrder(t *testing.T) {
 
 	e.Run(us(15))
 	w := codec.NewWriter()
-	res.Hybrid.SaveState(w)
+	res.Hybrid.state(codec.Save(w))
 	h := res.Hybrid
 	if waiting, want := h.pending[h.next:], []int{7, 0, 4}; !slices.Equal(waiting, want) {
 		t.Fatalf("waiting at 15us in cursor order: %v, want %v", waiting, want)
@@ -223,8 +225,8 @@ func TestHybridStartOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.RestoreState(r); err != nil {
-		t.Fatalf("restore of its own image: %v", err)
+	if h.state(codec.Load(r)); r.Err() != nil {
+		t.Fatalf("restore of its own image: %v", r.Err())
 	}
 	if waiting, want := h.pending[h.next:], []int{7, 0, 4}; !slices.Equal(waiting, want) {
 		t.Fatalf("waiting after the restore: %v, want %v", waiting, want)

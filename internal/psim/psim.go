@@ -114,11 +114,11 @@ type Engine struct {
 	// Global views, indexed exactly like the sequential topo.Fabric build:
 	// Hosts[l][i], Leaves[l], Spines[s]. Pointers reach into the owning
 	// shard's Network; mutate only through scheduled events on that shard.
-	//acclint:ignore snapcover topology wiring into the shard Networks; node state is saved by each shard Net.SaveState
+	//acclint:ignore snapcover topology wiring into the shard Networks; node state is visited by each shard Net.State
 	Leaves []*netsim.Switch
-	//acclint:ignore snapcover topology wiring into the shard Networks; node state is saved by each shard Net.SaveState
+	//acclint:ignore snapcover topology wiring into the shard Networks; node state is visited by each shard Net.State
 	Spines []*netsim.Switch
-	//acclint:ignore snapcover topology wiring into the shard Networks; node state is saved by each shard Net.SaveState
+	//acclint:ignore snapcover topology wiring into the shard Networks; node state is visited by each shard Net.State
 	Hosts [][]*netsim.Host
 
 	// Link port tables for fault targeting. HostUp[l][i] is the host NIC,

@@ -14,6 +14,8 @@ package red
 import (
 	"fmt"
 	"math/rand"
+
+	"github.com/accnet/acc/internal/snap/codec"
 )
 
 // Config is an ECN/WRED template: the three parameters the paper's agent
@@ -22,6 +24,14 @@ type Config struct {
 	Kmin int     // low marking threshold, bytes
 	Kmax int     // high marking threshold, bytes
 	Pmax float64 // marking probability at Kmax, in [0,1]
+}
+
+// State visits the template: an egress queue's live thresholds, or a
+// snapshot scenario's override.
+func (c *Config) State(v *codec.Visitor) {
+	v.Int(&c.Kmin)
+	v.Int(&c.Kmax)
+	v.F64(&c.Pmax)
 }
 
 // Validate reports whether the template is self-consistent.

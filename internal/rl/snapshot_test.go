@@ -48,7 +48,7 @@ func TestMLPSnapshotRoundTrip(t *testing.T) {
 		}
 
 		w := codec.NewWriter()
-		m.SaveState(w)
+		m.State(codec.Save(w))
 		img := w.Finish()
 
 		r, err := codec.NewReader(img)
@@ -57,12 +57,12 @@ func TestMLPSnapshotRoundTrip(t *testing.T) {
 		}
 		// Overlay onto a network of the same shape and other weights.
 		m2 := rl.NewMLP([]int{4, 16, 8, 3}, rand.New(rand.NewSource(seed+1000)))
-		if m2.RestoreState(r); r.Err() != nil {
-			t.Fatalf("seed %d: RestoreState: %v", seed, r.Err())
+		if m2.State(codec.Load(r)); r.Err() != nil {
+			t.Fatalf("seed %d: restore: %v", seed, r.Err())
 		}
 
 		w2 := codec.NewWriter()
-		m2.SaveState(w2)
+		m2.State(codec.Save(w2))
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes", seed)
 		}
@@ -79,7 +79,7 @@ func TestReplaySnapshotRoundTrip(t *testing.T) {
 			rp.Add(randTransition(rng, 3, 4))
 		}
 		w := codec.NewWriter()
-		rp.SaveState(w)
+		rp.State(codec.Save(w))
 		img := w.Finish()
 
 		r, err := codec.NewReader(img)
@@ -87,15 +87,15 @@ func TestReplaySnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("adds=%d: NewReader: %v", adds, err)
 		}
 		rp2 := rl.NewReplay(16)
-		rp2.RestoreState(r)
+		rp2.State(codec.Load(r))
 		if r.Err() != nil {
-			t.Fatalf("adds=%d: RestoreState: %v", adds, r.Err())
+			t.Fatalf("adds=%d: restore: %v", adds, r.Err())
 		}
 		if rp2.Len() != rp.Len() {
 			t.Fatalf("adds=%d: restored length %d, want %d", adds, rp2.Len(), rp.Len())
 		}
 		w2 := codec.NewWriter()
-		rp2.SaveState(w2)
+		rp2.State(codec.Save(w2))
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("adds=%d: save∘restore∘save changed bytes", adds)
 		}

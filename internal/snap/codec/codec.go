@@ -4,8 +4,8 @@
 // tags, wrapped in a magic/version header and an IEEE CRC-32 trailer.
 //
 // The codec is deliberately dependency-free so every engine package
-// (eventq, netsim, dcqcn, tcp, rl, acc, stats, hybrid, psim) can expose
-// SaveState/RestoreState methods over it without import cycles.
+// (eventq, netsim, dcqcn, tcp, rl, acc, stats, hybrid, psim) can list its
+// state for a Visitor (visitor.go) without import cycles.
 //
 // Error handling is sticky on the read side: the first malformed field
 // latches Reader.Err and every later accessor returns a zero value, so

@@ -1,0 +1,184 @@
+package snap
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"runtime"
+	"testing"
+
+	"github.com/accnet/acc/internal/hybrid"
+	"github.com/accnet/acc/internal/psim"
+	"github.com/accnet/acc/internal/simtime"
+	"github.com/accnet/acc/internal/snap/codec"
+	"github.com/accnet/acc/internal/stats"
+	"github.com/accnet/acc/internal/tcp"
+)
+
+// seal recomputes the CRC-32 trailer of a stream whose body (magic and
+// version included) was edited: the checksum guards against accidents, not
+// against an adversary, so a hostile image carries a valid one.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// body strips a finished stream's CRC-32 trailer.
+func body(stream []byte) []byte { return stream[: len(stream)-4 : len(stream)-4] }
+
+// leastAlloc returns the least TotalAlloc growth over a few calls of fn:
+// TotalAlloc is process-wide, so the least growth is fn's own.
+func leastAlloc(fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// completedTCP returns the image of a fully acked TCP sender and of its
+// completed receiver, taken from a run to the horizon. Neither has a map
+// entry or a pending timer left, so each image ends with its map's count.
+func completedTCP(t *testing.T) (sender, receiver []byte) {
+	t.Helper()
+	sc := testScenario(1, "packet")
+	sc.FaultLinks = 0
+	w, err := Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Run(sc.Horizon)
+	for i := range w.App.Plan.Flows {
+		tx, rx := w.App.TCPSend[i], w.App.TCPRecv[i]
+		if tx == nil || !tx.Acked() || rx == nil || !rx.Done() {
+			continue
+		}
+		ws, wr := codec.NewWriter(), codec.NewWriter()
+		tx.State(codec.Save(ws))
+		rx.State(codec.Save(wr))
+		return body(ws.Finish()), body(wr.Finish())
+	}
+	t.Fatal("no TCP flow completed: the scenario exercises nothing")
+	return nil, nil
+}
+
+// TestHostileCountsAllocateNothing: a list count in an image is outside
+// input behind a valid checksum. One that promises more elements than the
+// bytes left could hold must fail the restore before anything is sized
+// from it, at every site that sizes from a count — not a fatal out-of-memory
+// error, not a slice or map grown for the count, not a loop that keeps
+// going after the reader failed.
+func TestHostileCountsAllocateNothing(t *testing.T) {
+	const n = 1 << 20
+	count := func(prefix []byte, n int) []byte {
+		return seal(binary.AppendUvarint(prefix, uint64(n)<<1)) // a zigzag Int
+	}
+	header := func(tag string) []byte {
+		w := codec.NewWriter()
+		w.Tag(tag)
+		return body(w.Finish())
+	}
+	sender, receiver := completedTCP(t)
+	if sender[len(sender)-2] != 0 || sender[len(sender)-1] != 0 {
+		t.Fatal("the completed sender still saves send times or a pending timer")
+	}
+	if receiver[len(receiver)-1] != 0 {
+		t.Fatal("the completed receiver still saves out-of-order segments")
+	}
+	world, err := Build(testScenario(1, "hybrid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := codec.NewWriter()
+	w.Tag("hflow")
+	w.U64(1)
+	w.I64(1000)
+	w.Int(0)
+	w.I64(0)
+	flow := body(w.Finish())
+
+	for _, tc := range []struct {
+		name    string
+		img     []byte
+		restore func(v *codec.Visitor)
+	}{
+		// The 27-byte stream: the series tag and a count of 2^45.
+		{"series", count(header("series"), 1<<45), func(v *codec.Visitor) {
+			new(stats.Series).State(v)
+		}},
+		{"sampler", count(header("sampler"), n), func(v *codec.Visitor) {
+			psim.NewSampler(nil, simtime.Microsecond).State(v)
+		}},
+		{"tcp sender send times", count(sender[:len(sender)-2], n), func(v *codec.Visitor) {
+			tcp.RestoreSender(world.E.Shards[0].Net, world.E.Hosts[0][0], v)
+		}},
+		{"tcp receiver out-of-order segments", count(receiver[:len(receiver)-1], n), func(v *codec.Visitor) {
+			tcp.RestoreReceiver(world.E.Hosts[0][0], nil, v)
+		}},
+		{"hybrid flow path", count(flow, n), func(v *codec.Visitor) {
+			var f *hybrid.Flow
+			world.Hyb.FlowState(v, &f)
+		}},
+	} {
+		var err error
+		grew := leastAlloc(func() {
+			r, rerr := codec.NewReader(tc.img)
+			if rerr != nil {
+				t.Fatalf("%s: NewReader: %v", tc.name, rerr)
+			}
+			tc.restore(codec.Load(r))
+			err = r.Err()
+		})
+		if err == nil {
+			t.Errorf("%s: a count the %d-byte image cannot hold restored without an error", tc.name, len(tc.img))
+		}
+		if grew > 64<<10 {
+			t.Errorf("%s: a hostile count allocated %d bytes", tc.name, grew)
+		}
+	}
+}
+
+// small reports whether a scenario builds a world no bigger than the fuzz
+// seeds' twice over. The scenario is the recipe of the world Restore
+// builds, so what a larger one costs to build is the caller's to bound, not
+// the decoder's.
+func small(sc Scenario) bool {
+	return sc.NLeaf <= 8 && sc.HostsPerLeaf <= 6 && sc.NSpine <= 4 &&
+		sc.Flows <= 128 && sc.MaxBytes <= 1<<20 &&
+		sc.Horizon <= simtime.Time(2*simtime.Millisecond) && sc.FaultLinks <= 4 &&
+		(sc.FaultLinks == 0 || sc.MTBF >= simtime.Microsecond && sc.MTTR >= simtime.Microsecond)
+}
+
+// FuzzWorldRestore feeds Restore images no Snapshot wrote: the images of a
+// small packet world and a small hybrid one (ACC on, mixed TCP and DCQCN)
+// mutated by the fuzzer, behind a recomputed checksum. Each must restore,
+// or fail with one error; none may panic.
+func FuzzWorldRestore(f *testing.F) {
+	for _, fidelity := range []string{"packet", "hybrid"} {
+		sc := testScenario(1, fidelity)
+		sc.ACC = true
+		w, err := Build(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		w.Run(sc.Horizon / 2)
+		img := w.Snapshot()
+		if _, err := Restore(img); err != nil {
+			f.Fatalf("%s seed: %v", fidelity, err)
+		}
+		f.Add(body(img))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		img := seal(b)
+		if sc, err := Peek(img); err != nil || !small(sc) {
+			return
+		}
+		if _, err := Restore(img); err != nil && err.Error() == "" {
+			t.Fatal("an empty error")
+		}
+	})
+}

@@ -1,11 +1,12 @@
 package snap
 
-// The snapshot stream layout (after the codec's magic/version header):
+// The snapshot stream layout (after the codec's magic/version header),
+// each section one state walk that both saves and restores it:
 //
 //	"snap-world"
 //	  "scenario"     — the Scenario, so Restore rebuilds from the stream alone
 //	  "psim"         — barrier clock + every shard's network (internal/psim)
-//	  hybrid flag    — fidelity cross-check against the scenario
+//	  hybrid flag    — fidelity cross-check against the applied plan
 //	  ["psim-hybrid"]— fast-forward engine + hybrid bookkeeping
 //	  "applied"      — live transports + completion table
 //	  "sampler"      — goodput series
@@ -19,66 +20,60 @@ import (
 	"os"
 
 	"github.com/accnet/acc/internal/red"
-	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
-// saveScenario writes the scenario section.
-func saveScenario(w *codec.Writer, sc *Scenario) {
-	w.Tag("scenario")
-	w.Int(sc.NLeaf)
-	w.Int(sc.HostsPerLeaf)
-	w.Int(sc.NSpine)
-	w.Int(sc.Shards)
-	w.I64(sc.Seed)
-	w.Int(sc.Flows)
-	w.I64(sc.MaxBytes)
-	w.I64(int64(sc.Spread))
-	w.Bool(sc.MixTCP)
-	w.Int(sc.FaultLinks)
-	w.I64(int64(sc.MTBF))
-	w.I64(int64(sc.MTTR))
-	w.I64(sc.FaultSeed)
-	w.I64(int64(sc.Horizon))
-	w.String(sc.Fidelity)
-	w.Bool(sc.WRED != nil)
-	if sc.WRED != nil {
-		w.Int(sc.WRED.Kmin)
-		w.Int(sc.WRED.Kmax)
-		w.F64(sc.WRED.Pmax)
+// state visits the scenario section.
+func (sc *Scenario) state(v *codec.Visitor) {
+	v.Tag("scenario")
+	v.Int(&sc.NLeaf)
+	v.Int(&sc.HostsPerLeaf)
+	v.Int(&sc.NSpine)
+	v.Int(&sc.Shards)
+	v.I64(&sc.Seed)
+	v.Int(&sc.Flows)
+	v.I64(&sc.MaxBytes)
+	codec.Int64(v, &sc.Spread)
+	v.Bool(&sc.MixTCP)
+	v.Int(&sc.FaultLinks)
+	codec.Int64(v, &sc.MTBF)
+	codec.Int64(v, &sc.MTTR)
+	v.I64(&sc.FaultSeed)
+	codec.Int64(v, &sc.Horizon)
+	v.String(&sc.Fidelity)
+	wred := sc.WRED != nil
+	if v.Bool(&wred); wred && v.Reading() {
+		sc.WRED = &red.Config{}
 	}
-	w.Bool(sc.ACC)
-	w.I64(int64(sc.SamplePeriod))
+	if wred {
+		sc.WRED.State(v)
+	}
+	v.Bool(&sc.ACC)
+	codec.Int64(v, &sc.SamplePeriod)
 }
 
-// loadScenario reads the scenario section.
-func loadScenario(r *codec.Reader) (Scenario, error) {
-	var sc Scenario
-	r.Expect("scenario")
-	sc.NLeaf = r.Int()
-	sc.HostsPerLeaf = r.Int()
-	sc.NSpine = r.Int()
-	sc.Shards = r.Int()
-	sc.Seed = r.I64()
-	sc.Flows = r.Int()
-	sc.MaxBytes = r.I64()
-	sc.Spread = simtime.Duration(r.I64())
-	sc.MixTCP = r.Bool()
-	sc.FaultLinks = r.Int()
-	sc.MTBF = simtime.Duration(r.I64())
-	sc.MTTR = simtime.Duration(r.I64())
-	sc.FaultSeed = r.I64()
-	sc.Horizon = simtime.Time(r.I64())
-	sc.Fidelity = r.String()
-	if r.Bool() {
-		sc.WRED = &red.Config{Kmin: r.Int(), Kmax: r.Int(), Pmax: r.F64()}
+// header visits the stream header: the world tag and the scenario.
+func header(v *codec.Visitor, sc *Scenario) error {
+	v.Tag("snap-world")
+	sc.state(v)
+	return v.Err()
+}
+
+// state visits everything of the world after its scenario.
+func (w *World) state(v *codec.Visitor) {
+	w.E.State(v)
+	if v.Reading() && v.Err() == nil {
+		w.App.RestorePending()
 	}
-	sc.ACC = r.Bool()
-	sc.SamplePeriod = simtime.Duration(r.I64())
-	if err := r.Err(); err != nil {
-		return sc, err
+	w.App.State(v, w.E)
+	w.Smp.State(v)
+	n := len(w.ACC)
+	if v.Int(&n); n != len(w.ACC) {
+		v.Fail("snap: stream has %d ACC deployments, world has %d", n, len(w.ACC))
 	}
-	return sc, sc.Validate()
+	for _, s := range w.ACC {
+		s.State(v)
+	}
 }
 
 // Snapshot captures the world's complete dynamic state. Call with the
@@ -87,19 +82,9 @@ func loadScenario(r *codec.Reader) (Scenario, error) {
 // CRC-protected.
 func (w *World) Snapshot() []byte {
 	enc := codec.NewWriter()
-	enc.Tag("snap-world")
-	saveScenario(enc, &w.Sc)
-	w.E.SaveState(enc)
-	enc.Bool(w.App.Hybrid != nil)
-	if w.App.Hybrid != nil {
-		w.App.Hybrid.SaveState(enc)
-	}
-	w.E.SaveApplied(enc, w.App)
-	w.Smp.SaveState(enc)
-	enc.Int(len(w.ACC))
-	for _, s := range w.ACC {
-		s.SaveState(enc)
-	}
+	v := codec.Save(enc)
+	header(v, &w.Sc)
+	w.state(v)
 	return enc.Finish()
 }
 
@@ -110,60 +95,35 @@ func (w *World) Snapshot() []byte {
 //  1. Build — reconstructs every object, closure, and routing table; the
 //     hybrid apply path starts due flows synchronously, and ACC arms its
 //     tick timers, exactly as the original construction did.
-//  2. Engine.RestoreState — clears every rebuilt queue, restores clocks,
+//  2. Engine.State — clears every rebuilt queue, restores clocks,
 //     counters, RNG draw positions, buffers, and in-flight packets.
 //  3. Applied.RestorePending — re-inserts still-pending plan events
 //     (their rebuilt handles carry the original (time, seq) slots).
-//  4. HybridState.RestoreState — overlays the fast-forward engine and
-//     re-binds flow callbacks (hybrid worlds only; before step 5 so
-//     mid-window completion marks land on restored bookkeeping).
-//  5. Engine.RestoreApplied — discards construction-time transports,
-//     rebuilds the live ones, re-parks NIC waiters.
-//  6. Sampler and ACC overlays — series, agents, optimizer state, and
+//  4. Applied.State — overlays the hybrid fast-forward engine and
+//     re-binds flow callbacks (hybrid worlds only; first, so mid-window
+//     completion marks land on restored bookkeeping), then discards
+//     construction-time transports, rebuilds the live ones, and re-parks
+//     NIC waiters.
+//  5. Sampler and ACC overlays — series, agents, optimizer state, and
 //     timer re-arming onto the restored queues.
 func Restore(data []byte) (*World, error) {
 	r, err := codec.NewReader(data)
 	if err != nil {
 		return nil, err
 	}
-	r.Expect("snap-world")
-	sc, err := loadScenario(r)
-	if err != nil {
+	v := codec.Load(r)
+	var sc Scenario
+	if err := header(v, &sc); err != nil {
 		return nil, err
 	}
 	w, err := Build(sc)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.E.RestoreState(r); err != nil {
-		return nil, err
+	if w.state(v); r.Err() != nil {
+		return nil, r.Err()
 	}
-	w.App.RestorePending()
-	if hyb := r.Bool(); hyb != (w.App.Hybrid != nil) {
-		return nil, fmt.Errorf("snap: stream fidelity disagrees with scenario %q", sc.Fidelity)
-	}
-	if w.App.Hybrid != nil {
-		if err := w.App.Hybrid.RestoreState(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.E.RestoreApplied(r, w.App); err != nil {
-		return nil, err
-	}
-	if err := w.Smp.RestoreState(r); err != nil {
-		return nil, err
-	}
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n != len(w.ACC) {
-		return nil, fmt.Errorf("snap: stream has %d ACC deployments, world has %d", n, len(w.ACC))
-	}
-	for _, s := range w.ACC {
-		s.RestoreState(r)
-	}
-	return w, r.Err()
+	return w, nil
 }
 
 // Fork restores a snapshot and applies a branch variant at the restored
@@ -210,6 +170,9 @@ func Peek(data []byte) (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
-	r.Expect("snap-world")
-	return loadScenario(r)
+	var sc Scenario
+	if err := header(codec.Load(r), &sc); err != nil {
+		return sc, err
+	}
+	return sc, sc.Validate()
 }

@@ -90,6 +90,9 @@ func (sc *Scenario) Validate() error {
 	if sc.Horizon <= 0 {
 		return fmt.Errorf("snap: horizon must be positive")
 	}
+	if sc.Flows < 0 || sc.Spread < 0 || simtime.Time(sc.Spread) > sc.Horizon {
+		return fmt.Errorf("snap: %d flows starting over %v: want a non-negative count starting within the %v horizon", sc.Flows, sc.Spread, sc.Horizon)
+	}
 	switch sc.Fidelity {
 	case "", "packet", "hybrid":
 	default:
@@ -114,13 +117,16 @@ func (sc *Scenario) hybridFidelity() bool { return sc.Fidelity == "hybrid" }
 // the goodput sampler. All of it is captured by Snapshot and rebuilt by
 // Restore.
 type World struct {
-	Sc   Scenario
-	E    *psim.Engine
+	//acclint:ignore snapcover visited ahead of the walk by header: Restore reads it to Build the world the walk overlays
+	Sc Scenario
+	E  *psim.Engine
+	//acclint:ignore snapcover built from the scenario by Build
 	Plan *psim.Plan
 	App  *psim.Applied
-	Hyb  *hybrid.Engine // nil at packet fidelity
-	ACC  []*acc.System  // one per shard when Sc.ACC; nil otherwise
-	Smp  *psim.Sampler
+	//acclint:ignore snapcover built from the scenario by Build (ApplyHybrid); its state is visited through App
+	Hyb *hybrid.Engine // nil at packet fidelity
+	ACC []*acc.System  // one per shard when Sc.ACC; nil otherwise
+	Smp *psim.Sampler
 }
 
 // Build constructs a world from the scenario. Construction is a pure

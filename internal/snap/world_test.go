@@ -340,6 +340,9 @@ func TestScenarioValidation(t *testing.T) {
 		{NLeaf: 2, HostsPerLeaf: 1, NSpine: 1},
 		{NLeaf: 2, HostsPerLeaf: 1, NSpine: 1, Horizon: 1, Fidelity: "fluid"},
 		{NLeaf: 2, HostsPerLeaf: 1, NSpine: 1, Horizon: 1, FaultLinks: 1},
+		{NLeaf: 2, HostsPerLeaf: 1, NSpine: 1, Horizon: 1, Spread: -1},
+		{NLeaf: 2, HostsPerLeaf: 1, NSpine: 1, Horizon: 1, Spread: 2},
+		{NLeaf: 2, HostsPerLeaf: 1, NSpine: 1, Horizon: 1, Flows: -1},
 		{NLeaf: 2, HostsPerLeaf: 1, NSpine: 1, Horizon: 1, WRED: &red.Config{Kmin: 2, Kmax: 1, Pmax: 0.1}},
 	}
 	for i, sc := range bad {

@@ -13,24 +13,14 @@ import (
 // closure. A long-running monitored simulation therefore stays
 // allocation-flat apart from the Series' amortized backing-array growth
 // (which callers can avoid with Series.Reset between windows).
-//
-// Each reschedule records the next tick's (time, seq) slot so a snapshot
-// can re-arm the pooled event at exactly the position it held in the
-// uninterrupted run (see snapshot.go).
 type QueueMonitor struct {
-	//acclint:ignore snapcover construction wiring (monitored queue)
-	Queue *netsim.EgressQueue
-	//acclint:ignore snapcover construction config (tick cadence)
+	Queue  *netsim.EgressQueue
 	Period simtime.Duration
 	Series Series
 
 	net     *netsim.Network
 	tickFn  func(any)
 	stopped bool
-
-	nextPending bool
-	nextAt      simtime.Time
-	nextSeq     uint64
 }
 
 // MonitorQueue starts sampling q every period until Stop.
@@ -41,15 +31,9 @@ func MonitorQueue(net *netsim.Network, q *netsim.EgressQueue, period simtime.Dur
 	return m
 }
 
-func (m *QueueMonitor) arm() {
-	m.nextPending = true
-	m.nextAt = m.net.Now().Add(m.Period)
-	m.nextSeq = m.net.Q.Seq()
-	m.net.Q.CallAfter(m.Period, m.tickFn, nil)
-}
+func (m *QueueMonitor) arm() { m.net.Q.CallAfter(m.Period, m.tickFn, nil) }
 
 func (m *QueueMonitor) tick(any) {
-	m.nextPending = false
 	if m.stopped {
 		return
 	}
@@ -64,9 +48,7 @@ func (m *QueueMonitor) Stop() { m.stopped = true }
 // utilization time series in [0,1]. Like QueueMonitor, it schedules its
 // ticks on the typed-event fast path with a pre-bound method value.
 type ThroughputMeter struct {
-	//acclint:ignore snapcover construction wiring (metered port)
-	Port *netsim.Port
-	//acclint:ignore snapcover construction config (tick cadence)
+	Port   *netsim.Port
 	Period simtime.Duration
 	Series Series // utilization per period
 
@@ -74,10 +56,6 @@ type ThroughputMeter struct {
 	tickFn  func(any)
 	lastTx  uint64
 	stopped bool
-
-	nextPending bool
-	nextAt      simtime.Time
-	nextSeq     uint64
 }
 
 // MeterPort starts sampling p's egress utilization every period.
@@ -88,15 +66,9 @@ func MeterPort(net *netsim.Network, p *netsim.Port, period simtime.Duration) *Th
 	return m
 }
 
-func (m *ThroughputMeter) arm() {
-	m.nextPending = true
-	m.nextAt = m.net.Now().Add(m.Period)
-	m.nextSeq = m.net.Q.Seq()
-	m.net.Q.CallAfter(m.Period, m.tickFn, nil)
-}
+func (m *ThroughputMeter) arm() { m.net.Q.CallAfter(m.Period, m.tickFn, nil) }
 
 func (m *ThroughputMeter) tick(any) {
-	m.nextPending = false
 	if m.stopped {
 		return
 	}

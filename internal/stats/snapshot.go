@@ -5,86 +5,18 @@ import (
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
-// Snapshot support for the measurement layer: time series contents and the
-// monitors' self-rescheduling tick slots. Restore overlays a freshly
-// constructed monitor (same queue/port/period) — the constructor armed a
-// first tick, the restored eventq wiped it, and RestoreState re-arms the
-// recorded one.
-
-// SaveState writes the series contents.
-func (s *Series) SaveState(w *codec.Writer) {
-	w.Tag("series")
-	w.Int(len(s.Times))
-	for _, t := range s.Times {
-		w.I64(int64(t))
+// State visits the series contents. Reading replaces them.
+func (s *Series) State(v *codec.Visitor) {
+	v.Tag("series")
+	n := v.Count("series length", len(s.Times), 1+8)
+	if v.Reading() {
+		s.Times = make([]simtime.Time, n)
 	}
-	w.F64s(s.Values)
-}
-
-// RestoreState replaces the series contents.
-func (s *Series) RestoreState(r *codec.Reader) {
-	r.Expect("series")
-	n := r.Int()
-	if r.Err() != nil || n < 0 {
-		r.Fail("series length %d invalid", n)
-		return
-	}
-	s.Times = make([]simtime.Time, n)
 	for i := range s.Times {
-		s.Times[i] = simtime.Time(r.I64())
+		codec.Int64(v, &s.Times[i])
 	}
-	s.Values = r.F64s()
-	if r.Err() == nil && len(s.Values) != n {
-		r.Fail("series times/values length mismatch %d/%d", n, len(s.Values))
-	}
-}
-
-// SaveState writes the monitor's samples and pending tick slot.
-func (m *QueueMonitor) SaveState(w *codec.Writer) {
-	w.Tag("qmon")
-	m.Series.SaveState(w)
-	w.Bool(m.stopped)
-	w.Bool(m.nextPending)
-	w.I64(int64(m.nextAt))
-	w.U64(m.nextSeq)
-}
-
-// RestoreState overlays saved state onto a freshly constructed monitor and
-// re-arms its tick at the recorded slot.
-func (m *QueueMonitor) RestoreState(r *codec.Reader) {
-	r.Expect("qmon")
-	m.Series.RestoreState(r)
-	m.stopped = r.Bool()
-	m.nextPending = r.Bool()
-	m.nextAt = simtime.Time(r.I64())
-	m.nextSeq = r.U64()
-	if r.Err() == nil && m.nextPending {
-		m.net.Q.RestoreCallAt(m.nextAt, m.nextSeq, m.tickFn, nil)
-	}
-}
-
-// SaveState writes the meter's samples, byte cursor, and pending tick slot.
-func (m *ThroughputMeter) SaveState(w *codec.Writer) {
-	w.Tag("tmeter")
-	m.Series.SaveState(w)
-	w.U64(m.lastTx)
-	w.Bool(m.stopped)
-	w.Bool(m.nextPending)
-	w.I64(int64(m.nextAt))
-	w.U64(m.nextSeq)
-}
-
-// RestoreState overlays saved state onto a freshly constructed meter and
-// re-arms its tick at the recorded slot.
-func (m *ThroughputMeter) RestoreState(r *codec.Reader) {
-	r.Expect("tmeter")
-	m.Series.RestoreState(r)
-	m.lastTx = r.U64()
-	m.stopped = r.Bool()
-	m.nextPending = r.Bool()
-	m.nextAt = simtime.Time(r.I64())
-	m.nextSeq = r.U64()
-	if r.Err() == nil && m.nextPending {
-		m.net.Q.RestoreCallAt(m.nextAt, m.nextSeq, m.tickFn, nil)
+	v.F64s(&s.Values)
+	if len(s.Values) != n {
+		v.Fail("series times/values length mismatch %d/%d", n, len(s.Values))
 	}
 }

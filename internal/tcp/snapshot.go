@@ -1,171 +1,117 @@
 package tcp
 
 import (
-	"sort"
+	"slices"
 
-	"github.com/accnet/acc/internal/eventq"
 	"github.com/accnet/acc/internal/netsim"
-	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
 // Snapshot support, mirroring package dcqcn: live senders and receivers
-// serialize their complete dynamic state, and restore constructors rebuild
+// visit their complete dynamic state, and restore constructors rebuild
 // them on a freshly restored Network without construction side effects (no
 // initial trySend, no parameter re-normalization — Params were normalized
 // when the flow first started and are saved verbatim). Completed halves
 // unregister themselves, so only live flows appear in snapshots.
 
-func saveParams(w *codec.Writer, p Params) {
-	w.Int(p.MTU)
-	w.Int(p.Prio)
-	w.Bool(p.ECN)
-	w.F64(p.G)
-	w.Int(p.InitCwndPkts)
-	w.Int(p.MaxCwndPkts)
-	w.I64(int64(p.RTOMin))
-	w.Int(p.DupAckThresh)
+func (p *Params) state(v *codec.Visitor) {
+	v.Int(&p.MTU)
+	v.Int(&p.Prio)
+	v.Bool(&p.ECN)
+	v.F64(&p.G)
+	v.Int(&p.InitCwndPkts)
+	v.Int(&p.MaxCwndPkts)
+	codec.Int64(v, &p.RTOMin)
+	v.Int(&p.DupAckThresh)
 }
 
-func loadParams(r *codec.Reader) Params {
-	var p Params
-	p.MTU = r.Int()
-	p.Prio = r.Int()
-	p.ECN = r.Bool()
-	p.G = r.F64()
-	p.InitCwndPkts = r.Int()
-	p.MaxCwndPkts = r.Int()
-	p.RTOMin = simtime.Duration(r.I64())
-	p.DupAckThresh = r.Int()
-	return p
-}
-
-// SaveState writes the sender's dynamic state. Maps are serialized in sorted
-// key order so identical states produce identical bytes.
-func (f *Flow) SaveState(w *codec.Writer) {
-	w.Tag("tcp-tx")
-	w.U64(uint64(f.ID))
-	w.Int(f.DstID)
-	w.I64(f.Size)
-	saveParams(w, f.P)
-	w.I64(int64(f.Start))
-	w.I64(int64(f.End))
-	w.I64(f.sndUna)
-	w.I64(f.sndNext)
-	w.F64(f.cwnd)
-	w.F64(f.ssthresh)
-	w.Bool(f.inRecovery)
-	w.I64(f.recoverEnd)
-	w.Int(f.dupAcks)
-	w.F64(f.alpha)
-	w.I64(f.ackedBytes)
-	w.I64(f.markedBytes)
-	w.I64(f.winEnd)
-	w.I64(f.cwndCutSeq)
-	w.I64(int64(f.srtt))
-	w.I64(int64(f.rttvar))
-	w.U64(f.Retransmits)
-	w.U64(f.Timeouts)
-	w.U64(f.ECEAcks)
-	seqs := make([]int64, 0, len(f.sendTimes))
+// seqMap visits a map keyed by sequence number as (seq, value) pairs in
+// ascending seq order, so identical states produce identical bytes.
+// Reading, it replaces *m with the pairs read.
+func seqMap[V ~int | ~int64](v *codec.Visitor, what string, m *map[int64]V) {
+	seqs := make([]int64, 0, len(*m))
 	//acclint:ignore determinism@1 key collection followed by sort is iteration-order-independent
-	for s := range f.sendTimes {
+	for s := range *m {
 		seqs = append(seqs, s)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	w.Int(len(seqs))
-	for _, s := range seqs {
-		w.I64(s)
-		w.I64(int64(f.sendTimes[s]))
+	slices.Sort(seqs)
+	n := v.Count(what, len(seqs), 2)
+	if v.Reading() {
+		*m = make(map[int64]V, n)
+		seqs = make([]int64, n)
 	}
-	eventq.SaveTimer(w, f.rtoEv)
+	for _, s := range seqs {
+		x := (*m)[s]
+		v.I64(&s)
+		codec.Int64(v, &x)
+		if v.Reading() {
+			(*m)[s] = x
+		}
+	}
 }
 
-// RestoreSender rebuilds a live sender saved by SaveState on src,
-// registering its endpoint and re-arming the RTO at its recorded slot. No
-// packets are sent.
-func RestoreSender(net *netsim.Network, src *netsim.Host, r *codec.Reader) *Flow {
-	r.Expect("tcp-tx")
+// State visits the sender's dynamic state; RestoreSender reads it into a
+// new Flow.
+func (f *Flow) State(v *codec.Visitor) {
+	v.Tag("tcp-tx")
+	codec.Uint64(v, &f.ID)
+	v.Int(&f.DstID)
+	v.I64(&f.Size)
+	f.P.state(v)
+	codec.Int64(v, &f.Start)
+	codec.Int64(v, &f.End)
+	v.I64(&f.sndUna)
+	v.I64(&f.sndNext)
+	v.F64(&f.cwnd)
+	v.F64(&f.ssthresh)
+	v.Bool(&f.inRecovery)
+	v.I64(&f.recoverEnd)
+	v.Int(&f.dupAcks)
+	v.F64(&f.alpha)
+	v.I64(&f.ackedBytes)
+	v.I64(&f.markedBytes)
+	v.I64(&f.winEnd)
+	v.I64(&f.cwndCutSeq)
+	codec.Int64(v, &f.srtt)
+	codec.Int64(v, &f.rttvar)
+	v.U64(&f.Retransmits)
+	v.U64(&f.Timeouts)
+	v.U64(&f.ECEAcks)
+	seqMap(v, "send times", &f.sendTimes)
+	f.net.Q.Timer(v, &f.rtoEv, f.onRTOFn)
+}
+
+// RestoreSender rebuilds a live sender from v on src, registering its
+// endpoint and re-arming the RTO at its recorded slot. No packets are sent.
+func RestoreSender(net *netsim.Network, src *netsim.Host, v *codec.Visitor) *Flow {
 	f := &Flow{Src: src, net: net}
-	f.ID = netsim.FlowID(r.U64())
-	f.DstID = r.Int()
-	f.Size = r.I64()
-	f.P = loadParams(r)
-	f.Start = simtime.Time(r.I64())
-	f.End = simtime.Time(r.I64())
-	f.sndUna = r.I64()
-	f.sndNext = r.I64()
-	f.cwnd = r.F64()
-	f.ssthresh = r.F64()
-	f.inRecovery = r.Bool()
-	f.recoverEnd = r.I64()
-	f.dupAcks = r.Int()
-	f.alpha = r.F64()
-	f.ackedBytes = r.I64()
-	f.markedBytes = r.I64()
-	f.winEnd = r.I64()
-	f.cwndCutSeq = r.I64()
-	f.srtt = simtime.Duration(r.I64())
-	f.rttvar = simtime.Duration(r.I64())
-	f.Retransmits = r.U64()
-	f.Timeouts = r.U64()
-	f.ECEAcks = r.U64()
-	n := r.Int()
-	f.sendTimes = make(map[int64]simtime.Time, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s := r.I64()
-		f.sendTimes[s] = simtime.Time(r.I64())
-	}
 	f.trySendFn = f.trySend
 	f.onRTOFn = f.onRTO
-	f.rtoEv = net.Q.RestoreTimer(r, f.onRTOFn)
-	if r.Err() != nil {
+	if f.State(v); v.Err() != nil {
 		return nil
 	}
 	src.Register(f.ID, netsim.EndpointFunc(f.senderHandle))
 	return f
 }
 
-// SaveState writes the receiver's dynamic state.
-func (rx *Receiver) SaveState(w *codec.Writer) {
-	w.Tag("tcp-rx")
-	w.U64(uint64(rx.ID))
-	w.Int(rx.SrcID)
-	w.I64(rx.Size)
-	saveParams(w, rx.P)
-	w.I64(int64(rx.Start))
-	w.I64(rx.rcvNext)
-	seqs := make([]int64, 0, len(rx.ooo))
-	//acclint:ignore determinism@1 key collection followed by sort is iteration-order-independent
-	for s := range rx.ooo {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	w.Int(len(seqs))
-	for _, s := range seqs {
-		w.I64(s)
-		w.Int(rx.ooo[s])
-	}
+// State visits the receiver's dynamic state; RestoreReceiver reads it into
+// a new Receiver.
+func (rx *Receiver) State(v *codec.Visitor) {
+	v.Tag("tcp-rx")
+	codec.Uint64(v, &rx.ID)
+	v.Int(&rx.SrcID)
+	v.I64(&rx.Size)
+	rx.P.state(v)
+	codec.Int64(v, &rx.Start)
+	v.I64(&rx.rcvNext)
+	seqMap(v, "out-of-order segments", &rx.ooo)
 }
 
-// RestoreReceiver rebuilds a live receiver on dst. onDone is the world's
-// completion callback, re-bound by the caller.
-func RestoreReceiver(dst *netsim.Host, onDone func(*Receiver), r *codec.Reader) *Receiver {
-	r.Expect("tcp-rx")
+// RestoreReceiver rebuilds a live receiver from v on dst. onDone is the
+// world's completion callback, re-bound by the caller.
+func RestoreReceiver(dst *netsim.Host, onDone func(*Receiver), v *codec.Visitor) *Receiver {
 	rx := &Receiver{Dst: dst, net: dst.Net(), onDone: onDone}
-	rx.ID = netsim.FlowID(r.U64())
-	rx.SrcID = r.Int()
-	rx.Size = r.I64()
-	rx.P = loadParams(r)
-	rx.Start = simtime.Time(r.I64())
-	rx.rcvNext = r.I64()
-	n := r.Int()
-	rx.ooo = make(map[int64]int, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s := r.I64()
-		rx.ooo[s] = r.Int()
-	}
-	if r.Err() != nil {
+	if rx.State(v); v.Err() != nil {
 		return nil
 	}
 	dst.Register(rx.ID, netsim.EndpointFunc(rx.handle))

@@ -42,7 +42,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, fl, _ := tcpMidFlight(t, seed)
 		w := codec.NewWriter()
-		fl.SaveState(w)
+		fl.State(codec.Save(w))
 		img := w.Finish()
 
 		net2 := netsim.New(seed)
@@ -51,7 +51,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
-		fl2 := tcp.RestoreSender(net2, f2.Hosts[0], r)
+		fl2 := tcp.RestoreSender(net2, f2.Hosts[0], codec.Load(r))
 		if fl2 == nil || r.Err() != nil {
 			t.Fatalf("seed %d: RestoreSender: %v", seed, r.Err())
 		}
@@ -60,7 +60,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 				seed, fl2.Cwnd(), fl.Cwnd(), fl2.Alpha(), fl.Alpha())
 		}
 		w2 := codec.NewWriter()
-		fl2.SaveState(w2)
+		fl2.State(codec.Save(w2))
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes (%d vs %d)", seed, len(img), len(img2))
 		}
@@ -73,7 +73,7 @@ func TestReceiverSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, _, rx := tcpMidFlight(t, seed)
 		w := codec.NewWriter()
-		rx.SaveState(w)
+		rx.State(codec.Save(w))
 		img := w.Finish()
 
 		net2 := netsim.New(seed)
@@ -82,12 +82,12 @@ func TestReceiverSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
-		rx2 := tcp.RestoreReceiver(f2.Hosts[5], nil, r)
+		rx2 := tcp.RestoreReceiver(f2.Hosts[5], nil, codec.Load(r))
 		if rx2 == nil || r.Err() != nil {
 			t.Fatalf("seed %d: RestoreReceiver: %v", seed, r.Err())
 		}
 		w2 := codec.NewWriter()
-		rx2.SaveState(w2)
+		rx2.State(codec.Save(w2))
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes", seed)
 		}
