@@ -56,6 +56,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -94,7 +95,7 @@ func main() {
 		list     = flag.Bool("list", false, "list available experiments")
 		expID    = flag.String("exp", "", "experiment id (or 'all')")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		scale    = flag.Float64("scale", 1, "duration/fabric scale factor (>=4 restores paper-scale fabrics)")
+		scale    = flag.Float64("scale", 1, "duration/fabric scale factor, > 0 (>=4 restores paper-scale fabrics)")
 		episodes = flag.Int("episodes", 0, "offline pre-training episodes for ACC policies (0 = default)")
 		model    = flag.String("model", "", "deploy this offline model file (written by acctrain) on every ACC policy instead of the compiled-in default")
 		shards   = flag.Int("shards", 0, "split the fabric across N event queues of the parallel engine: mix-spec, mix-replay, -snapshot and -sweep (results are bit-identical to one; see DESIGN.md 'Parallel simulation')")
@@ -105,8 +106,8 @@ func main() {
 		faultMTTR    = flag.Duration("fault-mttr", 0, "robust-flap: mean down time until repair (0 = experiment default)")
 		faultLinks   = flag.Int("fault-links", 0, "robust-flap: number of leaf-spine links to flap (0 = experiment default)")
 		faultStale   = flag.Int("fault-stale", 0, "robust-telemetry: observation staleness in monitoring slots")
-		faultDrop    = flag.Float64("fault-drop", 0, "robust-telemetry: per-window telemetry loss probability [0,1)")
-		faultDegrade = flag.Float64("fault-degrade", 0, "robust-linkfail: brownout a second uplink to this fraction of nominal bandwidth (0 = off)")
+		faultDrop    = flag.Float64("fault-drop", 0, "robust-telemetry: per-window telemetry loss probability [0,1]")
+		faultDegrade = flag.Float64("fault-degrade", 0, "robust-linkfail: brownout a second uplink to this fraction [0,1) of nominal bandwidth (0 = off)")
 
 		obsAddr = flag.String("obs-addr", "", "serve live introspection (/metrics, /manifest, /trace, /debug/pprof) on this address")
 		obsDir  = flag.String("obs-dir", "", "write per-experiment manifest/trace/metrics files into this directory")
@@ -123,6 +124,31 @@ func main() {
 		sweepOut   = flag.String("sweep-out", "sweep-out", "directory for -sweep artifacts (created if missing)")
 	)
 	flag.Parse()
+
+	// A number no run can honour is a user error, refused before any mode
+	// runs rather than silently read as a default.
+	for _, c := range []struct {
+		flag string
+		v    any
+		ok   bool
+		want string
+	}{
+		{"scale", *scale, *scale > 0 && !math.IsInf(*scale, 1), "finite and > 0"},
+		{"episodes", *episodes, *episodes >= 0, ">= 0"},
+		{"shards", *shards, *shards >= 0, ">= 0"},
+		{"obs-ring", *obsRing, *obsRing >= 0, ">= 0"},
+		{"fault-links", *faultLinks, *faultLinks >= 0, ">= 0"},
+		{"fault-stale", *faultStale, *faultStale >= 0, ">= 0"},
+		{"fault-mtbf", *faultMTBF, *faultMTBF >= 0, ">= 0"},
+		{"fault-mttr", *faultMTTR, *faultMTTR >= 0, ">= 0"},
+		{"fault-drop", *faultDrop, *faultDrop >= 0 && *faultDrop <= 1, "in [0, 1]"},
+		{"fault-degrade", *faultDegrade, *faultDegrade >= 0 && *faultDegrade < 1, "in [0, 1)"},
+	} {
+		if !c.ok {
+			fmt.Fprintf(os.Stderr, "accsim: -%s %v: want %s\n", c.flag, c.v, c.want)
+			os.Exit(2)
+		}
+	}
 
 	switch *fidelity {
 	case "", "packet", "hybrid":

@@ -46,6 +46,11 @@ func accsim(t *testing.T, args ...string) (int, string) {
 // stderr before any simulation runs.
 func TestPreflightRejects(t *testing.T) {
 	dir := t.TempDir()
+	// A binary trace whose header claims 2^32 flows it does not hold.
+	hostile := filepath.Join(dir, "hostile.bin")
+	if err := os.WriteFile(hostile, []byte("ACCT\x01\x00\x00\x00\x00\x00\x00\x00\x80\x80\x80\x80\x10"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for name, args := range map[string][]string{
 		"unknown -exp":           {"-exp", "fig99"},
 		"bad -fidelity":          {"-exp", "table1", "-fidelity", "fluid"},
@@ -57,6 +62,25 @@ func TestPreflightRejects(t *testing.T) {
 		"ignored under -exp all": {"-exp", "all", "-fidelity", "hybrid"},
 		"replay where ignored":   {"-exp", "mix-collective", "-replay-trace", filepath.Join(dir, "t.bin")},
 		"shards where ignored":   {"-exp", "fig8", "-shards", "4"},
+		"hostile replay trace":   {"-exp", "mix-spec", "-replay-trace", hostile},
+		"-scale 0":               {"-exp", "fig6", "-scale", "0"},
+		"-scale -1":              {"-exp", "fig6", "-scale", "-1"},
+		"-scale NaN":             {"-exp", "fig6", "-scale", "NaN"},
+		"-scale +Inf":            {"-exp", "fig6", "-scale", "+Inf"},
+		"-scale -Inf":            {"-exp", "fig6", "-scale", "-Inf"},
+		"negative -episodes":     {"-exp", "fig6", "-episodes", "-1"},
+		"negative -shards":       {"-snapshot", filepath.Join(dir, "w.accsnap"), "-shards", "-1"},
+		"negative -obs-ring":     {"-exp", "table1", "-obs-ring", "-1"},
+		"negative -fault-links":  {"-exp", "robust-flap", "-fault-links", "-1"},
+		"negative -fault-stale":  {"-exp", "robust-telemetry", "-fault-stale", "-1"},
+		"negative -fault-mtbf":   {"-exp", "robust-flap", "-fault-mtbf", "-1ms"},
+		"negative -fault-mttr":   {"-exp", "robust-flap", "-fault-mttr", "-1ms"},
+		"-fault-drop below 0":    {"-exp", "robust-telemetry", "-fault-drop", "-0.1"},
+		"-fault-drop above 1":    {"-exp", "robust-telemetry", "-fault-drop", "1.5"},
+		"-fault-drop NaN":        {"-exp", "robust-telemetry", "-fault-drop", "NaN"},
+		"-fault-degrade 1":       {"-exp", "robust-linkfail", "-fault-degrade", "1"},
+		"-fault-degrade below 0": {"-exp", "robust-linkfail", "-fault-degrade", "-0.5"},
+		"-fault-degrade NaN":     {"-exp", "robust-linkfail", "-fault-degrade", "NaN"},
 	} {
 		code, stderr := accsim(t, args...)
 		if lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n"); code != 2 || len(lines) != 1 || lines[0] == "" {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"github.com/accnet/acc/internal/netsim"
-	"github.com/accnet/acc/internal/simtime"
 )
 
 // HillClimber is a non-learning baseline tuner: the same telemetry and
@@ -142,9 +141,4 @@ func (h *HillClimber) tick(hq *hcQueue) {
 	hq.action = next
 	hq.q.RED = h.Cfg.Template[next]
 	h.Trials++
-}
-
-// hcDuration is a helper exposing how long one full probe cycle takes.
-func (h *HillClimber) hcDuration() simtime.Duration {
-	return simtime.Duration(h.Probation) * h.Cfg.Period
 }

@@ -80,19 +80,15 @@ func (qs *queueState) state(v *codec.Visitor, arena *[]float64, historyK int) {
 }
 
 // State visits the whole deployment's dynamic state: the exchange loop,
-// the global replay, every agent (once, when shared), and every tuner.
+// the global replay, every agent, and every tuner.
 func (s *System) State(v *codec.Visitor) {
 	v.Tag("acc-system")
 	v.U64(&s.Exchanges)
 	v.Bool(&s.stopped)
 	s.Net.Q.Timer(v, &s.exchEv, s.exchFn)
 	s.Global.State(v)
-	if s.Cfg.ShareModel {
-		s.Tuners[0].Agent.State(v)
-	} else {
-		for _, t := range s.Tuners {
-			t.Agent.State(v)
-		}
+	for _, t := range s.Tuners {
+		t.Agent.State(v)
 	}
 	for _, t := range s.Tuners {
 		t.state(v)

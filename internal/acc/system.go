@@ -21,10 +21,6 @@ type SystemConfig struct {
 	// ExchangeSamples is how many transitions move in each direction per
 	// exchange per switch.
 	ExchangeSamples int
-	// ShareModel makes all switches share a single agent (weights and
-	// replay), instead of per-switch agents + global replay. The paper
-	// deploys per-switch agents; sharing is provided for ablations.
-	ShareModel bool
 }
 
 // DefaultSystemConfig scales the exchange to simulation timescales.
@@ -43,7 +39,7 @@ type System struct {
 	Net    *netsim.Network
 	Tuners []*Tuner
 	Global *rl.Replay
-	//acclint:ignore snapcover construction config: restore overlays a System NewSystem built with the same config, which also fixes the image's shape (one shared agent or one per tuner)
+	//acclint:ignore snapcover construction config: restore overlays a System NewSystem built with the same config
 	Cfg SystemConfig
 
 	Exchanges uint64
@@ -71,18 +67,8 @@ func NewSystem(net *netsim.Network, switches []*netsim.Switch, model *rl.MLP, cf
 	s := &System{Net: net, Global: rl.NewReplay(cfg.GlobalReplayCap), Cfg: cfg,
 		exchBuf: make([]rl.Transition, cfg.ExchangeSamples)}
 
-	var shared *rl.Agent
 	for _, sw := range switches {
-		var agent *rl.Agent
-		if cfg.ShareModel {
-			if shared == nil {
-				shared = s.newAgent(net, model)
-			}
-			agent = shared
-		} else {
-			agent = s.newAgent(net, model)
-		}
-		s.Tuners = append(s.Tuners, NewTuner(net, sw, agent, cfg.Tuner))
+		s.Tuners = append(s.Tuners, NewTuner(net, sw, s.newAgent(net, model), cfg.Tuner))
 	}
 	s.exchFn = func() {
 		if s.stopped {
@@ -91,7 +77,7 @@ func NewSystem(net *netsim.Network, switches []*netsim.Switch, model *rl.MLP, cf
 		s.exchange()
 		s.scheduleExchange()
 	}
-	if !cfg.ShareModel && cfg.ExchangePeriod > 0 && len(s.Tuners) > 1 {
+	if cfg.ExchangePeriod > 0 && len(s.Tuners) > 1 {
 		s.scheduleExchange()
 	}
 	return s
@@ -142,11 +128,4 @@ func (s *System) exchange() {
 			t.Agent.Memory.Add(tr)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

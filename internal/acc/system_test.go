@@ -8,25 +8,6 @@ import (
 	"github.com/accnet/acc/internal/topo"
 )
 
-func TestShareModelOption(t *testing.T) {
-	net := netsim.New(51)
-	fab := topo.LeafSpine(net, 2, 2, 2, topo.DefaultConfig())
-	scfg := DefaultSystemConfig()
-	scfg.ShareModel = true
-	sys := NewSystem(net, fab.Switches(), nil, scfg)
-	// All tuners share one agent object.
-	for _, tn := range sys.Tuners[1:] {
-		if tn.Agent != sys.Tuners[0].Agent {
-			t.Fatal("ShareModel did not share the agent")
-		}
-	}
-	// No exchange loop runs for a shared model.
-	net.RunUntil(simtime.Time(20 * simtime.Millisecond))
-	if sys.Exchanges != 0 {
-		t.Fatal("exchange loop ran despite shared model")
-	}
-}
-
 func TestSystemSetEpsilon(t *testing.T) {
 	net := netsim.New(52)
 	fab := topo.Star(net, 3, topo.DefaultConfig())

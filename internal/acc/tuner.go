@@ -189,7 +189,7 @@ type Tuner struct {
 	Net *netsim.Network
 	//acclint:ignore snapcover construction wiring: restore rebuilds the tuner on the same switch; dynamic state lives in rngSrc and queues
 	Switch *netsim.Switch
-	//acclint:ignore snapcover visited by its owner (System.State) because agents may be shared across tuners
+	//acclint:ignore snapcover visited by its owner (System.State), which walks every agent ahead of the tuners
 	Agent *rl.Agent
 	Cfg   Config
 

@@ -50,8 +50,6 @@ type Options struct {
 	// loaded from, for the run manifest (accsim -model).
 	Model     *rl.MLP
 	ModelFile string
-	// Verbose enables progress output on stdout.
-	Verbose bool
 	// Faults parameterizes the robust-* experiments; zero fields fall back
 	// to per-experiment defaults.
 	Faults FaultOptions

@@ -19,7 +19,6 @@ package faults
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/topo"
@@ -30,14 +29,10 @@ import (
 type Role int
 
 const (
-	// HostLeaf links join a host NIC to its leaf/edge switch.
+	// HostLeaf links join a host NIC to its leaf switch.
 	HostLeaf Role = iota
-	// LeafSpine links join a leaf/edge switch to a spine (or, in a
-	// fat-tree, an edge switch to its pod's aggregation switches).
+	// LeafSpine links join a leaf switch to a spine.
 	LeafSpine
-	// SpineCore links join two switches of the spine set (fat-tree
-	// aggregation-to-core links). Two-tier fabrics have none.
-	SpineCore
 
 	numRoles
 )
@@ -49,23 +44,8 @@ func (r Role) String() string {
 		return "host-leaf"
 	case LeafSpine:
 		return "leaf-spine"
-	case SpineCore:
-		return "spine-core"
 	}
 	return fmt.Sprintf("role(%d)", int(r))
-}
-
-// ParseRole parses the names produced by String.
-func ParseRole(s string) (Role, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "host-leaf":
-		return HostLeaf, nil
-	case "leaf-spine":
-		return LeafSpine, nil
-	case "spine-core":
-		return SpineCore, nil
-	}
-	return 0, fmt.Errorf("faults: unknown link role %q (host-leaf|leaf-spine|spine-core)", s)
 }
 
 // Link is one full-duplex link. A is the lower-tier end (host or leaf);
@@ -95,18 +75,9 @@ func (ls *LinkSet) Of(r Role) []Link {
 	return ls[r]
 }
 
-// Total returns the number of links across all roles.
-func (ls *LinkSet) Total() int {
-	n := 0
-	for _, links := range ls {
-		n += len(links)
-	}
-	return n
-}
-
 // Links enumerates and classifies every link of a built fabric. Ordering
-// follows the fabric's construction order (hosts, then leaves, then
-// spines), so the same topology always yields the same numbering — the
+// follows the fabric's construction order (hosts, then each leaf's spine
+// ports), so the same topology always yields the same numbering — the
 // property plans rely on for reproducibility.
 func Links(fab *topo.Fabric) *LinkSet {
 	spines := make(map[netsim.Node]bool, len(fab.Spines))
@@ -124,19 +95,6 @@ func Links(fab *topo.Fabric) *LinkSet {
 			if p.Peer != nil && spines[p.Peer.Owner] {
 				ls[LeafSpine] = append(ls[LeafSpine], Link{Role: LeafSpine, A: p, B: p.Peer})
 			}
-		}
-	}
-	// Spine-to-spine (fat-tree agg<->core): dedupe by visiting each pair
-	// once; the lower-tier aggregation switch appears first in fab.Spines,
-	// so its port becomes the A end.
-	seen := make(map[*netsim.Port]bool)
-	for _, sp := range fab.Spines {
-		for _, p := range sp.Ports {
-			if p.Peer == nil || seen[p] || seen[p.Peer] || !spines[p.Peer.Owner] {
-				continue
-			}
-			ls[SpineCore] = append(ls[SpineCore], Link{Role: SpineCore, A: p, B: p.Peer})
-			seen[p], seen[p.Peer] = true, true
 		}
 	}
 	return &ls

@@ -25,12 +25,6 @@ func TestLinksByRole(t *testing.T) {
 	if got := len(ls.Of(LeafSpine)); got != 4 {
 		t.Errorf("leaf-spine links = %d, want 4", got)
 	}
-	if got := len(ls.Of(SpineCore)); got != 0 {
-		t.Errorf("spine-core links = %d, want 0", got)
-	}
-	if got := ls.Total(); got != 10 {
-		t.Errorf("total links = %d, want 10", got)
-	}
 	// Every link must have both ends wired to each other.
 	for r := Role(0); r < numRoles; r++ {
 		for _, l := range ls.Of(r) {
@@ -38,22 +32,6 @@ func TestLinksByRole(t *testing.T) {
 				t.Fatalf("%s link %s ends are not peers", r, l.Name())
 			}
 		}
-	}
-}
-
-func TestLinksFatTreeRoles(t *testing.T) {
-	net := netsim.New(1)
-	fab := topo.FatTree(net, 4, topo.DefaultConfig())
-	ls := Links(fab)
-	// k=4: 16 hosts, 16 edge-agg links, 16 agg-core links.
-	if got := len(ls.Of(HostLeaf)); got != 16 {
-		t.Errorf("host-leaf links = %d, want 16", got)
-	}
-	if got := len(ls.Of(LeafSpine)); got != 16 {
-		t.Errorf("leaf-spine links = %d, want 16", got)
-	}
-	if got := len(ls.Of(SpineCore)); got != 16 {
-		t.Errorf("spine-core links = %d, want 16", got)
 	}
 }
 
@@ -91,7 +69,6 @@ func TestPlanValidate(t *testing.T) {
 	}{
 		{"good", *new(Plan).LinkDownUp(LeafSpine, 0, 0, simtime.Microsecond), true},
 		{"index out of range", *new(Plan).LinkDownUp(LeafSpine, 4, 0, simtime.Microsecond), false},
-		{"no spine-core links", *new(Plan).LinkDownUp(SpineCore, 0, 0, simtime.Microsecond), false},
 		{"negative offset", Plan{Events: []Event{{At: -1, Kind: LinkDown, Role: HostLeaf}}}, false},
 		{"degrade factor 1", Plan{Events: []Event{{Kind: Degrade, Role: HostLeaf, Factor: 1}}}, false},
 		{"good brownout", *new(Plan).Brownout(HostLeaf, 2, 0.5, 0, simtime.Microsecond), true},

@@ -94,12 +94,6 @@ func (p *Plan) Brownout(role Role, index int, factor float64, at, until simtime.
 	return p
 }
 
-// AddFlap attaches a flap process to the plan.
-func (p *Plan) AddFlap(f Flap) *Plan {
-	p.Flaps = append(p.Flaps, f)
-	return p
-}
-
 // Sorted returns the timeline events ordered by At, preserving insertion
 // order among equal times (stable), so a plan built in any order schedules
 // identically.

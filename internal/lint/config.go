@@ -159,7 +159,6 @@ func DefaultConfig() *Config {
 			Module + "/internal/dcqcn.Receiver.handle",
 			Module + "/internal/dcqcn.Flow.trySend",
 			Module + "/internal/stats.QueueMonitor.tick",
-			Module + "/internal/stats.ThroughputMeter.tick",
 			Module + "/internal/eventq.Queue.Step",
 			// Hybrid fast-path analytic advance: the window tick and
 			// exact-time completion callbacks (queue mode), the barrier

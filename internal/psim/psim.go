@@ -299,21 +299,3 @@ func (e *Engine) Processed() uint64 {
 	}
 	return sum
 }
-
-// Drained reports whether every shard queue is empty of live events and
-// every outbox has been exchanged.
-func (e *Engine) Drained() bool {
-	for _, sh := range e.Shards {
-		if sh.Net.Q.Pending() > 0 {
-			return false
-		}
-	}
-	for _, row := range e.outbox {
-		for _, box := range row {
-			if len(box) > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}

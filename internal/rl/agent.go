@@ -122,15 +122,13 @@ type Agent struct {
 	eps        float64
 	trainSteps int
 
-	// Scratch of TrainStep (the drawn minibatch and its regression targets)
-	// and ActBoltzmann, sized from Cfg by NewAgent. It lives here and not on
+	// Scratch of TrainStep (the drawn minibatch and its regression targets),
+	// sized from Cfg by NewAgent. It lives here and not on
 	// the networks because a trained Eval is kept long after its agent.
 	//acclint:ignore snapcover scratch: overwritten from its start by every TrainStep before it is read
 	batch []Transition
 	//acclint:ignore snapcover scratch: overwritten from its start by every TrainStep before it is read
 	samples []Sample
-	//acclint:ignore snapcover scratch: overwritten by every ActBoltzmann before it is read
-	probs []float64
 	// The four-sample scratch of learn, made by its first call where the
 	// CPU runs the AVX2 kernels and nil elsewhere.
 	//acclint:ignore snapcover scratch: every pass overwrites it before it is read
@@ -148,7 +146,6 @@ func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
 		eps:     cfg.EpsStart,
 		batch:   make([]Transition, cfg.BatchSize),
 		samples: make([]Sample, cfg.BatchSize),
-		probs:   make([]float64, cfg.NumActions),
 	}
 }
 

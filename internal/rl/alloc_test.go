@@ -49,23 +49,15 @@ func TestAllocFreeTrainBatch(t *testing.T) {
 }
 
 // TestAllocFreeTrainStep pins the whole agent step — the minibatch draw,
-// the DDQN targets, backprop, Adam, the target sync — and Boltzmann action
-// selection at zero allocations: both run on scratch the agent owns.
+// the DDQN targets, backprop, Adam, the target sync — at zero allocations:
+// it runs on scratch the agent owns.
 func TestAllocFreeTrainStep(t *testing.T) {
 	a, rng := benchAgent()
 	a.Cfg.TargetSync = 3
-	state := randVec(rng, a.Cfg.StateDim)
-	for _, step := range []struct {
-		name string
-		fn   func()
-	}{
-		{"TrainStep", func() { a.TrainStep(rng) }},
-		{"ActBoltzmann", func() { a.ActBoltzmann(state, 0.5, rng) }},
-	} {
-		step.fn()
-		if avg := testing.AllocsPerRun(50, step.fn); avg != 0 {
-			t.Errorf("%s allocates %v/op, want 0", step.name, avg)
-		}
+	step := func() { a.TrainStep(rng) }
+	step()
+	if avg := testing.AllocsPerRun(50, step); avg != 0 {
+		t.Errorf("TrainStep allocates %v/op, want 0", avg)
 	}
 }
 

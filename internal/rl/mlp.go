@@ -1,5 +1,5 @@
 // Package rl is the deep-reinforcement-learning substrate ACC builds on: a
-// feed-forward neural network trained by backpropagation (SGD or Adam), a
+// feed-forward neural network trained by backpropagation with Adam, a
 // uniform experience-replay memory, and DQN / Double-DQN agents with
 // ε-greedy exploration and periodic target-network synchronization — the
 // algorithmic stack of the paper's §3.4.
@@ -44,7 +44,7 @@ type MLP struct {
 	off   []int
 
 	// The optimizer tensors, in theta's layout so a step is one flat loop:
-	// m and v, the Adam moments (m doubles as SGD velocity), nil — read as
+	// m and v, the Adam moments, nil — read as
 	// zeros, saved as zeros — until optim makes them for a network's first
 	// training step or a restore that carries them; grad, the batch
 	// gradient, nil until the first gradients call. A network that only

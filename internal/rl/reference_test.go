@@ -10,7 +10,7 @@ import (
 // refMLP is the arithmetic the row-blocked kernels replaced, kept verbatim
 // as the reference they are held to bit for bit: one output row at a time
 // over [][][]float64, one serial add chain per dot product, gradient and
-// delta cells updated row by row, Adam and SGD walking the nested slices.
+// delta cells updated row by row, Adam walking the nested slices.
 type refMLP struct {
 	W, mW, vW, gW [][][]float64
 	B, mB, vB, gB [][]float64
@@ -149,22 +149,6 @@ func (m *refMLP) trainBatch(batch []Sample, lr float64) float64 {
 			m.mB[l][o] = beta1*m.mB[l][o] + (1-beta1)*g
 			m.vB[l][o] = beta2*m.vB[l][o] + (1-beta2)*g*g
 			m.B[l][o] -= lr * (m.mB[l][o] / bc1) / (math.Sqrt(m.vB[l][o]/bc2) + eps)
-		}
-	}
-	return loss
-}
-
-func (m *refMLP) trainBatchSGD(batch []Sample, lr, momentum float64) float64 {
-	loss := m.gradients(batch)
-	gW, gB := m.gW, m.gB
-	for l := range m.W {
-		for o := range m.W[l] {
-			for i := range m.W[l][o] {
-				m.mW[l][o][i] = momentum*m.mW[l][o][i] + gW[l][o][i]
-				m.W[l][o][i] -= lr * m.mW[l][o][i]
-			}
-			m.mB[l][o] = momentum*m.mB[l][o] + gB[l][o]
-			m.B[l][o] -= lr * m.mB[l][o]
 		}
 	}
 	return loss
@@ -311,57 +295,49 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// TestDifferentialKernels holds Forward, gradients, loss, Adam and SGD to
-// the reference arithmetic bit for bit, on shapes with every blocking tail,
+// TestDifferentialKernels holds Forward, gradients, loss and Adam to the
+// reference arithmetic bit for bit, on shapes with every blocking tail,
 // batches on both sides of a block of samples, and dead units — one sample
-// at a time through TrainBatch and TrainBatchSGD, and, where the CPU runs
-// the AVX2 kernels, four at a time through the Agent's scratch.
+// at a time through TrainBatch and, where the CPU runs the AVX2 kernels,
+// four at a time through the Agent's scratch.
 func TestDifferentialKernels(t *testing.T) {
 	for si, sizes := range diffShapes {
 		for _, batchSize := range []int{1, 31, 32} {
-			for _, sgd := range []bool{false, true} {
-				for _, four := range []bool{false, true} {
-					if four && !useAVX2 {
-						continue
-					}
-					name := fmt.Sprintf("%v/batch%d/sgd=%v/four=%v", sizes, batchSize, sgd, four)
-					rng := rand.New(rand.NewSource(int64(100*si + batchSize)))
-					m := NewMLP(sizes, rng)
-					killUnits(m, rng)
-					ref := refFrom(m)
-					var ln *lanes
-					if four {
-						ln = newLanes(sizes)
-					}
-					nOut := sizes[len(sizes)-1]
-					for step := 0; step < 12; step++ {
-						x := randVec(rng, sizes[0])
-						sameBits(t, m.Forward(x), ref.forward(x), name, " Forward")
+			for _, four := range []bool{false, true} {
+				if four && !useAVX2 {
+					continue
+				}
+				name := fmt.Sprintf("%v/batch%d/four=%v", sizes, batchSize, four)
+				rng := rand.New(rand.NewSource(int64(100*si + batchSize)))
+				m := NewMLP(sizes, rng)
+				killUnits(m, rng)
+				ref := refFrom(m)
+				var ln *lanes
+				if four {
+					ln = newLanes(sizes)
+				}
+				nOut := sizes[len(sizes)-1]
+				for step := 0; step < 12; step++ {
+					x := randVec(rng, sizes[0])
+					sameBits(t, m.Forward(x), ref.forward(x), name, " Forward")
 
-						batch := make([]Sample, batchSize)
-						for i := range batch {
-							batch[i] = Sample{X: randVec(rng, sizes[0]), Action: rng.Intn(nOut), Target: rng.NormFloat64()}
-						}
-						if step%4 == 3 {
-							// A sample the network already fits exactly: its
-							// error, hence every delta of its pass, is zero.
-							batch[0].Target = ref.forward(batch[0].X)[batch[0].Action]
-						}
-						var loss, want float64
-						switch {
-						case four && sgd:
-							loss, want = m.gradients(batch, ln), ref.trainBatchSGD(batch, 1e-2, 0.9)
-							m.sgdStep(1e-2, 0.9)
-						case four:
-							loss, want = m.trainBatch(batch, 1e-2, ln), ref.trainBatch(batch, 1e-2)
-						case sgd:
-							loss, want = m.TrainBatchSGD(batch, 1e-2, 0.9), ref.trainBatchSGD(batch, 1e-2, 0.9)
-						default:
-							loss, want = m.TrainBatch(batch, 1e-2), ref.trainBatch(batch, 1e-2)
-						}
-						sameBits(t, []float64{loss}, []float64{want}, name, " loss")
-						sameTensors(t, m, ref, name, " step ", step)
+					batch := make([]Sample, batchSize)
+					for i := range batch {
+						batch[i] = Sample{X: randVec(rng, sizes[0]), Action: rng.Intn(nOut), Target: rng.NormFloat64()}
 					}
+					if step%4 == 3 {
+						// A sample the network already fits exactly: its
+						// error, hence every delta of its pass, is zero.
+						batch[0].Target = ref.forward(batch[0].X)[batch[0].Action]
+					}
+					var loss, want float64
+					if four {
+						loss, want = m.trainBatch(batch, 1e-2, ln), ref.trainBatch(batch, 1e-2)
+					} else {
+						loss, want = m.TrainBatch(batch, 1e-2), ref.trainBatch(batch, 1e-2)
+					}
+					sameBits(t, []float64{loss}, []float64{want}, name, " loss")
+					sameTensors(t, m, ref, name, " step ", step)
 				}
 			}
 		}

@@ -316,64 +316,3 @@ func TestGradientsMatchNumerical(t *testing.T) {
 		}
 	}
 }
-
-// TestSGDMomentumLearns checks the alternative optimizer converges on a
-// simple regression task.
-func TestSGDMomentumLearns(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := NewMLP([]int{1, 8, 1}, rng)
-	var batch []Sample
-	for x := -1.0; x <= 1.0; x += 0.25 {
-		batch = append(batch, Sample{X: []float64{x}, Action: 0, Target: 0.5 * x})
-	}
-	var loss float64
-	for i := 0; i < 2000; i++ {
-		loss = m.TrainBatchSGD(batch, 1e-2, 0.9)
-	}
-	if loss > 1e-3 {
-		t.Fatalf("SGD loss %v after training, want < 1e-3", loss)
-	}
-}
-
-func TestBoltzmannTemperatureLimits(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cfg := DefaultAgentConfig(2, 3)
-	cfg.Hidden = []int{8}
-	a := NewAgent(cfg, rng)
-	// Push a clear Q-ordering into the network.
-	for i := 0; i < 600; i++ {
-		a.Eval.TrainBatch([]Sample{
-			{X: []float64{1, 0}, Action: 0, Target: 5},
-			{X: []float64{1, 0}, Action: 1, Target: 0},
-			{X: []float64{1, 0}, Action: 2, Target: -5},
-		}, 1e-2)
-	}
-	s := []float64{1, 0}
-	// T→0: always greedy.
-	for i := 0; i < 50; i++ {
-		if got := a.ActBoltzmann(s, 0, rng); got != 0 {
-			t.Fatalf("zero temperature chose %d, want greedy 0", got)
-		}
-	}
-	// Low T: mostly the best action.
-	counts := make([]int, 3)
-	for i := 0; i < 3000; i++ {
-		counts[a.ActBoltzmann(s, 0.5, rng)]++
-	}
-	if counts[0] < counts[1] || counts[1] < counts[2] {
-		t.Fatalf("softmax ordering violated: %v", counts)
-	}
-	if float64(counts[0])/3000 < 0.9 {
-		t.Fatalf("low temperature insufficiently greedy: %v", counts)
-	}
-	// High T: near uniform.
-	counts = make([]int, 3)
-	for i := 0; i < 3000; i++ {
-		counts[a.ActBoltzmann(s, 1000, rng)]++
-	}
-	for i, c := range counts {
-		if c < 700 || c > 1300 {
-			t.Fatalf("high temperature not near uniform: action %d got %d/3000", i, c)
-		}
-	}
-}

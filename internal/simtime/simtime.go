@@ -85,11 +85,6 @@ func TxTime(bytes int, r Rate) Duration {
 	return Duration(float64(bytes)*8/float64(r)*float64(Second) + 0.5)
 }
 
-// BytesIn returns how many bytes rate r delivers over duration d.
-func BytesIn(r Rate, d Duration) float64 {
-	return float64(r) / 8 * d.Seconds()
-}
-
 // RateOf returns the rate that delivers bytes over duration d.
 // A zero duration yields zero.
 func RateOf(bytes int64, d Duration) Rate {

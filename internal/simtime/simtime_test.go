@@ -38,14 +38,14 @@ func TestTimeArithmetic(t *testing.T) {
 }
 
 func TestRateOfRoundTrip(t *testing.T) {
-	// RateOf and BytesIn must be mutually consistent.
+	// RateOf must invert bytes delivered = rate / 8 × duration.
 	f := func(bytes uint16, ms uint8) bool {
 		if ms == 0 {
 			return true
 		}
 		d := Duration(ms) * Millisecond
 		r := RateOf(int64(bytes), d)
-		back := BytesIn(r, d)
+		back := float64(r) / 8 * d.Seconds()
 		return math.Abs(back-float64(bytes)) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {

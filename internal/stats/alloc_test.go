@@ -10,10 +10,10 @@ import (
 )
 
 // TestAllocFreeMonitoredTick pins the sampling path at zero allocations in
-// steady state: QueueMonitor and ThroughputMeter ride the eventq typed-event
-// fast path (pre-bound method values + CallAfter), so a monitored window —
-// packet traffic plus several sampler ticks — must not allocate once the
-// Series backing arrays are warm. Callers keep them warm with Series.Reset,
+// steady state: QueueMonitor rides the eventq typed-event fast path
+// (pre-bound method values + CallAfter), so a monitored window — packet
+// traffic plus several sampler ticks — must not allocate once the Series
+// backing array is warm. Callers keep them warm with Series.Reset,
 // which truncates without freeing.
 func TestAllocFreeMonitoredTick(t *testing.T) {
 	net := netsim.New(1)
@@ -26,7 +26,6 @@ func TestAllocFreeMonitoredTick(t *testing.T) {
 
 	period := 10 * simtime.Microsecond
 	qm := MonitorQueue(net, p1.Queues[0], period)
-	tm := MeterPort(net, p1, period)
 
 	window := func() {
 		pkt := net.AllocPacket()
@@ -39,9 +38,8 @@ func TestAllocFreeMonitoredTick(t *testing.T) {
 		h1.Send(pkt)
 		net.RunFor(4 * period)
 		qm.Series.Reset()
-		tm.Series.Reset()
 	}
-	// Warm the packet pool, event free list, and Series backing arrays.
+	// Warm the packet pool, event free list, and Series backing array.
 	for i := 0; i < 8; i++ {
 		window()
 	}
@@ -49,5 +47,4 @@ func TestAllocFreeMonitoredTick(t *testing.T) {
 		t.Fatalf("monitored window allocates %v/op, want 0", avg)
 	}
 	qm.Stop()
-	tm.Stop()
 }

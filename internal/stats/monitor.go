@@ -43,41 +43,3 @@ func (m *QueueMonitor) tick(any) {
 
 // Stop ends sampling.
 func (m *QueueMonitor) Stop() { m.stopped = true }
-
-// ThroughputMeter samples a port's transmitted bytes to produce a link
-// utilization time series in [0,1]. Like QueueMonitor, it schedules its
-// ticks on the typed-event fast path with a pre-bound method value.
-type ThroughputMeter struct {
-	Port   *netsim.Port
-	Period simtime.Duration
-	Series Series // utilization per period
-
-	net     *netsim.Network
-	tickFn  func(any)
-	lastTx  uint64
-	stopped bool
-}
-
-// MeterPort starts sampling p's egress utilization every period.
-func MeterPort(net *netsim.Network, p *netsim.Port, period simtime.Duration) *ThroughputMeter {
-	m := &ThroughputMeter{Port: p, Period: period, net: net, lastTx: p.TxBytesTotal}
-	m.tickFn = m.tick
-	m.arm()
-	return m
-}
-
-func (m *ThroughputMeter) arm() { m.net.Q.CallAfter(m.Period, m.tickFn, nil) }
-
-func (m *ThroughputMeter) tick(any) {
-	if m.stopped {
-		return
-	}
-	cur := m.Port.TxBytesTotal
-	util := m.Port.Utilization(cur-m.lastTx, m.Period)
-	m.lastTx = cur
-	m.Series.Add(m.net.Now(), util)
-	m.arm()
-}
-
-// Stop ends sampling.
-func (m *ThroughputMeter) Stop() { m.stopped = true }

@@ -1,6 +1,6 @@
 // Package stats collects and summarizes the measurements the paper reports:
 // flow completion times (average and tail, bucketed by flow size), queue
-// depth time series, link utilization, and IOPS-style application metrics.
+// depth time series, and per-class fairness.
 package stats
 
 import (

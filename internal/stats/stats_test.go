@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -121,61 +120,5 @@ func TestSeriesStats(t *testing.T) {
 	var empty Series
 	if empty.Avg() != 0 || empty.Max() != 0 || empty.Std() != 0 || empty.Quantile(0.5) != 0 {
 		t.Fatal("empty series stats must be zero")
-	}
-}
-
-func TestWriteSeriesCSV(t *testing.T) {
-	var s Series
-	s.Add(simtime.Time(simtime.Millisecond), 42)
-	s.Add(simtime.Time(2*simtime.Millisecond), 43.5)
-	var buf strings.Builder
-	if err := WriteSeriesCSV(&buf, &s, "queue_bytes"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"time_s,queue_bytes", "0.001,42", "0.002,43.5"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWriteFCTCSV(t *testing.T) {
-	recs := []FlowRecord{{Size: 1000, Start: 0, End: simtime.Time(simtime.Microsecond), Class: "rdma"}}
-	var buf strings.Builder
-	if err := WriteFCTCSV(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "1000,0,1e-06,1e-06,rdma") {
-		t.Fatalf("unexpected CSV:\n%s", buf.String())
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	var recs []FlowRecord
-	for i := 1; i <= 100; i++ {
-		recs = append(recs, rec(1000, simtime.Duration(i)*simtime.Microsecond))
-	}
-	pts := CDFPoints(recs, 11)
-	if len(pts) != 11 {
-		t.Fatalf("%d knots, want 11", len(pts))
-	}
-	if pts[0][1] != 0 || pts[10][1] != 1 {
-		t.Fatal("CDF endpoints wrong")
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][0] < pts[i-1][0] {
-			t.Fatal("CDF values not monotone")
-		}
-	}
-	if CDFPoints(nil, 5) != nil {
-		t.Fatal("empty records must return nil")
-	}
-}
-
-func TestSummaryRow(t *testing.T) {
-	row := SummaryRow("x", FCTSummary{Count: 2, Avg: simtime.Millisecond})
-	if row[0] != "x" || row[1] != "2" || row[2] != "0.001" {
-		t.Fatalf("row: %v", row)
 	}
 }

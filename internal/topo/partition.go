@@ -125,7 +125,7 @@ func (c Config) AttachHostAt(net *netsim.Network, leaf *netsim.Switch, name stri
 	h := netsim.NewHostAt(net, name, id)
 	hp := h.AttachPort(c.HostBW, c.HostDelay, c.QueueWeights)
 	for _, q := range hp.Queues {
-		q.InjectLimit = c.injectLimit()
+		q.InjectLimit = nicInjectLimit
 	}
 	lp := leaf.AddPort(c.HostBW, c.HostDelay, c.QueueWeights)
 	netsim.Connect(hp, lp)

@@ -70,8 +70,6 @@ func TestRoutesMatchShortestPathReference(t *testing.T) {
 		{"star", func(n *netsim.Network) *Fabric { return Star(n, 8, DefaultConfig()) }},
 		{"leaf-spine", func(n *netsim.Network) *Fabric { return LeafSpine(n, 4, 6, 2, DefaultConfig()) }},
 		{"leaf-spine-wide", func(n *netsim.Network) *Fabric { return LeafSpine(n, 3, 5, 4, DefaultConfig()) }},
-		{"fat-tree-4", func(n *netsim.Network) *Fabric { return FatTree(n, 4, DefaultConfig()) }},
-		{"fat-tree-6", func(n *netsim.Network) *Fabric { return FatTree(n, 6, DefaultConfig()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := netsim.New(1)

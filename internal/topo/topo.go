@@ -26,11 +26,11 @@ type Config struct {
 	QueueWeights []int
 
 	Switch netsim.SwitchConfig // template; Name is overridden per instance
-
-	// NICInjectLimit bounds per-priority host NIC queue bytes; zero applies
-	// a default of 4 MTU-sized frames.
-	NICInjectLimit int
 }
+
+// nicInjectLimit bounds per-priority host NIC queue bytes to 4 MTU-sized
+// frames.
+const nicInjectLimit = 4 * (netsim.DefaultMTU + netsim.DataHeaderBytes)
 
 // DefaultConfig mirrors the paper's testbed: 25G hosts, 100G fabric links,
 // microsecond-scale delays giving an inter-rack RTT of a few microseconds.
@@ -79,13 +79,6 @@ func (f *Fabric) LeafOf(h *netsim.Host) int {
 		}
 	}
 	return -1
-}
-
-func (c Config) injectLimit() int {
-	if c.NICInjectLimit > 0 {
-		return c.NICInjectLimit
-	}
-	return 4 * (netsim.DefaultMTU + netsim.DataHeaderBytes)
 }
 
 // attachHost creates a host NIC, connects it to a leaf port, and programs

@@ -8,7 +8,7 @@ package workload
 // through stages, with the fill/drain bubbles pipeline schedules exhibit).
 // All are closed-loop jobs on a sequential Network, driven through the same
 // StartFlowFunc seam as the generators — so they compose with background
-// spec traffic and record through Recorder.Starter like any other flow
+// spec traffic and record through Recorder.RecordFlow like any other flow
 // source.
 
 import (

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"github.com/accnet/acc/internal/netsim"
@@ -22,11 +21,6 @@ type PoissonConfig struct {
 	Load   float64      // fraction of aggregate host bandwidth, e.g. 0.6
 	HostBW simtime.Rate // per-host link rate
 	Start  StartFlowFunc
-	// Pairs restricts traffic to specific (src,dst) index pairs; nil means
-	// uniform random pairs.
-	Pairs [][2]int
-	// OnArrival, if set, observes each generated flow.
-	OnArrival func(src, dst *netsim.Host, size int64)
 }
 
 // PoissonGen is a running generator.
@@ -75,25 +69,15 @@ func (g *PoissonGen) scheduleNext() {
 
 func (g *PoissonGen) emit() {
 	hosts := g.cfg.Hosts
-	var src, dst *netsim.Host
-	if len(g.cfg.Pairs) > 0 {
-		p := g.cfg.Pairs[g.rng.Intn(len(g.cfg.Pairs))]
-		src, dst = hosts[p[0]], hosts[p[1]]
-	} else {
-		si := g.rng.Intn(len(hosts))
-		di := g.rng.Intn(len(hosts) - 1)
-		if di >= si {
-			di++
-		}
-		src, dst = hosts[si], hosts[di]
+	si := g.rng.Intn(len(hosts))
+	di := g.rng.Intn(len(hosts) - 1)
+	if di >= si {
+		di++
 	}
 	size := g.cfg.Sizes.Sample(g.rng)
 	g.Started++
 	g.Bytes += size
-	if g.cfg.OnArrival != nil {
-		g.cfg.OnArrival(src, dst, size)
-	}
-	g.cfg.Start(src, dst, size, nil)
+	g.cfg.Start(hosts[si], hosts[di], size, nil)
 }
 
 // IncastConfig describes an N-to-1 synchronized burst: each of Senders
@@ -150,13 +134,4 @@ func ExpJitter(rng *rand.Rand, mean simtime.Duration) simtime.Duration {
 		d = 20 * mean
 	}
 	return d
-}
-
-// LoadForPairs computes the per-pair Poisson rate needed to hit load on a
-// bottleneck of rate bw given mean flow size (utility for tests).
-func LoadForPairs(load float64, bw simtime.Rate, meanFlow float64) float64 {
-	if meanFlow <= 0 {
-		return math.NaN()
-	}
-	return load * float64(bw) / (8 * meanFlow)
 }

@@ -44,49 +44,21 @@ func TestPoissonLoadAccuracy(t *testing.T) {
 	}
 }
 
-func TestPoissonPairRestriction(t *testing.T) {
-	net := netsim.New(2)
-	fab := topo.Star(net, 4, topo.DefaultConfig())
-	var pairs [][2]int
-	pairs = append(pairs, [2]int{0, 3})
-	seen := map[[2]int]bool{}
-	gen := StartPoisson(net, PoissonConfig{
-		Hosts:  fab.Hosts,
-		Sizes:  Fixed("f", 10*simtime.KB),
-		Load:   0.3,
-		HostBW: 25 * simtime.Gbps,
-		Start:  dcqcnStarter(net, 25*simtime.Gbps),
-		Pairs:  pairs,
-		OnArrival: func(src, dst *netsim.Host, size int64) {
-			seen[[2]int{src.ID(), dst.ID()}] = true
-		},
-	})
-	net.RunUntil(simtime.Time(5 * simtime.Millisecond))
-	gen.Stop()
-	if len(seen) != 1 {
-		t.Fatalf("saw %d distinct pairs, want 1", len(seen))
-	}
-	for k := range seen {
-		if k != [2]int{fab.Hosts[0].ID(), fab.Hosts[3].ID()} {
-			t.Fatalf("wrong pair %v", k)
-		}
-	}
-}
-
 func TestPoissonNeverSelfPair(t *testing.T) {
 	net := netsim.New(3)
 	fab := topo.Star(net, 3, topo.DefaultConfig())
 	bad := false
+	start := dcqcnStarter(net, 25*simtime.Gbps)
 	gen := StartPoisson(net, PoissonConfig{
 		Hosts:  fab.Hosts,
 		Sizes:  Fixed("f", simtime.KB),
 		Load:   0.5,
 		HostBW: 25 * simtime.Gbps,
-		Start:  dcqcnStarter(net, 25*simtime.Gbps),
-		OnArrival: func(src, dst *netsim.Host, size int64) {
+		Start: func(src, dst *netsim.Host, size int64, onDone func()) {
 			if src == dst {
 				bad = true
 			}
+			start(src, dst, size, onDone)
 		},
 	})
 	net.RunUntil(simtime.Time(5 * simtime.Millisecond))

@@ -28,8 +28,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
-	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
 )
 
@@ -95,14 +95,25 @@ type Trace struct {
 	Flows   []TraceFlow  `json:"-"`
 }
 
-// Validate checks internal consistency: geometry positive, endpoints and
-// class indices in range, sizes positive, and starts inside the horizon.
+// Validate checks internal consistency: geometry positive, names UTF-8,
+// endpoints and class indices in range, sizes positive, and starts inside
+// the horizon.
 func (t *Trace) Validate() error {
 	if t.NLeaf <= 0 || t.HostsPerLeaf <= 0 || t.NSpine <= 0 {
 		return fmt.Errorf("workload: trace %q geometry %dx%dx%d must be positive", t.Name, t.NLeaf, t.HostsPerLeaf, t.NSpine)
 	}
 	if t.Horizon <= 0 {
 		return fmt.Errorf("workload: trace %q horizon %v must be positive", t.Name, t.Horizon)
+	}
+	// JSON carries only UTF-8, so any other name could not round-trip
+	// through the JSONL form.
+	if !utf8.ValidString(t.Name) {
+		return fmt.Errorf("workload: trace name %q is not UTF-8", t.Name)
+	}
+	for i, c := range t.Classes {
+		if !utf8.ValidString(c.Name) || !utf8.ValidString(c.SLO) {
+			return fmt.Errorf("workload: trace %q class %d name %q or SLO %q is not UTF-8", t.Name, i, c.Name, c.SLO)
+		}
 	}
 	for i, f := range t.Flows {
 		if f.SrcLeaf < 0 || f.SrcLeaf >= t.NLeaf || f.DstLeaf < 0 || f.DstLeaf >= t.NLeaf ||
@@ -147,15 +158,6 @@ func (t *Trace) Equal(o *Trace) bool {
 		}
 	}
 	return true
-}
-
-// TotalBytes sums the offered bytes across all flows.
-func (t *Trace) TotalBytes() int64 {
-	var sum int64
-	for _, f := range t.Flows {
-		sum += f.Bytes
-	}
-	return sum
 }
 
 // ----- JSONL codec -----
@@ -231,7 +233,10 @@ func decodeJSONL(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return tr, tr.Validate()
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 // ----- binary codec -----
@@ -314,8 +319,12 @@ func decodeBinary(br *bufio.Reader) (*Trace, error) {
 			err = fmt.Errorf("workload: binary trace string length %d implausible", n)
 			return ""
 		}
-		buf := make([]byte, n)
-		_, err = io.ReadFull(br, buf)
+		// Read what is there rather than allocate what the length claims.
+		var buf []byte
+		buf, err = io.ReadAll(io.LimitReader(br, int64(n)))
+		if err == nil && uint64(len(buf)) < n {
+			err = io.ErrUnexpectedEOF
+		}
 		return string(buf)
 	}
 	tr := &Trace{}
@@ -337,7 +346,10 @@ func decodeBinary(br *bufio.Reader) (*Trace, error) {
 		err = fmt.Errorf("workload: binary trace flow count %d implausible", nFlows)
 	}
 	if err == nil {
-		tr.Flows = make([]TraceFlow, 0, nFlows)
+		// The count is the file's claim; the records must still be read,
+		// so preallocate no more than a small trace needs and let append
+		// grow with what the input actually holds.
+		tr.Flows = make([]TraceFlow, 0, min(nFlows, 1024))
 	}
 	prev := simtime.Time(0)
 	for i := uint64(0); err == nil && i < nFlows; i++ {
@@ -356,7 +368,10 @@ func decodeBinary(br *bufio.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: binary trace: %w", err)
 	}
-	return tr, tr.Validate()
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 // DecodeTrace sniffs the format (binary magic vs JSON '{') and parses.
@@ -413,7 +428,7 @@ func ReadTraceFile(path string) (*Trace, error) {
 //     per-flow slot, so concurrent shard workers may report without locking
 //     and the recorded order is independent of goroutine interleaving.
 //
-//   - RecordFlow / Starter for closed-loop jobs (collectives, generators)
+//   - RecordFlow for closed-loop jobs (collectives, generators)
 //     on a sequential Network: appends flows in start order under a mutex.
 //
 // Trace() then assembles the recorded trace, sorted stably by start time.
@@ -493,15 +508,6 @@ func (r *Recorder) RecordFlow(at simtime.Time, srcID, dstID int, size int64, cla
 		Bytes: size, Class: ci, Transport: tr,
 	})
 	r.mu.Unlock()
-}
-
-// Starter wraps a transport starter so every launched flow is recorded at
-// the current virtual time before it enters the engine.
-func (r *Recorder) Starter(class, slo string, tr FlowTransport, start StartFlowFunc) StartFlowFunc {
-	return func(src, dst *netsim.Host, size int64, onDone func()) {
-		r.RecordFlow(src.Net().Now(), src.ID(), dst.ID(), size, class, slo, tr)
-		start(src, dst, size, onDone)
-	}
 }
 
 // Trace assembles the recorded trace: observed flows stably sorted by start

@@ -86,6 +86,8 @@ func TestTraceValidateErrors(t *testing.T) {
 	}{
 		{"zero geometry", func(tr *Trace) { tr.NLeaf = 0 }},
 		{"zero horizon", func(tr *Trace) { tr.Horizon = 0 }},
+		{"name not UTF-8", func(tr *Trace) { tr.Name = "\xa0" }},
+		{"class SLO not UTF-8", func(tr *Trace) { tr.Classes[1].SLO = "bulk\xff" }},
 		{"leaf out of range", func(tr *Trace) { tr.Flows[0].DstLeaf = 2 }},
 		{"host out of range", func(tr *Trace) { tr.Flows[0].SrcHost = 9 }},
 		{"class out of range", func(tr *Trace) { tr.Flows[1].Class = 5 }},
