@@ -13,13 +13,19 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the checked-in golden tables under testdata/")
 
-// TestGoldenTables pins the rendered tables of every figure the benchmark's
-// paper-figs workload runs (fig6, fig8, fig10, fig14, fig16) and of
-// robust-linkfail to checked-in byte-exact golden files. TestDeterminismSameSeed only proves a
-// run agrees with itself; this test proves the output also agrees with the
+// goldenIDs are the experiments TestGoldenTables pins. These six are the
+// figures the benchmark's paper-figs workload runs (fig6, fig8, fig10,
+// fig14, fig16) and robust-linkfail; golden_slow_test.go adds, outside the
+// race detector, the runners that share their scenario and deployment code.
+var goldenIDs = []string{"fig6", "fig8", "fig10", "fig14", "fig16", "robust-linkfail"}
+
+// TestGoldenTables pins the rendered tables of every goldenIDs experiment
+// to checked-in byte-exact golden files, one subtest per id
+// (-run TestGoldenTables/fig12). TestDeterminismSameSeed only proves a run
+// agrees with itself; this test proves the output also agrees with the
 // output of every previous checkout — the property that lets the event
-// scheduler (or any other engine internals) be rewritten with confidence.
-// Regenerate deliberately with:
+// scheduler, the experiment runners or any other internals be rewritten with
+// confidence. Regenerate deliberately with:
 //
 //	go test ./internal/exp -run TestGoldenTables -update-golden
 func TestGoldenTables(t *testing.T) {
@@ -29,29 +35,31 @@ func TestGoldenTables(t *testing.T) {
 	o := DefaultOptions()
 	o.Scale = 0.25
 	o.OfflineEpisodes = 4
-	for _, id := range []string{"fig6", "fig8", "fig10", "fig14", "fig16", "robust-linkfail"} {
-		tables, err := Run(id, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		got := renderTables(tables)
-		path := filepath.Join("testdata", id+".golden")
-		if *updateGolden {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
+	for _, id := range goldenIDs {
+		t.Run(id, func(t *testing.T) {
+			tables, err := Run(id, o)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
+			got := renderTables(tables)
+			path := filepath.Join("testdata", id+".golden")
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
 			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: missing golden (regenerate with -update-golden): %v", id, err)
-		}
-		if got != string(want) {
-			t.Errorf("%s: output diverged from golden table:\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
-		}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("output diverged from golden table:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+		})
 	}
 }
 
