@@ -44,7 +44,7 @@ func runFig8(o Options) []*Table {
 			weights[0], weights[3] = 3, 7 // TCP class 0: 30%, RDMA class 3: 70%
 			cfg.QueueWeights = weights
 			fab := topo.Star(net, 8, cfg)
-			stop := deploy(net, fab, p, o)
+			stop, _ := deploy(net, fab, p, o)
 			recv := fab.Hosts[7]
 
 			rdma := rdmaStarter(net, bw, nil)
@@ -64,27 +64,10 @@ func runFig8(o Options) []*Table {
 
 			// Each sender runs a random 1..32 concurrent RDMA QPs (renewed
 			// on completion) plus persistent TCP flows.
-			for i := 0; i < senders; i++ {
-				src := fab.Hosts[i]
-				qps := 1 + net.Rng.Intn(32)
-				for q := 0; q < qps; q++ {
-					var loop func()
-					loop = func() {
-						rdma(src, recv, 4*simtime.MB, func() {
-							net.Q.After(workload.ExpJitter(net.Rng, 20*simtime.Microsecond), loop)
-						})
-					}
-					loop()
-				}
-				for q := 0; q < 4; q++ {
-					var loop func()
-					loop = func() {
-						tcps(src, recv, 4*simtime.MB, func() {
-							net.Q.After(workload.ExpJitter(net.Rng, 20*simtime.Microsecond), loop)
-						})
-					}
-					loop()
-				}
+			jitter := func() simtime.Duration { return workload.ExpJitter(net.Rng, 20*simtime.Microsecond) }
+			for _, src := range fab.Hosts[:senders] {
+				renew(net, rdma, src, recv, 4*simtime.MB, 1+net.Rng.Intn(32), jitter, nil)
+				renew(net, tcps, src, recv, 4*simtime.MB, 4, jitter, nil)
 			}
 
 			hot := fab.Leaves[0].Ports[7]

@@ -87,7 +87,7 @@ func runRobust(o Options, p Policy, plan faults.Plan, tel *faults.Telemetry, dur
 	if err != nil {
 		panic(fmt.Sprintf("exp: robust plan invalid: %v", err))
 	}
-	stop, sys := deployFull(net, fab, p, o)
+	stop, sys := deploy(net, fab, p, o)
 	var tele []*faults.StaleDrop
 	if tel != nil && sys != nil {
 		tele = faults.ApplyTelemetry(net, sys.Tuners, *tel)
