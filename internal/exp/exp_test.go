@@ -88,12 +88,19 @@ func TestRunRejectsIgnoredOptions(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	if normalize(4, 2) != 2 {
-		t.Fatal("normalize wrong")
+// TestRatio: a ratio cell renders like any float cell, and an empty side
+// (either one) renders "n/a", never 0.
+func TestRatio(t *testing.T) {
+	for _, c := range []struct {
+		x, base float64
+		want    string
+	}{{4, 2, "2"}, {1, 3, "0.333"}, {2, 2, "1"}, {4, 0, "n/a"}, {0, 4, "n/a"}, {0, 0, "n/a"}} {
+		if got := ratio(c.x, c.base); got != c.want {
+			t.Errorf("ratio(%v, %v) = %q, want %q", c.x, c.base, got, c.want)
+		}
 	}
-	if normalize(4, 0) != 0 {
-		t.Fatal("normalize by zero must be 0")
+	if got := ratio(3*simtime.Millisecond, 2*simtime.Millisecond); got != "1.5" {
+		t.Errorf("ratio of durations = %q, want 1.5", got)
 	}
 }
 
