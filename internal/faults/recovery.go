@@ -126,24 +126,30 @@ type Snapshot struct {
 
 // Snap reads the counters of every switch and host port in the fabric.
 func Snap(fab *topo.Fabric) Snapshot {
-	var s Snapshot
-	ports := func(ps []*netsim.Port) {
-		for _, p := range ps {
-			s.Blackholed += p.BlackholedPackets
-		}
-	}
-	for _, sw := range fab.Switches() {
-		ports(sw.Ports)
-		s.Blackholed += sw.RouteBlackholes
-		s.BufferDrops += sw.DropsTotal - sw.RouteBlackholes
-		for _, p := range sw.Ports {
-			s.PFCPauses += p.PauseTxEvents
-		}
-	}
+	var hostPorts []*netsim.Port
 	for _, h := range fab.Hosts {
 		if h.Port != nil {
-			ports([]*netsim.Port{h.Port})
+			hostPorts = append(hostPorts, h.Port)
 		}
+	}
+	return Count(fab.Switches(), hostPorts)
+}
+
+// Count sums the loss and back-pressure counters of the given switches
+// (with their ports) and host NIC ports: the one walk behind Snap and the
+// sharded engine's fabric-wide snapshot.
+func Count(switches []*netsim.Switch, hostPorts []*netsim.Port) Snapshot {
+	var s Snapshot
+	for _, sw := range switches {
+		for _, p := range sw.Ports {
+			s.Blackholed += p.BlackholedPackets
+			s.PFCPauses += p.PauseTxEvents
+		}
+		s.Blackholed += sw.RouteBlackholes
+		s.BufferDrops += sw.DropsTotal - sw.RouteBlackholes
+	}
+	for _, p := range hostPorts {
+		s.Blackholed += p.BlackholedPackets
 	}
 	return s
 }

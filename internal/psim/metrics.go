@@ -67,34 +67,20 @@ func (s *Sampler) OnBarrier(b simtime.Time) {
 // is counted at the receiving end), but the fabric-wide sums compared here
 // are identical.
 func (e *Engine) Snap() faults.Snapshot {
-	var s faults.Snapshot
-	swPorts := func(sw *netsim.Switch) {
-		for _, p := range sw.Ports {
-			s.Blackholed += p.BlackholedPackets
-			s.PFCPauses += p.PauseTxEvents
-		}
-		s.Blackholed += sw.RouteBlackholes
-		s.BufferDrops += sw.DropsTotal - sw.RouteBlackholes
-	}
-	for _, sw := range e.Leaves {
-		swPorts(sw)
-	}
-	for _, sw := range e.Spines {
-		swPorts(sw)
-	}
-	for _, hs := range e.HostUp {
-		for _, p := range hs {
-			s.Blackholed += p.BlackholedPackets
-		}
-	}
-	return s
+	return faults.Count(e.switches(), e.HostPorts())
+}
+
+// switches returns every switch in global switch order: leaves, then
+// spines.
+func (e *Engine) switches() []*netsim.Switch {
+	return append(append([]*netsim.Switch{}, e.Leaves...), e.Spines...)
 }
 
 // SwitchTotals returns per-switch (marks, drops) in global switch order
-// (leaves then spines) — per-node counters the differential tests compare
-// exactly across layouts.
+// — per-node counters the differential tests compare exactly across
+// layouts.
 func (e *Engine) SwitchTotals() (marks, drops []uint64) {
-	for _, sw := range append(append([]*netsim.Switch{}, e.Leaves...), e.Spines...) {
+	for _, sw := range e.switches() {
 		marks = append(marks, sw.MarksTotal)
 		drops = append(drops, sw.DropsTotal)
 	}
