@@ -11,9 +11,6 @@
 //	accsim -exp fig6 -model m.accmodel
 //	                               # deploy a model acctrain wrote instead of
 //	                               # the compiled-in default
-//	accsim -exp fig8 -fidelity hybrid
-//	                               # flow-level fast-forward with packet-level
-//	                               # hotspot demotion (<=1% FCT tolerance)
 //
 // The workload engine (mix-spec, mix-replay, mix-collective) drives
 // spec-defined multi-client traffic and can record/replay flow traces:
@@ -22,6 +19,9 @@
 //	accsim -exp mix-spec -record-trace mix.bin      # record as-executed trace
 //	accsim -exp mix-spec -replay-trace mix.bin -shards 4
 //	                               # bit-identical replay on the sharded engine
+//	accsim -exp mix-spec -shards 4 -fidelity hybrid
+//	                               # flow-level fast-forward with packet-level
+//	                               # hotspot demotion (read only by mix-*)
 //	accsim -exp mix-replay -fidelity hybrid         # self-checking replay
 //
 // The robustness suite (robust-linkfail, robust-flap, robust-telemetry)

@@ -62,6 +62,7 @@ func TestPreflightRejects(t *testing.T) {
 		"ignored under -exp all": {"-exp", "all", "-fidelity", "hybrid"},
 		"replay where ignored":   {"-exp", "mix-collective", "-replay-trace", filepath.Join(dir, "t.bin")},
 		"shards where ignored":   {"-exp", "fig8", "-shards", "4"},
+		"hybrid on fig8":         {"-exp", "fig8", "-fidelity", "hybrid"},
 		"hostile replay trace":   {"-exp", "mix-spec", "-replay-trace", hostile},
 		"-scale 0":               {"-exp", "fig6", "-scale", "0"},
 		"-scale -1":              {"-exp", "fig6", "-scale", "-1"},
@@ -95,7 +96,7 @@ func TestPreflightRejects(t *testing.T) {
 // TestPreflightAccepts: cheap valid runs, one of them at hybrid fidelity
 // where it is read, exit 0.
 func TestPreflightAccepts(t *testing.T) {
-	for _, args := range [][]string{{"-exp", "table1"}, {"-exp", "fig8", "-fidelity", "hybrid", "-scale", "0.1"}} {
+	for _, args := range [][]string{{"-exp", "table1"}, {"-exp", "mix-spec", "-fidelity", "hybrid"}} {
 		if code, stderr := accsim(t, args...); code != 0 {
 			t.Errorf("accsim %v exited %d: %s", args, code, stderr)
 		}

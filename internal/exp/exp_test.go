@@ -72,19 +72,21 @@ func TestRunRejectsIgnoredOptions(t *testing.T) {
 			t.Errorf("%s ran with an option it ignores: %+v", id, o)
 		}
 	}
-	o := DefaultOptions()
-	o.Fidelity = "hybrid"
-	if err := Check("fig8", o); err != nil {
-		t.Errorf("fig8 refused hybrid fidelity: %v", err)
-	}
-	o = DefaultOptions()
-	o.Shards = 4
-	want := "exp: fig8 ignores -shards (read only by mix-replay, mix-spec)"
-	if err := Check("fig8", o); err == nil || err.Error() != want {
-		t.Errorf("fig8 with -shards 4: %v, want %q", err, want)
-	}
-	if err := Check("mix-spec", o); err != nil {
-		t.Errorf("mix-spec refused -shards: %v", err)
+	for _, c := range []struct {
+		set  func(*Options)
+		want string
+	}{
+		{func(o *Options) { o.Shards = 4 }, "exp: fig8 ignores -shards (read only by mix-replay, mix-spec)"},
+		{func(o *Options) { o.Fidelity = "hybrid" }, "exp: fig8 ignores -fidelity hybrid (read only by mix-replay, mix-spec)"},
+	} {
+		o := DefaultOptions()
+		c.set(&o)
+		if err := Check("fig8", o); err == nil || err.Error() != c.want {
+			t.Errorf("fig8 with %+v: %v, want %q", o, err, c.want)
+		}
+		if err := Check("mix-spec", o); err != nil {
+			t.Errorf("mix-spec refused %+v: %v", o, err)
+		}
 	}
 }
 

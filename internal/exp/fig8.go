@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register("fig8", "RDMA/TCP weighted fair sharing (70/30 DWRR): throughput ratio, ACC vs SECN", runFig8, hybridFidelity)
+	register("fig8", "RDMA/TCP weighted fair sharing (70/30 DWRR): throughput ratio, ACC vs SECN", runFig8)
 }
 
 // runFig8 reproduces Figure 8 (§5.2 "Fairness between RDMA and TCP
@@ -51,16 +51,6 @@ func runFig8(o Options) []*Table {
 			// The paper's problem scenario: drop-tail TCP "becomes more greedy
 			// and may occupy the whole buffer" (§5.2).
 			tcps := tcpStarter(net, nil, false)
-			// Hybrid fidelity: uncongested RDMA fast-forwards in closed
-			// form; the sustained incast demotes the shared links to packet
-			// level almost immediately, so results track the packet engine
-			// within the documented tolerance (see golden_hybrid_test.go).
-			var hyb *hybridHarness
-			if o.Hybrid() {
-				hyb = newHybridHarness(net, fab)
-				rdma = hyb.rdma(bw, nil)
-				tcps = hyb.tcp(nil, false)
-			}
 
 			// Each sender runs a random 1..32 concurrent RDMA QPs (renewed
 			// on completion) plus persistent TCP flows.
@@ -83,9 +73,6 @@ func runFig8(o Options) []*Table {
 			net.RunUntil(simtime.Time(warm + meas))
 			stop()
 			qmon.Stop()
-			if hyb != nil {
-				hyb.finish(o.Obs)
-			}
 
 			rb := float64(rq.TxBytes - r0)
 			tb := float64(tq.TxBytes - t0)

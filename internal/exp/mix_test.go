@@ -162,6 +162,30 @@ func TestMixSpecClassReporting(t *testing.T) {
 	}
 }
 
+// TestMixSpecHybridManifest: a hybrid-fidelity run reports its mode
+// accounting (obs.Run.AddFidelity) and its fidelity knob in the manifest.
+// The default mix congests its fabric, so flows start, demote and run at
+// packet level.
+func TestMixSpecHybridManifest(t *testing.T) {
+	o := DefaultOptions()
+	o.Fidelity = "hybrid"
+	run := obs.NewRun(0)
+	o.Obs = run
+	runMix(t, "mix-spec", o)
+
+	man := run.Manifest()
+	if man.Fidelity == nil {
+		t.Fatal("hybrid run did not report a fidelity summary in the manifest")
+	}
+	f := man.Fidelity
+	if f.FlowsStarted == 0 || f.PacketFlows == 0 || f.Demotions == 0 {
+		t.Fatalf("implausible fidelity summary for a congested run: %+v", f)
+	}
+	if man.Config["fidelity"] != "hybrid" {
+		t.Fatalf("manifest config missing fidelity knob: %v", man.Config)
+	}
+}
+
 // TestMixCollective smoke-runs the AI-fabric collectives mix and checks
 // every collective makes progress while the live recorder captures a
 // valid, replayable trace.

@@ -63,7 +63,7 @@ func TestAllocHybridRenewalLoop(t *testing.T) {
 	hcfg := DefaultConfig()
 	hcfg.DemoteUtil = 1e9 // keep every flow analytic
 	hcfg.QueueFrac = 1e9
-	eng := New(hcfg, net.Q, net.Tracer)
+	eng := NewBarrier(hcfg, net.Q.Now, net.Tracer)
 	mesh := ForFabric(eng, fab)
 	for l := 0; l < leaves; l++ {
 		for s := 0; s < senders; s++ {
@@ -80,16 +80,15 @@ func TestAllocHybridRenewalLoop(t *testing.T) {
 			loop()
 		}
 	}
-	eng.StartTicker()
 
 	// Let pools, slice capacities, and the event calendar settle over a few
 	// full renewal generations, then measure whole windows.
 	end := simtime.Time(2 * simtime.Millisecond)
-	net.Q.RunBefore(end)
+	runTicked(net, eng, end)
 	window := 400 * simtime.Microsecond
 	avg := testing.AllocsPerRun(20, func() {
 		end = end.Add(window)
-		net.Q.RunBefore(end)
+		runTicked(net, eng, end)
 	})
 	if avg > 2 {
 		t.Fatalf("hybrid renewal loop allocates %.2f allocs per %v window (want ~1 amortized); the fast path is allocating per renewal again", avg, window)

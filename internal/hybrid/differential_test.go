@@ -47,7 +47,7 @@ func TestDifferentialPerFlowFCT(t *testing.T) {
 	{
 		net := netsim.New(1)
 		fab := topo.LeafSpine(net, 4, 4, 4, topo.DefaultConfig())
-		eng = New(DefaultConfig(), net.Q, net.Tracer)
+		eng = NewBarrier(DefaultConfig(), net.Q.Now, net.Tracer)
 		m := ForFabric(eng, fab)
 		for i := 0; i < nHosts; i++ {
 			i := i
@@ -64,8 +64,7 @@ func TestDifferentialPerFlowFCT(t *testing.T) {
 					})
 			}, nil)
 		}
-		eng.StartTicker()
-		net.RunUntil(simtime.Time(100 * simtime.Millisecond))
+		runTicked(net, eng, simtime.Time(100*simtime.Millisecond))
 	}
 
 	if eng.Stats.AnalyticFlows != nHosts {
@@ -96,7 +95,7 @@ func TestDifferentialConservationUnderChurn(t *testing.T) {
 	net := netsim.New(7)
 	fab := topo.Star(net, senders+1, topo.DefaultConfig())
 	recv := fab.Hosts[senders]
-	eng := New(DefaultConfig(), net.Q, net.Tracer)
+	eng := NewBarrier(DefaultConfig(), net.Q.Now, net.Tracer)
 	m := ForFabric(eng, fab)
 	params := dcqcn.DefaultParams(fab.Hosts[0].Port.Bandwidth)
 
@@ -125,8 +124,7 @@ func TestDifferentialConservationUnderChurn(t *testing.T) {
 				func(*Flow, simtime.Time) { done++ })
 		}, nil)
 	}
-	eng.StartTicker()
-	net.RunUntil(simtime.Time(simtime.Second))
+	runTicked(net, eng, simtime.Time(simtime.Second))
 
 	if done != senders {
 		t.Fatalf("%d/%d flows completed", done, senders)
@@ -162,35 +160,35 @@ func TestRenewalLoopFastForwards(t *testing.T) {
 	cfg := topo.DefaultConfig()
 	params := dcqcn.DefaultParams(cfg.HostBW)
 	// run builds the fabric, hands every sender pair to the starter wire
-	// returns, and counts the events of the 400 µs after a 100 µs warm-up.
-	run := func(wire func(net *netsim.Network, fab *topo.Fabric) func(src, dst *netsim.Host)) uint64 {
+	// returns, and counts the events of the 400 µs after a 100 µs warm-up,
+	// advancing the run with the function wire returns beside the starter.
+	run := func(wire func(net *netsim.Network, fab *topo.Fabric) (func(src, dst *netsim.Host), func(simtime.Time))) uint64 {
 		net := netsim.New(1)
 		fab := topo.LeafSpine(net, leaves, 8, 4, cfg)
-		start := wire(net, fab)
+		start, advance := wire(net, fab)
 		for l := 0; l < leaves; l++ {
 			for s := 0; s < senders; s++ {
 				start(fab.HostsAt[l][s], fab.HostsAt[(l+1)%leaves][s])
 			}
 		}
-		net.Q.RunBefore(simtime.Time(100 * simtime.Microsecond))
+		advance(simtime.Time(100 * simtime.Microsecond))
 		before := net.Q.Processed()
-		net.Q.RunBefore(simtime.Time(500 * simtime.Microsecond))
+		advance(simtime.Time(500 * simtime.Microsecond))
 		return net.Q.Processed() - before
 	}
 
-	pktEvents := run(func(net *netsim.Network, _ *topo.Fabric) func(src, dst *netsim.Host) {
+	pktEvents := run(func(net *netsim.Network, _ *topo.Fabric) (func(src, dst *netsim.Host), func(simtime.Time)) {
 		return func(src, dst *netsim.Host) {
 			var loop func()
 			loop = func() { dcqcn.Start(net, src, dst, size, params, func(*dcqcn.Flow) { loop() }) }
 			loop()
-		}
+		}, net.Q.RunBefore
 	})
 
 	var eng *Engine
-	hybEvents := run(func(net *netsim.Network, fab *topo.Fabric) func(src, dst *netsim.Host) {
-		eng = New(DefaultConfig(), net.Q, net.Tracer)
+	hybEvents := run(func(net *netsim.Network, fab *topo.Fabric) (func(src, dst *netsim.Host), func(simtime.Time)) {
+		eng = NewBarrier(DefaultConfig(), net.Q.Now, net.Tracer)
 		mesh := ForFabric(eng, fab)
-		eng.StartTicker()
 		return func(src, dst *netsim.Host) {
 			var loop func()
 			demote := func(f *Flow, remaining int64) {
@@ -211,7 +209,7 @@ func TestRenewalLoopFastForwards(t *testing.T) {
 					FlowOpts{ID: uint64(id), Size: size, Prio: params.Prio, Eligible: true}, demote, done)
 			}
 			loop()
-		}
+		}, func(until simtime.Time) { runTicked(net, eng, until) }
 	})
 
 	if pktEvents == 0 {

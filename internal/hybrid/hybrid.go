@@ -50,7 +50,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"github.com/accnet/acc/internal/eventq"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/obs"
 	"github.com/accnet/acc/internal/simtime"
@@ -101,10 +100,9 @@ type Config struct {
 // DefaultConfig returns the trigger settings used by the experiments:
 // 20us windows, demotion at 85% fluid utilization on shared links, queue
 // trigger at half of a conservative 100KB Kmin, promotion after 3 quiet
-// windows. Window paces only engines that tick themselves (New +
-// StartTicker); a barrier-driven engine (NewBarrier) ticks whenever its
-// driver calls Tick — every psim window, 600ns on the default fabric — so
-// there PromoteAfter counts barriers, not 20us windows.
+// windows. The engine ticks whenever its driver calls Tick — every psim
+// window, 600ns on the default fabric — so PromoteAfter counts ticks;
+// Window is the cadence for a driver that has no barrier of its own.
 func DefaultConfig() Config {
 	return Config{
 		Window:       20 * simtime.Microsecond,
@@ -203,8 +201,6 @@ type Flow struct {
 
 	frames    int64 // frames committed to the conservation ledger
 	completed bool
-	//acclint:ignore snapcover queue-mode completion-event mark; snapshots are taken in barrier mode (psim), which schedules no completion events
-	evPending bool // a scheduled completion event still points here (queue mode)
 
 	startPacket func(*Flow, int64)
 	onDone      func(*Flow, simtime.Time)
@@ -239,15 +235,13 @@ func (f *Flow) wireOf(k int64) int64 {
 
 func (f *Flow) mtuPayload() int { return f.fullWire - netsim.DataHeaderBytes }
 
-// Engine is one hybrid-fidelity controller. It is driven either by its own
-// window-batched queue events (New + StartTicker, sequential runs) or by
-// explicit Tick calls at psim barriers (NewBarrier).
+// Engine is one hybrid-fidelity controller. Whoever owns the clock drives
+// it by calling Tick: psim at every barrier, or a caller stepping one
+// sequential Network a Window at a time.
 type Engine struct {
 	//acclint:ignore snapcover construction config; restore overlays onto an engine built with the same Config
 	Cfg Config
 
-	//acclint:ignore snapcover nil in every engine NewBarrier builds, and State refuses any other
-	q     *eventq.Queue
 	clock func() simtime.Time
 
 	//acclint:ignore snapcover observability wiring, re-attached at construction
@@ -296,37 +290,22 @@ type Engine struct {
 	//acclint:ignore snapcover telemetry of this process's work, not simulation state, like LinkChecks
 	LinkFills uint64
 
-	// inflight (barrier mode only) holds flows whose sender fully paced out
-	// before a demotion trigger hit their path: nothing is left to hand to
-	// the packet transport, so they complete analytically at End, detected
-	// at ticks like every barrier-mode completion.
+	// inflight holds flows whose sender fully paced out before a demotion
+	// trigger hit their path: nothing is left to hand to the packet
+	// transport, so they complete analytically at End, detected at ticks
+	// like every other completion.
 	inflight []*Flow
 
 	// Stats feed the run manifest (obs.Run.AddFidelity).
 	Stats obs.FidelitySummary
-
-	// Pre-bound callbacks so window ticks and completions ride eventq's
-	// pooled zero-alloc scheduling path.
-	tickFn     func(any)
-	completeFn func(any)
-	stopped    bool
 
 	// free recycles finished Flow objects (path capacity included) so
 	// steady-state flow churn allocates nothing.
 	free []*Flow
 }
 
-// New returns an engine scheduling its own advance windows and exact-time
-// completions on q. Call StartTicker after registering links.
-func New(cfg Config, q *eventq.Queue, tracer *obs.Tracer) *Engine {
-	e := &Engine{Cfg: cfg, q: q, clock: q.Now, tracer: tracer}
-	e.tickFn = e.tickEvent
-	e.completeFn = e.completeEvent
-	return e
-}
-
-// NewBarrier returns an engine for barrier-driven runs (psim): the caller
-// invokes Tick at every barrier and clock reports the current barrier time.
+// NewBarrier returns an engine for barrier-driven runs: the caller invokes
+// Tick at every barrier and clock reports the current simulated time.
 // Analytic completions fire at the first tick at-or-after their exact End;
 // the recorded End itself stays frame-exact.
 func NewBarrier(cfg Config, clock func() simtime.Time, tracer *obs.Tracer) *Engine {
@@ -423,36 +402,16 @@ func (e *Engine) AddGroup(links []*Link) {
 	e.groups = append(e.groups, links)
 }
 
-// StartTicker arms the self-re-arming window advance event (sequential
-// engines only).
-func (e *Engine) StartTicker() {
-	if e.q == nil {
-		panic("hybrid: StartTicker on a barrier-driven engine")
-	}
-	e.q.CallAfter(e.Cfg.Window, e.tickFn, nil)
-}
-
-// Stop halts the ticker after the current window; completions already
-// scheduled still fire.
-func (e *Engine) Stop() { e.stopped = true }
-
-func (e *Engine) tickEvent(any) {
-	if e.stopped {
-		return
-	}
-	e.Tick(e.q.Now())
-	e.q.CallAfter(e.Cfg.Window, e.tickFn, nil)
-}
-
 // StartFlow registers a transfer over path (copied: callers may reuse the
 // slice, e.g. Mesh.Path's scratch). startPacket launches the packet-level
 // transport for the given remaining payload bytes — called synchronously
 // (now, or at a later trigger instant) exactly once unless the flow
-// completes analytically. onDone fires only for analytic completion, at
-// the flow's exact closed-form End; packet-mode completion belongs to the
-// transport, which must then call PacketDone. The returned Flow may be
-// recycled by a later StartFlow once it has fully completed, so callers
-// must not retain it past the callback that observed completion.
+// completes analytically. onDone fires only for analytic completion, at the
+// first Tick at or after the flow's exact closed-form End, and is handed
+// that End; packet-mode completion belongs to the transport, which must
+// then call PacketDone. The returned Flow may be recycled by a later
+// StartFlow once it has fully completed, so callers must not retain it
+// past the callback that observed completion.
 func (e *Engine) StartFlow(path []*Link, o FlowOpts, startPacket func(*Flow, int64), onDone func(*Flow, simtime.Time)) *Flow {
 	now := e.clock()
 	f := e.admit(now, path, o, startPacket, onDone)
@@ -462,10 +421,6 @@ func (e *Engine) StartFlow(path []*Link, o FlowOpts, startPacket func(*Flow, int
 	e.refill(now)
 	if f.Mode == ModeAnalytic {
 		f.End = e.endTime(f)
-		if e.q != nil {
-			f.evPending = true
-			e.q.CallAt(f.End, e.completeFn, f)
-		}
 	}
 	return f
 }
@@ -521,12 +476,10 @@ func (e *Engine) newFlow() *Flow {
 	return &Flow{}
 }
 
-// release returns a finished flow to the free list. Deferred while a
-// completion event still points at the flow (a demoted flow's stale event
-// must fire its no-op before the object can be reused) and until the flow
-// has actually completed.
+// release returns a finished flow to the free list, once it has actually
+// completed.
 func (e *Engine) release(f *Flow) {
-	if !f.completed || f.evPending {
+	if !f.completed {
 		return
 	}
 	e.free = append(e.free, f)
@@ -600,20 +553,6 @@ func (e *Engine) commitTo(f *Flow, t simtime.Time) {
 	f.frames = target
 }
 
-// completeEvent fires at a flow's exact End (sequential engines). Stale
-// events — the flow demoted after scheduling — are no-ops beyond clearing
-// the reuse latch.
-func (e *Engine) completeEvent(arg any) {
-	f := arg.(*Flow)
-	f.evPending = false
-	if f.Mode != ModeAnalytic || f.completed {
-		e.release(f)
-		return
-	}
-	e.complete(f, f.End)
-	e.release(f)
-}
-
 func (e *Engine) complete(f *Flow, end simtime.Time) {
 	f.completed = true
 	e.commitTo(f, f.sendEnd)
@@ -665,10 +604,8 @@ func (e *Engine) toPacket(f *Flow, t simtime.Time) {
 	if f.Mode == ModeAnalytic && !f.completed {
 		e.commitTo(f, t)
 		if f.frames >= f.nFrames {
-			if e.q == nil {
-				e.inflight = append(e.inflight, f)
-			}
-			return // completion event (queue mode) or tick scan (barrier mode)
+			e.inflight = append(e.inflight, f)
+			return // Tick completes it at End
 		}
 	}
 	f.Mode = ModePacket
@@ -683,9 +620,9 @@ func (e *Engine) toPacket(f *Flow, t simtime.Time) {
 
 // PacketDone releases a packet-mode flow's demand reservation; transports
 // call it from their completion callback. It mutates link state shared by
-// every flow crossing the path, so in barrier-driven sharded runs it must
-// only be called with the shards quiescent — psim.ApplyHybrid records
-// completions in per-flow slots and drains them at the next barrier.
+// every flow crossing the path, so in sharded runs it must only be called
+// with the shards quiescent — psim.ApplyHybrid records completions in
+// per-flow slots and drains them at the next barrier.
 func (e *Engine) PacketDone(f *Flow) {
 	if f.Mode != ModePacket || f.completed {
 		return
@@ -883,14 +820,13 @@ func (l *Link) fluidShare() float64 {
 	return s
 }
 
-// Tick advances one window at time now: complete flows past their End
-// (barrier-driven engines), commit the conservation ledger, and evaluate
-// the observed-state triggers and promotion hysteresis on every link whose
-// verdict can have changed.
+// Tick advances the engine to now, the instant its driver's clock has
+// reached with every event before it run: complete flows past their End,
+// commit the conservation ledger, and evaluate the observed-state triggers
+// and promotion hysteresis on every link whose verdict can have changed.
 func (e *Engine) Tick(now simtime.Time) {
 	e.Stats.Ticks++
-	// Completions first (barrier mode; sequential engines already fired
-	// them as exact-time events and the guard below sees Mode/completed).
+	// Completions first, each at its exact End.
 	for i := 0; i < len(e.flows); {
 		f := e.flows[i]
 		if !f.completed && f.End <= now {

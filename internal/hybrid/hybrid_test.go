@@ -9,6 +9,16 @@ import (
 	"github.com/accnet/acc/internal/topo"
 )
 
+// runTicked runs net Cfg.Window at a time up to until, ticking e at each
+// boundary once the events before it have run, the way psim ticks at its
+// barriers.
+func runTicked(net *netsim.Network, e *Engine, until simtime.Time) {
+	for b := net.Q.Now().Add(e.Cfg.Window); b <= until; b = b.Add(e.Cfg.Window) {
+		net.Q.RunBefore(b)
+		e.Tick(b)
+	}
+}
+
 // noDemote is a startPacket spy for flows that must stay analytic.
 func noDemote(t *testing.T) func(*Flow, int64) {
 	return func(f *Flow, remaining int64) {
@@ -35,7 +45,7 @@ func TestSoloFlowEndMatchesPacketFCT(t *testing.T) {
 		// Hybrid closed form over an identical fabric.
 		hnet := netsim.New(1)
 		hfab := topo.Star(hnet, 2, topo.DefaultConfig())
-		e := New(DefaultConfig(), hnet.Q, hnet.Tracer)
+		e := NewBarrier(DefaultConfig(), hnet.Q.Now, hnet.Tracer)
 		m := ForFabric(e, hfab)
 		id := hnet.NextFlowID()
 		var end simtime.Time
@@ -43,8 +53,7 @@ func TestSoloFlowEndMatchesPacketFCT(t *testing.T) {
 			FlowOpts{ID: uint64(id), Size: size, Prio: 3, Eligible: true},
 			noDemote(t),
 			func(_ *Flow, at simtime.Time) { end = at })
-		e.StartTicker()
-		hnet.RunUntil(simtime.Time(10 * simtime.Millisecond))
+		runTicked(hnet, e, simtime.Time(10*simtime.Millisecond))
 
 		if end == 0 {
 			t.Fatalf("size %d: analytic flow did not complete", size)
@@ -69,14 +78,13 @@ func TestSoloFlowConservesPortBytes(t *testing.T) {
 	size := int64(1 * simtime.MB)
 	net := netsim.New(1)
 	fab := topo.Star(net, 2, topo.DefaultConfig())
-	e := New(DefaultConfig(), net.Q, net.Tracer)
+	e := NewBarrier(DefaultConfig(), net.Q.Now, net.Tracer)
 	m := ForFabric(e, fab)
 	id := net.NextFlowID()
 	f := e.StartFlow(m.Path(id, fab.Hosts[0], fab.Hosts[1]),
 		FlowOpts{ID: uint64(id), Size: size, Prio: 3, Eligible: true},
 		noDemote(t), nil)
-	e.StartTicker()
-	net.RunUntil(simtime.Time(10 * simtime.Millisecond))
+	runTicked(net, e, simtime.Time(10*simtime.Millisecond))
 
 	wire := f.wireOf(f.nFrames)
 	for _, p := range []*netsim.Port{fab.Hosts[0].Port, fab.Leaves[0].Ports[1]} {
@@ -99,7 +107,7 @@ func TestSharedBottleneckDemotesBoth(t *testing.T) {
 	size := int64(4 * simtime.MB)
 	net := netsim.New(1)
 	fab := topo.Star(net, 3, topo.DefaultConfig())
-	e := New(DefaultConfig(), net.Q, net.Tracer)
+	e := NewBarrier(DefaultConfig(), net.Q.Now, net.Tracer)
 	m := ForFabric(e, fab)
 
 	handed := make(map[uint64]int64)
@@ -113,8 +121,7 @@ func TestSharedBottleneckDemotesBoth(t *testing.T) {
 		e.StartFlow(m.Path(id2, fab.Hosts[1], fab.Hosts[2]),
 			FlowOpts{ID: uint64(id2), Size: size, Prio: 3, Eligible: true}, spy, nil)
 	}, nil)
-	e.StartTicker()
-	net.RunUntil(simtime.Time(200 * simtime.Microsecond))
+	runTicked(net, e, simtime.Time(200*simtime.Microsecond))
 
 	if len(handed) != 2 {
 		t.Fatalf("expected both flows demoted, got %d", len(handed))
@@ -144,7 +151,7 @@ func TestSharedBottleneckDemotesBoth(t *testing.T) {
 func TestIneligibleFlowReservesDemand(t *testing.T) {
 	net := netsim.New(1)
 	fab := topo.Star(net, 2, topo.DefaultConfig())
-	e := New(DefaultConfig(), net.Q, net.Tracer)
+	e := NewBarrier(DefaultConfig(), net.Q.Now, net.Tracer)
 	m := ForFabric(e, fab)
 
 	var gotRemaining int64 = -1
@@ -170,7 +177,7 @@ func TestIneligibleFlowReservesDemand(t *testing.T) {
 func TestPauseTriggerAndPromotionHysteresis(t *testing.T) {
 	net := netsim.New(1)
 	fab := topo.Star(net, 2, topo.DefaultConfig())
-	e := New(DefaultConfig(), net.Q, net.Tracer)
+	e := NewBarrier(DefaultConfig(), net.Q.Now, net.Tracer)
 	m := ForFabric(e, fab)
 
 	l := m.up[0]
@@ -202,7 +209,7 @@ func TestPauseTriggerAndPromotionHysteresis(t *testing.T) {
 func TestEcmpGroupFaultDemotesGroup(t *testing.T) {
 	net := netsim.New(1)
 	fab := topo.LeafSpine(net, 2, 2, 2, topo.DefaultConfig())
-	e := New(DefaultConfig(), net.Q, net.Tracer)
+	e := NewBarrier(DefaultConfig(), net.Q.Now, net.Tracer)
 	m := ForFabric(e, fab)
 
 	var handed int64 = -1
@@ -241,7 +248,7 @@ func TestEcmpGroupFaultDemotesGroup(t *testing.T) {
 func TestMeshPathAvoidsDownUplink(t *testing.T) {
 	net := netsim.New(1)
 	fab := topo.LeafSpine(net, 2, 2, 3, topo.DefaultConfig())
-	e := New(DefaultConfig(), net.Q, net.Tracer)
+	e := NewBarrier(DefaultConfig(), net.Q.Now, net.Tracer)
 	m := ForFabric(e, fab)
 	src, dst := fab.HostsAt[0][0], fab.HostsAt[1][0]
 

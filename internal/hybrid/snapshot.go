@@ -7,9 +7,9 @@ import (
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
-// Snapshot support — barrier-driven engines only (NewBarrier). Sequential
-// engines schedule their own queue events; barrier engines hold all their
-// dynamic state in plain fields, so a barrier-time capture is complete.
+// Snapshot support. The engine schedules no events of its own and holds
+// all its dynamic state in plain fields, so a capture between ticks is
+// complete.
 //
 // Flows serialize their path as link registration indices, not by
 // re-resolving Mesh.Path on restore: a fault between a flow's admission and
@@ -46,12 +46,14 @@ const minFlowBytes = 6 + 15
 // registration (same fabric tables), re-binding each restored flow's
 // callbacks through rebind.
 func (e *Engine) State(v *codec.Visitor, rebind Rebind) {
-	if e.q != nil {
-		panic("hybrid: snapshots support barrier-driven engines only")
-	}
 	v.Tag("hybrid")
 	e.Stats.State(v)
-	v.Bool(&e.stopped)
+	// A reserved byte, always saved false: it keeps the slot of a stop flag
+	// the engine no longer has, so ACCSNAP\x01 images keep their layout.
+	stopped := false
+	if v.Bool(&stopped); stopped {
+		v.Fail("hybrid: snapshot of a stopped engine")
+	}
 	n := len(e.links)
 	if v.Int(&n); n != len(e.links) {
 		v.Fail("hybrid: snapshot has %d links, engine has %d (topology mismatch)", n, len(e.links))

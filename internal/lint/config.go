@@ -60,8 +60,9 @@ type Config struct {
 	// Allow exempts (check, package, file, function) tuples from a
 	// checker. Unlike //acclint:ignore annotations, allowlist entries are
 	// configuration: they cover whole files or functions that are
-	// concurrent or wall-clock by design, and they are not checked for
-	// staleness.
+	// concurrent or wall-clock by design, and a run does not check them
+	// for staleness (TestDefaultConfigResolves holds DefaultConfig's
+	// entries, like its other names, to the tree).
 	Allow []AllowEntry
 }
 
@@ -160,11 +161,8 @@ func DefaultConfig() *Config {
 			Module + "/internal/dcqcn.Flow.trySend",
 			Module + "/internal/stats.QueueMonitor.tick",
 			Module + "/internal/eventq.Queue.Step",
-			// Hybrid fast-path analytic advance: the window tick and
-			// exact-time completion callbacks (queue mode), the barrier
-			// tick (psim mode), and the fill/commit kernels they reach.
-			Module + "/internal/hybrid.Engine.tickEvent",
-			Module + "/internal/hybrid.Engine.completeEvent",
+			// Hybrid fast-path analytic advance: the tick and the
+			// fill/commit kernels it reaches.
 			Module + "/internal/hybrid.Engine.Tick",
 			Module + "/internal/hybrid.Engine.commitTo",
 			Module + "/internal/hybrid.Engine.waterfill",
@@ -194,23 +192,18 @@ func DefaultConfig() *Config {
 			Module + "/internal/psim.Applied.TCPSend",
 			Module + "/internal/psim.Applied.TCPRecv",
 		},
-		// Barrier contexts: construction/apply (shards not yet running),
-		// the coordinator loop itself, and the hybrid overlay's own event
-		// path (which runs on the coordinator between windows).
+		// Barrier contexts: construction/apply (shards not yet running)
+		// and the coordinator loop itself.
 		BarrierRoots: []string{
 			Module + "/internal/psim.Build",
 			Module + "/internal/psim.PlanFromTrace",
 			Module + "/internal/psim.RecordPlan",
-			Module + "/internal/hybrid.New",
 			Module + "/internal/hybrid.NewBarrier",
 			Module + "/internal/psim.Engine.Run",
 			Module + "/internal/psim.Engine.Apply",
 			Module + "/internal/psim.Engine.ApplyHybrid",
 			Module + "/internal/psim.ApplyToFabric",
 			Module + "/internal/psim.HybridState.barrier",
-			Module + "/internal/hybrid.Engine.tickEvent",
-			Module + "/internal/hybrid.Engine.completeEvent",
-			Module + "/internal/hybrid.Engine.StartTicker",
 		},
 		// Mutations hidden behind method calls — the PR 8 race was a
 		// mid-window PacketDone from a shard callback.
@@ -218,7 +211,6 @@ func DefaultConfig() *Config {
 			Module + "/internal/hybrid.Engine.Tick",
 			Module + "/internal/hybrid.Engine.PacketDone",
 			Module + "/internal/hybrid.Engine.StartFlow",
-			Module + "/internal/hybrid.Engine.Stop",
 			Module + "/internal/hybrid.Engine.MarkAll",
 		},
 		Allow: []AllowEntry{
@@ -253,14 +245,6 @@ func DefaultConfig() *Config {
 				Reason: "the conservative-sync coordinator: shard goroutines are barrier-isolated " +
 					"(phases alternate over channels, so no two goroutines touch simulation state " +
 					"concurrently) and TestGOMAXPROCSDeterminism proves interleaving is unobservable",
-			},
-			{
-				Check: "barriermut",
-				Pkg:   Module + "/internal/exp",
-				File:  "hybrid.go",
-				Reason: "sequential-mode hybrid driver: a single event queue drives the engine, there " +
-					"are no shard windows, so StartFlow/PacketDone/Stop from completion callbacks " +
-					"cannot race the (nonexistent) coordinator",
 			},
 		},
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/accnet/acc/internal/lint"
@@ -75,11 +76,17 @@ func fixtureCases() []fixtureCase {
 	}
 }
 
+// sharedLoader returns the one Loader the tests in this binary share. It
+// caches every package it type-checks, stdlib imports included, so each
+// fixture and the module itself are checked once however many tests read
+// them.
+var sharedLoader = sync.OnceValues(func() (*lint.Loader, error) { return lint.NewLoader(".") })
+
 // loadFixture typechecks one testdata package through the same loader the
 // CLI uses.
 func loadFixture(t *testing.T, name string) *lint.Program {
 	t.Helper()
-	loader, err := lint.NewLoader(".")
+	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
@@ -199,13 +206,13 @@ func TestIgnoreSubsetRun(t *testing.T) {
 	}
 }
 
-// TestSelfLint runs the shipped configuration over the real module: the
-// tree must stay clean, which is the same gate CI enforces.
-func TestSelfLint(t *testing.T) {
+// loadModule typechecks the real module through the shared loader.
+func loadModule(t *testing.T) *lint.Program {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("typechecking the full module is slow; skipped in -short")
 	}
-	loader, err := lint.NewLoader(".")
+	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
@@ -213,6 +220,13 @@ func TestSelfLint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load ./...: %v", err)
 	}
+	return prog
+}
+
+// TestSelfLint runs the shipped configuration over the real module: the
+// tree must stay clean, which is the same gate CI enforces.
+func TestSelfLint(t *testing.T) {
+	prog := loadModule(t)
 	if diags := lint.Run(prog, lint.DefaultConfig(), lint.AllCheckers()); len(diags) > 0 {
 		t.Errorf("module is not lint-clean (%d diagnostics):\n%s", len(diags), render(diags))
 	}
