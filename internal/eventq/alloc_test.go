@@ -143,3 +143,32 @@ func TestAllocFreeDenseDay(t *testing.T) {
 	}
 	checkScratchClear(t, q)
 }
+
+// TestAllocFreeWarmDay pins the warm-ahead pass at zero allocations: a
+// steady-state dense day whose every argument is a Warmer — the interface
+// assertion and the Warm calls included — allocates nothing.
+func TestAllocFreeWarmDay(t *testing.T) {
+	q := New()
+	log := &warmLog{}
+	probes := make([]warmProbe, 4*warmMin)
+	for i := range probes {
+		probes[i].log = log
+	}
+	fn := func(a any) { a.(*warmProbe).fire() }
+	fillAndDrain := func() {
+		day := simtime.Time((dayOf(q.Now()) + 2) << bucketShift)
+		for i := range probes {
+			q.CallAt(day.Add(simtime.Duration(i%(1<<bucketShift))), fn, &probes[i])
+		}
+		q.Run()
+	}
+	for i := 0; i < 3; i++ {
+		fillAndDrain()
+	}
+	if log.warms != log.fires {
+		t.Fatalf("%d warms for %d fires: the warm path did not run", log.warms, log.fires)
+	}
+	if avg := testing.AllocsPerRun(20, fillAndDrain); avg != 0 {
+		t.Fatalf("a steady-state warmed day allocates %v/op, want 0", avg)
+	}
+}

@@ -225,10 +225,23 @@ func TestDifferentialResetStorm(t *testing.T) {
 // seq spaces — onto `span` nanoseconds of one day, then drains the day in
 // RunBefore windows whose barriers fall inside it, and between windows
 // inserts into, re-arms into, re-arms out of and cancels within the
-// half-drained day.
+// half-drained day. The calendar's pooled events carry warm probes, so days
+// past warmMin are warmed ahead of the cursor while all of that goes on:
+// the order must not move, and no entry may be warmed twice or after it
+// fired.
 func runDenseDay(t *testing.T, seed int64, fill, span int) {
 	rng := rand.New(rand.NewSource(seed))
 	h := &diffHarness{q: New(), r: newRef()}
+	log := &warmLog{}
+	var probes []*warmProbe
+	probe := func() *warmProbe {
+		p := &warmProbe{log: log}
+		probes = append(probes, p)
+		return p
+	}
+	fire := func(qfn func()) func(any) {
+		return func(a any) { a.(*warmProbe).fire(); qfn() }
+	}
 	nextID := 1
 	var streamN [16]uint32
 	day := simtime.Time(0)
@@ -243,14 +256,14 @@ func runDenseDay(t *testing.T, seed int64, fill, span int) {
 			h.rTimers = append(h.rTimers, h.r.At(at, h.rFn(id)))
 		case 1, 2: // pooled, counter-sequenced
 			qfn, rfn := h.qFn(id), h.rFn(id)
-			h.q.CallAt(at, func(any) { qfn() }, nil)
+			h.q.CallAt(at, fire(qfn), probe())
 			h.r.CallAt(at, func(any) { rfn() }, nil)
 		default: // keyed arrival; keys bear no relation to insertion order
 			s := rng.Intn(len(streamN))
 			key := KeyedSeq(uint32(s), streamN[s])
 			streamN[s]++
 			qfn, rfn := h.qFn(id), h.rFn(id)
-			h.q.CallAtSeq(at, key, func(any) { qfn() }, nil)
+			h.q.CallAtSeq(at, key, fire(qfn), probe())
 			refCallAtSeq(h.r, at, key, func(any) { rfn() }, nil)
 		}
 	}
@@ -323,6 +336,14 @@ func runDenseDay(t *testing.T, seed int64, fill, span int) {
 		t.Fatalf("Pending = %d after drain, want 0", h.q.Pending())
 	}
 	checkScratchClear(t, h.q)
+	for i, p := range probes {
+		if p.warms > 1 || p.late {
+			t.Fatalf("seed %d: pooled event %d warmed %d times (after firing: %v)", seed, i, p.warms, p.late)
+		}
+	}
+	if dense := fill >= warmMin; dense != (log.warms > 0) {
+		t.Fatalf("seed %d: fill %d warmed %d entries", seed, fill, log.warms)
+	}
 }
 
 // checkScratchClear asserts the sort scratch is all-zero between days, over

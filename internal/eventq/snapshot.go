@@ -28,7 +28,10 @@ import (
 // maxPrewarm bounds the free-list prewarm a restore honours. The hint sizes
 // an allocation but is not state — a shorter free list only means the run
 // allocates the rest on demand — so a hint beyond any pool a snapshotted
-// world keeps is clamped rather than trusted.
+// world keeps is clamped rather than trusted. A restore also allocates no
+// more Events than there are bytes left in the stream, so a short image
+// cannot make it allocate much; what it leaves out is owed, and saved back
+// in the hint, so a restored world saves the bytes the original would.
 const maxPrewarm = 1 << 16
 
 // State visits the queue's counters and a free-pool prewarm hint. The
@@ -45,16 +48,18 @@ func (q *Queue) State(v *codec.Visitor) {
 	codec.Int64(v, &q.now)
 	v.U64(&q.seq)
 	v.U64(&q.processed)
-	warm := len(q.free) + q.pooledLive()
+	warm := len(q.free) + q.pooledLive() + q.owed
 	v.Int(&warm)
 	if v.Reading() {
 		if q.buckets != nil {
 			q.baseDay = dayOf(q.now)
 			q.curDay = q.baseDay
 		}
-		for len(q.free) < min(warm, maxPrewarm) {
+		warm = min(warm, maxPrewarm)
+		for len(q.free) < min(warm, v.Remaining()) {
 			q.free = append(q.free, &Event{q: q})
 		}
+		q.owed = max(warm-len(q.free), 0)
 	}
 }
 
@@ -103,6 +108,7 @@ func (q *Queue) Clear() {
 	q.ovStale = 0
 	q.calQ = 0
 	q.live = 0
+	q.warmEnd = entry{}
 }
 
 // clearEntry detaches one resident entry's event. Stale entries (superseded
@@ -172,14 +178,7 @@ func (q *Queue) CallSlot(v *codec.Visitor, at *simtime.Time, seq *uint64, fn fun
 	if !v.Reading() || v.Err() != nil {
 		return
 	}
-	var e *Event
-	if n := len(q.free); n > 0 {
-		e = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		e = &Event{q: q}
-	}
+	e := q.pooledEvent()
 	e.at = *at
 	e.seq = *seq
 	e.afn = fn

@@ -37,6 +37,7 @@ func TestGoldenTables(t *testing.T) {
 	o.OfflineEpisodes = 4
 	for _, id := range goldenIDs {
 		t.Run(id, func(t *testing.T) {
+			t.Parallel() // each Run builds its own worlds; PretrainedModel is mutex-guarded
 			tables, err := Run(id, o)
 			if err != nil {
 				t.Fatal(err)

@@ -150,6 +150,7 @@ func DefaultConfig() *Config {
 			Module + "/internal/netsim.Port.deliver",
 			Module + "/internal/netsim.Port.remoteArrive",
 			Module + "/internal/netsim.Port.SendCtrl",
+			Module + "/internal/netsim.Port.Warm",
 			Module + "/internal/netsim.Network.AllocPacket",
 			Module + "/internal/netsim.Network.ReleasePacket",
 			Module + "/internal/tcp.Flow.senderHandle",
@@ -161,6 +162,8 @@ func DefaultConfig() *Config {
 			Module + "/internal/dcqcn.Flow.trySend",
 			Module + "/internal/stats.QueueMonitor.tick",
 			Module + "/internal/eventq.Queue.Step",
+			// The calendar's read-ahead over a dense day.
+			Module + "/internal/eventq.Queue.warm",
 			// Hybrid fast-path analytic advance: the tick and the
 			// fill/commit kernels it reaches.
 			Module + "/internal/hybrid.Engine.Tick",

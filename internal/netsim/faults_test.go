@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/accnet/acc/internal/simtime"
@@ -56,6 +57,41 @@ func TestSetDownBlackholesSerialization(t *testing.T) {
 	}
 	if sw.BufferUsed() != 0 {
 		t.Fatalf("switch buffer leaked %d bytes after blackhole", sw.BufferUsed())
+	}
+}
+
+// TestSetDownOutageLosesThePacketsItCatches takes a host link down for a
+// short outage with six packets to send. The hop events name only their
+// port, so the packet each one acts on is the transmitter's or the head of
+// the wire's: the outage must lose exactly the packet that was on the wire
+// and arrived during it and the one whose serialization ended during it,
+// deliver the packet that was on the wire but arrived after it, and send
+// the rest once the link is back.
+func TestSetDownOutageLosesThePacketsItCatches(t *testing.T) {
+	net, h1, h2, _ := rig(t, nil)
+	var got []int64
+	h2.Register(1, EndpointFunc(func(p *Packet) { got = append(got, p.Seq) }))
+	for i := int64(0); i < 6; i++ {
+		pkt := dataPkt(h1, h2, 1, 1048)
+		pkt.Seq = i
+		h1.Send(pkt)
+	}
+	// Packet i leaves the NIC at (i+1)·ser and reaches the switch 600 ns
+	// later. The outage spans 2·ser+100 .. 1100 ns: packet 0 arrives in it,
+	// packet 1 after it, and packet 2 finishes serializing in it.
+	ser := simtime.TxTime(1048, 25*simtime.Gbps)
+	net.RunUntil(simtime.Time(2*ser + 100))
+	h1.Port.SetDown(true)
+	net.RunUntil(1100)
+	h1.Port.SetDown(false)
+	net.Run()
+
+	if want := []int64{1, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("delivered seqs %v, want %v", got, want)
+	}
+	if h1.Port.BlackholedPackets != 2 || h1.Port.BlackholedBytes != 2*1048 {
+		t.Fatalf("blackhole counters = %d pkts / %d bytes, want 2/2096",
+			h1.Port.BlackholedPackets, h1.Port.BlackholedBytes)
 	}
 }
 

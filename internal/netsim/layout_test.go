@@ -33,10 +33,10 @@ func TestLayout(t *testing.T) {
 			// line that holds the Bandwidth it is keyed on.
 			{"rr", "Bandwidth", "txPkt", "txAt", "txEvSeq", "txMemoSize", "txMemoRate", "txMemo"},
 			// txDone, deliver, and the receiving end of an arrival.
-			{"Owner", "Index", "RxBytesTotal", "TxBytesTotal", "Delay", "rxStream", "txSeq", "txDoneFn"},
+			{"Owner", "Index", "RxBytesTotal", "TxBytesTotal", "Delay", "rxStream", "txSeq"},
 			// The wire: deliver pushes, arrive pops; remote, which deliver
 			// reads and trySend only for a port with no Peer.
-			{"flight", "arriveFn", "remoteArriveFn", "remote"},
+			{"flight", "remote"},
 		}},
 		{reflect.TypeOf(EgressQueue{}), 256, [][]string{
 			// push and pop.

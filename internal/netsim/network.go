@@ -48,6 +48,9 @@ type Network struct {
 	// is per-Network, like the RNG: experiment runners execute independent
 	// Networks in parallel (exp.forEachParallel) and must never share pools.
 	pktFree []*Packet
+	// pktOwed is the part of a restored pool prewarm hint the restore did
+	// not allocate (see State); it stays in the hint until made on demand.
+	pktOwed int
 
 	// pktAlloced counts AllocPacket calls, for run manifests.
 	pktAlloced uint64

@@ -110,6 +110,7 @@ func (n *Network) AllocPacket() *Packet {
 		*p = Packet{}
 		return p
 	}
+	n.pktOwed = max(n.pktOwed-1, 0)
 	return &Packet{}
 }
 

@@ -190,24 +190,15 @@ type Port struct {
 	//acclint:ignore snapcover derived wiring: identifies the receiving (node, port) of the link, constant for a given topology
 	rxStream uint32
 	txSeq    uint32
-
-	// txDoneFn, arriveFn and remoteArriveFn are the pre-bound callbacks for
-	// the two per-packet events (serialization done, propagation done),
-	// created once in newPort so the hot path schedules through eventq's
-	// recycled typed events with zero allocation. remoteArriveFn is the
-	// arrival callback for packets injected by the far shard of a
-	// cross-shard link; it runs on the *receiving* port.
-	txDoneFn func(any)
+	_        [8]byte // keeps flight from straddling lines 2 and 3
 
 	// Line 3 — the wire: deliver pushes, arrive pops. flight holds the
 	// packets propagating on the link in arrival order: a local port's ring
-	// is its own outbound flight (arriveFn events); a cross-shard port's
-	// ring is its inbound flight injected by the far shard (remoteArriveFn
-	// events). Maintenance is O(1) per packet and allocation-free once the
-	// ring has grown to the link's in-flight high-water.
-	flight         ring[flightRec]
-	arriveFn       func(any)
-	remoteArriveFn func(any)
+	// is its own outbound flight (arrive events); a cross-shard port's ring
+	// is its inbound flight injected by the far shard (remoteArrive events).
+	// Maintenance is O(1) per packet and allocation-free once the ring has
+	// grown to the link's in-flight high-water.
+	flight ring[flightRec]
 	// remote, when non-nil, marks the far end of this port's link as living
 	// in another shard: deliver hands finished packets to it (by value)
 	// instead of scheduling a local arrival, and Peer stays nil. trySend
@@ -229,9 +220,9 @@ type Port struct {
 	pausedSince       [NumPrio]simtime.Time
 
 	// Pads the struct to a whole number of lines, so its size class hands
-	// out line-aligned objects: the fields alone are 368 bytes, which is a
-	// size class of its own and is not (TestLayout).
-	_ [16]byte
+	// out line-aligned objects: the fields alone are 352 bytes, in a size
+	// class that is not (TestLayout).
+	_ [32]byte
 }
 
 // dwrrQuantum is the base DWRR quantum in bytes, scaled by each queue's
@@ -248,9 +239,6 @@ func newPort(net *Network, owner Node, index int, bw simtime.Rate, delay simtime
 		Delay:     delay,
 		net:       net,
 	}
-	p.txDoneFn = p.txDone
-	p.arriveFn = p.arrive
-	p.remoteArriveFn = p.remoteArrive
 	for prio, w := range weights {
 		if w <= 0 {
 			continue
@@ -606,7 +594,38 @@ func (p *Port) trySend() {
 	p.txPkt = pkt
 	p.txAt = p.net.Q.Now().Add(txd)
 	p.txEvSeq = p.net.Q.Seq()
-	p.net.Q.CallAfter(txd, p.txDoneFn, pkt)
+	p.net.Q.CallAfter(txd, txDoneEvent, p)
+}
+
+// The callbacks of a port's two per-packet events, serialization done and
+// propagation done (remoteArriveEvent: injected by the far shard, run on the
+// receiving port). Plain functions, so scheduling allocates nothing. The
+// argument is the port, not the packet — that is txPkt or the flight's head
+// — so the calendar can warm the port ahead of the event (Warm).
+func txDoneEvent(arg any)       { arg.(*Port).txDone() }
+func arriveEvent(arg any)       { arg.(*Port).arrive() }
+func remoteArriveEvent(arg any) { arg.(*Port).remoteArrive() }
+
+// Warm implements eventq.Warmer for those events: it reads what txDone or
+// arrive will touch first — the port's hot lines, the packet on the
+// transmitter and its egress queue, the packet at the head of the flight,
+// and the peer's arrival line — and writes nothing. Everything it reads
+// belongs to the port's own shard.
+func (p *Port) Warm() uint64 {
+	s := uint64(p.rr) + p.TxBytesTotal + uint64(p.flight.len())
+	if pkt := p.txPkt; pkt != nil {
+		s += uint64(pkt.Size)
+		if q := p.Queue(int(pkt.Prio)); q != nil {
+			s += uint64(q.bytes) + q.TxPackets
+		}
+	}
+	if p.flight.len() > 0 {
+		s += uint64(p.flight.at(0).pkt.Size)
+	}
+	if peer := p.Peer; peer != nil {
+		s += peer.RxBytesTotal
+	}
+	return s
 }
 
 // txTime returns the serialization time of size bytes at the current
@@ -626,8 +645,8 @@ func (p *Port) txTime(size int) simtime.Duration {
 // txDone runs when a packet finishes serializing onto the link: it frees the
 // transmitter, settles shared-buffer accounting, records telemetry, and
 // hands the packet to propagation.
-func (p *Port) txDone(arg any) {
-	pkt := arg.(*Packet)
+func (p *Port) txDone() {
+	pkt := p.txPkt
 	p.busy = false
 	p.txPkt = nil
 	if sw, ok := p.Owner.(*Switch); ok {
@@ -669,7 +688,7 @@ func (p *Port) deliver(pkt *Packet) {
 		return
 	}
 	p.flight.push(flightRec{pkt: pkt, at: at, key: key})
-	p.net.Q.CallAtSeq(at, key, p.arriveFn, pkt)
+	p.net.Q.CallAtSeq(at, key, arriveEvent, p)
 }
 
 // flightRec is one packet on the wire, recorded so a snapshot can save and
@@ -685,9 +704,8 @@ type flightRec struct {
 // arrive runs when a packet finishes propagating: it delivers to the peer
 // node, unless the link died in flight. Peer is immutable after Connect, so
 // reading it at arrival time matches the value at transmission time.
-func (p *Port) arrive(arg any) {
-	pkt := arg.(*Packet)
-	p.flight.pop()
+func (p *Port) arrive() {
+	pkt := p.flight.pop().pkt
 	if p.down {
 		p.blackhole(pkt)
 		return
@@ -708,7 +726,7 @@ func (p *Port) arrive(arg any) {
 // object (see RemoteEnd).
 func (p *Port) ScheduleRemoteArrival(pkt *Packet, at simtime.Time, key uint64) {
 	p.flight.push(flightRec{pkt: pkt, at: at, key: key})
-	p.net.Q.CallAtSeq(at, key, p.remoteArriveFn, pkt)
+	p.net.Q.CallAtSeq(at, key, remoteArriveEvent, p)
 }
 
 // remoteArrive is arrive for the receiving end of a cross-shard link. The
@@ -717,9 +735,8 @@ func (p *Port) ScheduleRemoteArrival(pkt *Packet, at simtime.Time, key uint64) {
 // same virtual time — and a blackholed packet is counted on this (receiving)
 // port, so fabric-wide blackhole totals match the sequential engine even
 // though the attributed end differs.
-func (p *Port) remoteArrive(arg any) {
-	pkt := arg.(*Packet)
-	p.flight.pop()
+func (p *Port) remoteArrive() {
+	pkt := p.flight.pop().pkt
 	if p.down {
 		p.blackhole(pkt)
 		return

@@ -167,19 +167,23 @@ func (n *Network) State(v *codec.Visitor) {
 		}
 	}
 	v.Tag("endnodes")
-	warm := len(n.pktFree)
+	warm := len(n.pktFree) + n.pktOwed
 	v.Int(&warm)
 	v.U64(&n.pktAlloced)
 	if v.Reading() {
-		for len(n.pktFree) < min(warm, maxPoolWarm) {
+		warm = min(warm, maxPoolWarm)
+		for len(n.pktFree) < min(warm, v.Remaining()) {
 			n.pktFree = append(n.pktFree, &Packet{pooled: true})
 		}
+		n.pktOwed = max(warm-len(n.pktFree), 0)
 	}
 }
 
-// maxPoolWarm bounds the packet-pool prewarm a restore honours, for the
-// reason eventq bounds its free-list prewarm: the hint sizes an allocation
-// but is not state.
+// maxPoolWarm bounds the packet-pool prewarm a restore honours, and the
+// bytes left in the stream bound what it allocates, for the reasons eventq
+// bounds its free-list prewarm: the hint sizes an allocation but is not
+// state, and a short image must not make a restore allocate much. The rest
+// is owed, as there.
 const maxPoolWarm = 1 << 16
 
 // nodeID visits a node's id, which must be the rebuilt world's.
@@ -247,11 +251,11 @@ func (p *Port) state(v *codec.Visitor) {
 	v.Bool(&tx)
 	if tx {
 		p.net.packet(v, &p.txPkt)
-		p.net.Q.CallSlot(v, &p.txAt, &p.txEvSeq, p.txDoneFn, p.txPkt)
+		p.net.Q.CallSlot(v, &p.txAt, &p.txEvSeq, txDoneEvent, p)
 	}
-	arrive := p.arriveFn
+	arrive := arriveEvent
 	if p.remote != nil {
-		arrive = p.remoteArriveFn
+		arrive = remoteArriveEvent
 	}
 	for i := range v.Count("flight length", p.flight.len(), minFlightBytes) {
 		if v.Reading() {
@@ -259,7 +263,7 @@ func (p *Port) state(v *codec.Visitor) {
 		}
 		rec := p.flight.ref(i)
 		p.net.packet(v, &rec.pkt)
-		p.net.Q.CallSlot(v, &rec.at, &rec.key, arrive, rec.pkt)
+		p.net.Q.CallSlot(v, &rec.at, &rec.key, arrive, p)
 	}
 	for _, q := range p.Queues {
 		q.state(v, p.net)

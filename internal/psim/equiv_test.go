@@ -28,10 +28,14 @@ type runResult struct {
 
 const samplePeriod = 20 * simtime.Microsecond
 
-// runSharded executes plan on a K-shard engine to the horizon.
-func runSharded(cfg Config, plan *Plan, horizon simtime.Time) runResult {
+// runSharded executes plan on a K-shard engine to the horizon; setup, if
+// given, runs on the applied engine before it starts.
+func runSharded(cfg Config, plan *Plan, horizon simtime.Time, setup ...func(*Engine)) runResult {
 	e := Build(cfg)
 	app := e.Apply(plan)
+	for _, f := range setup {
+		f(e)
+	}
 	smp := NewSampler(e.HostPorts(), samplePeriod)
 	e.OnBarrier(smp.OnBarrier)
 	e.Run(horizon)

@@ -34,8 +34,12 @@ type Writer struct {
 }
 
 // NewWriter starts a stream with the magic and format version.
-func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 4096)}
+func NewWriter() *Writer { return NewWriterSize(4096) }
+
+// NewWriterSize is NewWriter with room for size bytes before the stream
+// first grows, for a caller that knows about how long it will be.
+func NewWriterSize(size int) *Writer {
+	w := &Writer{buf: make([]byte, 0, max(size, 4096))}
 	w.buf = append(w.buf, Magic...)
 	w.U64(uint64(Version))
 	return w

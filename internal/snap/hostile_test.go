@@ -1,10 +1,12 @@
 package snap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/accnet/acc/internal/hybrid"
@@ -142,6 +144,55 @@ func TestHostileCountsAllocateNothing(t *testing.T) {
 	}
 }
 
+// prewarmImage returns the image of a small packet world cut short right
+// after the pool-prewarm hint closing the section named tag — "eventq" the
+// event free list's, "endnodes" the packet pool's — with the hint set to
+// hint. A hint sizes an allocation rather than counting anything in the
+// image, so no Count bounds it.
+func prewarmImage(tb testing.TB, tag string, hint int) []byte {
+	tb.Helper()
+	sc := testScenario(1, "packet")
+	w, err := Build(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Run(sc.Horizon / 2)
+	img := body(w.Snapshot())
+	w.Stop()
+	i := bytes.Index(img, append([]byte{byte(len(tag))}, tag...))
+	if i < 0 {
+		tb.Fatalf("no %q section in the image", tag)
+	}
+	i += 1 + len(tag)
+	if tag == "eventq" { // the clock, the sequence counter, the processed count
+		for range 3 {
+			_, n := binary.Uvarint(img[i:])
+			i += n
+		}
+	}
+	return seal(binary.AppendVarint(slices.Clone(img[:i]), int64(hint)))
+}
+
+// TestHostilePrewarmHintsAllocateLittle: an image that ends just after a
+// prewarm hint of 2^16 must fail to restore without making 2^16 Events or
+// Packets (4 MiB either way), because a restore prewarms no more objects
+// than there are bytes left. The same image with a hint of zero is the
+// baseline: both build the same world first.
+func TestHostilePrewarmHintsAllocateLittle(t *testing.T) {
+	for _, tag := range []string{"eventq", "endnodes"} {
+		hostile, zero := prewarmImage(t, tag, 1<<16), prewarmImage(t, tag, 0)
+		var err error
+		grew := leastAlloc(func() { _, err = Restore(hostile) })
+		base := leastAlloc(func() { Restore(zero) })
+		if err == nil {
+			t.Errorf("%s: an image cut short after its prewarm hint restored", tag)
+		}
+		if grew > base+256<<10 {
+			t.Errorf("%s: a hint of 2^16 in a %d-byte image allocated %d bytes more than a hint of 0", tag, len(hostile), grew-base)
+		}
+	}
+}
+
 // small reports whether a scenario builds a world no bigger than the fuzz
 // seeds' twice over. The scenario is the recipe of the world Restore
 // builds, so what a larger one costs to build is the caller's to bound, not
@@ -172,6 +223,7 @@ func FuzzWorldRestore(f *testing.F) {
 		}
 		f.Add(body(img))
 	}
+	f.Add(body(prewarmImage(f, "endnodes", 1<<16)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		img := seal(b)
 		if sc, err := Peek(img); err != nil || !small(sc) {

@@ -81,11 +81,13 @@ func (w *World) state(v *codec.Visitor) {
 // returned stream is self-contained (it embeds the Scenario) and
 // CRC-protected.
 func (w *World) Snapshot() []byte {
-	enc := codec.NewWriter()
+	enc := codec.NewWriterSize(w.imageLen)
 	v := codec.Save(enc)
 	header(v, &w.Sc)
 	w.state(v)
-	return enc.Finish()
+	img := enc.Finish()
+	w.imageLen = len(img)
+	return img
 }
 
 // Restore rebuilds the world a snapshot was taken from and overlays the
@@ -123,6 +125,7 @@ func Restore(data []byte) (*World, error) {
 	if w.state(v); r.Err() != nil {
 		return nil, r.Err()
 	}
+	w.imageLen = len(data)
 	return w, nil
 }
 

@@ -127,6 +127,9 @@ type World struct {
 	Hyb *hybrid.Engine // nil at packet fidelity
 	ACC []*acc.System  // one per shard when Sc.ACC; nil otherwise
 	Smp *psim.Sampler
+	// imageLen is the length of the image last saved or restored: the next
+	// Snapshot starts its writer there instead of doubling up from 4 KB.
+	imageLen int
 }
 
 // Build constructs a world from the scenario. Construction is a pure
