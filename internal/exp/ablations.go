@@ -5,6 +5,7 @@ import (
 
 	"github.com/accnet/acc/internal/acc"
 	"github.com/accnet/acc/internal/netsim"
+	"github.com/accnet/acc/internal/psim"
 	"github.com/accnet/acc/internal/rl"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/stats"
@@ -154,13 +155,11 @@ func runStressFailure(o Options) []*Table {
 	}
 	dur := o.dur(9 * simtime.Millisecond)
 	sc := poisson{fabric: robustFabric, sizes: workload.WebSearch(), load: 0.6, dur: dur, until: dur + dur/2}
+	failure := new(psim.Plan).DownUp(robustUplink(0), simtime.Time(dur/3), simtime.Time(2*dur/3))
 	var base stats.FCTSummary
 	for i, p := range []Policy{accPolicy(), secn1()} {
 		r := sc.start(o, p)
-		// Leaf 0's first uplink (port index 6 after the 6 host ports).
-		failed := r.fab.Leaves[0].Ports[6]
-		r.net.Q.After(dur/3, func() { failed.SetDown(true) })
-		r.net.Q.After(2*dur/3, func() { failed.SetDown(false) })
+		psim.ApplyToFabric(r.fab, robustHostsPerLeaf, failure)
 		s := stats.Summarize(r.finish())
 		var drops uint64
 		for _, sw := range r.fab.Switches() {

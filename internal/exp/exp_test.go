@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,6 +243,30 @@ func TestRobustExperimentsSmallScale(t *testing.T) {
 				t.Errorf("%s: row %v does not match columns %v", id, row, tables[0].Cols)
 			}
 		}
+	}
+}
+
+// TestRobustLinkfailBrownout: -fault-degrade adds a brownout of a second
+// uplink to robust-linkfail's fault plan. The table must say so, and its
+// rows must move against the undegraded run's (at seed 1 and scale 0.25
+// only SECN1's row moves).
+func TestRobustLinkfailBrownout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	o := DefaultOptions()
+	o.Scale, o.OfflineEpisodes = 0.25, 4
+	plain, err1 := Run("robust-linkfail", o)
+	o.Faults.Degrade = 0.5
+	degraded, err2 := Run("robust-linkfail", o)
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
+	if want := "brownout of a second uplink: 50% of nominal"; !slices.Contains(degraded[0].Notes, want) {
+		t.Errorf("notes %q lack %q", degraded[0].Notes, want)
+	}
+	if slices.EqualFunc(degraded[0].Rows, plain[0].Rows, slices.Equal[[]string]) {
+		t.Errorf("rows %v are the undegraded run's: the brownout did not act", degraded[0].Rows)
 	}
 }
 

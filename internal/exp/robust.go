@@ -6,6 +6,7 @@ import (
 
 	"github.com/accnet/acc/internal/faults"
 	"github.com/accnet/acc/internal/netsim"
+	"github.com/accnet/acc/internal/psim"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/stats"
 	"github.com/accnet/acc/internal/topo"
@@ -75,17 +76,24 @@ func robustFabric(net *netsim.Network) *topo.Fabric {
 	return topo.LeafSpine(net, robustLeaves, robustHostsPerLeaf, robustSpines, topo.DefaultConfig())
 }
 
+// robustUplink addresses the k'th leaf-spine link of the robustness fabric,
+// counting each leaf's uplinks in spine order.
+func robustUplink(k int) psim.LinkRef { return psim.LeafSpineLink(k/robustSpines, k%robustSpines) }
+
 // runRobust drives one policy through a fault scenario on the stress
-// fabric: build, deploy, bind the injector (before deployment draws from
-// the RNG would diverge between policies — the injector is seeded right
-// after the fabric so every policy sees the identical fault sequence),
-// start traffic, inject, then measure the fault window and the recovery.
-func runRobust(o Options, p Policy, plan faults.Plan, tel *faults.Telemetry, dur simtime.Duration) robustRow {
+// fabric: build, draw the fault seed, deploy, start traffic, apply the
+// fault timeline, then measure the fault window and the recovery. The seed
+// is drawn right after the fabric, before deployment draws from the RNG
+// (which would diverge between policies), so every policy sees the
+// identical fault sequence. faultsOf builds the timeline from that seed;
+// nil means a fault-free fabric.
+func runRobust(o Options, p Policy, faultsOf func(seed int64) *psim.Plan, tel *faults.Telemetry, dur simtime.Duration) robustRow {
 	net := newNet(o, o.Seed)
 	fab := robustFabric(net)
-	inj, err := faults.NewInjector(net, fab, plan)
-	if err != nil {
-		panic(fmt.Sprintf("exp: robust plan invalid: %v", err))
+	seed := net.Rng.Int63() // drawn without faults too: deploy's draws stay put
+	plan := new(psim.Plan)
+	if faultsOf != nil {
+		plan = faultsOf(seed)
 	}
 	stop, sys := deploy(net, fab, p, o)
 	var tele []*faults.StaleDrop
@@ -105,25 +113,25 @@ func runRobust(o Options, p Policy, plan faults.Plan, tel *faults.Telemetry, dur
 	})
 
 	before := faults.Snap(fab)
-	inj.Start()
+	psim.ApplyToFabric(fab, robustHostsPerLeaf, plan)
 	net.RunUntil(simtime.Time(dur))
 	gen.Stop()
-	inj.Stop()
 	// Drain: in-flight flows finish; flap repairs still land.
-	net.RunUntil(simtime.Time(dur + dur/2))
-	inj.Heal()
+	end := simtime.Time(dur + dur/2)
+	net.RunUntil(end)
 	tracker.Stop()
 	stop()
 
+	w, closed := psim.FaultWindowOf(plan.Faults, end)
 	row := robustRow{
 		goodput:   tracker.Goodput.Avg(),
 		p99Slow:   p99Slowdown(col.Records, hostBW),
 		window:    faults.Snap(fab).Sub(before),
-		flapDowns: inj.FlapDowns,
+		flapDowns: w.Downs,
 		flows:     len(col.Records),
 	}
-	if inj.FirstFaultAt != 0 && inj.LastRepairAt != 0 {
-		row.recovery, row.recovered = tracker.RecoveryTime(inj.FirstFaultAt, inj.LastRepairAt, 0.9, 3)
+	if closed {
+		row.recovery, row.recovered = tracker.RecoveryTime(w.First, w.Last, 0.9, 3)
 	}
 	for _, f := range tele {
 		row.teleDrops += f.Drops
@@ -140,11 +148,11 @@ func robustPolicies() []Policy { return []Policy{accPolicy(), secn1()} }
 // same window, then reports how each policy rides through it.
 func runRobustLinkfail(o Options) []*Table {
 	dur := o.dur(9 * simtime.Millisecond)
-	var plan faults.Plan
-	plan.LinkDownUp(faults.LeafSpine, 0, dur/4, dur/2)
+	from, until := simtime.Time(dur/4), simtime.Time(dur/2)
+	plan := new(psim.Plan).DownUp(robustUplink(0), from, until)
 	degraded := "off"
 	if f := o.Faults.Degrade; f > 0 && f < 1 {
-		plan.Brownout(faults.LeafSpine, 1, f, dur/4, dur/2)
+		plan.Brownout(robustUplink(1), f, from, until)
 		degraded = fmt.Sprintf("%.0f%% of nominal", f*100)
 	}
 	t := &Table{
@@ -158,7 +166,7 @@ func runRobustLinkfail(o Options) []*Table {
 	policies := robustPolicies()
 	rows := make([]robustRow, len(policies))
 	forEachParallel(len(policies), func(i int) {
-		rows[i] = runRobust(o, policies[i], plan, nil, dur)
+		rows[i] = runRobust(o, policies[i], func(int64) *psim.Plan { return plan }, nil, dur)
 	})
 	for i, p := range policies {
 		r := rows[i]
@@ -168,41 +176,42 @@ func runRobustLinkfail(o Options) []*Table {
 }
 
 // runRobustFlap runs a random flap process over the leaf-spine tier:
-// -fault-links links alternate up/down with exponential MTBF/MTTR drawn
-// from the seeded injector stream, so both policies face the identical
-// failure trace.
+// -fault-links links alternate up/down with exponential MTBF/MTTR, each
+// link's flap drawn from the run's fault seed, so both policies face the
+// identical failure trace.
 func runRobustFlap(o Options) []*Table {
 	dur := o.dur(9 * simtime.Millisecond)
-	f := faults.Flap{
-		Role:  faults.LeafSpine,
-		Links: o.Faults.Links,
-		MTBF:  o.Faults.MTBF,
-		MTTR:  o.Faults.MTTR,
-	}
-	if f.Links <= 0 {
-		f.Links = 2
+	links, mtbf, mttr := o.Faults.Links, o.Faults.MTBF, o.Faults.MTTR
+	if links <= 0 {
+		links = 2
 	}
 	var notes []string
-	if f.Links > robustFabricLinks {
-		notes = append(notes, fmt.Sprintf("-fault-links %d clamped to the fabric's %d leaf-spine links", f.Links, robustFabricLinks))
-		f.Links = robustFabricLinks
+	if links > robustFabricLinks {
+		notes = append(notes, fmt.Sprintf("-fault-links %d clamped to the fabric's %d leaf-spine links", links, robustFabricLinks))
+		links = robustFabricLinks
 	}
-	if f.MTBF <= 0 {
-		f.MTBF = dur / 4
+	if mtbf <= 0 {
+		mtbf = dur / 4
 	}
-	if f.MTTR <= 0 {
-		f.MTTR = dur / 16
+	if mttr <= 0 {
+		mttr = dur / 16
 	}
-	plan := faults.Plan{Flaps: []faults.Flap{f}, Horizon: dur}
+	flaps := func(seed int64) *psim.Plan {
+		plan := new(psim.Plan)
+		for k := 0; k < links; k++ {
+			plan.Flap(robustUplink(k), mtbf, mttr, simtime.Time(dur), seed+int64(k))
+		}
+		return plan
+	}
 	t := &Table{
-		Title: fmt.Sprintf("Robustness: %d leaf-spine links flapping (MTBF %v, MTTR %v)", f.Links, f.MTBF, f.MTTR),
+		Title: fmt.Sprintf("Robustness: %d leaf-spine links flapping (MTBF %v, MTTR %v)", links, mtbf, mttr),
 		Cols:  []string{"policy", "goodput Gbps", "p99 slowdown", "flap downs", "blackholed", "PFC pauses", "flows"},
 		Notes: notes,
 	}
 	policies := robustPolicies()
 	rows := make([]robustRow, len(policies))
 	forEachParallel(len(policies), func(i int) {
-		rows[i] = runRobust(o, policies[i], plan, nil, dur)
+		rows[i] = runRobust(o, policies[i], flaps, nil, dur)
 	})
 	for i, p := range policies {
 		r := rows[i]
@@ -236,7 +245,7 @@ func runRobustTelemetry(o Options) []*Table {
 	tels := []*faults.Telemetry{&tel, nil, nil}
 	rows := make([]robustRow, len(policies))
 	forEachParallel(len(policies), func(i int) {
-		rows[i] = runRobust(o, policies[i], faults.Plan{}, tels[i], dur)
+		rows[i] = runRobust(o, policies[i], nil, tels[i], dur)
 	})
 	for i, p := range policies {
 		r := rows[i]

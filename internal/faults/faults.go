@@ -1,31 +1,26 @@
-// Package faults is the deterministic fault-injection subsystem: it binds
-// typed fault timelines — link failures and repairs, random link-flap
-// processes, bandwidth brownouts, and telemetry loss at the ACC collector —
-// to a built fabric and drives them through the simulation event queue.
+// Package faults holds what the robustness experiments measure faults with,
+// and the one fault psim's timeline does not carry: the link tier a fault
+// plan addresses (Role), telemetry loss at the ACC collector (StaleDrop),
+// and the recovery metrics — time-to-reconverge of delivered goodput
+// (Tracker), packets blackholed and PFC pauses triggered during the fault
+// window (Snapshot). Link failures, flaps and brownouts are plain data: a
+// psim.Plan's fault timeline, drawn when the plan is built.
 //
-// Everything is seed-reproducible: all randomness (flap inter-arrival
-// times, telemetry drop decisions) is drawn from dedicated streams seeded
-// off the network RNG, so two runs with the same seed replay the identical
-// fault sequence. The package also provides the recovery metrics the
-// robustness experiments report: time-to-reconverge of delivered goodput,
-// packets blackholed, and PFC pauses triggered during the fault window.
+// Everything is seed-reproducible: telemetry drop decisions are drawn from
+// dedicated streams seeded off the network RNG, so two runs with the same
+// seed replay the identical fault sequence.
 //
 // The motivation is the robustness critique of learned ECN tuning (GraphCC,
 // PET): ACC is evaluated by its authors only under traffic dynamics, while
 // production fabrics also see link failures, topology changes, and
 // overloaded switch CPUs that starve the telemetry path (§4.3). This
-// package makes those scenario classes first-class and repeatable.
+// package and psim's fault timeline make those scenario classes
+// first-class and repeatable.
 package faults
 
-import (
-	"fmt"
+import "fmt"
 
-	"github.com/accnet/acc/internal/netsim"
-	"github.com/accnet/acc/internal/topo"
-)
-
-// Role classifies a link by the fabric tiers it joins. Plans address links
-// as (role, index) pairs so the same plan applies to any fabric size.
+// Role classifies a link by the fabric tiers it joins.
 type Role int
 
 const (
@@ -33,8 +28,6 @@ const (
 	HostLeaf Role = iota
 	// LeafSpine links join a leaf switch to a spine.
 	LeafSpine
-
-	numRoles
 )
 
 // String returns the flag-friendly role name.
@@ -46,56 +39,4 @@ func (r Role) String() string {
 		return "leaf-spine"
 	}
 	return fmt.Sprintf("role(%d)", int(r))
-}
-
-// Link is one full-duplex link. A is the lower-tier end (host or leaf);
-// netsim.Port.SetDown acts on both ends, so acting on A suffices.
-type Link struct {
-	Role Role
-	A, B *netsim.Port
-}
-
-// Name renders the link as "owner<->owner" for tables and logs.
-func (l Link) Name() string {
-	return l.A.Owner.Name() + "<->" + l.B.Owner.Name()
-}
-
-// Down reports whether the link is currently failed.
-func (l Link) Down() bool { return l.A.IsDown() }
-
-// LinkSet is the fabric's links grouped by role, each slice in
-// deterministic fabric-construction order.
-type LinkSet [numRoles][]Link
-
-// Of returns the links of one role.
-func (ls *LinkSet) Of(r Role) []Link {
-	if r < 0 || r >= numRoles {
-		return nil
-	}
-	return ls[r]
-}
-
-// Links enumerates and classifies every link of a built fabric. Ordering
-// follows the fabric's construction order (hosts, then each leaf's spine
-// ports), so the same topology always yields the same numbering — the
-// property plans rely on for reproducibility.
-func Links(fab *topo.Fabric) *LinkSet {
-	spines := make(map[netsim.Node]bool, len(fab.Spines))
-	for _, s := range fab.Spines {
-		spines[s] = true
-	}
-	var ls LinkSet
-	for _, h := range fab.Hosts {
-		if h.Port != nil && h.Port.Peer != nil {
-			ls[HostLeaf] = append(ls[HostLeaf], Link{Role: HostLeaf, A: h.Port, B: h.Port.Peer})
-		}
-	}
-	for _, leaf := range fab.Leaves {
-		for _, p := range leaf.Ports {
-			if p.Peer != nil && spines[p.Peer.Owner] {
-				ls[LeafSpine] = append(ls[LeafSpine], Link{Role: LeafSpine, A: p, B: p.Peer})
-			}
-		}
-	}
-	return &ls
 }

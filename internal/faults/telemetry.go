@@ -8,6 +8,14 @@ import (
 	"github.com/accnet/acc/internal/simtime"
 )
 
+// Telemetry configures collector-path faults for ACC tuners (see StaleDrop):
+// observations delayed by StaleSlots monitoring intervals, and each window
+// lost independently with probability DropProb.
+type Telemetry struct {
+	StaleSlots int
+	DropProb   float64
+}
+
 // StaleDrop implements acc.TelemetryFault: it models a switch CPU too
 // overloaded to serve the collector promptly (§4.3), delivering each
 // queue's observation stream StaleSlots monitoring intervals late and

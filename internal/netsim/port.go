@@ -320,11 +320,11 @@ func (p *Port) SetDown(down bool) {
 }
 
 // SetEndDown marks only this end of the link up or down, without touching
-// the peer. Sharded runs (internal/psim) use it to apply one link fault as
-// two per-end events — one in each owning shard, at the same virtual time —
-// which is observably identical to SetDown's both-ends write because every
-// down check reads the checking end's own flag. Sequential callers should
-// keep using SetDown.
+// the peer. Every psim plan applier, sequential or sharded, uses it to apply
+// one link fault as two per-end events — one on each owning queue, at the
+// same virtual time — which is observably identical to SetDown's both-ends
+// write because every down check reads the checking end's own flag
+// (psim's TestEndPairsMatchSetDown).
 func (p *Port) SetEndDown(down bool) {
 	p.setDown(down)
 	p.touch()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/accnet/acc/internal/faults"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/topo"
@@ -40,36 +41,20 @@ func runSharded(cfg Config, plan *Plan, horizon simtime.Time, setup ...func(*Eng
 	e.OnBarrier(smp.OnBarrier)
 	e.Run(horizon)
 
-	snap := e.Snap()
 	marks, drops := e.SwitchTotals()
-	res := runResult{
-		ends:       app.End,
-		marks:      marks,
-		drops:      drops,
-		blackholed: snap.Blackholed,
-		bufDrops:   snap.BufferDrops,
-		pfcPauses:  snap.PFCPauses,
-		goodTimes:  smp.Times,
-		goodGbps:   smp.Gbps,
-		processed:  e.Processed(),
-	}
-	for i := range plan.Flows {
-		if f := app.DCQCNSend[i]; f != nil && !f.SenderDone() {
-			res.sendersUp++
-		}
-		if f := app.TCPSend[i]; f != nil && !f.Acked() {
-			res.sendersUp++
-		}
-	}
-	return res
+	return result(app, e.Snap(), marks, drops, smp, e.Processed())
 }
 
 // runSequential executes the same plan on a plain topo.LeafSpine fabric in
-// one event loop, driven at the identical barrier cadence.
-func runSequential(cfg Config, plan *Plan, horizon simtime.Time) runResult {
+// one event loop, driven at the identical barrier cadence; setup, if given,
+// runs on the applied fabric before it starts.
+func runSequential(cfg Config, plan *Plan, horizon simtime.Time, setup ...func(*topo.Fabric)) runResult {
 	net := netsim.New(cfg.Seed)
 	fab := topo.LeafSpine(net, cfg.NLeaf, cfg.HostsPerLeaf, cfg.NSpine, cfg.Topo)
 	app := ApplyToFabric(fab, cfg.HostsPerLeaf, plan)
+	for _, f := range setup {
+		f(fab)
+	}
 
 	var ports []*netsim.Port
 	for _, h := range fab.Hosts {
@@ -84,30 +69,23 @@ func runSequential(cfg Config, plan *Plan, horizon simtime.Time) runResult {
 		marks = append(marks, sw.MarksTotal)
 		drops = append(drops, sw.DropsTotal)
 	}
-	var blackholed, pfc, buf uint64
-	for _, sw := range fab.Switches() {
-		blackholed += sw.RouteBlackholes
-		buf += sw.DropsTotal - sw.RouteBlackholes
-		for _, p := range sw.Ports {
-			blackholed += p.BlackholedPackets
-			pfc += p.PauseTxEvents
-		}
-	}
-	for _, h := range fab.Hosts {
-		blackholed += h.Port.BlackholedPackets
-	}
+	return result(app, faults.Snap(fab), marks, drops, smp, net.Q.Processed())
+}
+
+// result gathers one finished run's runResult.
+func result(app *Applied, snap faults.Snapshot, marks, drops []uint64, smp *Sampler, processed uint64) runResult {
 	res := runResult{
 		ends:       app.End,
 		marks:      marks,
 		drops:      drops,
-		blackholed: blackholed,
-		bufDrops:   buf,
-		pfcPauses:  pfc,
+		blackholed: snap.Blackholed,
+		bufDrops:   snap.BufferDrops,
+		pfcPauses:  snap.PFCPauses,
 		goodTimes:  smp.Times,
 		goodGbps:   smp.Gbps,
-		processed:  net.Q.Processed(),
+		processed:  processed,
 	}
-	for i := range plan.Flows {
+	for i := range app.End {
 		if f := app.DCQCNSend[i]; f != nil && !f.SenderDone() {
 			res.sendersUp++
 		}
@@ -196,7 +174,8 @@ func labelKS(seed int64, k int) string {
 
 // TestShardEquivalenceUnderFaults repeats the differential proof with link
 // faults in the plan: a hard down/up on a host-leaf link plus flaps on two
-// leaf-spine links (one of which crosses shards in every K>1 layout).
+// leaf-spine links (one of which crosses shards in every K>1 layout, and is
+// browned out for 200 µs while flows run).
 func TestShardEquivalenceUnderFaults(t *testing.T) {
 	const nLeaf, hostsPerLeaf, nSpine = 4, 4, 3
 	horizon := simtime.Time(0).Add(3 * simtime.Millisecond)
@@ -214,6 +193,11 @@ func TestShardEquivalenceUnderFaults(t *testing.T) {
 			simtime.Time(0).Add(2*simtime.Millisecond), seed)
 		plan.Flap(LeafSpineLink(3, 0), 400*simtime.Microsecond, 100*simtime.Microsecond,
 			simtime.Time(0).Add(2*simtime.Millisecond), seed+1)
+		// A brownout on the cross-shard link: each end's rate halves, then
+		// returns, on the shard owning that end.
+		plan.Brownout(LeafSpineLink(0, 1), 0.5,
+			simtime.Time(0).Add(50*simtime.Microsecond),
+			simtime.Time(0).Add(250*simtime.Microsecond))
 
 		want := runSequential(cfg, plan, horizon)
 		if want.blackholed == 0 {

@@ -17,7 +17,6 @@ import (
 	"slices"
 
 	"github.com/accnet/acc/internal/dcqcn"
-	"github.com/accnet/acc/internal/faults"
 	"github.com/accnet/acc/internal/hybrid"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
@@ -128,20 +127,11 @@ func (e *Engine) ApplyHybrid(p *Plan, cfg hybrid.Config) (*Applied, *hybrid.Engi
 	h.sortPending()
 	e.OnBarrier(h.barrier)
 
-	for _, fe := range p.Faults {
-		var aEnd, bEnd *netsim.Port
-		switch fe.Link.Role {
-		default:
-			panic("psim: unsupported link role in plan")
-		case faults.HostLeaf:
-			aEnd, bEnd = e.HostUp[fe.Link.A][fe.Link.B], e.LeafDown[fe.Link.A][fe.Link.B]
-		case faults.LeafSpine:
-			aEnd, bEnd = e.LeafUp[fe.Link.A][fe.Link.B], e.SpineDown[fe.Link.B][fe.Link.A]
-		}
-		down := fe.Down
-		res.evs = append(res.evs, aEnd.Net().Q.At(fe.At, func() { aEnd.SetEndDown(down) }))
-		res.evs = append(res.evs, bEnd.Net().Q.At(fe.At, func() { bEnd.SetEndDown(down) }))
+	evs, err := engineLinks(e).schedule(p.Faults, now)
+	if err != nil {
+		panic(err)
 	}
+	res.evs = append(res.evs, evs...)
 	return res, eng
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"github.com/accnet/acc/internal/dcqcn"
 	"github.com/accnet/acc/internal/eventq"
-	"github.com/accnet/acc/internal/faults"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/tcp"
@@ -25,19 +24,6 @@ const (
 // HostRef addresses a host by (leaf index, host index under that leaf).
 type HostRef struct{ Leaf, Host int }
 
-// LinkRef addresses a link by tier: for faults.HostLeaf, A is the leaf and B
-// the host index; for faults.LeafSpine, A is the leaf and B the spine.
-type LinkRef struct {
-	Role faults.Role
-	A, B int
-}
-
-// HostLeafLink addresses the link between leaf l and its i'th host.
-func HostLeafLink(l, i int) LinkRef { return LinkRef{Role: faults.HostLeaf, A: l, B: i} }
-
-// LeafSpineLink addresses the link between leaf l and spine s.
-func LeafSpineLink(l, s int) LinkRef { return LinkRef{Role: faults.LeafSpine, A: l, B: s} }
-
 // FlowSpec is one planned transfer. Flow ids are implied by position: the
 // i'th spec is netsim.FlowID(i+1) in every engine.
 type FlowSpec struct {
@@ -45,16 +31,6 @@ type FlowSpec struct {
 	Size      int64
 	Start     simtime.Time
 	Transport Transport
-}
-
-// FaultEvent is one per-link state change at an absolute virtual time.
-// Appliers turn it into two netsim.Port.SetEndDown events — one per link
-// end, each on the queue owning that end — so shard layouts and the
-// sequential engine all execute the identical event set.
-type FaultEvent struct {
-	At   simtime.Time
-	Link LinkRef
-	Down bool
 }
 
 // Plan is a precomputed, engine-independent workload and fault trace. All
@@ -111,34 +87,6 @@ func (p *Plan) RandomFlows(nLeaf, hostsPerLeaf, n int, maxBytes int64, spread si
 		p.Flows = append(p.Flows, fs)
 	}
 	return p
-}
-
-// DownUp appends a failure and its repair on one link.
-func (p *Plan) DownUp(link LinkRef, downAt, upAt simtime.Time) *Plan {
-	p.Faults = append(p.Faults,
-		FaultEvent{At: downAt, Link: link, Down: true},
-		FaultEvent{At: upAt, Link: link, Down: false})
-	return p
-}
-
-// Flap expands a memoryless link-flap process (exponential up times with
-// mean MTBF, exponential down times with mean MTTR) into explicit events up
-// to the horizon. Failures stop at the horizon; the final repair always
-// lands, so the link ends up. This is the offline twin of
-// faults.Flap/Injector.scheduleFlap — the draws happen here, at plan time,
-// from the plan's own stream.
-func (p *Plan) Flap(link LinkRef, mtbf, mttr simtime.Duration, horizon simtime.Time, seed int64) *Plan {
-	rng := rand.New(rand.NewSource(seed))
-	t := simtime.Time(0)
-	for {
-		t = t.Add(simtime.Duration(rng.ExpFloat64() * float64(mtbf)))
-		if t >= horizon {
-			return p
-		}
-		down := simtime.Duration(rng.ExpFloat64() * float64(mttr))
-		p.DownUp(link, t, t.Add(down))
-		t = t.Add(down)
-	}
 }
 
 // Applied tracks the live transport objects and results of one plan
@@ -201,11 +149,13 @@ func (a *Applied) DoneCount() int {
 }
 
 // applyPlan schedules every planned flow and fault onto the queues owning
-// the respective endpoints. host resolves a HostRef; link resolves a LinkRef
-// to its two port ends (A-side, B-side). Scheduling happens immediately, in
-// plan order, flows before faults — the same relative order on every queue
-// in every layout, so same-instant ties resolve identically everywhere.
-func applyPlan(p *Plan, host func(HostRef) *netsim.Host, link func(LinkRef) (aEnd, bEnd *netsim.Port)) *Applied {
+// the respective endpoints. host resolves a HostRef; links resolves a
+// LinkRef to its two port ends and checks faults against now. Scheduling
+// happens immediately, in plan order, flows before faults — the same
+// relative order on every queue in every layout, so same-instant ties
+// resolve identically everywhere. An invalid fault panics: plans are built
+// by code.
+func applyPlan(p *Plan, host func(HostRef) *netsim.Host, links linkTables, now simtime.Time) *Applied {
 	n := len(p.Flows)
 	res := &Applied{
 		Plan:      p,
@@ -251,12 +201,11 @@ func applyPlan(p *Plan, host func(HostRef) *netsim.Host, link func(LinkRef) (aEn
 			}))
 		}
 	}
-	for _, fe := range p.Faults {
-		aEnd, bEnd := link(fe.Link)
-		down := fe.Down
-		res.evs = append(res.evs, aEnd.Net().Q.At(fe.At, func() { aEnd.SetEndDown(down) }))
-		res.evs = append(res.evs, bEnd.Net().Q.At(fe.At, func() { bEnd.SetEndDown(down) }))
+	evs, err := links.schedule(p.Faults, now)
+	if err != nil {
+		panic(err)
 	}
+	res.evs = append(res.evs, evs...)
 	return res
 }
 
@@ -264,36 +213,16 @@ func applyPlan(p *Plan, host func(HostRef) *netsim.Host, link func(LinkRef) (aEn
 // shard owning the source host, receivers in the shard owning the
 // destination, fault ends on the shards owning each port.
 func (e *Engine) Apply(p *Plan) *Applied {
-	return applyPlan(p,
-		func(r HostRef) *netsim.Host { return e.Hosts[r.Leaf][r.Host] },
-		func(l LinkRef) (*netsim.Port, *netsim.Port) {
-			switch l.Role {
-			case faults.HostLeaf:
-				return e.HostUp[l.A][l.B], e.LeafDown[l.A][l.B]
-			case faults.LeafSpine:
-				return e.LeafUp[l.A][l.B], e.SpineDown[l.B][l.A]
-			}
-			panic("psim: unsupported link role in plan")
-		})
+	return applyPlan(p, func(r HostRef) *netsim.Host { return e.Hosts[r.Leaf][r.Host] }, engineLinks(e), e.Now())
 }
 
 // ApplyToFabric instantiates the same plan on a sequential topo.LeafSpine
-// build — the single-threaded baseline of the differential tests. It
-// schedules the identical event set (including per-end SetEndDown pairs for
+// build, at the fabric's current instant: the single-threaded baseline of
+// the differential tests, and the fault timeline of the robust-* runners.
+// It schedules the identical event set (including the per-end events of
 // faults) so a sequential run driven by RunWindows is comparable
-// bit-for-bit.
-func ApplyToFabric(fab *topo.Fabric, hostsPerLeaf int, p *Plan) *Applied {
-	return applyPlan(p,
-		func(r HostRef) *netsim.Host { return fab.HostsAt[r.Leaf][r.Host] },
-		func(l LinkRef) (*netsim.Port, *netsim.Port) {
-			switch l.Role {
-			case faults.HostLeaf:
-				hp := fab.HostsAt[l.A][l.B].Port
-				return hp, hp.Peer
-			case faults.LeafSpine:
-				up := fab.Leaves[l.A].Ports[hostsPerLeaf+l.B]
-				return up, up.Peer
-			}
-			panic("psim: unsupported link role in plan")
-		})
+// bit-for-bit. The fabric's own tables locate every port; the hosts-per-leaf
+// argument is not read.
+func ApplyToFabric(fab *topo.Fabric, _ int, p *Plan) *Applied {
+	return applyPlan(p, func(r HostRef) *netsim.Host { return fab.HostsAt[r.Leaf][r.Host] }, fabricLinks(fab), fab.Net.Now())
 }

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"github.com/accnet/acc/internal/acc"
-	"github.com/accnet/acc/internal/faults"
 	"github.com/accnet/acc/internal/hybrid"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/obs"
@@ -230,31 +229,12 @@ type Variant struct {
 	Epsilon *float64
 }
 
-// linkEnds resolves a LinkRef to its two port ends, exactly as plan
-// application does.
-func (w *World) linkEnds(l psim.LinkRef) (aEnd, bEnd *netsim.Port, err error) {
-	switch l.Role {
-	case faults.HostLeaf:
-		if l.A < 0 || l.A >= len(w.E.HostUp) || l.B < 0 || l.B >= len(w.E.HostUp[l.A]) {
-			return nil, nil, fmt.Errorf("snap: host-leaf link (%d,%d) outside topology", l.A, l.B)
-		}
-		return w.E.HostUp[l.A][l.B], w.E.LeafDown[l.A][l.B], nil
-	case faults.LeafSpine:
-		if l.A < 0 || l.A >= len(w.E.LeafUp) || l.B < 0 || l.B >= len(w.E.LeafUp[l.A]) {
-			return nil, nil, fmt.Errorf("snap: leaf-spine link (%d,%d) outside topology", l.A, l.B)
-		}
-		return w.E.LeafUp[l.A][l.B], w.E.SpineDown[l.B][l.A], nil
-	}
-	return nil, nil, fmt.Errorf("snap: unsupported link role %v", l.Role)
-}
-
 // ApplyVariant overlays a branch variant on the world at the current
 // instant. Apply it at the same virtual time on a warm fork and on a cold
 // run and the two branches stay bit-identical: the restored event-queue
 // counters put the variant's events at the same (time, seq) slots in
 // both.
 func (w *World) ApplyVariant(v Variant) error {
-	now := w.E.Now()
 	if v.WRED != nil {
 		if err := v.WRED.Validate(); err != nil {
 			return err
@@ -266,17 +246,8 @@ func (w *World) ApplyVariant(v Variant) error {
 			sw.SetRED(*v.WRED)
 		}
 	}
-	for _, fe := range v.Faults {
-		if fe.At < now {
-			return fmt.Errorf("snap: variant %q fault at %v is before the branch instant %v", v.Name, fe.At, now)
-		}
-		aEnd, bEnd, err := w.linkEnds(fe.Link)
-		if err != nil {
-			return err
-		}
-		down := fe.Down
-		aEnd.Net().Q.At(fe.At, func() { aEnd.SetEndDown(down) })
-		bEnd.Net().Q.At(fe.At, func() { bEnd.SetEndDown(down) })
+	if err := w.E.ScheduleFaults(v.Faults); err != nil {
+		return fmt.Errorf("snap: variant %q: %w", v.Name, err)
 	}
 	if v.Epsilon != nil {
 		for _, s := range w.ACC {

@@ -1,8 +1,10 @@
 package snap
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/accnet/acc/internal/netsim"
@@ -310,8 +312,9 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestVariantValidation: rewinding faults and out-of-range links are
-// configuration errors, not silent schedule corruption.
+// TestVariantValidation: rewinding faults, out-of-range links and brownout
+// scales no bandwidth can take are configuration errors, not silent
+// schedule corruption, and a refused variant schedules none of its faults.
 func TestVariantValidation(t *testing.T) {
 	sc := testScenario(1, "packet")
 	w, err := Build(sc)
@@ -319,6 +322,7 @@ func TestVariantValidation(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	w.Run(simtime.Time(100 * simtime.Microsecond))
+	pending := w.E.Shards[0].Net.Q.Pending()
 	past := Variant{Faults: []psim.FaultEvent{{At: simtime.Time(10 * simtime.Microsecond), Link: psim.LeafSpineLink(0, 0), Down: true}}}
 	if err := w.ApplyVariant(past); err == nil {
 		t.Fatalf("ApplyVariant accepted a fault before the branch instant")
@@ -326,6 +330,17 @@ func TestVariantValidation(t *testing.T) {
 	oob := Variant{Faults: []psim.FaultEvent{{At: simtime.Time(200 * simtime.Microsecond), Link: psim.LeafSpineLink(99, 0), Down: true}}}
 	if err := w.ApplyVariant(oob); err == nil {
 		t.Fatalf("ApplyVariant accepted an out-of-range link")
+	}
+	at := simtime.Time(200 * simtime.Microsecond)
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.5} {
+		err := w.ApplyVariant(Variant{Faults: []psim.FaultEvent{{At: at, Link: psim.LeafSpineLink(0, 0), Down: true},
+			{At: at, Link: psim.LeafSpineLink(0, 1), Brownout: true, Scale: scale}}})
+		if err == nil || !strings.Contains(err.Error(), "positive finite") {
+			t.Fatalf("ApplyVariant with brownout scale %v: error %v, want the bandwidth-scale refusal", scale, err)
+		}
+	}
+	if n := w.E.Shards[0].Net.Q.Pending(); n != pending {
+		t.Fatalf("refused variants scheduled %d events", n-pending)
 	}
 	bad := Variant{WRED: &red.Config{Kmin: 100, Kmax: 50, Pmax: 0.5}}
 	if err := w.ApplyVariant(bad); err == nil {
