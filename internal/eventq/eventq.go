@@ -7,7 +7,7 @@
 // a cancelled event stays in the schedule but its callback is skipped when
 // reached.
 //
-// Two scheduling paths exist:
+// Four scheduling paths exist:
 //
 //   - At/After return a *Event handle the caller may Cancel or Reset. These
 //     events are never recycled, because the caller can hold the handle
@@ -20,6 +20,9 @@
 //     sequence key (KeyedSeq) instead of the monotonic counter, used for
 //     packet arrivals so same-nanosecond tie-breaking is identical between
 //     the sequential engine and the sharded one (internal/psim).
+//   - Reserve takes a block of counter seqs and AtSlot later arms a handle at
+//     one of them, where an At call made at the reservation would have fired:
+//     psim's plan start cursor, one pending handle per queue.
 //
 // Internally Queue is a calendar queue (an array of fixed-width time buckets
 // over a rotating window, with a typed min-heap holding far-future overflow),
@@ -167,7 +170,7 @@ type Queue struct {
 	processed uint64
 	free      []*Event // recycled CallAt events
 
-	//acclint:ignore snapcover the calendar's storage: State empties it (Clear) and owners refill it through RestoreEvent, Timer and CallSlot
+	//acclint:ignore snapcover the calendar's storage: State empties it (Clear) and owners refill it through RestoreEvent, AtSlot, Timer and CallSlot
 	buckets []bucket // calendar window, allocated on first insert
 	baseDay int64    // first day covered by the window
 	curDay  int64    // lower bound on the earliest calendar entry's day
@@ -602,6 +605,31 @@ func (q *Queue) At(t simtime.Time, fn func()) *Event {
 	q.seq++
 	q.schedule(e)
 	return e
+}
+
+// Reserve takes the next n counter seqs, [first, first+n), for the caller to
+// hand out through AtSlot: they order exactly where n At calls made now
+// would, and no event scheduled later can take one.
+func (q *Queue) Reserve(n int) (first uint64) {
+	first = q.seq
+	q.seq += uint64(n)
+	return first
+}
+
+// AtSlot schedules fn at (t, seq), a slot the caller reserved, without
+// consuming the counter. It reuses ev, a handle of this queue that is not
+// pending, or makes one when ev is nil, and returns it.
+func (q *Queue) AtSlot(ev *Event, t simtime.Time, seq uint64, fn func()) *Event {
+	q.checkTime(t)
+	if ev == nil {
+		ev = &Event{q: q}
+	}
+	if ev.pooled || ev.pending || ev.q != q {
+		panic("eventq: AtSlot needs an idle handle of this queue")
+	}
+	ev.at, ev.seq, ev.fn, ev.cancelled = t, seq, fn, false
+	q.schedule(ev)
+	return ev
 }
 
 // After schedules fn to run d after the current time. Negative d is clamped

@@ -11,13 +11,14 @@ import (
 // processed count) plus a pool-prewarm hint: event *contents* are closures
 // and pre-bound method values, which cannot be written to bytes. Restoring
 // a snapshot therefore rebuilds the world deterministically (construction
-// assigns every plan event the same (at, seq) it had originally, because
-// the sequence counter starts from the same zero), clears the rebuilt
-// queue, restores the counters, and re-inserts pending work through three
-// typed paths:
+// gives every plan event, or the block of seqs a plan reserves, the same
+// (at, seq) it had originally, because the sequence counter starts from the
+// same zero), clears the rebuilt queue, restores the counters, and
+// re-inserts pending work through three typed paths:
 //
-//   - RestoreEvent re-inserts a construction-time handle (the closure is
-//     already bound to the rebuilt world) at the (at, seq) it carries.
+//   - RestoreEvent and AtSlot re-insert a construction-time handle (the
+//     closure is already bound to the rebuilt world) at the (at, seq) it
+//     carries or at a slot its owner reserved.
 //   - Timer and CallSlot re-arm a component timer or an in-flight packet
 //     event at an explicitly recorded (at, seq) without consuming the
 //     sequence counter, so the restored schedule is bit-identical to the
@@ -38,8 +39,8 @@ const maxPrewarm = 1 << 16
 // schedule's contents are visited by their owners (see package comment).
 // Reading, it first empties the schedule, then restores the counters and
 // prewarms the free list so post-restore scheduling allocates nothing;
-// owners then re-insert still-pending work through RestoreEvent, Timer and
-// CallSlot.
+// owners then re-insert still-pending work through RestoreEvent, AtSlot,
+// Timer and CallSlot.
 func (q *Queue) State(v *codec.Visitor) {
 	v.Tag("eventq")
 	if v.Reading() {
@@ -127,21 +128,14 @@ func (q *Queue) clearEntry(ent entry) {
 }
 
 // RestoreEvent re-inserts a detached handle event at the (at, seq) it
-// already carries. The event must come from the deterministic rebuild of
-// the same world (its callback is bound to live objects) and must not be
-// pending or cancelled.
+// already carries: AtSlot at the handle's own slot. The event must come from
+// the deterministic rebuild of the same world (its callback is bound to live
+// objects).
 func (q *Queue) RestoreEvent(ev *Event) {
-	if ev == nil || ev.pooled {
+	if ev == nil {
 		panic("eventq: RestoreEvent needs a handle event")
 	}
-	if ev.pending {
-		panic("eventq: RestoreEvent on a pending event")
-	}
-	if ev.at < q.now {
-		panic("eventq: RestoreEvent in the past")
-	}
-	ev.cancelled = false
-	q.schedule(ev)
+	q.AtSlot(ev, ev.at, ev.seq, ev.fn)
 }
 
 // Timer visits one handle timer's slot: a pending flag and, when pending,

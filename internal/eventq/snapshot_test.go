@@ -3,6 +3,8 @@ package eventq_test
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/accnet/acc/internal/eventq"
@@ -88,5 +90,96 @@ func TestTimerSlotRoundTrip(t *testing.T) {
 	}
 	if r.Err() != nil {
 		t.Fatalf("reader: %v", r.Err())
+	}
+}
+
+// TestReservedSlotsOrderLikeAt: n events armed one at a time through AtSlot,
+// each when the one before it fires, at seqs a Reserve block handed out
+// before any other event was made, fire exactly where n At calls made at the
+// reservation would have — among same-instant ties, events scheduled after
+// the block, and follow-ups the fired events themselves schedule.
+func TestReservedSlotsOrderLikeAt(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		starts := make([]simtime.Time, n)
+		for i := range starts {
+			starts[i] = simtime.Time(rng.Intn(8)) * 100 // many ties
+		}
+		others := make([]simtime.Time, 30)
+		for i := range others {
+			others[i] = simtime.Time(rng.Intn(8)) * 100
+		}
+		run := func(reserved bool) []int {
+			q := eventq.New()
+			var got []int
+			fired := func(label int) {
+				got = append(got, label)
+				if label < n && label%3 == 0 {
+					q.After(0, func() { got = append(got, 1000+label) })
+				}
+			}
+			var first uint64
+			if reserved {
+				first = q.Reserve(n)
+			} else {
+				for i, at := range starts {
+					q.At(at, func() { fired(i) })
+				}
+			}
+			for i, at := range others {
+				q.At(at, func() { fired(n + i) })
+			}
+			if reserved {
+				order := make([]int, n)
+				for i := range order {
+					order[i] = i
+				}
+				sort.SliceStable(order, func(a, b int) bool { return starts[order[a]] < starts[order[b]] })
+				var ev *eventq.Event
+				next := 0
+				var arm func()
+				arm = func() {
+					if next < n {
+						i := order[next]
+						ev = q.AtSlot(ev, starts[i], first+uint64(i), func() { next++; arm(); fired(i) })
+					}
+				}
+				arm()
+			}
+			q.Run()
+			return got
+		}
+		if want, got := run(false), run(true); !slices.Equal(want, got) {
+			t.Fatalf("seed %d: reserved slots fired %v, At calls %v", seed, got, want)
+		}
+	}
+}
+
+// TestAtSlotRefusals: AtSlot arms only an idle handle of its own queue, and
+// not in the past.
+func TestAtSlotRefusals(t *testing.T) {
+	for name, arm := range map[string]func(q *eventq.Queue, first uint64, ev *eventq.Event){
+		"pending handle": func(q *eventq.Queue, first uint64, ev *eventq.Event) { q.AtSlot(ev, 20, first+1, func() {}) },
+		"other queue": func(q *eventq.Queue, first uint64, ev *eventq.Event) {
+			q.Run()
+			eventq.New().AtSlot(ev, 20, 0, func() {})
+		},
+		"in the past": func(q *eventq.Queue, first uint64, ev *eventq.Event) {
+			q.Run()
+			q.AtSlot(ev, 5, first+1, func() {})
+		},
+	} {
+		q := eventq.New()
+		first := q.Reserve(2)
+		ev := q.AtSlot(nil, 10, first, func() {})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AtSlot did not panic", name)
+				}
+			}()
+			arm(q, first, ev)
+		}()
 	}
 }

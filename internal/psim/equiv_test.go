@@ -49,9 +49,14 @@ func runSharded(cfg Config, plan *Plan, horizon simtime.Time, setup ...func(*Eng
 // one event loop, driven at the identical barrier cadence; setup, if given,
 // runs on the applied fabric before it starts.
 func runSequential(cfg Config, plan *Plan, horizon simtime.Time, setup ...func(*topo.Fabric)) runResult {
+	return runSequentialWith(cfg, horizon, func(fab *topo.Fabric) *Applied { return ApplyToFabric(fab, cfg.HostsPerLeaf, plan) }, setup...)
+}
+
+// runSequentialWith is runSequential with the plan applied by apply.
+func runSequentialWith(cfg Config, horizon simtime.Time, apply func(*topo.Fabric) *Applied, setup ...func(*topo.Fabric)) runResult {
 	net := netsim.New(cfg.Seed)
 	fab := topo.LeafSpine(net, cfg.NLeaf, cfg.HostsPerLeaf, cfg.NSpine, cfg.Topo)
-	app := ApplyToFabric(fab, cfg.HostsPerLeaf, plan)
+	app := apply(fab)
 	for _, f := range setup {
 		f(fab)
 	}

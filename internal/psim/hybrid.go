@@ -131,7 +131,7 @@ func (e *Engine) ApplyHybrid(p *Plan, cfg hybrid.Config) (*Applied, *hybrid.Engi
 	if err != nil {
 		panic(err)
 	}
-	res.evs = append(res.evs, evs...)
+	res.armed.evs = evs
 	return res, eng
 }
 

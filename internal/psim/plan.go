@@ -1,7 +1,10 @@
 package psim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"github.com/accnet/acc/internal/dcqcn"
 	"github.com/accnet/acc/internal/eventq"
@@ -37,7 +40,8 @@ type FlowSpec struct {
 // randomness (flow draws, flap expansion) happens at plan-build time from
 // explicit seeds, never during simulation, which is what makes one plan
 // replayable bit-identically across shard layouts. Appliers iterate Flows
-// then Faults in slice order; that order is part of the trace.
+// then Faults in slice order; that order is part of the trace. Starts read
+// Flows as they fire, so Flows must not change once the plan is applied.
 type Plan struct {
 	Flows  []FlowSpec
 	Faults []FaultEvent
@@ -108,24 +112,79 @@ type Applied struct {
 	// via ApplyHybrid; nil for pure packet instantiations.
 	Hybrid *HybridState
 
-	// evs holds every plan-scheduled event handle (flow starts in plan
-	// order — receiver then sender — followed by fault ends). Snapshot
-	// restore rebuilds the world (re-creating these handles with their
-	// original (at, seq) because construction order is deterministic),
-	// clears the queues, and re-inserts the still-pending ones via
-	// RestorePending.
-	//acclint:ignore snapcover rebuilt by construction (same deterministic handles) and re-armed by RestorePending, restore step 3 - not part of the codec stream
-	evs []*eventq.Event
+	// armed is what the plan keeps scheduled: a start cursor per queue and
+	// the fault-end handles, re-armed on restore by RestorePending.
+	//acclint:ignore snapcover derived from the restored clock by RestorePending (restore step 2): a cursor's position is its first start not before it - not part of the codec stream
+	armed struct {
+		starts []*startCursor
+		evs    []*eventq.Event // fault ends, in plan order
+	}
 }
 
-// RestorePending re-inserts plan events that were still pending at the
-// restored clock — those scheduled at or after the snapshot barrier
-// (RunBefore fires everything strictly before it).
+// RestorePending re-arms plan events still pending at the restored clock:
+// those at or after the snapshot barrier (RunBefore fires everything
+// strictly before it).
 func (a *Applied) RestorePending() {
-	for _, ev := range a.evs {
+	for _, c := range a.armed.starts {
+		c.pos = sort.Search(len(c.ents), func(k int) bool { return c.start(k) >= c.q.Now() })
+		c.arm()
+	}
+	for _, ev := range a.armed.evs {
 		if q := ev.Owner(); ev.At() >= q.Now() {
 			q.RestoreEvent(ev)
 		}
+	}
+}
+
+// startCursor starts the flow halves whose host one queue owns, each at
+// the slot an At call at apply time would have taken: ents lists them by
+// (Start, offset in the queue's reserved block), and one handle sits at the
+// next one's slot. Only the shard owning the queue touches its cursor.
+type startCursor struct {
+	a    *Applied
+	q    *eventq.Queue
+	host func(HostRef) *netsim.Host
+	base uint64     // first seq of the reserved block
+	ents []startRef // by (Start, off)
+	pos  int        // the next entry to start
+	ev   *eventq.Event
+	fire func() // c.next, bound once
+}
+
+// startRef is one flow half (flow index<<1, | 1 for the sender) and its
+// offset in the queue's reserved block.
+type startRef struct{ half, off uint32 }
+
+// start returns entry k's start instant.
+func (c *startCursor) start(k int) simtime.Time { return c.a.Plan.Flows[c.ents[k].half>>1].Start }
+
+// arm schedules the handle at the next entry's slot, if one is left.
+func (c *startCursor) arm() {
+	if c.pos < len(c.ents) {
+		c.ev = c.q.AtSlot(c.ev, c.start(c.pos), c.base+uint64(c.ents[c.pos].off), c.fire)
+	}
+}
+
+// next starts the entry the handle was armed for and re-arms it.
+func (c *startCursor) next() {
+	half := c.ents[c.pos].half
+	c.pos++
+	c.arm()
+	i, a, p := int(half>>1), c.a, c.a.Plan
+	fs, id := &p.Flows[i], netsim.FlowID(i+1)
+	src, dst := c.host(fs.Src), c.host(fs.Dst)
+	if half&1 == 1 && p.OnStart != nil {
+		p.OnStart(i, c.q.Now())
+	}
+	switch {
+	case fs.Transport == TransportDCQCN && half&1 == 0:
+		a.DCQCNRecv[i] = dcqcn.StartReceiver(id, src.ID(), dst, fs.Size, p.DCQCN, func(r *dcqcn.Receiver) { a.End[i] = r.End })
+	case fs.Transport == TransportDCQCN:
+		a.DCQCNSend[i] = dcqcn.StartSender(src.Net(), id, src, dst.ID(), fs.Size, p.DCQCN)
+	case fs.Transport == TransportTCP && half&1 == 0:
+		a.TCPRecv[i] = tcp.StartReceiver(id, src.ID(), dst, fs.Size, p.TCP, func(r *tcp.Receiver) { a.End[i] = r.End })
+	case fs.Transport == TransportTCP:
+		a.TCPSend[i] = tcp.StartSender(src.Net(), id, src, dst.ID(), fs.Size, p.TCP)
 	}
 }
 
@@ -148,13 +207,13 @@ func (a *Applied) DoneCount() int {
 	return n
 }
 
-// applyPlan schedules every planned flow and fault onto the queues owning
-// the respective endpoints. host resolves a HostRef; links resolves a
-// LinkRef to its two port ends and checks faults against now. Scheduling
-// happens immediately, in plan order, flows before faults — the same
-// relative order on every queue in every layout, so same-instant ties
-// resolve identically everywhere. An invalid fault panics: plans are built
-// by code.
+// applyPlan arms every planned flow and schedules every fault onto the
+// queues owning the respective endpoints. host resolves a HostRef; links
+// resolves a LinkRef to its two port ends and checks faults against now.
+// Each queue reserves the seqs one At per flow half would take, in plan
+// order (receiver before sender), and faults take the seqs after: the same
+// order on every queue in every layout, so same-instant ties resolve
+// identically everywhere. A start or fault before now panics.
 func applyPlan(p *Plan, host func(HostRef) *netsim.Host, links linkTables, now simtime.Time) *Applied {
 	n := len(p.Flows)
 	res := &Applied{
@@ -165,47 +224,45 @@ func applyPlan(p *Plan, host func(HostRef) *netsim.Host, links linkTables, now s
 		TCPRecv:   make([]*tcp.Receiver, n),
 		End:       make([]simtime.Time, n),
 	}
-	for i, fs := range p.Flows {
-		id := netsim.FlowID(i + 1)
+	var cs []*startCursor
+	cursor := func(h *netsim.Host) *startCursor {
+		k := slices.IndexFunc(cs, func(c *startCursor) bool { return c.q == h.Net().Q })
+		if k < 0 {
+			k, cs = len(cs), append(cs, &startCursor{a: res, q: h.Net().Q, host: host})
+			cs[k].fire = cs[k].next
+		}
+		return cs[k]
+	}
+	for _, fs := range p.Flows {
 		src, dst := host(fs.Src), host(fs.Dst)
 		// Ids 1..n are the plan's on every network it touches.
 		src.Net().DeclareFlowIDs(netsim.FlowID(n))
 		dst.Net().DeclareFlowIDs(netsim.FlowID(n))
-		// Receiver first, then sender: both fire at fs.Start, and keeping
-		// one fixed relative order on a shared queue keeps the sequential
-		// and sharded schedules aligned.
-		switch fs.Transport {
-		case TransportDCQCN:
-			res.evs = append(res.evs, dst.Net().Q.At(fs.Start, func() {
-				res.DCQCNRecv[i] = dcqcn.StartReceiver(id, src.ID(), dst, fs.Size, p.DCQCN, func(r *dcqcn.Receiver) {
-					res.End[i] = r.End
-				})
-			}))
-			res.evs = append(res.evs, src.Net().Q.At(fs.Start, func() {
-				if p.OnStart != nil {
-					p.OnStart(i, src.Net().Now())
-				}
-				res.DCQCNSend[i] = dcqcn.StartSender(src.Net(), id, src, dst.ID(), fs.Size, p.DCQCN)
-			}))
-		case TransportTCP:
-			res.evs = append(res.evs, dst.Net().Q.At(fs.Start, func() {
-				res.TCPRecv[i] = tcp.StartReceiver(id, src.ID(), dst, fs.Size, p.TCP, func(r *tcp.Receiver) {
-					res.End[i] = r.End
-				})
-			}))
-			res.evs = append(res.evs, src.Net().Q.At(fs.Start, func() {
-				if p.OnStart != nil {
-					p.OnStart(i, src.Net().Now())
-				}
-				res.TCPSend[i] = tcp.StartSender(src.Net(), id, src, dst.ID(), fs.Size, p.TCP)
-			}))
+		cursor(dst).pos++ // counts the queue's halves until they are laid out
+		cursor(src).pos++
+	}
+	ents := make([]startRef, 2*n)
+	for _, c := range cs {
+		c.base = c.q.Reserve(c.pos)
+		c.ents, ents, c.pos = ents[:0:c.pos], ents[c.pos:], 0
+	}
+	for i, fs := range p.Flows {
+		for half, h := range [2]HostRef{fs.Dst, fs.Src} {
+			c := cursor(host(h))
+			c.ents = append(c.ents, startRef{half: uint32(i<<1 | half), off: uint32(len(c.ents))})
 		}
+	}
+	for _, c := range cs {
+		slices.SortFunc(c.ents, func(x, y startRef) int { // a stable sort by Start
+			return cmp.Or(cmp.Compare(p.Flows[x.half>>1].Start, p.Flows[y.half>>1].Start), cmp.Compare(x.off, y.off))
+		})
+		c.arm()
 	}
 	evs, err := links.schedule(p.Faults, now)
 	if err != nil {
 		panic(err)
 	}
-	res.evs = append(res.evs, evs...)
+	res.armed.starts, res.armed.evs = cs, evs
 	return res
 }
 

@@ -99,8 +99,9 @@ func (w *World) Snapshot() []byte {
 //     tick timers, exactly as the original construction did.
 //  2. Engine.State — clears every rebuilt queue, restores clocks,
 //     counters, RNG draw positions, buffers, and in-flight packets.
-//  3. Applied.RestorePending — re-inserts still-pending plan events
-//     (their rebuilt handles carry the original (time, seq) slots).
+//  3. Applied.RestorePending — re-arms each plan start cursor at its first
+//     start not before the restored clock, at the slot Build reserved, and
+//     re-inserts pending fault handles (rebuilt with their original slots).
 //  4. Applied.State — overlays the hybrid fast-forward engine and
 //     re-binds flow callbacks (hybrid worlds only; first, so mid-window
 //     completion marks land on restored bookkeeping), then discards
