@@ -25,7 +25,7 @@
 //     psim's plan start cursor, one pending handle per queue.
 //
 // Internally Queue is a calendar queue (an array of fixed-width time buckets
-// over a rotating window, with a typed min-heap holding far-future overflow),
+// over a window moved only once they drain, a typed min-heap for the rest),
 // specialized to *Event: no container/heap, no interface-method dispatch, no
 // boxing on the scheduling path. The previous binary-heap scheduler is kept in
 // this package's tests as refQueue (reference_test.go); differential tests
@@ -38,10 +38,12 @@ import (
 
 // Calendar geometry. Each bucket covers 2^bucketShift nanoseconds of virtual
 // time ("one day"), and the window spans numBuckets consecutive days, so with
-// a 64ns day and 2048 buckets the calendar covers ~131µs ahead of the oldest
-// pending event. At line rate the simulator schedules almost everything
-// (serialization, propagation, pacing, CNP/alpha timers) well inside that
-// horizon; only ms-scale timers (RTOs) live in the overflow heap.
+// a 64ns day and 2048 buckets it covers ~131µs from its base day. The base
+// moves (rebase, to the clock's day) only while the calendar is empty, so
+// until the calendar drains an entry past the window's end goes to the
+// overflow heap, however near the clock has come. Line-rate work is
+// scheduled a few µs ahead, so a busy calendar drains soon after the clock
+// reaches the window's end; ms-scale timers (RTOs) wait in the heap.
 const (
 	bucketShift = 6
 	numBuckets  = 1 << 11

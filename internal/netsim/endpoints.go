@@ -93,8 +93,12 @@ func (t *endpointTable) unset(h *Host, f FlowID) {
 	delete(t.over, endpointKey{h, f})
 }
 
-// reset removes every binding, keeping the table's size and declared range.
+// reset removes every binding and sizes the table for the declared range at
+// once: a restore resets it, then binds the live flows of a plan.
 func (t *endpointTable) reset() {
 	clear(t.slots)
 	clear(t.over)
+	if t.declared > 0 && len(t.slots) <= int(t.declared) {
+		t.slots = make([]endpointSlot, t.declared+1)
+	}
 }

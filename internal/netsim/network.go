@@ -149,9 +149,10 @@ func (n *Network) TakeTouched() []*Port {
 	return t
 }
 
-// ResetEndpoints removes the flow bindings of every host. Snapshot restore
-// uses it to discard construction-time transports the overlay supersedes
-// (hybrid applications start due flows synchronously at apply time).
+// ResetEndpoints removes the flow bindings of every host and sizes the table
+// for the declared ids. Snapshot restore uses it to discard construction-time
+// transports the overlay supersedes (hybrid applications start due flows
+// synchronously at apply time) before it rebinds the live ones.
 func (n *Network) ResetEndpoints() { n.endpoints.reset() }
 
 // NextFlowID allocates a fresh globally unique flow id.

@@ -1,11 +1,14 @@
 package netsim
 
+import "math/bits"
+
 // ring is the FIFO under a port's flight records, an egress queue's packets
 // and its parked waiters: a power-of-two circular buffer addressed by head,
 // count and mask. A busy FIFO that never empties reuses the same few cache
 // lines for the whole run, and its capacity is the smallest power of two
 // that ever held its high-water occupancy — it grows by doubling and never
-// shrinks. The zero value is an empty ring.
+// shrinks; a restore sizes it for its saved length at once (reserve). The
+// zero value is an empty ring.
 //
 // Order is the only observable: at(0) is the oldest element whatever the
 // ring's phase (where head sits, how often it wrapped or grew), and
@@ -55,6 +58,14 @@ func (r *ring[T]) grow() {
 	k := copy(buf, r.buf[r.head:])
 	copy(buf[k:], r.buf[:r.head])
 	r.buf, r.head = buf, 0
+}
+
+// reserve sizes an empty ring for n elements at once: the smallest power of
+// two that holds them.
+func (r *ring[T]) reserve(n int) {
+	if r.n == 0 && n > len(r.buf) {
+		r.buf, r.head = make([]T, 1<<bits.Len(uint(n-1))), 0
+	}
 }
 
 // reset empties the ring, keeping its capacity.

@@ -11,19 +11,28 @@ import (
 // ringModel drives a ring and a plain slice FIFO through the same script and
 // fails on the first difference. Each script byte is one step: the low two
 // bits pick push (0, 1, 2) or pop (3), so occupancy drifts upward and the
-// ring both wraps and grows while wrapped.
+// ring both wraps and grows while wrapped; a byte with its high bit set
+// instead reserves room for up to 15, which sizes an empty ring, as a
+// restore does, and leaves any other alone.
 type ringModel struct {
-	t     testing.TB
-	r     ring[int]
-	ref   []int
-	next  int
-	high  int
-	wraps int // pushes that landed below head
-	grown int // grows that happened with head != 0
+	t        testing.TB
+	r        ring[int]
+	ref      []int
+	next     int
+	high     int
+	wraps    int // pushes that landed below head
+	grown    int // grows that happened with head != 0
+	reserved int // reserves that sized an empty ring
 }
 
 func (m *ringModel) step(op byte) {
-	if op&3 == 3 {
+	if n := int(op >> 2 & 15); op&0x80 != 0 {
+		if m.r.len() == 0 && n > len(m.r.buf) {
+			m.reserved++
+			m.high = max(m.high, n)
+		}
+		m.r.reserve(n)
+	} else if op&3 == 3 {
 		if len(m.ref) == 0 {
 			return
 		}
@@ -78,11 +87,12 @@ func (m *ringModel) check() {
 }
 
 // TestRingMatchesSliceFIFO is the differential test: random push/pop scripts,
-// checked element by element after every step, with wrap and
-// growth-while-wrapped both required to have happened.
+// checked element by element after every step, with wrap, growth while
+// wrapped and a reserve that sizes an empty ring all required to have
+// happened.
 func TestRingMatchesSliceFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	wraps, grown := 0, 0
+	wraps, grown, reserved := 0, 0, 0
 	for trial := 0; trial < 200; trial++ {
 		m := &ringModel{t: t}
 		// Pop-heavy stretches alternate with push-heavy ones so head moves
@@ -94,6 +104,9 @@ func TestRingMatchesSliceFIFO(t *testing.T) {
 				if popBias && rng.Intn(2) == 0 {
 					op = 3
 				}
+				if rng.Intn(16) == 0 {
+					op = 0x80 | byte(rng.Intn(16))<<2
+				}
 				m.step(op)
 			}
 		}
@@ -102,9 +115,11 @@ func TestRingMatchesSliceFIFO(t *testing.T) {
 		m.check() // empty, capacity kept
 		wraps += m.wraps
 		grown += m.grown
+		reserved += m.reserved
 	}
-	if wraps == 0 || grown == 0 {
-		t.Fatalf("scripts wrapped %d times and grew while wrapped %d times: the test exercises neither", wraps, grown)
+	if wraps == 0 || grown == 0 || reserved == 0 {
+		t.Fatalf("scripts wrapped %d times, grew while wrapped %d times and sized an empty ring by reserving %d times: the test exercises too little",
+			wraps, grown, reserved)
 	}
 }
 
@@ -112,6 +127,7 @@ func TestRingMatchesSliceFIFO(t *testing.T) {
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 3, 0, 0, 0, 0, 3, 0, 0})
 	f.Add([]byte{0, 3, 0, 3, 0, 3, 0, 0, 3, 3, 3})
+	f.Add([]byte{0x80 | 9<<2, 0, 0, 0, 3, 3, 0, 3, 3, 3, 0x80 | 2<<2, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		m := &ringModel{t: t}
 		for _, op := range script {

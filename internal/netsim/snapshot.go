@@ -257,7 +257,11 @@ func (p *Port) state(v *codec.Visitor) {
 	if p.remote != nil {
 		arrive = remoteArriveEvent
 	}
-	for i := range v.Count("flight length", p.flight.len(), minFlightBytes) {
+	n := v.Count("flight length", p.flight.len(), minFlightBytes)
+	if v.Reading() {
+		p.flight.reserve(n)
+	}
+	for i := range n {
 		if v.Reading() {
 			p.flight.push(flightRec{})
 		}
@@ -277,6 +281,7 @@ func (q *EgressQueue) state(v *codec.Visitor, net *Network) {
 	n := v.Count("queue length", q.pkts.len(), minPacketBytes)
 	if v.Reading() {
 		q.pkts.reset()
+		q.pkts.reserve(n)
 		q.bytes = 0
 	}
 	for i := range n {
@@ -335,6 +340,7 @@ func (n *Network) ResolveWaiters(resolve func(kind uint8, flow FlowID) Waiter) e
 		}
 		for _, p := range ports {
 			for _, q := range p.Queues {
+				q.waiters.reserve(len(q.restoreWaiters))
 				for _, ref := range q.restoreWaiters {
 					wt := resolve(ref.Kind, ref.Flow)
 					if wt == nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/accnet/acc/internal/dcqcn"
 	"github.com/accnet/acc/internal/eventq"
@@ -56,7 +57,13 @@ type Plan struct {
 	// fires on the shard owning the sender; implementations must be safe for
 	// that (per-flow slot writes, no shared appends).
 	OnStart func(i int, at simtime.Time)
+
+	// layouts are the start layouts of the host→queue layouts the plan was
+	// applied to, guarded by layoutsMu: applications may run concurrently.
+	layouts []*startLayout
 }
+
+var layoutsMu sync.Mutex
 
 // NewPlan returns an empty plan with transport parameter defaults for the
 // given host line rate.
@@ -136,38 +143,35 @@ func (a *Applied) RestorePending() {
 	}
 }
 
-// startCursor starts the flow halves whose host one queue owns, each at
-// the slot an At call at apply time would have taken: ents lists them by
-// (Start, offset in the queue's reserved block), and one handle sits at the
-// next one's slot. Only the shard owning the queue touches its cursor.
+// startCursor starts the flow halves whose host one queue owns, in the
+// order of the queue's list in the start layout, the k'th at the k'th seq of
+// the queue's reserved block: the order, against each other and every other
+// event, of one At per half at apply time. One handle sits at the next
+// start's slot. Only the shard owning the queue touches its cursor.
 type startCursor struct {
 	a    *Applied
 	q    *eventq.Queue
 	host func(HostRef) *netsim.Host
-	base uint64     // first seq of the reserved block
-	ents []startRef // by (Start, off)
-	pos  int        // the next entry to start
+	base uint64   // first seq of the reserved block
+	ents []uint32 // the queue's halves in the shared layout
+	pos  int      // the next entry to start
 	ev   *eventq.Event
 	fire func() // c.next, bound once
 }
 
-// startRef is one flow half (flow index<<1, | 1 for the sender) and its
-// offset in the queue's reserved block.
-type startRef struct{ half, off uint32 }
-
 // start returns entry k's start instant.
-func (c *startCursor) start(k int) simtime.Time { return c.a.Plan.Flows[c.ents[k].half>>1].Start }
+func (c *startCursor) start(k int) simtime.Time { return c.a.Plan.Flows[c.ents[k]>>1].Start }
 
 // arm schedules the handle at the next entry's slot, if one is left.
 func (c *startCursor) arm() {
 	if c.pos < len(c.ents) {
-		c.ev = c.q.AtSlot(c.ev, c.start(c.pos), c.base+uint64(c.ents[c.pos].off), c.fire)
+		c.ev = c.q.AtSlot(c.ev, c.start(c.pos), c.base+uint64(c.pos), c.fire)
 	}
 }
 
 // next starts the entry the handle was armed for and re-arms it.
 func (c *startCursor) next() {
-	half := c.ents[c.pos].half
+	half := c.ents[c.pos]
 	c.pos++
 	c.arm()
 	i, a, p := int(half>>1), c.a, c.a.Plan
@@ -224,38 +228,31 @@ func applyPlan(p *Plan, host func(HostRef) *netsim.Host, links linkTables, now s
 		TCPRecv:   make([]*tcp.Receiver, n),
 		End:       make([]simtime.Time, n),
 	}
-	var cs []*startCursor
-	cursor := func(h *netsim.Host) *startCursor {
-		k := slices.IndexFunc(cs, func(c *startCursor) bool { return c.q == h.Net().Q })
-		if k < 0 {
-			k, cs = len(cs), append(cs, &startCursor{a: res, q: h.Net().Q, host: host})
-			cs[k].fire = cs[k].next
-		}
-		return cs[k]
-	}
+	// The host→queue layout: 1 + each named host's queue, numbered by first
+	// use in plan order, row-major by HostRef; 0 for a host never named.
+	rows, cols := 0, 0
 	for _, fs := range p.Flows {
-		src, dst := host(fs.Src), host(fs.Dst)
-		// Ids 1..n are the plan's on every network it touches.
-		src.Net().DeclareFlowIDs(netsim.FlowID(n))
-		dst.Net().DeclareFlowIDs(netsim.FlowID(n))
-		cursor(dst).pos++ // counts the queue's halves until they are laid out
-		cursor(src).pos++
+		rows, cols = max(rows, fs.Src.Leaf+1, fs.Dst.Leaf+1), max(cols, fs.Src.Host+1, fs.Dst.Host+1)
 	}
-	ents := make([]startRef, 2*n)
-	for _, c := range cs {
-		c.base = c.q.Reserve(c.pos)
-		c.ents, ents, c.pos = ents[:0:c.pos], ents[c.pos:], 0
-	}
-	for i, fs := range p.Flows {
-		for half, h := range [2]HostRef{fs.Dst, fs.Src} {
-			c := cursor(host(h))
-			c.ents = append(c.ents, startRef{half: uint32(i<<1 | half), off: uint32(len(c.ents))})
+	key := make([]int32, rows*cols)
+	var cs []*startCursor
+	for _, fs := range p.Flows {
+		for _, r := range [2]HostRef{fs.Dst, fs.Src} {
+			if k := &key[r.Leaf*cols+r.Host]; *k == 0 {
+				h := host(r)
+				h.Net().DeclareFlowIDs(netsim.FlowID(n)) // ids 1..n are the plan's on every network it touches
+				*k = int32(1 + slices.IndexFunc(cs, func(c *startCursor) bool { return c.q == h.Net().Q }))
+				if *k == 0 {
+					*k, cs = int32(1+len(cs)), append(cs, &startCursor{a: res, q: h.Net().Q, host: host})
+					cs[len(cs)-1].fire = cs[len(cs)-1].next
+				}
+			}
 		}
 	}
-	for _, c := range cs {
-		slices.SortFunc(c.ents, func(x, y startRef) int { // a stable sort by Start
-			return cmp.Or(cmp.Compare(p.Flows[x.half>>1].Start, p.Flows[y.half>>1].Start), cmp.Compare(x.off, y.off))
-		})
+	l := p.layout(key, cols, len(cs))
+	for k, c := range cs {
+		c.ents = l.ents[k]
+		c.base = c.q.Reserve(len(c.ents))
 		c.arm()
 	}
 	evs, err := links.schedule(p.Faults, now)
@@ -264,6 +261,52 @@ func applyPlan(p *Plan, host func(HostRef) *netsim.Host, links linkTables, now s
 	}
 	res.armed.starts, res.armed.evs = cs, evs
 	return res
+}
+
+// startLayout is the start order of a plan's flow halves under one
+// host→queue layout, a pure function of the two, read-only and shared:
+// ents[k] lists queue k's halves (flow index<<1, | 1 for the sender) by
+// (Start, plan order).
+type startLayout struct {
+	flows []FlowSpec // the Flows it orders
+	key   []int32
+	ents  [][]uint32
+}
+
+// layout returns the plan's start layout for key (see applyPlan), made on
+// the key's first use.
+func (p *Plan) layout(key []int32, cols, queues int) *startLayout {
+	layoutsMu.Lock()
+	defer layoutsMu.Unlock()
+	for _, l := range p.layouts {
+		if len(l.flows) == len(p.Flows) && (len(p.Flows) == 0 || &l.flows[0] == &p.Flows[0]) && slices.Equal(l.key, key) {
+			return l
+		}
+	}
+	queueOf := func(r HostRef) int { return int(key[r.Leaf*cols+r.Host]) - 1 }
+	count := make([]int, queues)
+	for _, fs := range p.Flows {
+		count[queueOf(fs.Dst)]++
+		count[queueOf(fs.Src)]++
+	}
+	l := &startLayout{flows: p.Flows, key: key, ents: make([][]uint32, queues)}
+	all := make([]uint32, 2*len(p.Flows))
+	for k, c := range count {
+		l.ents[k], all = all[:0:c], all[c:]
+	}
+	for i, fs := range p.Flows {
+		for half, r := range [2]HostRef{fs.Dst, fs.Src} {
+			k := queueOf(r)
+			l.ents[k] = append(l.ents[k], uint32(i<<1|half))
+		}
+	}
+	for _, ents := range l.ents {
+		slices.SortStableFunc(ents, func(x, y uint32) int {
+			return cmp.Compare(p.Flows[x>>1].Start, p.Flows[y>>1].Start)
+		})
+	}
+	p.layouts = append(p.layouts, l)
+	return l
 }
 
 // Apply instantiates the plan on the sharded engine: senders start in the

@@ -3,6 +3,8 @@ package psim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/accnet/acc/internal/dcqcn"
@@ -164,4 +166,50 @@ func TestApplyRefusesPastStart(t *testing.T) {
 		}
 	}()
 	e.Apply(p)
+}
+
+// TestStartLayoutOrder: each queue's list in a start layout holds exactly
+// its halves, by (Start, plan order).
+func TestStartLayoutOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := &Plan{}
+	for i := 0; i < 500; i++ {
+		start := simtime.Time(rng.Intn(20)) * simtime.Time(simtime.Microsecond) // many ties
+		p.Flows = append(p.Flows, FlowSpec{Src: HostRef{rng.Intn(3), rng.Intn(2)}, Dst: HostRef{rng.Intn(3), rng.Intn(2)}, Start: start})
+	}
+	key := []int32{1, 1, 2, 2, 3, 3} // a queue per leaf
+	l := p.layout(key, 2, 3)
+	for k, got := range l.ents {
+		var want []uint32
+		for i, fs := range p.Flows {
+			for half, r := range [2]HostRef{fs.Dst, fs.Src} {
+				if r.Leaf == k {
+					want = append(want, uint32(i<<1|half))
+				}
+			}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			sa, sb := p.Flows[want[a]>>1].Start, p.Flows[want[b]>>1].Start
+			return sa < sb || sa == sb && want[a] < want[b]
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("queue %d: halves in the order %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestStartLayoutShared: applications of one plan to engines of one shard
+// count read one start layout; another shard count lays the plan out anew.
+func TestStartLayoutShared(t *testing.T) {
+	plan := NewPlan(testConfig(4, 2, 2, 1, 1).Topo.HostBW).RandomFlows(4, 2, 40, 32<<10, 100*simtime.Microsecond, true, 1)
+	apply := func(shards int) *Applied { return Build(testConfig(4, 2, 2, shards, 1)).Apply(plan) }
+	// first returns the backing of the layout's lists: one array per layout.
+	first := func(a *Applied) *uint32 { return &a.armed.starts[0].ents[:1][0] }
+	one, two := apply(2), apply(2)
+	if first(one) != first(two) {
+		t.Error("two 2-shard applications laid the plan out twice")
+	}
+	if four := apply(4); first(four) == first(one) {
+		t.Error("a 4-shard application read the 2-shard layout")
+	}
 }

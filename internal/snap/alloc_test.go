@@ -5,6 +5,8 @@ package snap
 import (
 	"runtime"
 	"testing"
+
+	"github.com/accnet/acc/internal/simtime"
 )
 
 // allocBytes returns how many bytes fn allocates, warm: the second of two
@@ -48,5 +50,54 @@ func TestAllocForkOverlay(t *testing.T) {
 	if limit := build + 2*uint64(len(img)); fork > limit {
 		t.Fatalf("Fork allocates %d bytes; Build allocates %d and the image is %d, so at most %d",
 			fork, build, len(img), limit)
+	}
+}
+
+// TestForkAllocs pins what one fork of the 288-host scenario (12 leaves of
+// 24 hosts, 6 spines, 3 000 flows, ACC) costs at a warm point 300 µs in:
+// 4.2 MB. The fork shares the scenario's plan and start layout with the
+// world the image came from, and sizes its endpoint table and rings once
+// from the image's counts; drawing the plan again and doubling the
+// containers up to size would cost 5.2 MB. (At the sweep-fork bench's warm
+// point, 1 950 µs, BenchmarkFork's fork takes 7.7 MB.)
+func TestForkAllocs(t *testing.T) {
+	const limitMB = 4.6
+	img := forkImage(t, 300*simtime.Microsecond)
+	got := float64(allocBytes(func() {
+		if _, err := Fork(img, Variant{}); err != nil {
+			t.Fatal(err)
+		}
+	})) / (1 << 20)
+	t.Logf("image %.2f MB, fork %.2f MB", float64(len(img))/(1<<20), got)
+	if got > limitMB {
+		t.Fatalf("a fork of the 288-host scenario allocates %.2f MB, want at most %.1f", got, limitMB)
+	}
+}
+
+// forkImage is an image of the sweep-fork bench's scenario, taken at the
+// given instant.
+func forkImage(tb testing.TB, at simtime.Duration) []byte {
+	sc := Scenario{NLeaf: 12, HostsPerLeaf: 24, NSpine: 6, Shards: 1,
+		Flows: 3000, MaxBytes: 512 << 10, Spread: 2 * simtime.Millisecond,
+		ACC: true, Fidelity: "packet", Horizon: simtime.Time(2 * simtime.Millisecond), Seed: 1}
+	w, err := Build(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Run(simtime.Time(at))
+	return w.Snapshot()
+}
+
+// BenchmarkFork forks the sweep-fork bench's scenario at its warm point,
+// 1 950 µs: what one branch of that sweep pays before its tail. With
+// -memprofile, the profile's alloc_space splits the bytes by component.
+func BenchmarkFork(b *testing.B) {
+	img := forkImage(b, 1950*simtime.Microsecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := Fork(img, Variant{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

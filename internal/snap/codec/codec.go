@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // Magic identifies a snapshot byte stream.
@@ -106,12 +108,26 @@ func (w *Writer) String(s string) {
 // instead of silently misaligned fields.
 func (w *Writer) Tag(name string) { w.String(name) }
 
-// F64s writes a length-prefixed []float64.
+// F64s writes a length-prefixed []float64, each value as F64 writes it.
+// On a little-endian host that is the list's own memory, so it is appended
+// as one block.
 func (w *Writer) F64s(xs []float64) {
 	w.U64(uint64(len(xs)))
+	if littleEndian {
+		w.buf = append(w.buf, f64Bytes(xs)...)
+		return
+	}
 	for _, x := range xs {
 		w.F64(x)
 	}
+}
+
+// littleEndian reports whether a float64's memory is its F64 encoding.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes returns the memory of xs as bytes.
+func f64Bytes(xs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
 }
 
 // Reader decodes a snapshot byte stream produced by Writer.
@@ -167,10 +183,24 @@ func (r *Reader) fail(format string, args ...any) {
 	}
 }
 
-// U64 reads an unsigned varint.
+// U64 reads an unsigned varint: one of up to 8 bytes, as nearly all are,
+// in one word without a branch per byte (a one-byte test first costs more
+// than it saves on a snapshot's mix of lengths), or else byte by byte.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
+	}
+	if rest := r.buf[r.pos:]; len(rest) >= 8 {
+		// Find the first byte with its high bit clear, drop the bytes after
+		// it, and pack the 7-bit groups down pairwise.
+		x := binary.LittleEndian.Uint64(rest)
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			r.pos += bits.TrailingZeros64(stop)/8 + 1
+			x &= (stop ^ (stop - 1)) & 0x7f7f7f7f7f7f7f7f
+			x = x&0x007f007f007f007f | x>>1&0x3f803f803f803f80
+			x = x&0x00003fff00003fff | x>>2&0x0fffc0000fffc000
+			return x&0x000000000fffffff | x>>4&0x00fffffff0000000
+		}
 	}
 	var v uint64
 	var shift uint
@@ -269,9 +299,10 @@ func (r *Reader) F64s() []float64 { return r.F64sInto([]float64{}) }
 // decodes into row in place, F64sInto(arena) packs one more list behind
 // those already there. The length is checked once against the bytes
 // remaining — so a hostile prefix can make dst grow by no more than the
-// stream still holds — and the cells are then decoded in one straight
-// loop. A list longer than dst's spare capacity moves dst to a larger
-// backing, as append would. On error dst comes back as it went in.
+// stream still holds — and the cells are then copied as one block on a
+// little-endian host, decoded in one straight loop elsewhere. A list longer
+// than dst's spare capacity moves dst to a larger backing, as append would.
+// On error dst comes back as it went in.
 func (r *Reader) F64sInto(dst []float64) []float64 {
 	n := r.U64()
 	if r.err != nil {
@@ -284,8 +315,12 @@ func (r *Reader) F64sInto(dst []float64) []float64 {
 	at := len(dst)
 	dst = slices.Grow(dst, int(n))[:at+int(n)]
 	out, src := dst[at:], r.buf[r.pos:r.pos+8*int(n)]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	if littleEndian {
+		copy(f64Bytes(out), src)
+	} else {
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		}
 	}
 	r.pos += len(src)
 	return dst

@@ -302,3 +302,141 @@ func TestHeaderChecks(t *testing.T) {
 		t.Error("tag mismatch accepted")
 	}
 }
+
+// refReader decodes the format one byte at a time, as it is defined: the
+// oracle FuzzReader holds Reader's fast paths (varints read a word at a
+// time, float rows as one block) to.
+type refReader struct {
+	buf []byte
+	pos int
+	bad bool
+}
+
+func (r *refReader) u64() uint64 {
+	var v uint64
+	for shift := uint(0); !r.bad; shift += 7 {
+		if r.pos >= len(r.buf) || shift >= 64 {
+			r.bad = true
+			break
+		}
+		b := r.buf[r.pos]
+		r.pos++
+		if v |= uint64(b&0x7f) << shift; b < 0x80 {
+			return v
+		}
+	}
+	return 0
+}
+
+func (r *refReader) bool() bool {
+	if r.bad || r.pos >= len(r.buf) || r.buf[r.pos] > 1 {
+		r.bad = true
+		return false
+	}
+	r.pos++
+	return r.buf[r.pos-1] == 1
+}
+
+func (r *refReader) f64s() []uint64 {
+	n := r.u64()
+	if r.bad || n > uint64(len(r.buf)-r.pos)/8 {
+		r.bad = true
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(r.buf[r.pos:])
+		r.pos += 8
+	}
+	return out
+}
+
+// FuzzReader reads a fuzzed body with a fuzzed script of U64, Bool and
+// F64sInto calls (the last into a destination already holding 0–2 cells)
+// and requires what refReader reads: the same values, floats bit for bit,
+// and an error exactly when it fails, after which every read is zero. The
+// body's 8-byte words, taken as floats, must also round-trip through
+// Writer.F64s bit for bit, in the bytes F64 writes one at a time.
+func FuzzReader(f *testing.F) {
+	w := NewWriter()
+	w.F64s([]float64{math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0x7ff0000000000001),
+		math.Copysign(0, -1), math.Inf(1)}) // NaN payloads, a signalling NaN, −0
+	f.Add(body(w.Finish()), []byte{2})
+	f.Add(append(binary.AppendUvarint(nil, 5), make([]byte, 32)...), []byte{2}) // a length past the bytes left
+	w = NewWriter()
+	w.Bool(true)
+	w.F64s(f64s) // a row at an odd offset in the stream, into an odd offset of its destination
+	f.Add(body(w.Finish()), []byte{1, 2 | 1<<2, 2})
+	var varints []byte
+	for k := 1; k <= 10; k++ { // 1 and all ones in each of k bytes' 7-bit groups
+		varints = binary.AppendUvarint(binary.AppendUvarint(varints, 1<<(7*k-7)), math.MaxUint64>>max(0, 64-7*k))
+	}
+	f.Add(varints, make([]byte, 20)) // every length, the last ones within 8 bytes of the end
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, []byte{0, 0})
+	f.Fuzz(func(t *testing.T, in, script []byte) {
+		r, err := NewReader(seal(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &refReader{buf: in}
+		for _, op := range script {
+			switch op % 3 {
+			case 0:
+				if got, want := r.U64(), ref.u64(); got != want {
+					t.Fatalf("U64 %d, want %d", got, want)
+				}
+			case 1:
+				if got, want := r.Bool(), ref.bool(); got != want {
+					t.Fatalf("Bool %v, want %v", got, want)
+				}
+			case 2:
+				at := int(op>>2) % 3
+				got, want := r.F64sInto(make([]float64, at, at+1))[at:], ref.f64s()
+				if len(got) != len(want) {
+					t.Fatalf("F64sInto read %d cells, want %d", len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != want[i] {
+						t.Fatalf("F64sInto cell %d: %#x, want %#x", i, math.Float64bits(got[i]), want[i])
+					}
+				}
+			}
+			if (r.Err() != nil) != ref.bad {
+				t.Fatalf("reader error %v, oracle failed %v", r.Err(), ref.bad)
+			}
+		}
+
+		xs := make([]float64, len(in)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
+		}
+		block, each := NewWriter(), NewWriter()
+		block.F64s(xs)
+		each.U64(uint64(len(xs)))
+		for _, x := range xs {
+			each.F64(x)
+		}
+		stream := block.Finish()
+		if !slices.Equal(stream, each.Finish()) {
+			t.Fatal("F64s wrote other bytes than F64 one value at a time")
+		}
+		r, err = NewReader(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range r.F64s() {
+			if math.Float64bits(x) != math.Float64bits(xs[i]) {
+				t.Fatalf("cell %d round-tripped to %#x, want %#x", i, math.Float64bits(x), math.Float64bits(xs[i]))
+			}
+		}
+		if r.Err() != nil || r.Remaining() != 0 {
+			t.Fatalf("round trip: err %v, %d bytes left", r.Err(), r.Remaining())
+		}
+	})
+}
+
+// body strips the magic, version and checksum from a stream: what seal
+// frames again.
+func body(stream []byte) []byte {
+	return stream[len(Magic)+1 : len(stream)-4]
+}

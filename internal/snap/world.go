@@ -21,6 +21,7 @@ package snap
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/accnet/acc/internal/acc"
 	"github.com/accnet/acc/internal/hybrid"
@@ -119,6 +120,8 @@ type World struct {
 	//acclint:ignore snapcover visited ahead of the walk by header: Restore reads it to Build the world the walk overlays
 	Sc Scenario
 	E  *psim.Engine
+	// Plan is shared with every other world of the scenario (scenarioPlan)
+	// and read-only.
 	//acclint:ignore snapcover built from the scenario by Build
 	Plan *psim.Plan
 	App  *psim.Applied
@@ -129,6 +132,32 @@ type World struct {
 	// imageLen is the length of the image last saved or restored: the next
 	// Snapshot starts its writer there instead of doubling up from 4 KB.
 	imageLen int
+}
+
+// planCache holds the plan last built, keyed by its scenario less the fields
+// a plan is not drawn from: every world of one scenario (a sweep's forks, a
+// restore) shares one plan, and with it the plan's start layouts.
+var planCache struct {
+	sync.Mutex
+	key  Scenario
+	plan *psim.Plan
+}
+
+// scenarioPlan returns sc's plan, drawn only when the cache holds another.
+func scenarioPlan(sc Scenario, hostBW simtime.Rate) *psim.Plan {
+	key := sc
+	key.Shards, key.Fidelity, key.WRED, key.ACC, key.SamplePeriod = 0, "", nil, false, 0
+	planCache.Lock()
+	defer planCache.Unlock()
+	if planCache.plan == nil || planCache.key != key {
+		plan := psim.NewPlan(hostBW).
+			RandomFlows(sc.NLeaf, sc.HostsPerLeaf, sc.Flows, sc.MaxBytes, sc.Spread, sc.MixTCP, sc.Seed+1)
+		for k := 0; k < sc.FaultLinks; k++ {
+			plan.Flap(psim.LeafSpineLink(k%sc.NLeaf, k%sc.NSpine), sc.MTBF, sc.MTTR, sc.Horizon, sc.FaultSeed+int64(k))
+		}
+		planCache.key, planCache.plan = key, plan
+	}
+	return planCache.plan
 }
 
 // Build constructs a world from the scenario. Construction is a pure
@@ -153,12 +182,7 @@ func Build(sc Scenario) (*World, error) {
 		}
 	}
 
-	plan := psim.NewPlan(tc.HostBW).
-		RandomFlows(sc.NLeaf, sc.HostsPerLeaf, sc.Flows, sc.MaxBytes, sc.Spread, sc.MixTCP, sc.Seed+1)
-	for k := 0; k < sc.FaultLinks; k++ {
-		plan.Flap(psim.LeafSpineLink(k%sc.NLeaf, k%sc.NSpine), sc.MTBF, sc.MTTR, sc.Horizon, sc.FaultSeed+int64(k))
-	}
-
+	plan := scenarioPlan(sc, tc.HostBW)
 	w := &World{Sc: sc, E: e, Plan: plan}
 	if sc.hybridFidelity() {
 		hcfg := hybrid.DefaultConfig()
