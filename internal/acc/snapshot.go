@@ -34,22 +34,16 @@ func (t *Tuner) state(v *codec.Visitor) {
 	if v.Err() != nil {
 		return
 	}
-	// Every history slot and previous state of the tuner is a window of one
-	// arena, sized for full histories: one allocation per tuner.
-	var arena []float64
-	if v.Reading() {
-		arena = make([]float64, 0, min(len(t.queues)*2*t.Cfg.StateDim(), v.Remaining()/8))
-	}
 	for _, qs := range t.queues {
-		if qs.state(v, &arena, t.Cfg.HistoryK); v.Err() != nil {
+		if qs.state(v, t.Cfg.HistoryK); v.Err() != nil {
 			return
 		}
 	}
 }
 
 // state visits one monitored queue's collector and learning state; reading,
-// its history slots and previous state are packed into *arena.
-func (qs *queueState) state(v *codec.Visitor, arena *[]float64, historyK int) {
+// its history slots and previous state are shared rows (F64sPacked).
+func (qs *queueState) state(v *codec.Visitor, historyK int) {
 	h := v.Count("queue history length", len(qs.hist), 1)
 	if h > historyK {
 		v.Fail("queue history length %d out of range", h)
@@ -59,11 +53,11 @@ func (qs *queueState) state(v *codec.Visitor, arena *[]float64, historyK int) {
 		qs.hist = slices.Grow(qs.hist[:0], h)[:h]
 	}
 	for i := range qs.hist {
-		v.F64sPacked(&qs.hist[i], arena)
+		v.F64sPacked(&qs.hist[i])
 	}
 	prev := qs.prevState != nil
 	if v.Bool(&prev); prev {
-		v.F64sPacked(&qs.prevState, arena)
+		v.F64sPacked(&qs.prevState)
 	} else if v.Reading() {
 		qs.prevState = nil
 	}

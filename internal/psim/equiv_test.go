@@ -67,7 +67,13 @@ func runSequentialWith(cfg Config, horizon simtime.Time, apply func(*topo.Fabric
 	}
 	smp := NewSampler(ports, samplePeriod)
 	part := topo.PartitionLeafSpine(cfg.NLeaf, cfg.HostsPerLeaf, cfg.NSpine, 1, cfg.Topo)
-	RunWindows(net.Q, horizon, part.Lookahead, smp.OnBarrier)
+	// The sequential baseline at Engine.Run's barrier cadence, so samples
+	// fall at the same instants with the same run-to-barrier semantics.
+	for now := net.Q.Now(); now < horizon; {
+		now = min(now.Add(part.Lookahead), horizon)
+		net.Q.RunBefore(now)
+		smp.OnBarrier(now)
+	}
 
 	var marks, drops []uint64
 	for _, sw := range fab.Switches() {

@@ -8,10 +8,10 @@ import (
 
 // Sampler records fabric-wide delivered goodput (bytes arriving at host
 // NICs) at barrier instants, the sharded twin of faults.Tracker: hook its
-// OnBarrier into Engine.OnBarrier — or pass it to RunWindows for the
-// sequential baseline — and the same plan yields the same series at every
-// shard count, because barriers fall at identical virtual times regardless
-// of K.
+// OnBarrier into Engine.OnBarrier — or call it at the same barrier
+// instants from a sequential baseline — and the same plan yields the same
+// series at every shard count, because barriers fall at identical virtual
+// times regardless of K.
 type Sampler struct {
 	//acclint:ignore snapcover construction config (sampling cadence)
 	Period simtime.Duration

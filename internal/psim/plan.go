@@ -320,9 +320,9 @@ func (e *Engine) Apply(p *Plan) *Applied {
 // build, at the fabric's current instant: the single-threaded baseline of
 // the differential tests, and the fault timeline of the robust-* runners.
 // It schedules the identical event set (including the per-end events of
-// faults) so a sequential run driven by RunWindows is comparable
-// bit-for-bit. The fabric's own tables locate every port; the hosts-per-leaf
-// argument is not read.
+// faults) so a sequential run driven at Engine.Run's barrier cadence is
+// comparable bit-for-bit. The fabric's own tables locate every port; the
+// hosts-per-leaf argument is not read.
 func ApplyToFabric(fab *topo.Fabric, _ int, p *Plan) *Applied {
 	return applyPlan(p, func(r HostRef) *netsim.Host { return fab.HostsAt[r.Leaf][r.Host] }, fabricLinks(fab), fab.Net.Now())
 }

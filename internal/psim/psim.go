@@ -30,8 +30,8 @@
 // counter keys) first, then arrivals in fixed (stream, count) order. The
 // exchange order between shards therefore cannot influence execution order,
 // and every shard layout — including K=1 and the sequential engine driven at
-// the same barrier cadence (RunWindows) — replays the identical event
-// sequence. DESIGN.md "Parallel simulation" gives the induction proof.
+// the same barrier cadence — replays the identical event sequence. DESIGN.md
+// "Parallel simulation" gives the induction proof.
 package psim
 
 import (

@@ -118,24 +118,3 @@ func (e *Engine) exchange() {
 		}
 	}
 }
-
-// RunWindows drives a sequential engine's queue at the same barrier cadence
-// as Engine.Run, invoking hooks at each barrier. Differential tests and the
-// sequential baselines of sharded experiments use it so sampled metrics are
-// taken at identical instants with identical run-to-barrier semantics.
-func RunWindows(q interface {
-	RunBefore(simtime.Time)
-	Now() simtime.Time
-}, horizon simtime.Time, window simtime.Duration, hooks ...func(barrier simtime.Time)) {
-	for now := q.Now(); now < horizon; {
-		b := now.Add(window)
-		if b > horizon {
-			b = horizon
-		}
-		q.RunBefore(b)
-		now = b
-		for _, h := range hooks {
-			h(b)
-		}
-	}
-}

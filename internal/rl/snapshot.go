@@ -112,12 +112,13 @@ func (m *MLP) cells(v *codec.Visitor, flat *[]float64, at, n int, spare []float6
 	return len(row)
 }
 
-// state visits t; reading, its State and Next are packed into *arena.
-func (t *Transition) state(v *codec.Visitor, arena *[]float64) {
-	v.F64sPacked(&t.State, arena)
+// state visits t; reading, its State and Next are shared rows (F64sPacked):
+// nothing writes into a transition's vectors once it is made.
+func (t *Transition) state(v *codec.Visitor) {
+	v.F64sPacked(&t.State)
 	v.Int(&t.Action)
 	v.F64(&t.Reward)
-	v.F64sPacked(&t.Next, arena)
+	v.F64sPacked(&t.Next)
 	v.Bool(&t.Terminal)
 }
 
@@ -129,11 +130,10 @@ const minTransitionBytes = 1 + 1 + 8 + 1 + 1
 // State visits the replay memory's full contents and ring position.
 // Reading replaces rp's contents with a state saved from a memory of the
 // same capacity. buf is sized to the saved length, not to the capacity, and
-// every State and Next is a window of one float arena per memory — sized
-// from the first transition, so it is one allocation when transitions are
-// alike and append's growth when they are not. The header is held to what
-// a ring of rp's capacity can be, and to the bytes left in the stream,
-// before anything is sized from it; a failed restore leaves rp as it was.
+// a vector several transitions hold is one shared row. The header is held
+// to what a ring of rp's capacity can be, and to the bytes left in the
+// stream, before anything is sized from it; a failed restore leaves rp as
+// it was.
 func (rp *Replay) State(v *codec.Visitor) {
 	v.Tag("replay")
 	capacity, next, full := rp.cap, rp.next, rp.full
@@ -157,12 +157,8 @@ func (rp *Replay) State(v *codec.Visitor) {
 	if v.Reading() {
 		buf = make([]Transition, n)
 	}
-	var arena []float64
 	for i := range buf {
-		if i == 1 && v.Reading() { // the first transition has shown how many floats one holds
-			arena = make([]float64, 0, min((n-1)*len(arena), v.Remaining()/8))
-		}
-		buf[i].state(v, &arena)
+		buf[i].state(v)
 	}
 	if v.Reading() && v.Err() == nil {
 		rp.buf, rp.next, rp.full = buf, next, full

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/accnet/acc/internal/rl"
@@ -167,6 +169,53 @@ func FuzzAgentRestore(f *testing.F) {
 		a.SaveState(w)
 		img := w.Finish()
 		f.Add(img[head : len(img)-4])
+	}
+	// Images whose rows a restore interns: every row equal, which it holds
+	// as one row; rows apart only in a NaN payload or a zero's sign, which
+	// it must hold apart; and each of the two with its first row's length
+	// prefix made larger than the bytes left.
+	nan1, nan2, negZero := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002), math.Copysign(0, -1)
+	for _, vals := range [][]float64{{0.5}, {nan1, nan2, 0, negZero}} {
+		a := rl.NewAgent(cfg, rand.New(rand.NewSource(1)))
+		for i := range cfg.ReplayCap {
+			row := func(j int) []float64 {
+				x := vals[j%len(vals)]
+				return []float64{1, x, x, 1}
+			}
+			a.Observe(rl.Transition{State: row(i), Action: i % 3, Next: row(i + 1)})
+		}
+		w := codec.NewWriter()
+		a.SaveState(w)
+		img := w.Finish()
+		r, err := codec.NewReader(img)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b := rl.NewAgent(cfg, rand.New(rand.NewSource(2)))
+		if b.RestoreState(r); r.Err() != nil {
+			f.Fatal(r.Err())
+		}
+		rows := map[*float64]bool{}
+		for i := range b.Memory.Len() {
+			rows[&b.Memory.At(i).State[0]] = true
+			rows[&b.Memory.At(i).Next[0]] = true
+		}
+		if len(rows) != len(vals) {
+			f.Fatalf("a restore holds %d rows of %d distinct values", len(rows), len(vals))
+		}
+		body := img[head : len(img)-4]
+		f.Add(body)
+		// After the replay tag: capacity, ring position, wrapped flag and
+		// length, then the first State's length prefix.
+		at := bytes.Index(body, []byte("\x06replay")) + len("\x06replay")
+		for range 4 {
+			_, n := binary.Uvarint(body[at:])
+			at += n
+		}
+		if body[at] != 4 {
+			f.Fatalf("byte %d of the image is %d, not the first row's length", at, body[at])
+		}
+		f.Add(slices.Concat(body[:at], binary.AppendUvarint(nil, 1<<40), body[at+1:]))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		stream := append([]byte(codec.Magic), byte(codec.Version))

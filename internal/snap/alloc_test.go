@@ -55,38 +55,30 @@ func TestAllocForkOverlay(t *testing.T) {
 
 // TestForkAllocs pins what one fork of the 288-host scenario (12 leaves of
 // 24 hosts, 6 spines, 3 000 flows, ACC) costs at a warm point 300 µs in:
-// 4.2 MB. The fork shares the scenario's plan and start layout with the
-// world the image came from, and sizes its endpoint table and rings once
-// from the image's counts; drawing the plan again and doubling the
-// containers up to size would cost 5.2 MB. (At the sweep-fork bench's warm
-// point, 1 950 µs, BenchmarkFork's fork takes 7.7 MB.)
+// 4.14 MB. The fork shares the scenario's plan and start layout with the
+// world the image came from, sizes its endpoint table and rings once from
+// the image's counts, and holds each distinct experience row once
+// (TestRestoreSharesExperience); drawing the plan again and doubling the
+// containers up to size would cost 5.2 MB, and a row per reference 4.21 MB.
+// (At the sweep-fork bench's warm point, 1 950 µs, BenchmarkFork's fork
+// takes 7.1 MB, 7.7 MB with a row per reference.)
 func TestForkAllocs(t *testing.T) {
-	const limitMB = 4.6
+	const limitMB = 4.15
 	img := forkImage(t, 300*simtime.Microsecond)
 	got := float64(allocBytes(func() {
 		if _, err := Fork(img, Variant{}); err != nil {
 			t.Fatal(err)
 		}
 	})) / (1 << 20)
-	t.Logf("image %.2f MB, fork %.2f MB", float64(len(img))/(1<<20), got)
+	t.Logf("image %.2f MB, fork %.3f MB", float64(len(img))/(1<<20), got)
 	if got > limitMB {
-		t.Fatalf("a fork of the 288-host scenario allocates %.2f MB, want at most %.1f", got, limitMB)
+		t.Fatalf("a fork of the 288-host scenario allocates %.3f MB, want at most %.2f", got, limitMB)
 	}
 }
 
 // forkImage is an image of the sweep-fork bench's scenario, taken at the
 // given instant.
-func forkImage(tb testing.TB, at simtime.Duration) []byte {
-	sc := Scenario{NLeaf: 12, HostsPerLeaf: 24, NSpine: 6, Shards: 1,
-		Flows: 3000, MaxBytes: 512 << 10, Spread: 2 * simtime.Millisecond,
-		ACC: true, Fidelity: "packet", Horizon: simtime.Time(2 * simtime.Millisecond), Seed: 1}
-	w, err := Build(sc)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	w.Run(simtime.Time(at))
-	return w.Snapshot()
-}
+func forkImage(tb testing.TB, at simtime.Duration) []byte { return forkWorld(tb, at).Snapshot() }
 
 // BenchmarkFork forks the sweep-fork bench's scenario at its warm point,
 // 1 950 µs: what one branch of that sweep pays before its tail. With

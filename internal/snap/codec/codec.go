@@ -304,17 +304,34 @@ func (r *Reader) F64s() []float64 { return r.F64sInto([]float64{}) }
 // than dst's spare capacity moves dst to a larger backing, as append would.
 // On error dst comes back as it went in.
 func (r *Reader) F64sInto(dst []float64) []float64 {
-	n := r.U64()
+	src := r.cells()
 	if r.err != nil {
 		return dst
 	}
+	at := len(dst)
+	dst = slices.Grow(dst, len(src)/8)[:at+len(src)/8]
+	decodeF64s(dst[at:], src)
+	return dst
+}
+
+// cells reads a length-prefixed []float64's cells as bytes of the stream,
+// or latches an error when the length exceeds what the stream still holds.
+func (r *Reader) cells() []byte {
+	n := r.U64()
+	if r.err != nil {
+		return nil
+	}
 	if n > uint64(len(r.buf)-r.pos)/8 {
 		r.fail("float64 slice length %d exceeds remaining bytes", n)
-		return dst
+		return nil
 	}
-	at := len(dst)
-	dst = slices.Grow(dst, int(n))[:at+int(n)]
-	out, src := dst[at:], r.buf[r.pos:r.pos+8*int(n)]
+	src := r.buf[r.pos : r.pos+8*int(n)]
+	r.pos += len(src)
+	return src
+}
+
+// decodeF64s decodes src, the bytes of len(out) cells, into out; returns out.
+func decodeF64s(out []float64, src []byte) []float64 {
 	if littleEndian {
 		copy(f64Bytes(out), src)
 	} else {
@@ -322,8 +339,7 @@ func (r *Reader) F64sInto(dst []float64) []float64 {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	}
-	r.pos += len(src)
-	return dst
+	return out
 }
 
 // Remaining returns how many bytes of the stream are still unread: the

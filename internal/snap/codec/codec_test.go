@@ -351,12 +351,15 @@ func (r *refReader) f64s() []uint64 {
 	return out
 }
 
-// FuzzReader reads a fuzzed body with a fuzzed script of U64, Bool and
-// F64sInto calls (the last into a destination already holding 0–2 cells)
-// and requires what refReader reads: the same values, floats bit for bit,
-// and an error exactly when it fails, after which every read is zero. The
-// body's 8-byte words, taken as floats, must also round-trip through
-// Writer.F64s bit for bit, in the bytes F64 writes one at a time.
+// FuzzReader reads a fuzzed body with a fuzzed script of U64, Bool,
+// F64sInto (into a destination already holding 0–2 cells) and
+// Visitor.F64sPacked calls, and requires what refReader reads: the same
+// values, floats bit for bit, and an error exactly when it fails, after
+// which every read is zero. F64sPacked must also hand back one row for
+// every list of the same bits and distinct rows for lists that differ in
+// any bit, a NaN payload or the sign of a zero included. The body's 8-byte
+// words, taken as floats, must also round-trip through Writer.F64s bit for
+// bit, in the bytes F64 writes one at a time.
 func FuzzReader(f *testing.F) {
 	w := NewWriter()
 	w.F64s([]float64{math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0x7ff0000000000001),
@@ -373,14 +376,27 @@ func FuzzReader(f *testing.F) {
 	}
 	f.Add(varints, make([]byte, 20)) // every length, the last ones within 8 bytes of the end
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, []byte{0, 0})
+	w = NewWriter()
+	for range 6 {
+		w.F64s(f64s) // every row equal: one row for all six
+	}
+	f.Add(body(w.Finish()), []byte{3, 3, 3, 3, 3, 3})
+	w = NewWriter()
+	for _, bits := range []uint64{0x7ff8000000000001, 0x7ff8000000000002, 0, 1 << 63, 0x7ff8000000000001, 1 << 63} {
+		w.F64s([]float64{1, math.Float64frombits(bits)}) // rows apart only in a NaN payload or a zero's sign
+	}
+	f.Add(body(w.Finish()), []byte{3, 3, 3, 3, 3, 3})
+	f.Add(append(binary.AppendUvarint(nil, 1<<40), make([]byte, 32)...), []byte{3}) // a row length past the bytes left
 	f.Fuzz(func(t *testing.T, in, script []byte) {
 		r, err := NewReader(seal(in))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := &refReader{buf: in}
+		v := Load(r)
+		packed := map[string][]float64{} // F64sPacked's rows so far, by bits
 		for _, op := range script {
-			switch op % 3 {
+			switch op % 4 {
 			case 0:
 				if got, want := r.U64(), ref.u64(); got != want {
 					t.Fatalf("U64 %d, want %d", got, want)
@@ -398,6 +414,32 @@ func FuzzReader(f *testing.F) {
 				for i := range want {
 					if math.Float64bits(got[i]) != want[i] {
 						t.Fatalf("F64sInto cell %d: %#x, want %#x", i, math.Float64bits(got[i]), want[i])
+					}
+				}
+			case 3:
+				var got []float64
+				v.F64sPacked(&got)
+				want := ref.f64s()
+				if len(got) != len(want) || cap(got) != len(got) {
+					t.Fatalf("F64sPacked read %d cells (capacity %d), want %d", len(got), cap(got), len(want))
+				}
+				key := make([]byte, 0, 8*len(want))
+				for i := range want {
+					if math.Float64bits(got[i]) != want[i] {
+						t.Fatalf("F64sPacked cell %d: %#x, want %#x", i, math.Float64bits(got[i]), want[i])
+					}
+					key = binary.LittleEndian.AppendUint64(key, want[i])
+				}
+				if len(got) == 0 {
+					break
+				}
+				if prev, ok := packed[string(key)]; ok && &prev[0] != &got[0] {
+					t.Fatalf("F64sPacked read %d cells it had read before into a second row", len(got))
+				}
+				packed[string(key)] = got
+				for k, row := range packed {
+					if k != string(key) && &row[0] == &got[0] {
+						t.Fatalf("F64sPacked handed lists of other bits one row")
 					}
 				}
 			}

@@ -17,8 +17,9 @@ package codec
 // Visitor is a struct, not an interface, so the *Visitor a walk is handed
 // stays on its caller's stack.
 type Visitor struct {
-	w *Writer
-	r *Reader
+	w    *Writer
+	r    *Reader
+	rows rows // reading: every row F64sPacked has read, each once
 }
 
 // Save returns a Visitor that writes every field it visits to w.
@@ -132,17 +133,17 @@ func (v *Visitor) F64s(p *[]float64) {
 	*p = v.r.F64sInto((*p)[:0])
 }
 
-// F64sPacked visits *p like F64s, but reading packs the list behind what
-// *arena already holds (Reader.F64sInto(*arena)) and points *p at it there:
-// many short lists, one backing.
-func (v *Visitor) F64sPacked(p, arena *[]float64) {
+// F64sPacked visits *p like F64s, but reading points *p at the one row
+// this Load holds for the list's bytes (see rows), so lists the live state
+// shared come back shared. Only rows nothing writes into may go this way.
+func (v *Visitor) F64sPacked(p *[]float64) {
 	if v.w != nil {
 		v.w.F64s(*p)
 		return
 	}
-	at := len(*arena)
-	*arena = v.r.F64sInto(*arena)
-	*p = (*arena)[at:len(*arena):len(*arena)]
+	if src := v.r.cells(); v.r.err == nil {
+		*p = v.rows.intern(src, v.r.pos)
+	}
 }
 
 // Count visits the length n of a list whose elements take at least

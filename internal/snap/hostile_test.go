@@ -7,10 +7,12 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/accnet/acc/internal/hybrid"
 	"github.com/accnet/acc/internal/psim"
+	"github.com/accnet/acc/internal/rl"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 	"github.com/accnet/acc/internal/stats"
@@ -224,6 +226,9 @@ func FuzzWorldRestore(f *testing.F) {
 		f.Add(body(img))
 	}
 	f.Add(body(prewarmImage(f, "endnodes", 1<<16)))
+	for _, b := range experienceImages(f) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		img := seal(b)
 		if sc, err := Peek(img); err != nil || !small(sc) {
@@ -233,4 +238,70 @@ func FuzzWorldRestore(f *testing.F) {
 			t.Fatal("an empty error")
 		}
 	})
+}
+
+// experienceImages returns the bodies of images whose experience rows a
+// restore interns: a small ACC world's with every replay row's cells set
+// to one value, which a restore holds as one row; the same world's with
+// each row's cells set to one of four values apart only in a NaN payload
+// or a zero's sign, which it must hold as four; and the second with the
+// first row's length prefix made larger than the bytes left.
+func experienceImages(tb testing.TB) [][]byte {
+	nan1, nan2, negZero := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002), math.Copysign(0, -1)
+	var out [][]byte
+	for _, vals := range [][]float64{{0.5}, {nan1, nan2, 0, negZero}} {
+		sc := testScenario(1, "packet")
+		sc.ACC = true
+		w, err := Build(sc)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		w.Run(sc.Horizon / 2)
+		i := 0
+		for _, s := range w.ACC {
+			memories := []*rl.Replay{s.Global}
+			for _, t := range s.Tuners {
+				memories = append(memories, t.Agent.Memory)
+			}
+			for _, rp := range memories {
+				for j := range rp.Len() {
+					for _, row := range [][]float64{rp.At(j).State, rp.At(j).Next} {
+						for k := range row {
+							row[k] = vals[i%len(vals)]
+						}
+						i++
+					}
+				}
+			}
+		}
+		img := w.Snapshot()
+		restored, err := Restore(img)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if refs, rows, _ := experienceRows(restored); refs == 0 || rows != len(vals) {
+			tb.Fatalf("a restore holds %d rows over %d references to %d distinct values", rows, refs, len(vals))
+		}
+		out = append(out, body(img))
+	}
+	// The first row: the first replay that holds any (the global one fills
+	// only once agents exchange) has its capacity, ring position, wrapped
+	// flag and length after its tag, then the first State's length prefix.
+	b := out[len(out)-1]
+	at := bytes.Index(b, []byte("\x0aacc-system"))
+	for length := uint64(0); length == 0; {
+		at += bytes.Index(b[at:], []byte("\x06replay")) + len("\x06replay")
+		for range 4 {
+			x, n := binary.Uvarint(b[at:])
+			length, at = x, at+n
+		}
+	}
+	if _, n := binary.Uvarint(b[at:]); n != 1 || b[at] == 0 {
+		tb.Fatalf("byte %d of the image is %d, not a row's length", at, b[at])
+	}
+	long := slices.Concat(b[:at], binary.AppendUvarint(nil, 1<<40), b[at+1:])
+	if _, err := Restore(seal(long)); err == nil || !strings.Contains(err.Error(), "exceeds remaining bytes") {
+		tb.Fatalf("a row longer than the image restored with error %v", err)
+	}
+	return append(out, long)
 }

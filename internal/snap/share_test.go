@@ -1,12 +1,16 @@
 package snap
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"slices"
 	"sync"
 	"testing"
 
 	"github.com/accnet/acc/internal/psim"
 	"github.com/accnet/acc/internal/red"
+	"github.com/accnet/acc/internal/rl"
 	"github.com/accnet/acc/internal/simtime"
 )
 
@@ -145,4 +149,93 @@ func TestConcurrentForksMatchColdRuns(t *testing.T) {
 			t.Errorf("branch %d: fork digest %016x (err %v), cold %016x", i, warm[i], errs[i], cold[i])
 		}
 	}
+}
+
+// TestRestoreSharesExperience: a restore holds each state vector its
+// replay memories hold once, however many transitions and memories refer
+// to it — a transition's Next is the next one's State, and an exchange
+// copies transitions into the global memory — instead of decoding every
+// reference into a row of its own. Rows are interned by their bits,
+// so vectors the live world made apart but that hold equal bits become one
+// row too: the fork holds as many rows as the live world holds distinct
+// values. At the 300 µs point TestForkAllocs forks, the fork also
+// re-snapshots to the image's bytes and runs on as the uninterrupted world
+// does.
+func TestRestoreSharesExperience(t *testing.T) {
+	live := forkWorld(t, 300*simtime.Microsecond)
+	img := live.Snapshot()
+	fork, err := Fork(img, Variant{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, rows, values := experienceRows(live)
+	forkRefs, forkRows, forkValues := experienceRows(fork)
+	t.Logf("%d row references: %d rows and %d distinct values live, %d rows restored", refs, rows, values, forkRows)
+	if values >= refs {
+		t.Fatalf("the %d references hold %d distinct values: nothing to share", refs, values)
+	}
+	if forkRefs != refs || forkValues != values || forkRows != values {
+		t.Fatalf("the fork holds %d rows of %d values over %d references; the live world %d values over %d",
+			forkRows, forkValues, forkRefs, values, refs)
+	}
+	if !bytes.Equal(fork.Snapshot(), img) {
+		t.Fatal("the fork re-snapshots to other bytes than the image it came from")
+	}
+	on := simtime.Time(700 * simtime.Microsecond) // past tuner ticks that read the restored rows
+	live.Run(on)
+	fork.Run(on)
+	if got, want := fork.Summarize(), live.Summarize(); got != want {
+		t.Fatalf("fork≢cold:\n cold %+v\n fork %+v", want, got)
+	}
+}
+
+// forkWorld is the sweep-fork bench's scenario run to the given instant.
+func forkWorld(tb testing.TB, at simtime.Duration) *World {
+	sc := Scenario{NLeaf: 12, HostsPerLeaf: 24, NSpine: 6, Shards: 1,
+		Flows: 3000, MaxBytes: 512 << 10, Spread: 2 * simtime.Millisecond,
+		ACC: true, Fidelity: "packet", Horizon: simtime.Time(2 * simtime.Millisecond), Seed: 1}
+	w, err := Build(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Run(simtime.Time(at))
+	return w
+}
+
+// experienceRows counts the state vectors w's replay memories hold — the
+// global ones and every agent's — as references, as rows told apart by
+// their first cell's address, and as values told apart by their cells'
+// bits.
+func experienceRows(w *World) (refs, rows, values int) {
+	seenRow, seenValue := map[*float64]bool{}, map[string]bool{}
+	count := func(rp *rl.Replay) {
+		for i := range rp.Len() {
+			for _, row := range [][]float64{rp.At(i).State, rp.At(i).Next} {
+				refs++
+				if len(row) > 0 && !seenRow[&row[0]] {
+					seenRow[&row[0]] = true
+					rows++
+				}
+				var key []byte
+				for _, x := range row {
+					key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+				}
+				if !seenValue[string(key)] {
+					seenValue[string(key)] = true
+					values++
+				}
+			}
+		}
+	}
+	for _, s := range w.ACC {
+		count(s.Global)
+		agents := map[*rl.Agent]bool{}
+		for _, t := range s.Tuners {
+			if !agents[t.Agent] {
+				agents[t.Agent] = true
+				count(t.Agent.Memory)
+			}
+		}
+	}
+	return refs, rows, values
 }
