@@ -10,7 +10,7 @@ import (
 
 func TestHillClimberProbesAndReverts(t *testing.T) {
 	net, fab := buildIncast(12, 8)
-	hc := NewHillClimber(net, fab.Leaves[0], DefaultConfig(), 5)
+	hc := NewHillClimber(net, fab.Leaves[0])
 	net.RunUntil(simtime.Time(20 * simtime.Millisecond))
 	hc.Stop()
 	if hc.Trials == 0 {
@@ -36,7 +36,7 @@ func TestHillClimberProbesAndReverts(t *testing.T) {
 func TestHillClimberStops(t *testing.T) {
 	net := netsim.New(20)
 	fab := topo.Star(net, 4, topo.DefaultConfig())
-	hc := NewHillClimber(net, fab.Leaves[0], DefaultConfig(), 3)
+	hc := NewHillClimber(net, fab.Leaves[0])
 	net.RunUntil(simtime.Time(2 * simtime.Millisecond))
 	hc.Stop()
 	trials := hc.Trials

@@ -23,7 +23,6 @@ type Hybrid struct {
 	Tuners []*Tuner
 	// Trainer is the controller-side agent that owns the training loop.
 	Trainer *rl.Agent
-	Cfg     HybridConfig
 
 	rng       *rand.Rand
 	stopped   bool
@@ -31,44 +30,29 @@ type Hybrid struct {
 	TrainRuns uint64
 }
 
-// HybridConfig parameterizes the hybrid deployment.
-type HybridConfig struct {
-	Tuner Config
-	// CollectPeriod is how often the controller pulls experience from the
+// The controller loop, scaled to simulation timescales.
+const (
+	// collectPeriod is how often the controller pulls experience from the
 	// switches and trains.
-	CollectPeriod simtime.Duration
-	// CollectSamples is how many transitions each switch contributes per
+	collectPeriod = 2 * simtime.Millisecond
+	// collectSamples is how many transitions each switch contributes per
 	// collection.
-	CollectSamples int
-	// TrainSteps is the number of minibatch steps per collection.
-	TrainSteps int
-	// PushDelay models the latency of distributing refreshed weights.
-	PushDelay simtime.Duration
-}
+	collectSamples = 128
+	// trainSteps is the number of minibatch steps per collection.
+	trainSteps = 64
+	// pushDelay models the latency of distributing refreshed weights.
+	pushDelay = 2 * simtime.Millisecond
+)
 
-// DefaultHybridConfig scales the controller loop to simulation timescales.
-func DefaultHybridConfig() HybridConfig {
-	t := DefaultConfig()
-	// Switches only infer; the controller trains.
-	t.TrainOnline = false
-	return HybridConfig{
-		Tuner:          t,
-		CollectPeriod:  2 * simtime.Millisecond,
-		CollectSamples: 128,
-		TrainSteps:     64,
-		PushDelay:      2 * simtime.Millisecond,
-	}
-}
-
-// NewHybrid deploys hybrid ACC on the switches. A non-nil model initializes
+// NewHybrid deploys hybrid ACC on the switches: DefaultConfig tuners that
+// only infer, and a controller that trains. A non-nil model initializes
 // both the controller and every switch agent.
-func NewHybrid(net *netsim.Network, switches []*netsim.Switch, model *rl.MLP, cfg HybridConfig) *Hybrid {
-	tc := cfg.Tuner.normalize()
+func NewHybrid(net *netsim.Network, switches []*netsim.Switch, model *rl.MLP) *Hybrid {
+	tc := DefaultConfig()
 	tc.TrainOnline = false
 	ac := tc.AgentConfig()
 	h := &Hybrid{
 		Net: net,
-		Cfg: cfg,
 		rng: rand.New(rand.NewSource(net.Rng.Int63())),
 	}
 	h.Trainer = rl.NewAgent(ac, net.Rng)
@@ -80,8 +64,7 @@ func NewHybrid(net *netsim.Network, switches []*netsim.Switch, model *rl.MLP, cf
 		agent := rl.NewAgent(ac, net.Rng)
 		agent.Eval.CopyFrom(h.Trainer.Eval)
 		agent.Target.CopyFrom(h.Trainer.Eval)
-		tcfg := tc
-		h.Tuners = append(h.Tuners, NewTuner(net, sw, agent, tcfg))
+		h.Tuners = append(h.Tuners, NewTuner(net, sw, agent, tc))
 	}
 	h.schedule()
 	return h
@@ -103,7 +86,7 @@ func (h *Hybrid) Stop() {
 }
 
 func (h *Hybrid) schedule() {
-	h.Net.Q.After(h.Cfg.CollectPeriod, func() {
+	h.Net.Q.After(collectPeriod, func() {
 		if h.stopped {
 			return
 		}
@@ -116,19 +99,19 @@ func (h *Hybrid) schedule() {
 // budget at the controller, and pushes refreshed weights back after the
 // control-channel delay.
 func (h *Hybrid) collectAndTrain() {
-	buf := make([]rl.Transition, h.Cfg.CollectSamples)
+	buf := make([]rl.Transition, collectSamples)
 	for _, t := range h.Tuners {
 		for _, tr := range t.Agent.Memory.Sample(h.rng, buf[:min(len(buf), t.Agent.Memory.Len())]) {
 			h.Trainer.Observe(tr)
 		}
 	}
-	for i := 0; i < h.Cfg.TrainSteps; i++ {
+	for i := 0; i < trainSteps; i++ {
 		h.Trainer.TrainStep(h.rng)
 		h.TrainRuns++
 	}
 	// Snapshot the refreshed weights and distribute them.
 	snapshot := h.Trainer.Eval.Clone()
-	h.Net.Q.After(h.Cfg.PushDelay, func() {
+	h.Net.Q.After(pushDelay, func() {
 		if h.stopped {
 			return
 		}

@@ -20,10 +20,7 @@ func TestHybridControllerTrainsAndPushes(t *testing.T) {
 		loop = func(*dcqcn.Flow) { dcqcn.Start(net, src, recv, simtime.MB, params, loop) }
 		loop(nil)
 	}
-	hc := DefaultHybridConfig()
-	hc.CollectPeriod = simtime.Millisecond
-	hc.PushDelay = simtime.Millisecond
-	h := NewHybrid(net, fab.Switches(), nil, hc)
+	h := NewHybrid(net, fab.Switches(), nil)
 	net.RunUntil(simtime.Time(10 * simtime.Millisecond))
 	if h.TrainRuns == 0 {
 		t.Fatal("controller never trained")
@@ -53,7 +50,7 @@ func TestHybridControllerTrainsAndPushes(t *testing.T) {
 func TestHybridStop(t *testing.T) {
 	net := netsim.New(10)
 	fab := topo.Star(net, 4, topo.DefaultConfig())
-	h := NewHybrid(net, fab.Switches(), nil, DefaultHybridConfig())
+	h := NewHybrid(net, fab.Switches(), nil)
 	net.RunUntil(simtime.Time(simtime.Millisecond))
 	h.Stop()
 	runs := h.TrainRuns
@@ -66,7 +63,7 @@ func TestHybridStop(t *testing.T) {
 func TestHybridSetEpsilon(t *testing.T) {
 	net := netsim.New(11)
 	fab := topo.Star(net, 4, topo.DefaultConfig())
-	h := NewHybrid(net, fab.Switches(), nil, DefaultHybridConfig())
+	h := NewHybrid(net, fab.Switches(), nil)
 	h.SetEpsilon(0.123)
 	for _, tn := range h.Tuners {
 		if tn.Agent.Epsilon() != 0.123 {

@@ -63,9 +63,7 @@ func (qs *queueState) state(v *codec.Visitor, historyK int) {
 	}
 	v.Int(&qs.prevAction)
 	v.Int(&qs.action)
-	v.U64(&qs.lastTx)
-	v.U64(&qs.lastMarked)
-	v.F64(&qs.lastIntegral)
+	qs.window.state(v)
 	v.F64(&qs.lastReward)
 	v.Int(&qs.sameReward)
 	v.Bool(&qs.idle)

@@ -12,24 +12,25 @@ import (
 // local memory, making the learned models more stable and generalizable.
 type SystemConfig struct {
 	Tuner Config
-	// GlobalReplayCap is the capacity of the shared memory.
-	GlobalReplayCap int
 	// ExchangePeriod is how often local/global samples are swapped. The
 	// paper uses several seconds in production; scaled simulations use
 	// milliseconds.
 	ExchangePeriod simtime.Duration
-	// ExchangeSamples is how many transitions move in each direction per
-	// exchange per switch.
-	ExchangeSamples int
 }
+
+const (
+	// globalReplayCap is the capacity of the shared memory.
+	globalReplayCap = 16384
+	// exchangeSamples is how many transitions move in each direction per
+	// exchange per switch.
+	exchangeSamples = 64
+)
 
 // DefaultSystemConfig scales the exchange to simulation timescales.
 func DefaultSystemConfig() SystemConfig {
 	return SystemConfig{
-		Tuner:           DefaultConfig(),
-		GlobalReplayCap: 16384,
-		ExchangePeriod:  5 * simtime.Millisecond,
-		ExchangeSamples: 64,
+		Tuner:          DefaultConfig(),
+		ExchangePeriod: 5 * simtime.Millisecond,
 	}
 }
 
@@ -58,14 +59,8 @@ type System struct {
 // initialize every agent (the §4.3 "install the same offline training model
 // for network switches" step).
 func NewSystem(net *netsim.Network, switches []*netsim.Switch, model *rl.MLP, cfg SystemConfig) *System {
-	if cfg.GlobalReplayCap <= 0 {
-		cfg.GlobalReplayCap = 16384
-	}
-	if cfg.ExchangeSamples <= 0 {
-		cfg.ExchangeSamples = 64
-	}
-	s := &System{Net: net, Global: rl.NewReplay(cfg.GlobalReplayCap), Cfg: cfg,
-		exchBuf: make([]rl.Transition, cfg.ExchangeSamples)}
+	s := &System{Net: net, Global: rl.NewReplay(globalReplayCap), Cfg: cfg,
+		exchBuf: make([]rl.Transition, exchangeSamples)}
 
 	for _, sw := range switches {
 		s.Tuners = append(s.Tuners, NewTuner(net, sw, s.newAgent(net, model), cfg.Tuner))

@@ -79,7 +79,7 @@ func TestRewardTraceRecording(t *testing.T) {
 func TestCentralizedStop(t *testing.T) {
 	net := netsim.New(58)
 	fab := topo.LeafSpine(net, 2, 2, 1, topo.DefaultConfig())
-	c := NewCentralized(net, fab.Leaves, fab.Spines, DefaultCentralizedConfig())
+	c := NewCentralized(net, fab.Leaves, fab.Spines)
 	net.RunUntil(simtime.Time(5 * simtime.Millisecond))
 	c.Stop()
 	n := c.Inferences

@@ -54,9 +54,6 @@ type Config struct {
 	// Template is the ECN configuration template (action space).
 	Template []red.Config
 
-	// Explore enables ε-greedy action selection; disable to run a frozen
-	// policy greedily.
-	Explore bool
 	// TrainOnline runs a DDQN optimization step each interval (§4.3).
 	TrainOnline bool
 	// TrainEvery trains on every N-th tick (1 = every tick).
@@ -66,11 +63,10 @@ type Config struct {
 	// 0 keeps uniform sampling.
 	PrioritizedAlpha float64
 
-	// BusyIdle enables the §4.2 optimization: queues whose length stays
-	// under Kmin, or whose reward hasn't changed for IdleSlots consecutive
-	// slots, skip inference.
-	BusyIdle  bool
-	IdleSlots int
+	// BusyIdle enables the §4.2 optimization: a queue under Kmin whose
+	// reward has not changed for idleSlots consecutive slots skips
+	// inference until it grows past Kmin.
+	BusyIdle bool
 
 	// RecordTrace keeps a time series of applied Kmin per queue (Figure 15).
 	RecordTrace bool
@@ -95,13 +91,15 @@ func DefaultConfig() Config {
 		W2:          0.3,
 		Reward:      StepReward,
 		Template:    DefaultTemplate(),
-		Explore:     true,
 		TrainOnline: true,
 		TrainEvery:  1,
 		BusyIdle:    true,
-		IdleSlots:   3,
 	}
 }
+
+// idleSlots is how many slots of unchanged reward park a queue under Kmin
+// (§4.2).
+const idleSlots = 3
 
 // StateDim returns the agent input dimension for the config.
 func (c Config) StateDim() int { return FeaturesPerSlot * c.HistoryK }
@@ -109,69 +107,20 @@ func (c Config) StateDim() int { return FeaturesPerSlot * c.HistoryK }
 // AgentConfig returns the agent the config deploys: Agent when set,
 // otherwise rl's defaults for the config's state and action template.
 func (c Config) AgentConfig() rl.AgentConfig {
-	c = c.normalize()
 	if c.Agent.StateDim != 0 {
 		return c.Agent
 	}
 	return rl.DefaultAgentConfig(c.StateDim(), len(c.Template))
 }
 
-// tunesPrio reports whether the config tunes the given traffic class.
-func (c Config) tunesPrio(prio int) bool {
-	if len(c.Prios) == 0 {
-		return true
-	}
-	for _, p := range c.Prios {
-		if p == prio {
-			return true
-		}
-	}
-	return false
-}
-
-func (c Config) normalize() Config {
-	if c.Period <= 0 {
-		c.Period = 100 * simtime.Microsecond
-	}
-	if c.HistoryK <= 0 {
-		c.HistoryK = 3
-	}
-	if c.Reward == nil {
-		c.Reward = StepReward
-	}
-	if len(c.Template) == 0 {
-		c.Template = DefaultTemplate()
-	}
-	if c.TrainEvery <= 0 {
-		c.TrainEvery = 1
-	}
-	if c.IdleSlots <= 0 {
-		c.IdleSlots = 3
-	}
-	if c.W1 == 0 && c.W2 == 0 {
-		c.W1, c.W2 = 0.7, 0.3
-	}
-	return c
-}
-
 // queueState is the tuner's bookkeeping for one monitored egress queue.
 type queueState struct {
-	//acclint:ignore snapcover construction wiring: NewTuner on the rebuilt switch
-	port *netsim.Port
-	//acclint:ignore snapcover construction wiring: NewTuner on the rebuilt switch
-	q *netsim.EgressQueue
+	window
 
 	hist       [][]float64
 	prevState  []float64
 	prevAction int
 	action     int
-
-	lastTx       uint64
-	lastMarked   uint64
-	lastIntegral float64
-
-	//acclint:ignore snapcover derived by NewTuner from the rebuilt port's DWRR weights
-	share float64 // DWRR bandwidth fraction of this queue's class
 
 	lastReward float64
 	sameReward int
@@ -221,7 +170,6 @@ type Tuner struct {
 // NewTuner attaches a tuner to every ECN-enabled egress queue of sw and
 // starts its ΔT loop. A nil agent creates a fresh one from cfg.
 func NewTuner(net *netsim.Network, sw *netsim.Switch, agent *rl.Agent, cfg Config) *Tuner {
-	cfg = cfg.normalize()
 	if agent == nil {
 		agent = rl.NewAgent(cfg.AgentConfig(), net.Rng)
 	}
@@ -241,26 +189,9 @@ func NewTuner(net *netsim.Network, sw *netsim.Switch, agent *rl.Agent, cfg Confi
 		t.tick()
 		t.schedule()
 	}
-	for _, p := range sw.Ports {
-		sumW := 0
-		for _, q := range p.Queues {
-			sumW += q.Weight
-		}
-		for _, q := range p.Queues {
-			if !q.ECNEnabled || !cfg.tunesPrio(q.Prio) {
-				continue
-			}
-			qs := &queueState{port: p, q: q, action: t.closestAction(q.RED)}
-			// Utilization is judged against the class's DWRR allocation:
-			// a 70%-weighted RDMA queue reaching its share reads as 1.0.
-			if sumW > 0 {
-				qs.share = float64(q.Weight) / float64(sumW)
-			} else {
-				qs.share = 1
-			}
-			t.queues = append(t.queues, qs)
-		}
-	}
+	eachWindow(sw, cfg.Prios, true, func(w window) {
+		t.queues = append(t.queues, &queueState{window: w, action: t.closestAction(w.q.RED)})
+	})
 	t.schedule()
 	return t
 }
@@ -307,20 +238,7 @@ func (t *Tuner) tick() {
 // features builds QS_t for a queue and returns it with the measured reward
 // ingredients (utilization, average queue bytes over the interval).
 func (t *Tuner) features(qs *queueState) (slot []float64, util, avgQ float64) {
-	txDelta := qs.q.TxBytes - qs.lastTx
-	markDelta := qs.q.TxMarkedBytes - qs.lastMarked
-	integ := qs.q.ByteTimeIntegral()
-	integDelta := integ - qs.lastIntegral
-	qs.lastTx = qs.q.TxBytes
-	qs.lastMarked = qs.q.TxMarkedBytes
-	qs.lastIntegral = integ
-
-	window := t.Cfg.Period.Seconds()
-	bw := float64(qs.port.Bandwidth) * qs.share
-	util = clamp01(float64(txDelta) * 8 / (bw * window))
-	markedRate := clamp01(float64(markDelta) * 8 / (bw * window))
-	avgQ = integDelta / window
-
+	util, markedRate, avgQ, _ := qs.sample(t.Cfg.Period)
 	slot = []float64{
 		float64(LevelOf(qs.q.Bytes())) / float64(ELevels),
 		util,
@@ -328,16 +246,6 @@ func (t *Tuner) features(qs *queueState) (slot []float64, util, avgQ float64) {
 		float64(qs.action) / float64(len(t.Cfg.Template)-1),
 	}
 	return slot, util, avgQ
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }
 
 // observation flattens the last k slots, zero-padding the warmup.
@@ -412,7 +320,7 @@ func (t *Tuner) tickQueue(qi int, qs *queueState) {
 			// Idle until the queue grows past Kmin again.
 			qs.idle = qs.q.Bytes() <= qs.q.RED.Kmin
 		} else {
-			qs.idle = qs.q.Bytes() < qs.q.RED.Kmin && qs.sameReward >= t.Cfg.IdleSlots
+			qs.idle = qs.q.Bytes() < qs.q.RED.Kmin && qs.sameReward >= idleSlots
 		}
 		if qs.idle {
 			t.Skipped++
@@ -424,12 +332,7 @@ func (t *Tuner) tickQueue(qi int, qs *queueState) {
 	}
 
 	// Inference + actuation.
-	var action int
-	if t.Cfg.Explore {
-		action = t.Agent.Act(state, t.rng)
-	} else {
-		action = t.Agent.ActGreedy(state)
-	}
+	action := t.Agent.Act(state, t.rng)
 	t.Inferences++
 	// One agent transition per interval: the state that was acted on, the
 	// action chosen, and the reward measured for the *previous* action.

@@ -197,7 +197,7 @@ func TestCentralizedControllerTicks(t *testing.T) {
 		loop = func(*dcqcn.Flow) { dcqcn.Start(net, src, recv, simtime.MB, params, loop) }
 		loop(nil)
 	}
-	c := NewCentralized(net, fab.Leaves, fab.Spines, DefaultCentralizedConfig())
+	c := NewCentralized(net, fab.Leaves, fab.Spines)
 	net.RunUntil(simtime.Time(20 * simtime.Millisecond))
 	if c.Inferences == 0 {
 		t.Fatal("centralized controller never inferred")
