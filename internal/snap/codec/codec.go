@@ -294,24 +294,19 @@ func (r *Reader) Expect(name string) {
 // F64s reads a length-prefixed []float64 into a slice of its own.
 func (r *Reader) F64s() []float64 { return r.F64sInto([]float64{}) }
 
-// F64sInto reads a length-prefixed []float64 into the spare capacity of
-// dst, append-style, and returns the extended slice: F64sInto(row[:0])
-// decodes into row in place, F64sInto(arena) packs one more list behind
-// those already there. The length is checked once against the bytes
-// remaining — so a hostile prefix can make dst grow by no more than the
-// stream still holds — and the cells are then copied as one block on a
-// little-endian host, decoded in one straight loop elsewhere. A list longer
-// than dst's spare capacity moves dst to a larger backing, as append would.
-// On error dst comes back as it went in.
+// F64sInto reads a length-prefixed []float64 into dst's backing from its
+// start, whatever dst's length, and returns the list: a restore decodes a
+// tensor row in place. A list longer than dst's capacity gets a backing of
+// its own. The length is checked once against the bytes remaining — so a
+// hostile prefix can size nothing beyond what the stream still holds — and
+// the cells are then copied as one block on a little-endian host, decoded
+// in one straight loop elsewhere. On error dst comes back as it went in.
 func (r *Reader) F64sInto(dst []float64) []float64 {
 	src := r.cells()
 	if r.err != nil {
 		return dst
 	}
-	at := len(dst)
-	dst = slices.Grow(dst, len(src)/8)[:at+len(src)/8]
-	decodeF64s(dst[at:], src)
-	return dst
+	return decodeF64s(slices.Grow(dst[:0], len(src)/8)[:len(src)/8], src)
 }
 
 // cells reads a length-prefixed []float64's cells as bytes of the stream,

@@ -49,10 +49,9 @@ func TestRoundTrip(t *testing.T) {
 	w.String("")
 	w.F64s(f64s)
 	w.F64s(nil)
-	w.F64s(f64s) // read back in place
-	w.F64s(f64s) // read back packed behind another list
-	w.F64s(f64s[:3])
-	w.F64s(f64s) // read back into a backing too small for it
+	w.F64s(f64s)     // read back in place
+	w.F64s(f64s[:3]) // read back over a destination that holds cells
+	w.F64s(f64s)     // read back into a backing too small for it
 	stream := w.Finish()
 	if w.Len() != len(stream) {
 		t.Fatalf("Len %d after Finish, stream is %d bytes", w.Len(), len(stream))
@@ -120,19 +119,18 @@ func TestRoundTrip(t *testing.T) {
 	if &got[0] != &row[0] {
 		t.Fatal("F64sInto moved a list that fitted its destination")
 	}
-	// Packed: two lists behind each other on one arena.
-	arena := make([]float64, 0, len(f64s)+3)
-	arena = r.F64sInto(arena)
-	arena = r.F64sInto(arena)
-	sameBits("F64sInto packed, first list", arena[:len(f64s)], f64s)
-	sameBits("F64sInto packed, second list", arena[len(f64s):], f64s[:3])
-	if cap(arena) != len(f64s)+3 {
-		t.Fatal("F64sInto moved an arena that had room")
+	// Over cells already there: the list starts at the backing's start.
+	got = r.F64sInto(row)
+	sameBits("F64sInto over held cells", got, f64s[:3])
+	if &got[0] != &row[0] {
+		t.Fatal("F64sInto moved a list that fitted its destination")
 	}
-	// Too small: grows like append, keeping what was there.
-	small := append(make([]float64, 0, 2), 42)
-	small = r.F64sInto(small)
-	sameBits("F64sInto grown", small, append([]float64{42}, f64s...))
+	// Too small: a backing of its own, the destination untouched.
+	small := []float64{42}
+	sameBits("F64sInto grown", r.F64sInto(small), f64s)
+	if small[0] != 42 {
+		t.Fatal("F64sInto wrote into a destination too small for the list")
+	}
 
 	if r.Err() != nil {
 		t.Fatal(r.Err())
@@ -352,7 +350,7 @@ func (r *refReader) f64s() []uint64 {
 }
 
 // FuzzReader reads a fuzzed body with a fuzzed script of U64, Bool,
-// F64sInto (into a destination already holding 0–2 cells) and
+// F64sInto (into a destination of 0–2 cells) and
 // Visitor.F64sPacked calls, and requires what refReader reads: the same
 // values, floats bit for bit, and an error exactly when it fails, after
 // which every read is zero. F64sPacked must also hand back one row for
@@ -365,10 +363,10 @@ func FuzzReader(f *testing.F) {
 	w.F64s([]float64{math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0x7ff0000000000001),
 		math.Copysign(0, -1), math.Inf(1)}) // NaN payloads, a signalling NaN, −0
 	f.Add(body(w.Finish()), []byte{2})
-	f.Add(append(binary.AppendUvarint(nil, 5), make([]byte, 32)...), []byte{2}) // a length past the bytes left
+	f.Add(append(binary.AppendUvarint(nil, 5), make([]byte, 32)...), []byte{2 | 1<<2}) // a length past the bytes left, into a cell
 	w = NewWriter()
 	w.Bool(true)
-	w.F64s(f64s) // a row at an odd offset in the stream, into an odd offset of its destination
+	w.F64s(f64s) // a row at an odd offset in the stream, into a destination too small for it
 	f.Add(body(w.Finish()), []byte{1, 2 | 1<<2, 2})
 	var varints []byte
 	for k := 1; k <= 10; k++ { // 1 and all ones in each of k bytes' 7-bit groups
@@ -406,10 +404,19 @@ func FuzzReader(f *testing.F) {
 					t.Fatalf("Bool %v, want %v", got, want)
 				}
 			case 2:
-				at := int(op>>2) % 3
-				got, want := r.F64sInto(make([]float64, at, at+1))[at:], ref.f64s()
+				dst := make([]float64, int(op>>2)%3)
+				got, want := r.F64sInto(dst), ref.f64s()
+				if r.Err() != nil {
+					if len(got) != len(dst) {
+						t.Fatalf("F64sInto failed with %d cells, its destination held %d", len(got), len(dst))
+					}
+					got = nil
+				}
 				if len(got) != len(want) {
 					t.Fatalf("F64sInto read %d cells, want %d", len(got), len(want))
+				}
+				if len(want) > 0 && len(want) <= len(dst) && &got[0] != &dst[0] {
+					t.Fatal("F64sInto moved a list that fitted its destination")
 				}
 				for i := range want {
 					if math.Float64bits(got[i]) != want[i] {

@@ -122,15 +122,14 @@ func (v *Visitor) String(p *string) {
 }
 
 // F64s visits *p as a length-prefixed list. Reading decodes into *p's own
-// backing when its capacity holds the list (Reader.F64sInto((*p)[:0])), so
-// a restore overlays a slice in place; point *p at an arena's free tail
-// first and the list lands there.
+// backing when its capacity holds the list (Reader.F64sInto), so a restore
+// overlays a slice in place.
 func (v *Visitor) F64s(p *[]float64) {
 	if v.w != nil {
 		v.w.F64s(*p)
 		return
 	}
-	*p = v.r.F64sInto((*p)[:0])
+	*p = v.r.F64sInto(*p)
 }
 
 // F64sPacked visits *p like F64s, but reading points *p at the one row
