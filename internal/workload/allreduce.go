@@ -21,44 +21,16 @@ type AllReduceConfig struct {
 
 // AllReduceJob is a running collective loop.
 type AllReduceJob struct {
+	jobStats
 	cfg AllReduceConfig
-	net *netsim.Network
-
-	stopped bool
-	// Rounds counts completed all-reduce collectives.
-	Rounds int
-	// StepTimes records each collective's duration.
-	StepTimes []simtime.Duration
-
-	startedAt simtime.Time
 }
 
 // RunAllReduce starts the collective loop: each round performs 2(N−1)
 // synchronized ring steps, then waits ComputeTime.
 func RunAllReduce(net *netsim.Network, cfg AllReduceConfig) *AllReduceJob {
-	j := &AllReduceJob{
-		cfg: cfg, net: net, startedAt: net.Now(),
-		StepTimes: make([]simtime.Duration, 0, collectiveStepCap),
-	}
+	j := &AllReduceJob{jobStats: newJobStats(net, cfg.ComputeTime), cfg: cfg}
 	j.round()
 	return j
-}
-
-// Stop ends the loop after the current round.
-func (j *AllReduceJob) Stop() { j.stopped = true }
-
-// RoundsPerSec returns the collective rate so far; zero before the first
-// round completes (and at zero elapsed virtual time, so a job queried at
-// its start instant never divides by zero or reports a rate for no work).
-func (j *AllReduceJob) RoundsPerSec() float64 {
-	if j.Rounds == 0 {
-		return 0
-	}
-	el := j.net.Now().Sub(j.startedAt).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(j.Rounds) / el
 }
 
 func (j *AllReduceJob) round() {
@@ -78,9 +50,7 @@ func (j *AllReduceJob) round() {
 			return
 		}
 		if s == steps {
-			j.Rounds++
-			j.StepTimes = append(j.StepTimes, j.net.Now().Sub(t0))
-			j.net.Q.After(j.cfg.ComputeTime, j.round)
+			j.finishRound(t0, j.round)
 			return
 		}
 		// All nodes transfer one chunk to their ring successor; the step

@@ -29,8 +29,8 @@ type jobStats struct {
 	StepTimes []simtime.Duration
 }
 
-func newJobStats(net *netsim.Network) jobStats {
-	return jobStats{net: net, startedAt: net.Now(), StepTimes: make([]simtime.Duration, 0, collectiveStepCap)}
+func newJobStats(net *netsim.Network, computeTime simtime.Duration) jobStats {
+	return jobStats{net: net, startedAt: net.Now(), computeTime: computeTime, StepTimes: make([]simtime.Duration, 0, collectiveStepCap)}
 }
 
 // collectiveStepCap pre-sizes StepTimes so steady-state rounds don't grow
@@ -84,8 +84,7 @@ type TreeAllReduceJob struct {
 
 // RunTreeAllReduce starts the collective loop.
 func RunTreeAllReduce(net *netsim.Network, cfg TreeAllReduceConfig) *TreeAllReduceJob {
-	j := &TreeAllReduceJob{jobStats: newJobStats(net), cfg: cfg}
-	j.computeTime = cfg.ComputeTime
+	j := &TreeAllReduceJob{jobStats: newJobStats(net, cfg.ComputeTime), cfg: cfg}
 	j.round()
 	return j
 }
@@ -174,8 +173,7 @@ type AllToAllJob struct {
 
 // RunAllToAll starts the exchange loop.
 func RunAllToAll(net *netsim.Network, cfg AllToAllConfig) *AllToAllJob {
-	j := &AllToAllJob{jobStats: newJobStats(net), cfg: cfg}
-	j.computeTime = cfg.ComputeTime
+	j := &AllToAllJob{jobStats: newJobStats(net, cfg.ComputeTime), cfg: cfg}
 	j.round()
 	return j
 }
@@ -244,8 +242,7 @@ func RunPipeline(net *netsim.Network, cfg PipelineConfig) *PipelineJob {
 	if cfg.GradBytes <= 0 {
 		cfg.GradBytes = cfg.ActivationBytes
 	}
-	j := &PipelineJob{jobStats: newJobStats(net), cfg: cfg}
-	j.computeTime = cfg.ComputeTime
+	j := &PipelineJob{jobStats: newJobStats(net, cfg.ComputeTime), cfg: cfg}
 	j.round()
 	return j
 }
