@@ -165,11 +165,6 @@ func (a *Agent) Act(state []float64, rng *rand.Rand) int {
 	return Argmax(a.Eval.Forward(state))
 }
 
-// ActGreedy selects the best action without exploring or decaying.
-func (a *Agent) ActGreedy(state []float64) int {
-	return Argmax(a.Eval.Forward(state))
-}
-
 func (a *Agent) decay() {
 	if a.eps > a.Cfg.EpsEnd {
 		a.eps = a.Cfg.EpsEnd + (a.eps-a.Cfg.EpsEnd)*a.Cfg.EpsDecay

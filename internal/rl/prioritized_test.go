@@ -82,7 +82,7 @@ func TestTrainStepPrioritizedLearns(t *testing.T) {
 		a.TrainStepPrioritized(rng, 0.6)
 	}
 	for c := 0; c < 2; c++ {
-		if a.ActGreedy(ctx(c)) != c {
+		if Argmax(a.Eval.Forward(ctx(c))) != c {
 			t.Fatalf("prioritized training failed to solve the bandit for context %d", c)
 		}
 	}

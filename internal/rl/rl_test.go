@@ -215,7 +215,7 @@ func TestAgentSolvesBandit(t *testing.T) {
 		a.TrainStep(rng)
 	}
 	for c := 0; c < 2; c++ {
-		if got := a.ActGreedy(ctx(c)); got != c {
+		if got := Argmax(a.Eval.Forward(ctx(c))); got != c {
 			t.Fatalf("context %d: greedy action %d, want %d", c, got, c)
 		}
 	}
