@@ -21,6 +21,7 @@ import (
 func runModel(model workload.StorageModel, ioDepth int, useACC bool) float64 {
 	net := netsim.New(7)
 	fab := topo.TestbedClos(net, topo.DefaultConfig())
+	seed := net.Rng.Int63() // before ACC draws there, so both arms run the same IOs
 	if useACC {
 		acc.NewSystem(net, fab.Switches(), nil, acc.DefaultSystemConfig())
 	} else {
@@ -29,7 +30,7 @@ func runModel(model workload.StorageModel, ioDepth int, useACC bool) float64 {
 		}
 	}
 	params := dcqcn.DefaultParams(25 * simtime.Gbps)
-	cluster := workload.RunStorage(net, workload.StorageConfig{
+	cluster := workload.RunStorage(net, seed, workload.StorageConfig{
 		Compute: fab.Hosts[:18],
 		Storage: fab.Hosts[18:],
 		Model:   model,

@@ -113,13 +113,17 @@ func runFig16(o Options) []*Table {
 	for pi, p := range policies {
 		net := newNet(o, o.Seed)
 		fab := topo.TestbedClos(net, topo.DefaultConfig())
+		seeds := make([]int64, len(segments))
+		for si := range seeds {
+			seeds[si] = workloadSeed(net)
+		}
 		stop, _ := deploy(net, fab, p, o)
 		avgs[pi] = make([]float64, len(segments))
 		var col stats.FCTCollector
 		start := rdmaStarter(net, 25*simtime.Gbps, &col)
 		var at simtime.Duration
 		for si, sg := range segments {
-			gen := workload.StartPoisson(net, workload.PoissonConfig{
+			gen := workload.StartPoisson(net, seeds[si], workload.PoissonConfig{
 				Hosts:  fab.Hosts,
 				Sizes:  sg.wl,
 				Load:   0.5,

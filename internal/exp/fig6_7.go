@@ -40,6 +40,7 @@ func runFig6(o Options) []*Table {
 		net := newNet(o, o.Seed)
 		fab := topo.Star(net, 13, topo.DefaultConfig())
 		recv := fab.Hosts[12]
+		rng := rand.New(rand.NewSource(workloadSeed(net)))
 		stop, _ := deploy(net, fab, p, o)
 		start := rdmaStarter(net, 25*simtime.Gbps, nil)
 		hot := fab.Leaves[0].Ports[12]
@@ -48,7 +49,7 @@ func runFig6(o Options) []*Table {
 		// Each phase launches its incast; flows from the previous phase
 		// stop being renewed (generation routines check the active phase).
 		active := 0
-		jitter := func() simtime.Duration { return workload.ExpJitter(net.Rng, 50*simtime.Microsecond) }
+		jitter := func() simtime.Duration { return workload.ExpJitter(rng, 50*simtime.Microsecond) }
 		launch := func(idx int, ph phase) func() {
 			return func() {
 				active = idx

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
@@ -44,6 +45,7 @@ func runFig8(o Options) []*Table {
 			weights[0], weights[3] = 3, 7 // TCP class 0: 30%, RDMA class 3: 70%
 			cfg.QueueWeights = weights
 			fab := topo.Star(net, 8, cfg)
+			rng := rand.New(rand.NewSource(workloadSeed(net)))
 			stop, _ := deploy(net, fab, p, o)
 			recv := fab.Hosts[7]
 
@@ -54,9 +56,9 @@ func runFig8(o Options) []*Table {
 
 			// Each sender runs a random 1..32 concurrent RDMA QPs (renewed
 			// on completion) plus persistent TCP flows.
-			jitter := func() simtime.Duration { return workload.ExpJitter(net.Rng, 20*simtime.Microsecond) }
+			jitter := func() simtime.Duration { return workload.ExpJitter(rng, 20*simtime.Microsecond) }
 			for _, src := range fab.Hosts[:senders] {
-				renew(net, rdma, src, recv, 4*simtime.MB, 1+net.Rng.Intn(32), jitter, nil)
+				renew(net, rdma, src, recv, 4*simtime.MB, 1+rng.Intn(32), jitter, nil)
 				renew(net, tcps, src, recv, 4*simtime.MB, 4, jitter, nil)
 			}
 

@@ -70,8 +70,9 @@ func runFig9(o Options) []*Table {
 			forEachParallel(len(policies), func(pi int) {
 				net := newNet(o, o.Seed)
 				fab := topo.TestbedClos(net, topo.DefaultConfig())
+				seed := workloadSeed(net)
 				stop, _ := deploy(net, fab, policies[pi], o)
-				cluster := workload.RunStorage(net, workload.StorageConfig{
+				cluster := workload.RunStorage(net, seed, workload.StorageConfig{
 					Compute: fab.Hosts[:18],
 					Storage: fab.Hosts[18:],
 					Model:   model,

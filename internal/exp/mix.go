@@ -347,7 +347,7 @@ func runMixCollective(o Options) []*Table {
 		ComputeTime: 10 * simtime.Microsecond,
 		Start:       starter("pipeline", "bulk", 2),
 	})
-	bg := workload.StartPoisson(net, workload.PoissonConfig{
+	bg := workload.StartPoisson(net, net.Rng.Int63(), workload.PoissonConfig{
 		Hosts: fab.Hosts, Sizes: workload.Uniform("bg", 1*simtime.KB, 16*simtime.KB),
 		Load: 0.08, HostBW: tc.HostBW,
 		Start: starter("background", "latency", 3),

@@ -95,6 +95,7 @@ func runRobust(o Options, p Policy, faultsOf func(seed int64) *psim.Plan, tel *f
 	if faultsOf != nil {
 		plan = faultsOf(seed)
 	}
+	wseed := workloadSeed(net)
 	stop, sys := deploy(net, fab, p, o)
 	var tele []*faults.StaleDrop
 	if tel != nil && sys != nil {
@@ -104,7 +105,7 @@ func runRobust(o Options, p Policy, faultsOf func(seed int64) *psim.Plan, tel *f
 
 	var col stats.FCTCollector
 	hostBW := 25 * simtime.Gbps
-	gen := workload.StartPoisson(net, workload.PoissonConfig{
+	gen := workload.StartPoisson(net, wseed, workload.PoissonConfig{
 		Hosts:  fab.Hosts,
 		Sizes:  workload.WebSearch(),
 		Load:   0.6,

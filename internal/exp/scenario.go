@@ -36,8 +36,9 @@ type poissonRun struct {
 func (sc poisson) start(o Options, p Policy) *poissonRun {
 	net := newNet(o, o.Seed)
 	r := &poissonRun{sc: sc, net: net, fab: sc.fabric(net)}
+	seed := workloadSeed(net)
 	r.stop, r.sys = deploy(net, r.fab, p, o)
-	r.gen = workload.StartPoisson(net, workload.PoissonConfig{
+	r.gen = workload.StartPoisson(net, seed, workload.PoissonConfig{
 		Hosts:  r.fab.Hosts,
 		Sizes:  sc.sizes,
 		Load:   sc.load,

@@ -35,10 +35,11 @@ type PoissonGen struct {
 	Bytes   int64
 }
 
-// StartPoisson begins generating flows immediately. The generator draws its
-// own RNG stream from the network RNG so that adding monitors does not
-// perturb traffic.
-func StartPoisson(net *netsim.Network, cfg PoissonConfig) *PoissonGen {
+// StartPoisson begins generating flows immediately, from a stream of its
+// own seeded with seed, so that adding monitors does not perturb traffic.
+// Arms of a comparison draw seed from net.Rng before deploying a policy,
+// which draws there too.
+func StartPoisson(net *netsim.Network, seed int64, cfg PoissonConfig) *PoissonGen {
 	mean := cfg.Sizes.Mean()
 	n := float64(len(cfg.Hosts))
 	// Aggregate arrival rate: load × n × BW / (8 × mean flow size).
@@ -46,7 +47,7 @@ func StartPoisson(net *netsim.Network, cfg PoissonConfig) *PoissonGen {
 	g := &PoissonGen{
 		cfg:    cfg,
 		net:    net,
-		rng:    rand.New(rand.NewSource(net.Rng.Int63())),
+		rng:    rand.New(rand.NewSource(seed)),
 		lambda: lambda,
 	}
 	g.scheduleNext()

@@ -23,7 +23,7 @@ func dcqcnStarter(net *netsim.Network, bw simtime.Rate) StartFlowFunc {
 func TestPoissonLoadAccuracy(t *testing.T) {
 	net := netsim.New(1)
 	fab := topo.Star(net, 8, topo.DefaultConfig())
-	gen := StartPoisson(net, PoissonConfig{
+	gen := StartPoisson(net, net.Rng.Int63(), PoissonConfig{
 		Hosts:  fab.Hosts,
 		Sizes:  WebSearch(),
 		Load:   0.5,
@@ -49,7 +49,7 @@ func TestPoissonNeverSelfPair(t *testing.T) {
 	fab := topo.Star(net, 3, topo.DefaultConfig())
 	bad := false
 	start := dcqcnStarter(net, 25*simtime.Gbps)
-	gen := StartPoisson(net, PoissonConfig{
+	gen := StartPoisson(net, net.Rng.Int63(), PoissonConfig{
 		Hosts:  fab.Hosts,
 		Sizes:  Fixed("f", simtime.KB),
 		Load:   0.5,
@@ -106,7 +106,7 @@ func TestRunPhases(t *testing.T) {
 func TestStorageClusterClosedLoop(t *testing.T) {
 	net := netsim.New(6)
 	fab := topo.Star(net, 8, topo.DefaultConfig())
-	c := RunStorage(net, StorageConfig{
+	c := RunStorage(net, net.Rng.Int63(), StorageConfig{
 		Compute: fab.Hosts[:6],
 		Storage: fab.Hosts[6:],
 		Model:   Table1()[0], // OLTP
@@ -130,7 +130,7 @@ func TestStorageIODepthScalesConcurrency(t *testing.T) {
 	run := func(depth int) int64 {
 		net := netsim.New(7)
 		fab := topo.Star(net, 8, topo.DefaultConfig())
-		c := RunStorage(net, StorageConfig{
+		c := RunStorage(net, net.Rng.Int63(), StorageConfig{
 			Compute: fab.Hosts[:6],
 			Storage: fab.Hosts[6:],
 			Model:   Table1()[0],

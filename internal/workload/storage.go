@@ -74,8 +74,9 @@ type StorageCluster struct {
 }
 
 // RunStorage starts the closed-loop benchmark: each compute node launches
-// IODepth independent IO chains.
-func RunStorage(net *netsim.Network, cfg StorageConfig) *StorageCluster {
+// IODepth independent IO chains, drawing IOs from a stream seeded with seed
+// (see StartPoisson).
+func RunStorage(net *netsim.Network, seed int64, cfg StorageConfig) *StorageCluster {
 	if cfg.RequestBytes <= 0 {
 		cfg.RequestBytes = 256
 	}
@@ -85,7 +86,7 @@ func RunStorage(net *netsim.Network, cfg StorageConfig) *StorageCluster {
 	c := &StorageCluster{
 		cfg:       cfg,
 		net:       net,
-		rng:       rand.New(rand.NewSource(net.Rng.Int63())),
+		rng:       rand.New(rand.NewSource(seed)),
 		startedAt: net.Now(),
 	}
 	for _, comp := range cfg.Compute {
