@@ -31,55 +31,26 @@ func ablation(o Options) poisson {
 }
 
 func runAblationHistory(o Options) []*Table {
-	t := &Table{
-		Title: "Ablation: state history depth k (normalized to k=3)",
-		Cols:  []string{"k", "avg FCT", "p99 FCT"},
-	}
-	sc := ablation(o)
-	var base stats.FCTSummary
-	results := map[int]stats.FCTSummary{}
-	for _, k := range []int{3, 1, 5} {
-		p := Policy{Name: fmt.Sprintf("k=%d", k), Kind: DACC, HistoryK: k, FreshModel: true}
-		s := stats.Summarize(sc.run(o, p))
-		results[k] = s
-		if k == 3 {
-			base = s
-		}
-	}
+	var arms []Policy
 	for _, k := range []int{1, 3, 5} {
-		s := results[k]
-		t.addFCT(k, s, base)
+		arms = append(arms, Policy{Name: fmt.Sprint(k), Kind: DACC, HistoryK: k, FreshModel: true})
 	}
-	t.Notes = append(t.Notes, "paper: k=3 suffices to summarize congestion without inflating the state space")
-	return []*Table{t}
+	return ablation(o).fctTable(o, "Ablation: state history depth k (normalized to k=3)", "k",
+		"paper: k=3 suffices to summarize congestion without inflating the state space", 1, arms...)
 }
 
 func runAblationDDQN(o Options) []*Table {
-	t := &Table{
-		Title: "Ablation: Double DQN vs plain DQN target (normalized to DDQN)",
-		Cols:  []string{"variant", "avg FCT", "p99 FCT"},
-	}
-	sc := ablation(o)
-	ddqn := stats.Summarize(sc.run(o, Policy{Name: "DDQN", Kind: DACC, FreshModel: true}))
-	dqn := stats.Summarize(sc.run(o, Policy{Name: "DQN", Kind: DACC, FreshModel: true, NoDoubleDQN: true}))
-	t.addFCT("DDQN (paper)", ddqn, ddqn)
-	t.addFCT("DQN", dqn, ddqn)
-	t.Notes = append(t.Notes, "paper: DDQN reduces Q-value overestimation (§3.4)")
-	return []*Table{t}
+	return ablation(o).fctTable(o, "Ablation: Double DQN vs plain DQN target (normalized to DDQN)", "variant",
+		"paper: DDQN reduces Q-value overestimation (§3.4)", 0,
+		Policy{Name: "DDQN (paper)", Kind: DACC, FreshModel: true},
+		Policy{Name: "DQN", Kind: DACC, FreshModel: true, NoDoubleDQN: true})
 }
 
 func runAblationExchange(o Options) []*Table {
-	t := &Table{
-		Title: "Ablation: global replay exchange (normalized to exchange on)",
-		Cols:  []string{"variant", "avg FCT", "p99 FCT"},
-	}
-	sc := ablation(o)
-	on := stats.Summarize(sc.run(o, Policy{Name: "exchange", Kind: DACC, FreshModel: true}))
-	off := stats.Summarize(sc.run(o, Policy{Name: "no-exchange", Kind: DACC, FreshModel: true, NoExchange: true}))
-	t.addFCT("exchange on (paper)", on, on)
-	t.addFCT("exchange off", off, on)
-	t.Notes = append(t.Notes, "paper: exchanging experiences across switches makes the learned model more stable and generalizable")
-	return []*Table{t}
+	return ablation(o).fctTable(o, "Ablation: global replay exchange (normalized to exchange on)", "variant",
+		"paper: exchanging experiences across switches makes the learned model more stable and generalizable", 0,
+		Policy{Name: "exchange on (paper)", Kind: DACC, FreshModel: true},
+		Policy{Name: "exchange off", Kind: DACC, FreshModel: true, NoExchange: true})
 }
 
 // runAblationBusyIdle measures the §4.2 optimization: inference invocations
@@ -89,60 +60,40 @@ func runAblationBusyIdle(o Options) []*Table {
 	t := &Table{
 		Title: "Ablation: busy/idle inference gating (§4.2)",
 		Cols:  []string{"variant", "inferences", "skipped", "saved", "avg FCT(norm)"},
+		Notes: []string{"paper: gating idle queues cut switch-CPU consumption ~10%"},
 	}
-	sc := ablation(o)
-	run := func(p Policy) (inf, skip uint64, fct stats.FCTSummary) {
-		r := sc.start(o, p)
-		fct = stats.Summarize(r.finish())
+	runs := ablation(o).compare(o, accPolicy(), Policy{Name: "ACC", Kind: DACC, NoBusyIdle: true})
+	var inf, skip [2]uint64
+	for i, r := range runs {
 		for _, tn := range r.sys.Tuners {
-			inf += tn.Inferences
-			skip += tn.Skipped
+			inf[i] += tn.Inferences
+			skip[i] += tn.Skipped
 		}
-		return inf, skip, fct
 	}
-	infOn, skipOn, fctOn := run(accPolicy())
-	infOff, skipOff, fctOff := run(Policy{Name: "ACC", Kind: DACC, NoBusyIdle: true})
-	saved := float64(skipOn) / float64(infOn+skipOn)
-	t.AddRow("gating on (paper)", infOn, skipOn, fmt.Sprintf("%.0f%%", saved*100), ratio(fctOn.Avg, fctOn.Avg))
-	t.AddRow("gating off", infOff, skipOff, "0%", ratio(fctOff.Avg, fctOn.Avg))
-	t.Notes = append(t.Notes, "paper: gating idle queues cut switch-CPU consumption ~10%")
+	on, off := stats.Summarize(runs[0].flows).Avg, stats.Summarize(runs[1].flows).Avg
+	saved := float64(skip[0]) / float64(inf[0]+skip[0])
+	t.AddRow("gating on (paper)", inf[0], skip[0], fmt.Sprintf("%.0f%%", saved*100), ratio(on, on))
+	t.AddRow("gating off", inf[1], skip[1], "0%", ratio(off, on))
 	return []*Table{t}
 }
 
 func runAblationPeriod(o Options) []*Table {
-	t := &Table{
-		Title: "Ablation: action period ΔT (normalized to 100µs)",
-		Cols:  []string{"ΔT", "avg FCT", "p99 FCT"},
+	var arms []Policy
+	for _, period := range []simtime.Duration{100 * simtime.Microsecond, 20 * simtime.Microsecond, 500 * simtime.Microsecond, 2 * simtime.Millisecond} {
+		arms = append(arms, Policy{Name: period.String(), Kind: DACC, Period: period})
 	}
-	sc := ablation(o)
-	var base stats.FCTSummary
-	for i, period := range []simtime.Duration{100 * simtime.Microsecond, 20 * simtime.Microsecond, 500 * simtime.Microsecond, 2 * simtime.Millisecond} {
-		s := stats.Summarize(sc.run(o, Policy{Name: period.String(), Kind: DACC, Period: period}))
-		if i == 0 {
-			base = s
-		}
-		t.addFCT(period, s, base)
-	}
-	t.Notes = append(t.Notes,
-		"paper: ΔT one order of magnitude above RTT avoids interfering with DCQCN's control loop; too-small ΔT fights the CC, too-large reacts slowly")
-	return []*Table{t}
+	return ablation(o).fctTable(o, "Ablation: action period ΔT (normalized to 100µs)", "ΔT",
+		"paper: ΔT one order of magnitude above RTT avoids interfering with DCQCN's control loop; too-small ΔT fights the CC, too-large reacts slowly", 0, arms...)
 }
 
 // runAblationHillclimb pits the DRL tuner against a greedy hill climber
 // using the identical telemetry, template, and reward.
 func runAblationHillclimb(o Options) []*Table {
-	t := &Table{
-		Title: "Ablation: DRL (ACC) vs hill-climbing search (normalized to ACC)",
-		Cols:  []string{"tuner", "avg FCT", "p99 FCT"},
-	}
-	sc := ablation(o)
-	accS := stats.Summarize(sc.run(o, accPolicy()))
-	hc := stats.Summarize(sc.run(o, Policy{Name: "hill climber", Kind: HillClimb}))
-	t.addFCT("ACC (DRL)", accS, accS)
-	t.addFCT("hill climber", hc, accS)
-	t.Notes = append(t.Notes,
-		"the climber probes one neighbour at a time per queue, so it adapts but cannot generalize across traffic patterns the way the DRL policy does")
-	return []*Table{t}
+	drl := accPolicy()
+	drl.Name = "ACC (DRL)"
+	return ablation(o).fctTable(o, "Ablation: DRL (ACC) vs hill-climbing search (normalized to ACC)", "tuner",
+		"the climber probes one neighbour at a time per queue, so it adapts but cannot generalize across traffic patterns the way the DRL policy does", 0,
+		drl, Policy{Name: "hill climber", Kind: HillClimb})
 }
 
 // runStressFailure exercises the §2.2 "failure scenarios" stress test: a
@@ -154,21 +105,17 @@ func runStressFailure(o Options) []*Table {
 		Cols:  []string{"policy", "avg FCT", "p99 FCT", "drops"},
 	}
 	dur := o.dur(9 * simtime.Millisecond)
-	sc := poisson{fabric: robustFabric, sizes: workload.WebSearch(), load: 0.6, dur: dur, until: dur + dur/2}
-	failure := new(psim.Plan).DownUp(robustUplink(0), simtime.Time(dur/3), simtime.Time(2*dur/3))
-	var base stats.FCTSummary
-	for i, p := range []Policy{accPolicy(), secn1()} {
-		r := sc.start(o, p)
-		psim.ApplyToFabric(r.fab, robustHostsPerLeaf, failure)
-		s := stats.Summarize(r.finish())
+	sc := poisson{fabric: robustFabric, sizes: workload.WebSearch(), load: 0.6, dur: dur, until: dur + dur/2,
+		faults: new(psim.Plan).DownUp(robustUplink(0), simtime.Time(dur/3), simtime.Time(2*dur/3))}
+	arms := []Policy{accPolicy(), secn1()}
+	runs := sc.compare(o, arms...)
+	base := stats.Summarize(runs[0].flows)
+	for i, r := range runs {
 		var drops uint64
 		for _, sw := range r.fab.Switches() {
 			drops += sw.DropsTotal
 		}
-		if i == 0 {
-			base = s
-		}
-		t.addFCT(p.Name, s, base, drops)
+		t.addFCT(arms[i].Name, stats.Summarize(r.flows), base, drops)
 	}
 	return []*Table{t}
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
-	"github.com/accnet/acc/internal/stats"
 	"github.com/accnet/acc/internal/topo"
 	"github.com/accnet/acc/internal/workload"
 )
@@ -50,22 +49,12 @@ func fmtBytes(b float64) string {
 // with centralized training, against fully distributed D-ACC and static
 // SECN1, on the fig14 fabric and workload.
 func runHybrid(o Options) []*Table {
-	t := &Table{
-		Title: "§6 extension: hybrid design (normalized to D-ACC)",
-		Cols:  []string{"policy", "avg FCT", "p99 FCT"},
-	}
 	dur := o.dur(8 * simtime.Millisecond)
 	sc := poisson{
 		fabric: func(net *netsim.Network) *topo.Fabric { return topo.LeafSpine(net, 4, 8, 2, topo.DefaultConfig()) },
 		sizes:  workload.WebSearch(), load: 0.7, dur: dur, until: 2 * dur,
 	}
-	base := stats.Summarize(sc.run(o, accPolicy()))
-	hy := stats.Summarize(sc.run(o, Policy{Name: "Hybrid", Kind: HybridACC}))
-	st := stats.Summarize(sc.run(o, secn1()))
-	t.addFCT("D-ACC", base, base)
-	t.addFCT("Hybrid", hy, base)
-	t.addFCT("SECN1", st, base)
-	t.Notes = append(t.Notes,
-		"paper §6: hybrid keeps D-ACC's microsecond actuation while a controller owns training — a proposed refinement, not evaluated in the paper")
-	return []*Table{t}
+	return sc.fctTable(o, "§6 extension: hybrid design (normalized to D-ACC)", "policy",
+		"paper §6: hybrid keeps D-ACC's microsecond actuation while a controller owns training — a proposed refinement, not evaluated in the paper", 0,
+		Policy{Name: "D-ACC", Kind: DACC}, Policy{Name: "Hybrid", Kind: HybridACC}, secn1())
 }

@@ -26,17 +26,10 @@ func runFig15(o Options) []*Table {
 	recv := fab.Hosts[8]
 	sw := fab.Leaves[0]
 
-	cfg := acc.DefaultConfig()
-	cfg.RecordTrace = true
-	model := o.model()
-	ac := rl.DefaultAgentConfig(cfg.StateDim(), len(cfg.Template))
-	ac.LR = 1e-4 // fine-tune only
-	cfg.TrainEvery = 4
-	agent := rl.NewAgent(ac, net.Rng)
-	agent.Eval.CopyFrom(model)
-	agent.Target.CopyFrom(model)
-	agent.SetEpsilon(0.01)
-	tuner := acc.NewTuner(net, sw, agent, cfg)
+	// A Star has one switch, so the system is one tuner and no exchange.
+	stop, sys := deploy(net, fab, accPolicy(), o)
+	tuner := sys.Tuners[0]
+	tuner.Cfg.RecordTrace = true // before its first tick
 
 	start := rdmaStarter(net, 25*simtime.Gbps, nil)
 	// Background long flow, then a burst at t=2ms.
@@ -54,7 +47,7 @@ func runFig15(o Options) []*Table {
 	hot := sw.Ports[8].Queues[0]
 	qmon := stats.MonitorQueue(net, hot, 100*simtime.Microsecond)
 	net.RunUntil(simtime.Time(o.dur(8 * simtime.Millisecond)))
-	tuner.Stop()
+	stop()
 	qmon.Stop()
 
 	t := &Table{

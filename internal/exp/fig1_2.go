@@ -91,9 +91,9 @@ func runFig2(o Options) []*Table {
 	dur := o.dur(10 * simtime.Millisecond)
 	for _, sc := range scenarios {
 		scen := poisson{fabric: testbed, sizes: sc.sizes, load: 0.5, dur: dur, until: dur}
-		avgs := make([]float64, len(policies))
-		for pi, p := range policies {
-			avgs[pi] = float64(stats.Summarize(scen.run(o, p)).Avg)
+		var avgs []float64
+		for _, r := range scen.compare(o, policies...) {
+			avgs = append(avgs, float64(stats.Summarize(r.flows).Avg))
 		}
 		t.addRatios(avgs, 0, sc.name)
 	}
