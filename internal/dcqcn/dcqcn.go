@@ -207,9 +207,6 @@ func Start(net *netsim.Network, src, dst *netsim.Host, size int64, p Params, onD
 // with a StartReceiver carrying the same explicit flow id in the shard
 // owning the destination.
 func StartSender(net *netsim.Network, id netsim.FlowID, src *netsim.Host, dstID int, size int64, p Params) *Flow {
-	if p.MTU <= 0 {
-		p.MTU = netsim.DefaultMTU
-	}
 	line := src.Port.Bandwidth
 	init := p.InitRate
 	if init <= 0 {
@@ -239,9 +236,6 @@ func StartSender(net *netsim.Network, id netsim.FlowID, src *netsim.Host, dstID 
 // StartReceiver launches the notification point only, on dst's Network.
 // onDone, if non-nil, runs when the last byte arrives.
 func StartReceiver(id netsim.FlowID, srcID int, dst *netsim.Host, size int64, p Params, onDone func(*Receiver)) *Receiver {
-	if p.MTU <= 0 {
-		p.MTU = netsim.DefaultMTU
-	}
 	r := &Receiver{
 		ID:     id,
 		Dst:    dst,

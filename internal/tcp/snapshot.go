@@ -10,9 +10,8 @@ import (
 // Snapshot support, mirroring package dcqcn: live senders and receivers
 // visit their complete dynamic state, and restore constructors rebuild
 // them on a freshly restored Network without construction side effects (no
-// initial trySend, no parameter re-normalization — Params were normalized
-// when the flow first started and are saved verbatim). Completed halves
-// unregister themselves, so only live flows appear in snapshots.
+// initial trySend; Params are saved verbatim). Completed halves unregister
+// themselves, so only live flows appear in snapshots.
 
 func (p *Params) state(v *codec.Visitor) {
 	v.Int(&p.MTU)

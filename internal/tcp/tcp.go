@@ -48,12 +48,10 @@ func DefaultParams() Params {
 		ECN:          true,
 		G:            1.0 / 16,
 		InitCwndPkts: 10,
-		RTOMin:       time1ms,
+		RTOMin:       simtime.Millisecond,
 		DupAckThresh: 3,
 	}
 }
-
-const time1ms = simtime.Millisecond
 
 // Flow is the sender of one TCP connection transferring Size bytes from Src
 // to the host addressed by DstID.
@@ -191,18 +189,6 @@ func Start(net *netsim.Network, src, dst *netsim.Host, size int64, p Params, onD
 // StartReceiver carrying the same explicit flow id in the destination's
 // shard.
 func StartSender(net *netsim.Network, id netsim.FlowID, src *netsim.Host, dstID int, size int64, p Params) *Flow {
-	if p.MTU <= 0 {
-		p.MTU = netsim.DefaultMTU
-	}
-	if p.InitCwndPkts <= 0 {
-		p.InitCwndPkts = 10
-	}
-	if p.DupAckThresh <= 0 {
-		p.DupAckThresh = 3
-	}
-	if p.RTOMin <= 0 {
-		p.RTOMin = time1ms
-	}
 	f := &Flow{
 		ID:        id,
 		Src:       src,
@@ -228,9 +214,6 @@ func StartSender(net *netsim.Network, id netsim.FlowID, src *netsim.Host, dstID 
 // StartReceiver opens the receiving half only, on dst's Network. onDone, if
 // non-nil, runs when the final byte arrives.
 func StartReceiver(id netsim.FlowID, srcID int, dst *netsim.Host, size int64, p Params, onDone func(*Receiver)) *Receiver {
-	if p.MTU <= 0 {
-		p.MTU = netsim.DefaultMTU
-	}
 	r := &Receiver{
 		ID:     id,
 		Dst:    dst,

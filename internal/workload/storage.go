@@ -48,8 +48,6 @@ type StorageConfig struct {
 	Model   StorageModel
 	IODepth int // outstanding IOs per compute node
 	Start   StartFlowFunc
-	// RequestBytes is the size of the request RPC (default 256B).
-	RequestBytes int64
 	// Replicate mirrors each write to a second storage node, modelling the
 	// paper's "storage nodes backup data".
 	Replicate bool
@@ -73,16 +71,14 @@ type StorageCluster struct {
 	startedAt simtime.Time
 }
 
+// requestBytes is the size of an IO's request RPC (a read) or its ack (a
+// write).
+const requestBytes = 256
+
 // RunStorage starts the closed-loop benchmark: each compute node launches
 // IODepth independent IO chains, drawing IOs from a stream seeded with seed
 // (see StartPoisson).
 func RunStorage(net *netsim.Network, seed int64, cfg StorageConfig) *StorageCluster {
-	if cfg.RequestBytes <= 0 {
-		cfg.RequestBytes = 256
-	}
-	if cfg.IODepth <= 0 {
-		cfg.IODepth = 1
-	}
 	c := &StorageCluster{
 		cfg:       cfg,
 		net:       net,
@@ -128,7 +124,7 @@ func (c *StorageCluster) issue(comp *netsim.Host) {
 
 	if isRead {
 		// Request RPC to storage, then data back to compute.
-		c.cfg.Start(comp, stor, c.cfg.RequestBytes, func() {
+		c.cfg.Start(comp, stor, requestBytes, func() {
 			c.cfg.Start(stor, comp, block, finish)
 		})
 	} else {
@@ -142,7 +138,7 @@ func (c *StorageCluster) issue(comp *netsim.Host) {
 				}
 				c.cfg.Start(stor, other, block, nil)
 			}
-			c.cfg.Start(stor, comp, c.cfg.RequestBytes, finish)
+			c.cfg.Start(stor, comp, requestBytes, finish)
 		})
 	}
 }
