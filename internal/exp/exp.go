@@ -75,6 +75,8 @@ type Options struct {
 	// ReplayTrace, when set, replays the given flow-trace file instead of
 	// generating traffic from a spec. Honored by mix-spec and mix-replay.
 	ReplayTrace string
+
+	id string // the experiment Run runs, which newNet reports to tap
 }
 
 // An option is an Options setting only some runners read. A runner names
@@ -255,6 +257,7 @@ func Run(id string, o Options) ([]*Table, error) {
 		return nil, err
 	}
 	e := registry[id]
+	o.id = id
 	o.Obs.Begin(id, o.Seed, o.Scale, obsConfig(o))
 	o.Obs.SetShards(o.Shards)
 	tables := e.Run(o)
@@ -316,6 +319,9 @@ func obsConfig(o Options) map[string]string {
 // every experiment, including ones that build many Networks in parallel.
 func newNet(o Options, seed int64) *netsim.Network {
 	n := netsim.New(seed)
+	if tap != nil {
+		tap.net(n, o.id)
+	}
 	if o.Obs != nil {
 		n.Tracer = o.Obs.Tracer
 		o.Obs.RegisterEngine(n.Q.Processed, n.PacketsAlloced)
@@ -453,11 +459,15 @@ func workloadSeed(net *netsim.Network) int64 {
 }
 
 // tap, when a test sets it, hears what each arm does, by the arm's
-// Network: the policy deploy applies, each flow its starters launch and
-// each workload-stream seed it draws.
+// Network: the experiment newNet made it for, the policy deploy applies,
+// each flow its starters launch and complete, and each workload-stream
+// seed it draws. Arms run in parallel, so its methods must be safe for
+// concurrent use.
 var tap interface {
+	net(net *netsim.Network, id string)
 	deploy(net *netsim.Network, p Policy)
 	flow(net *netsim.Network, src, dst *netsim.Host, size int64)
+	done(net *netsim.Network, size int64, start, end simtime.Time)
 	stream(net *netsim.Network, seed int64)
 }
 
@@ -548,6 +558,9 @@ func rdmaStarter(net *netsim.Network, bw simtime.Rate, col *stats.FCTCollector) 
 			if col != nil {
 				col.AddFlow(f.Size, f.Start, f.End, "rdma")
 			}
+			if tap != nil {
+				tap.done(net, f.Size, f.Start, f.End)
+			}
 			if onDone != nil {
 				onDone()
 			}
@@ -566,6 +579,9 @@ func tcpStarter(net *netsim.Network, col *stats.FCTCollector, ecn bool) func(src
 		tcp.Start(net, src, dst, size, params, func(f *tcp.Flow) {
 			if col != nil {
 				col.AddFlow(f.Size, f.Start, f.End, "tcp")
+			}
+			if tap != nil {
+				tap.done(net, f.Size, f.Start, f.End)
 			}
 			if onDone != nil {
 				onDone()
