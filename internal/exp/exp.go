@@ -76,7 +76,7 @@ type Options struct {
 	// generating traffic from a spec. Honored by mix-spec and mix-replay.
 	ReplayTrace string
 
-	id string // the experiment Run runs, which newNet reports to tap
+	id string // the experiment Run runs, which runArms reports to tap
 }
 
 // An option is an Options setting only some runners read. A runner names
@@ -319,9 +319,6 @@ func obsConfig(o Options) map[string]string {
 // every experiment, including ones that build many Networks in parallel.
 func newNet(o Options, seed int64) *netsim.Network {
 	n := netsim.New(seed)
-	if tap != nil {
-		tap.net(n, o.id)
-	}
 	if o.Obs != nil {
 		n.Tracer = o.Obs.Tracer
 		o.Obs.RegisterEngine(n.Q.Processed, n.PacketsAlloced)
@@ -447,37 +444,21 @@ func (o Options) model() *rl.MLP {
 	return m
 }
 
-// workloadSeed draws the seed of one of an arm's workload streams from
-// net.Rng. An arm draws all of them before deploy, which draws from net.Rng
-// too, so every arm of a comparison generates the same workload.
-func workloadSeed(net *netsim.Network) int64 {
-	seed := net.Rng.Int63()
-	if tap != nil {
-		tap.stream(net, seed)
-	}
-	return seed
-}
-
 // tap, when a test sets it, hears what each arm does, by the arm's
-// Network: the experiment newNet made it for, the policy deploy applies,
-// each flow its starters launch and complete, and each workload-stream
-// seed it draws. Arms run in parallel, so its methods must be safe for
-// concurrent use.
+// Network: runArms reports the experiment, the comparison (one per runArms
+// call), the policy and the workload seeds of each arm, and the starters
+// each flow they launch and complete. Arms run in parallel, so its methods
+// must be safe for concurrent use.
 var tap interface {
-	net(net *netsim.Network, id string)
-	deploy(net *netsim.Network, p Policy)
+	arm(net *netsim.Network, id string, comparison int64, p Policy, seeds []int64)
 	flow(net *netsim.Network, src, dst *netsim.Host, size int64)
 	done(net *netsim.Network, size int64, start, end simtime.Time)
-	stream(net *netsim.Network, seed int64)
 }
 
-// deploy applies a policy to a fabric and returns its stopper. sys is the
-// deployed D-ACC system, for experiments that attach telemetry faults or
-// read tuner counters; it is nil for every other policy.
-func deploy(net *netsim.Network, fab *topo.Fabric, p Policy, o Options) (stop func(), sys *acc.System) {
-	if tap != nil {
-		tap.deploy(net, p)
-	}
+// deploy applies a policy to a fabric. It returns the deployed D-ACC
+// system, for experiments that attach telemetry faults or read tuner
+// counters; it is nil for every other policy.
+func deploy(net *netsim.Network, fab *topo.Fabric, p Policy, o Options) *acc.System {
 	switch p.Kind {
 	case DACC:
 		scfg := acc.DefaultSystemConfig()
@@ -519,29 +500,21 @@ func deploy(net *netsim.Network, fab *topo.Fabric, p Policy, o Options) (stop fu
 			// (§4.3: fast exponential decay to avoid unstable exploring).
 			s.SetEpsilon(0.01)
 		}
-		return s.Stop, s
+		return s
 	case CACC:
-		c := acc.NewCentralized(net, fab.Leaves, fab.Spines)
-		return c.Stop, nil
+		acc.NewCentralized(net, fab.Leaves, fab.Spines)
 	case HybridACC:
-		h := acc.NewHybrid(net, fab.Switches(), o.model())
-		h.SetEpsilon(0.01)
-		return h.Stop, nil
+		acc.NewHybrid(net, fab.Switches(), o.model()).SetEpsilon(0.01)
 	case HillClimb:
-		var climbers []*acc.HillClimber
 		for _, sw := range fab.Switches() {
-			climbers = append(climbers, acc.NewHillClimber(net, sw))
+			acc.NewHillClimber(net, sw)
 		}
-		return func() {
-			for _, c := range climbers {
-				c.Stop()
-			}
-		}, nil
+	default:
+		for _, sw := range fab.Switches() {
+			sw.SetRED(*p.Static)
+		}
 	}
-	for _, sw := range fab.Switches() {
-		sw.SetRED(*p.Static)
-	}
-	return func() {}, nil
+	return nil
 }
 
 // ----- transport starters -----
@@ -555,15 +528,7 @@ func rdmaStarter(net *netsim.Network, bw simtime.Rate, col *stats.FCTCollector) 
 			tap.flow(net, src, dst, size)
 		}
 		dcqcn.Start(net, src, dst, size, params, func(f *dcqcn.Flow) {
-			if col != nil {
-				col.AddFlow(f.Size, f.Start, f.End, "rdma")
-			}
-			if tap != nil {
-				tap.done(net, f.Size, f.Start, f.End)
-			}
-			if onDone != nil {
-				onDone()
-			}
+			flowDone(net, col, "rdma", f.Size, f.Start, f.End, onDone)
 		})
 	}
 }
@@ -577,16 +542,23 @@ func tcpStarter(net *netsim.Network, col *stats.FCTCollector, ecn bool) func(src
 			tap.flow(net, src, dst, size)
 		}
 		tcp.Start(net, src, dst, size, params, func(f *tcp.Flow) {
-			if col != nil {
-				col.AddFlow(f.Size, f.Start, f.End, "tcp")
-			}
-			if tap != nil {
-				tap.done(net, f.Size, f.Start, f.End)
-			}
-			if onDone != nil {
-				onDone()
-			}
+			flowDone(net, col, "tcp", f.Size, f.Start, f.End, onDone)
 		})
+	}
+}
+
+// flowDone is the completion path both starters share: record the flow
+// into col (which may be nil) under class, report it to the tap, then call
+// onDone (which may be nil).
+func flowDone(net *netsim.Network, col *stats.FCTCollector, class string, size int64, start, end simtime.Time, onDone func()) {
+	if col != nil {
+		col.AddFlow(size, start, end, class)
+	}
+	if tap != nil {
+		tap.done(net, size, start, end)
+	}
+	if onDone != nil {
+		onDone()
 	}
 }
 
@@ -594,10 +566,7 @@ func tcpStarter(net *netsim.Network, col *stats.FCTCollector, ecn bool) func(src
 // run owns an independent Network (and RNG), so cross-run parallelism keeps
 // per-run determinism while cutting wall time.
 func forEachParallel(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

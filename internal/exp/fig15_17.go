@@ -27,7 +27,7 @@ func runFig15(o Options) []*Table {
 	sw := fab.Leaves[0]
 
 	// A Star has one switch, so the system is one tuner and no exchange.
-	stop, sys := deploy(net, fab, accPolicy(), o)
+	sys := deploy(net, fab, accPolicy(), o)
 	tuner := sys.Tuners[0]
 	tuner.Cfg.RecordTrace = true // before its first tick
 
@@ -47,7 +47,6 @@ func runFig15(o Options) []*Table {
 	hot := sw.Ports[8].Queues[0]
 	qmon := stats.MonitorQueue(net, hot, 100*simtime.Microsecond)
 	net.RunUntil(simtime.Time(o.dur(8 * simtime.Millisecond)))
-	stop()
 	qmon.Stop()
 
 	t := &Table{
@@ -102,35 +101,27 @@ func runFig16(o Options) []*Table {
 		Cols:  []string{"segment", "ACC(no-offline)", "SECN1", "SECN2"},
 	}
 	// avg FCT per policy per segment.
-	avgs := make([][]float64, len(policies))
-	for pi, p := range policies {
-		net := newNet(o, o.Seed)
-		fab := topo.TestbedClos(net, topo.DefaultConfig())
-		seeds := make([]int64, len(segments))
-		for si := range seeds {
-			seeds[si] = workloadSeed(net)
-		}
-		stop, _ := deploy(net, fab, p, o)
-		avgs[pi] = make([]float64, len(segments))
+	avgs := runArms(o, testbed, len(segments), policies, func(a arm) []float64 {
+		avg := make([]float64, len(segments))
 		var col stats.FCTCollector
-		start := rdmaStarter(net, 25*simtime.Gbps, &col)
+		start := rdmaStarter(a.net, 25*simtime.Gbps, &col)
 		var at simtime.Duration
 		for si, sg := range segments {
-			gen := workload.StartPoisson(net, seeds[si], workload.PoissonConfig{
-				Hosts:  fab.Hosts,
+			gen := workload.StartPoisson(a.net, a.seeds[si], workload.PoissonConfig{
+				Hosts:  a.fab.Hosts,
 				Sizes:  sg.wl,
 				Load:   0.5,
 				HostBW: 25 * simtime.Gbps,
 				Start:  start,
 			})
 			mark := len(col.Records)
-			net.RunUntil(simtime.Time(at + sg.dur))
+			a.net.RunUntil(simtime.Time(at + sg.dur))
 			gen.Stop()
-			avgs[pi][si] = float64(stats.Summarize(col.Records[mark:]).Avg)
+			avg[si] = float64(stats.Summarize(col.Records[mark:]).Avg)
 			at += sg.dur
 		}
-		stop()
-	}
+		return avg
+	})
 	for si, sg := range segments {
 		base := avgs[1][si] // SECN1
 		t.AddRow(sg.name, ratio(avgs[0][si], base), ratio(base, base), ratio(avgs[2][si], base))

@@ -28,7 +28,13 @@ func runFig1(o Options) []*Table {
 		{"Incast(8:1), 32 flows/server", 8, 32},
 		{"Incast(15:1), 8 flows/server", 15, 8},
 	}
-	ks := []int{50 * simtime.KB, 100 * simtime.KB, 200 * simtime.KB, 500 * simtime.KB, simtime.MB, 2 * simtime.MB}
+	// Each K is a static policy: mark every packet above K.
+	var ks []Policy
+	for _, k := range []int{50 * simtime.KB, 100 * simtime.KB, 200 * simtime.KB, 500 * simtime.KB, simtime.MB, 2 * simtime.MB} {
+		ks = append(ks, Policy{Name: fmt.Sprintf("%dKB", k/1024), Static: &red.Config{Kmin: k, Kmax: k, Pmax: 1}})
+	}
+	warm := o.dur(2 * simtime.Millisecond)
+	meas := o.dur(8 * simtime.Millisecond)
 
 	var tables []*Table
 	for _, c := range cases {
@@ -36,36 +42,30 @@ func runFig1(o Options) []*Table {
 			Title: "Figure 1: " + c.name,
 			Cols:  []string{"K", "throughput(Gbps)", "avg queue(KB)"},
 		}
-		bestK, bestScore := 0, -1.0
-		for _, k := range ks {
-			net := newNet(o, o.Seed)
-			fab := topo.Star(net, c.senders+1, topo.DefaultConfig())
-			sw := fab.Leaves[0]
-			sw.SetRED(red.Config{Kmin: k, Kmax: k, Pmax: 1})
-			recv := fab.Hosts[c.senders]
-			start := rdmaStarter(net, 25*simtime.Gbps, nil)
-			jitter := func() simtime.Duration { return simtime.Duration(net.Rng.Int63n(int64(100 * simtime.Microsecond))) }
-			for _, s := range fab.Hosts[:c.senders] {
-				renew(net, start, s, recv, simtime.MB, c.flows, jitter, nil)
+		runs := runArms(o, star(c.senders+1, topo.DefaultConfig()), 0, ks, func(a arm) [2]float64 {
+			recv := a.fab.Hosts[c.senders]
+			start := rdmaStarter(a.net, 25*simtime.Gbps, nil)
+			jitter := func() simtime.Duration { return simtime.Duration(a.net.Rng.Int63n(int64(100 * simtime.Microsecond))) }
+			for _, s := range a.fab.Hosts[:c.senders] {
+				renew(a.net, start, s, recv, simtime.MB, c.flows, jitter, nil)
 			}
-
-			warm := o.dur(2 * simtime.Millisecond)
-			meas := o.dur(8 * simtime.Millisecond)
-			hot := sw.Ports[c.senders].Queues[0]
-			net.RunUntil(simtime.Time(warm))
+			hot := a.fab.Leaves[0].Ports[c.senders].Queues[0]
+			a.net.RunUntil(simtime.Time(warm))
 			tx0, in0 := hot.TxBytes, hot.ByteTimeIntegral()
-			net.RunUntil(simtime.Time(warm + meas))
-			tput := gbps(hot.TxBytes-tx0, meas)
-			avgQ := (hot.ByteTimeIntegral() - in0) / meas.Seconds()
-			t.AddRow(fmt.Sprintf("%dKB", k/1024), tput, kb(avgQ))
+			a.net.RunUntil(simtime.Time(warm + meas))
+			return [2]float64{gbps(hot.TxBytes-tx0, meas), (hot.ByteTimeIntegral() - in0) / meas.Seconds()}
+		})
+		best, bestScore := "0KB", -1.0
+		for i, r := range runs {
+			tput, avgQ := r[0], r[1]
+			t.AddRow(ks[i].Name, tput, kb(avgQ))
 			// Optimality per the paper's framing: high throughput with a
 			// small queue (penalize queueing delay).
-			score := tput - 2*avgQ/1e6
-			if score > bestScore {
-				bestScore, bestK = score, k
+			if score := tput - 2*avgQ/1e6; score > bestScore {
+				bestScore, best = score, ks[i].Name
 			}
 		}
-		t.Notes = append(t.Notes, fmt.Sprintf("best throughput/queue tradeoff at K=%dKB", bestK/1024))
+		t.Notes = append(t.Notes, "best throughput/queue tradeoff at K="+best)
 		tables = append(tables, t)
 	}
 	return tables

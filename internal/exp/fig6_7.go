@@ -36,12 +36,11 @@ func runFig6(o Options) []*Table {
 		Title: "Figure 6 (summary over all phases)",
 		Cols:  []string{"policy", "avg queue(KB)", "avg utilization"},
 	}
-	for _, p := range policies {
-		net := newNet(o, o.Seed)
-		fab := topo.Star(net, 13, topo.DefaultConfig())
+	// Each arm's average queue and utilization, by phase.
+	runs := runArms(o, star(13, topo.DefaultConfig()), 1, policies, func(a arm) [][2]float64 {
+		net, fab := a.net, a.fab
 		recv := fab.Hosts[12]
-		rng := rand.New(rand.NewSource(workloadSeed(net)))
-		stop, _ := deploy(net, fab, p, o)
+		rng := rand.New(rand.NewSource(a.seeds[0]))
 		start := rdmaStarter(net, 25*simtime.Gbps, nil)
 		hot := fab.Leaves[0].Ports[12]
 		hq := hot.Queues[0]
@@ -65,20 +64,24 @@ func runFig6(o Options) []*Table {
 		}
 		workload.RunPhases(net, sched)
 
-		var totalQ, totalU float64
-		for i, ph := range phases {
+		per := make([][2]float64, len(phases))
+		for i := range phases {
 			startT := simtime.Time(simtime.Duration(i) * phaseDur)
 			net.RunUntil(startT)
 			in0, tx0 := hq.ByteTimeIntegral(), hot.TxBytesTotal
 			net.RunUntil(startT.Add(phaseDur))
-			avgQ := (hq.ByteTimeIntegral() - in0) / phaseDur.Seconds()
-			util := hot.Utilization(hot.TxBytesTotal-tx0, phaseDur)
-			totalQ += avgQ
-			totalU += util
-			t.AddRow(p.Name, i+1, fmt.Sprintf("%dx%d", ph.senders, ph.flows), kb(avgQ), util)
+			per[i] = [2]float64{(hq.ByteTimeIntegral() - in0) / phaseDur.Seconds(), hot.Utilization(hot.TxBytesTotal-tx0, phaseDur)}
+		}
+		return per
+	})
+	for pi, p := range policies {
+		var totalQ, totalU float64
+		for i, r := range runs[pi] {
+			totalQ += r[0]
+			totalU += r[1]
+			t.AddRow(p.Name, i+1, fmt.Sprintf("%dx%d", phases[i].senders, phases[i].flows), kb(r[0]), r[1])
 		}
 		summary.AddRow(p.Name, kb(totalQ/float64(len(phases))), totalU/float64(len(phases)))
-		stop()
 	}
 	summary.Notes = append(summary.Notes,
 		"paper: ACC reduces queue length by an order of magnitude and improves avg throughput 26.1%")
@@ -106,19 +109,12 @@ func runFig7(o Options) []*Table {
 	}
 
 	for _, load := range loads {
-		// summaries[size][policy]
-		avg := make([][]float64, len(sizes))
-		p99 := make([][]float64, len(sizes))
-		p999 := make([][]float64, len(sizes))
-		for i := range sizes {
-			avg[i] = make([]float64, len(policies))
-			p99[i] = make([]float64, len(policies))
-			p999[i] = make([]float64, len(policies))
+		type run struct {
+			fct           [][3]float64 // by size: avg, p99, p99.9
+			q, qStd, tput float64      // at 60% load
 		}
-		for pi, p := range policies {
-			net := newNet(o, o.Seed)
-			fab := topo.Star(net, 3, topo.DefaultConfig())
-			stop, _ := deploy(net, fab, p, o)
+		runs := runArms(o, star(3, topo.DefaultConfig()), 0, policies, func(a arm) run {
+			net, fab := a.net, a.fab
 			var col stats.FCTCollector
 			start := rdmaStarter(net, 25*simtime.Gbps, &col)
 			recv := fab.Hosts[2]
@@ -149,34 +145,41 @@ func runFig7(o Options) []*Table {
 			}
 			dur := o.dur(20 * simtime.Millisecond)
 			net.RunUntil(simtime.Time(dur))
-			stop()
 
-			for si, sz := range sizes {
-				recs := col.Filter(func(r stats.FlowRecord) bool { return r.Size == sz })
-				s := stats.Summarize(recs)
-				avg[si][pi] = float64(s.Avg)
-				p99[si][pi] = float64(s.P99)
-				p999[si][pi] = float64(s.P999)
+			var r run
+			for _, sz := range sizes {
+				s := stats.Summarize(col.Filter(func(r stats.FlowRecord) bool { return r.Size == sz }))
+				r.fct = append(r.fct, [3]float64{float64(s.Avg), float64(s.P99), float64(s.P999)})
 			}
-			if load == 0.6 {
-				queueTbl.AddRow(p.Name, kb(qmon.Series.Avg()), kb(qmon.Series.Std()))
-				tputTbl.AddRow(p.Name, gbps(hot.TxBytesTotal, dur))
+			if qmon != nil {
+				r.q, r.qStd, r.tput = qmon.Series.Avg(), qmon.Series.Std(), gbps(hot.TxBytesTotal, dur)
 				qmon.Stop()
 			}
-		}
+			return r
+		})
 		t := &Table{
 			Title: fmt.Sprintf("Figure 7: FCT at %.0f%% load (normalized to ACC)", load*100),
 			Cols:  []string{"size", "metric", "ACC", "SECN1", "SECN2"},
 		}
 		for si := range sizes {
-			if avg[si][0] == 0 {
+			if runs[0].fct[si][0] == 0 {
 				continue
 			}
-			t.addRatios(avg[si], 0, sizeNames[si], "avg")
-			t.addRatios(p99[si], 0, sizeNames[si], "p99")
-			t.addRatios(p999[si], 0, sizeNames[si], "p99.9")
+			for mi, metric := range []string{"avg", "p99", "p99.9"} {
+				xs := make([]float64, len(runs))
+				for pi, r := range runs {
+					xs[pi] = r.fct[si][mi]
+				}
+				t.addRatios(xs, 0, sizeNames[si], metric)
+			}
 		}
 		tables = append(tables, t)
+		if load == 0.6 {
+			for pi, r := range runs {
+				queueTbl.AddRow(policies[pi].Name, kb(r.q), kb(r.qStd))
+				tputTbl.AddRow(policies[pi].Name, r.tput)
+			}
+		}
 	}
 	tables = append(tables, queueTbl, tputTbl)
 	return tables

@@ -30,23 +30,20 @@ func runFig8(o Options) []*Table {
 		Title: "Figure 8 (companion): RDMA-queue delay proxy",
 		Cols:  []string{"incast", "policy", "avg RDMA queue(KB)", "p99 RDMA queue(KB)"},
 	}
+	cfg := topo.DefaultConfig()
+	cfg.HostBW = bw
+	cfg.FabricBW = bw
+	// A tight shared buffer at 100G makes the classes contend the way the
+	// paper describes: TCP occupancy eats PFC headroom.
+	cfg.Switch.BufferBytes = 9 * simtime.MB
+	cfg.QueueWeights = make([]int, netsim.NumPrio)
+	cfg.QueueWeights[0], cfg.QueueWeights[3] = 3, 7 // TCP class 0: 30%, RDMA class 3: 70%
+	// ACC auto-tunes only the RDMA class.
+	policies := []Policy{vendor(), {Name: "ACC", Kind: DACC, TunePrios: []int{3}}}
 	for _, senders := range []int{2, 7} {
-		accP := accPolicy()
-		accP.TunePrios = []int{3} // only the RDMA class is auto-tuned
-		for _, p := range []Policy{vendor(), accP} {
-			net := newNet(o, o.Seed)
-			cfg := topo.DefaultConfig()
-			cfg.HostBW = bw
-			cfg.FabricBW = bw
-			// A tight shared buffer at 100G makes the classes contend the
-			// way the paper describes: TCP occupancy eats PFC headroom.
-			cfg.Switch.BufferBytes = 9 * simtime.MB
-			weights := make([]int, netsim.NumPrio)
-			weights[0], weights[3] = 3, 7 // TCP class 0: 30%, RDMA class 3: 70%
-			cfg.QueueWeights = weights
-			fab := topo.Star(net, 8, cfg)
-			rng := rand.New(rand.NewSource(workloadSeed(net)))
-			stop, _ := deploy(net, fab, p, o)
+		runs := runArms(o, star(8, cfg), 1, policies, func(a arm) [4]float64 {
+			net, fab := a.net, a.fab
+			rng := rand.New(rand.NewSource(a.seeds[0]))
 			recv := fab.Hosts[7]
 
 			rdma := rdmaStarter(net, bw, nil)
@@ -73,7 +70,6 @@ func runFig8(o Options) []*Table {
 			net.RunUntil(simtime.Time(warm))
 			r0, t0 := rq.TxBytes, tq.TxBytes
 			net.RunUntil(simtime.Time(warm + meas))
-			stop()
 			qmon.Stop()
 
 			rb := float64(rq.TxBytes - r0)
@@ -82,8 +78,11 @@ func runFig8(o Options) []*Table {
 			if total == 0 {
 				total = 1
 			}
-			ratioTbl.AddRow(fmt.Sprintf("%d:1", senders), p.Name, rb/total, tb/total)
-			latTbl.AddRow(fmt.Sprintf("%d:1", senders), p.Name, kb(qmon.Series.Avg()), kb(qmon.Series.Quantile(0.99)))
+			return [4]float64{rb / total, tb / total, qmon.Series.Avg(), qmon.Series.Quantile(0.99)}
+		})
+		for i, r := range runs {
+			ratioTbl.AddRow(fmt.Sprintf("%d:1", senders), policies[i].Name, r[0], r[1])
+			latTbl.AddRow(fmt.Sprintf("%d:1", senders), policies[i].Name, kb(r[2]), kb(r[3]))
 		}
 	}
 	ratioTbl.Notes = append(ratioTbl.Notes,

@@ -56,6 +56,7 @@ func fmtBlockRange(lo, hi int64) string {
 // (Kmin=30KB, Kmax=270KB, Pmax=10%).
 func runFig9(o Options) []*Table {
 	depths := []int{16, 64, 128}
+	policies := []Policy{vendor(), accPolicy()}
 	var tables []*Table
 	for _, model := range workload.Table1() {
 		t := &Table{
@@ -64,25 +65,17 @@ func runFig9(o Options) []*Table {
 		}
 		var base float64
 		for _, depth := range depths {
-			depth := depth
-			policies := []Policy{vendor(), accPolicy()}
-			iops := make([]float64, len(policies))
-			forEachParallel(len(policies), func(pi int) {
-				net := newNet(o, o.Seed)
-				fab := topo.TestbedClos(net, topo.DefaultConfig())
-				seed := workloadSeed(net)
-				stop, _ := deploy(net, fab, policies[pi], o)
-				cluster := workload.RunStorage(net, seed, workload.StorageConfig{
-					Compute: fab.Hosts[:18],
-					Storage: fab.Hosts[18:],
+			iops := runArms(o, testbed, 1, policies, func(a arm) float64 {
+				cluster := workload.RunStorage(a.net, a.seeds[0], workload.StorageConfig{
+					Compute: a.fab.Hosts[:18],
+					Storage: a.fab.Hosts[18:],
 					Model:   model,
 					IODepth: depth,
-					Start:   rdmaStarter(net, 25*simtime.Gbps, nil),
+					Start:   rdmaStarter(a.net, 25*simtime.Gbps, nil),
 				})
-				net.RunUntil(simtime.Time(o.dur(8 * simtime.Millisecond)))
+				a.net.RunUntil(simtime.Time(o.dur(8 * simtime.Millisecond)))
 				cluster.Stop()
-				stop()
-				iops[pi] = cluster.IOPS()
+				return cluster.IOPS()
 			})
 			if base == 0 {
 				base = iops[0]
@@ -107,39 +100,43 @@ func runFig10(o Options) []*Table {
 		Title: "Figure 10(b): PFC pauses and queue delay with ResNet-50",
 		Cols:  []string{"policy", "PFC pause events", "avg queue(KB)"},
 	}
+	policies := []Policy{secn1(), secn2(25), accPolicy()}
 	for _, model := range []workload.TrainingModel{workload.AlexNet(), workload.ResNet50()} {
-		speeds := make([]float64, 3)
-		for pi, p := range []Policy{secn1(), secn2(25), accPolicy()} {
-			net := newNet(o, o.Seed)
-			fab := topo.Star(net, 8, topo.DefaultConfig())
-			stop, _ := deploy(net, fab, p, o)
-			job := workload.RunTraining(net, workload.TrainingConfig{
-				Workers:     fab.Hosts[:7],
-				PS:          fab.Hosts[7],
+		type run struct {
+			speed, avgQ float64
+			pauses      uint64
+		}
+		runs := runArms(o, star(8, topo.DefaultConfig()), 0, policies, func(a arm) run {
+			job := workload.RunTraining(a.net, workload.TrainingConfig{
+				Workers:     a.fab.Hosts[:7],
+				PS:          a.fab.Hosts[7],
 				Model:       model,
 				ComputeTime: 200 * simtime.Microsecond,
-				Start:       rdmaStarter(net, 25*simtime.Gbps, nil),
+				Start:       rdmaStarter(a.net, 25*simtime.Gbps, nil),
 				ScaleBytes:  100, // 2.4MB / 1MB per transfer after scaling
 			})
 			dur := o.dur(40 * simtime.Millisecond)
-			net.RunUntil(simtime.Time(dur))
+			a.net.RunUntil(simtime.Time(dur))
 			job.Stop()
-			stop()
-			speeds[pi] = job.ImagesPerSec()
 
+			var pauses uint64
+			var qsum, qn float64
+			for _, h := range a.fab.Hosts {
+				pauses += h.Port.PauseRxEvents
+			}
+			for _, port := range a.fab.Leaves[0].Ports {
+				for _, q := range port.Queues {
+					qsum += q.ByteTimeIntegral() / dur.Seconds()
+					qn++
+				}
+			}
+			return run{job.ImagesPerSec(), qsum / qn, pauses}
+		})
+		speeds := make([]float64, len(runs))
+		for pi, r := range runs {
+			speeds[pi] = r.speed
 			if model.Name == "ResNet-50" {
-				var pauses uint64
-				var qsum, qn float64
-				for _, h := range fab.Hosts {
-					pauses += h.Port.PauseRxEvents
-				}
-				for _, port := range fab.Leaves[0].Ports {
-					for _, q := range port.Queues {
-						qsum += q.ByteTimeIntegral() / dur.Seconds()
-						qn++
-					}
-				}
-				panel.AddRow(p.Name, pauses, kb(qsum/qn))
+				panel.AddRow(policies[pi].Name, r.pauses, kb(r.avgQ))
 			}
 		}
 		speed.addRatios(speeds, 0, model.Name)

@@ -160,9 +160,8 @@ var expectedTies = map[string]string{
 const dataMiningTie = "no arm marks a packet"
 
 // TestGoldenArmsDiverge: a golden whose arms run bit-identically pins
-// nothing about what separates them. Within each experiment, arms that ran
-// one workload (armTap's workload digest) form a comparison, and no two of
-// its arms may complete the same flows at the same instants (the run
+// nothing about what separates them. No two arms of one comparison (one
+// runArms call) may complete the same flows at the same instants (the run
 // digest) unless expectedTies names that tie. It reads the arms
 // TestGoldenTables recorded, and runs an experiment itself only when that
 // test did not.
@@ -178,18 +177,19 @@ func TestGoldenArmsDiverge(t *testing.T) {
 				checkGolden(t, id)
 				arms, _ = goldenArms.Load(id)
 			}
-			tied := map[[2]uint64][]string{} // (workload, run) → arm names
+			type key struct {
+				comparison int64
+				run        uint64
+			}
+			tied := map[key][]string{} // arm names
 			for _, r := range arms.([]*armRecord) {
-				if r.policy != "" {
-					k := [2]uint64{r.workload.Sum64(), r.run.Sum64()}
-					tied[k] = append(tied[k], r.name)
-				}
+				k := key{r.comparison, r.run.Sum64()}
+				tied[k] = append(tied[k], r.name)
 			}
 			for k, names := range tied {
-				key := fmt.Sprintf("%s %016x", id, k[1])
-				if _, ok := expectedTies[key]; len(names) > 1 && !ok {
+				if _, ok := expectedTies[fmt.Sprintf("%s %016x", id, k.run)]; len(names) > 1 && !ok {
 					sort.Strings(names)
-					t.Errorf("%s: arms %s ran bit-identically (run digest %016x)", id, strings.Join(names, ", "), k[1])
+					t.Errorf("%s: arms %s ran bit-identically (run digest %016x)", id, strings.Join(names, ", "), k.run)
 				}
 			}
 		})

@@ -26,6 +26,7 @@ func init() {
 
 // robustRow is one policy's measurements from a fault scenario.
 type robustRow struct {
+	name      string
 	goodput   float64 // mean delivered Gbps while the workload ran
 	p99Slow   float64 // p99 FCT slowdown vs ideal serialization
 	recovery  simtime.Duration
@@ -80,64 +81,62 @@ func robustFabric(net *netsim.Network) *topo.Fabric {
 // counting each leaf's uplinks in spine order.
 func robustUplink(k int) psim.LinkRef { return psim.LeafSpineLink(k/robustSpines, k%robustSpines) }
 
-// runRobust drives one policy through a fault scenario on the stress
-// fabric: build, draw the fault seed, deploy, start traffic, apply the
-// fault timeline, then measure the fault window and the recovery. The seed
-// is drawn right after the fabric, before deployment draws from the RNG
-// (which would diverge between policies), so every policy sees the
-// identical fault sequence. faultsOf builds the timeline from that seed;
-// nil means a fault-free fabric.
-func runRobust(o Options, p Policy, faultsOf func(seed int64) *psim.Plan, tel *faults.Telemetry, dur simtime.Duration) robustRow {
-	net := newNet(o, o.Seed)
-	fab := robustFabric(net)
-	seed := net.Rng.Int63() // drawn without faults too: deploy's draws stay put
-	plan := new(psim.Plan)
-	if faultsOf != nil {
-		plan = faultsOf(seed)
-	}
-	wseed := workloadSeed(net)
-	stop, sys := deploy(net, fab, p, o)
-	var tele []*faults.StaleDrop
-	if tel != nil && sys != nil {
-		tele = faults.ApplyTelemetry(net, sys.Tuners, *tel)
-	}
-	tracker := faults.Track(net, fab, dur/64)
+// runRobust drives each policy through a fault scenario on the stress
+// fabric, one runArms arm per policy, and returns their rows in order.
+// Each arm draws the fault seed and then the workload seed, so every
+// policy sees the identical fault sequence and workload; faultsOf builds
+// the timeline from the fault seed (nil means a fault-free fabric, the
+// seed still drawn). tels[i], when set, is the telemetry fault applied to
+// policy i's D-ACC tuners.
+func runRobust(o Options, policies []Policy, faultsOf func(seed int64) *psim.Plan, tels []*faults.Telemetry, dur simtime.Duration) []robustRow {
+	return runArms(o, robustFabric, 2, policies, func(a arm) robustRow {
+		net, fab := a.net, a.fab
+		plan := new(psim.Plan)
+		if faultsOf != nil {
+			plan = faultsOf(a.seeds[0])
+		}
+		var tele []*faults.StaleDrop
+		if tels != nil && tels[a.i] != nil && a.sys != nil {
+			tele = faults.ApplyTelemetry(net, a.sys.Tuners, *tels[a.i])
+		}
+		tracker := faults.Track(net, fab, dur/64)
 
-	var col stats.FCTCollector
-	hostBW := 25 * simtime.Gbps
-	gen := workload.StartPoisson(net, wseed, workload.PoissonConfig{
-		Hosts:  fab.Hosts,
-		Sizes:  workload.WebSearch(),
-		Load:   0.6,
-		HostBW: hostBW,
-		Start:  rdmaStarter(net, hostBW, &col),
+		var col stats.FCTCollector
+		hostBW := 25 * simtime.Gbps
+		gen := workload.StartPoisson(net, a.seeds[1], workload.PoissonConfig{
+			Hosts:  fab.Hosts,
+			Sizes:  workload.WebSearch(),
+			Load:   0.6,
+			HostBW: hostBW,
+			Start:  rdmaStarter(net, hostBW, &col),
+		})
+
+		before := faults.Snap(fab)
+		psim.ApplyToFabric(fab, robustHostsPerLeaf, plan)
+		net.RunUntil(simtime.Time(dur))
+		gen.Stop()
+		// Drain: in-flight flows finish; flap repairs still land.
+		end := simtime.Time(dur + dur/2)
+		net.RunUntil(end)
+		tracker.Stop()
+
+		w, closed := psim.FaultWindowOf(plan.Faults, end)
+		row := robustRow{
+			name:      policies[a.i].Name,
+			goodput:   tracker.Goodput.Avg(),
+			p99Slow:   p99Slowdown(col.Records, hostBW),
+			window:    faults.Snap(fab).Sub(before),
+			flapDowns: w.Downs,
+			flows:     len(col.Records),
+		}
+		if closed {
+			row.recovery, row.recovered = tracker.RecoveryTime(w.First, w.Last, 0.9, 3)
+		}
+		for _, f := range tele {
+			row.teleDrops += f.Drops
+		}
+		return row
 	})
-
-	before := faults.Snap(fab)
-	psim.ApplyToFabric(fab, robustHostsPerLeaf, plan)
-	net.RunUntil(simtime.Time(dur))
-	gen.Stop()
-	// Drain: in-flight flows finish; flap repairs still land.
-	end := simtime.Time(dur + dur/2)
-	net.RunUntil(end)
-	tracker.Stop()
-	stop()
-
-	w, closed := psim.FaultWindowOf(plan.Faults, end)
-	row := robustRow{
-		goodput:   tracker.Goodput.Avg(),
-		p99Slow:   p99Slowdown(col.Records, hostBW),
-		window:    faults.Snap(fab).Sub(before),
-		flapDowns: w.Downs,
-		flows:     len(col.Records),
-	}
-	if closed {
-		row.recovery, row.recovered = tracker.RecoveryTime(w.First, w.Last, 0.9, 3)
-	}
-	for _, f := range tele {
-		row.teleDrops += f.Drops
-	}
-	return row
 }
 
 // robustPolicies is the comparison every robustness table reports: ACC
@@ -164,14 +163,8 @@ func runRobustLinkfail(o Options) []*Table {
 			"brownout of a second uplink: " + degraded,
 		},
 	}
-	policies := robustPolicies()
-	rows := make([]robustRow, len(policies))
-	forEachParallel(len(policies), func(i int) {
-		rows[i] = runRobust(o, policies[i], func(int64) *psim.Plan { return plan }, nil, dur)
-	})
-	for i, p := range policies {
-		r := rows[i]
-		t.AddRow(p.Name, r.goodput, r.p99Slow, r.recoveryCell(), r.window.Blackholed, r.window.PFCPauses, r.flows)
+	for _, r := range runRobust(o, robustPolicies(), func(int64) *psim.Plan { return plan }, nil, dur) {
+		t.AddRow(r.name, r.goodput, r.p99Slow, r.recoveryCell(), r.window.Blackholed, r.window.PFCPauses, r.flows)
 	}
 	return []*Table{t}
 }
@@ -209,14 +202,8 @@ func runRobustFlap(o Options) []*Table {
 		Cols:  []string{"policy", "goodput Gbps", "p99 slowdown", "flap downs", "blackholed", "PFC pauses", "flows"},
 		Notes: notes,
 	}
-	policies := robustPolicies()
-	rows := make([]robustRow, len(policies))
-	forEachParallel(len(policies), func(i int) {
-		rows[i] = runRobust(o, policies[i], flaps, nil, dur)
-	})
-	for i, p := range policies {
-		r := rows[i]
-		t.AddRow(p.Name, r.goodput, r.p99Slow, r.flapDowns, r.window.Blackholed, r.window.PFCPauses, r.flows)
+	for _, r := range runRobust(o, robustPolicies(), flaps, nil, dur) {
+		t.AddRow(r.name, r.goodput, r.p99Slow, r.flapDowns, r.window.Blackholed, r.window.PFCPauses, r.flows)
 	}
 	return []*Table{t}
 }
@@ -243,14 +230,8 @@ func runRobustTelemetry(o Options) []*Table {
 	policies := []Policy{accPolicy(), accPolicy(), secn1()}
 	policies[0].Name = "ACC (faulted telemetry)"
 	policies[1].Name = "ACC (clean)"
-	tels := []*faults.Telemetry{&tel, nil, nil}
-	rows := make([]robustRow, len(policies))
-	forEachParallel(len(policies), func(i int) {
-		rows[i] = runRobust(o, policies[i], nil, tels[i], dur)
-	})
-	for i, p := range policies {
-		r := rows[i]
-		t.AddRow(p.Name, r.goodput, r.p99Slow, r.teleDrops, r.flows)
+	for _, r := range runRobust(o, policies, nil, []*faults.Telemetry{&tel, nil, nil}, dur) {
+		t.AddRow(r.name, r.goodput, r.p99Slow, r.teleDrops, r.flows)
 	}
 	return []*Table{t}
 }
