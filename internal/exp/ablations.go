@@ -62,7 +62,7 @@ func runAblationBusyIdle(o Options) []*Table {
 		Cols:  []string{"variant", "inferences", "skipped", "saved", "avg FCT(norm)"},
 		Notes: []string{"paper: gating idle queues cut switch-CPU consumption ~10%"},
 	}
-	runs := ablation(o).compare(o, accPolicy(), Policy{Name: "ACC", Kind: DACC, NoBusyIdle: true})
+	runs := ablation(o).compare(o, Policy{Name: "gating on (paper)", Kind: DACC}, Policy{Name: "gating off", Kind: DACC, NoBusyIdle: true})
 	var inf, skip [2]uint64
 	for i, r := range runs {
 		for _, tn := range r.sys.Tuners {

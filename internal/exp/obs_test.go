@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/accnet/acc/internal/obs"
@@ -127,5 +129,37 @@ func TestObsRobustLinkfailDropReasonSplit(t *testing.T) {
 	}
 	if m.TraceByKind["link_state"] == 0 {
 		t.Error("no link_state records from the injected failures")
+	}
+}
+
+// TestObsArmCounters pins the mechanism counters runArms writes to the
+// manifest for ablation-busyidle's two D-ACC arms at golden options, and
+// checks each arm's inferences and skipped ticks against the cells of its
+// table row. At this scale no agent reaches a target sync and no exchange
+// fires (the first is at 5 ms, after the 3 ms run).
+func TestObsArmCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	o := goldenOptions("ablation-busyidle")
+	o.Obs = obs.NewRun(0)
+	tables, err := Run("ablation-busyidle", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []obs.ArmCounters{
+		{Arm: "gating on (paper)", Agents: 6, TrainSteps: 46, Inferences: 377, Skipped: 823,
+			LocalReplay: 369, LocalReplayCap: 6 * 4096, GlobalReplayCap: 16384},
+		{Arm: "gating off", Agents: 6, TrainSteps: 232, MinTrainSteps: 20, Inferences: 1200,
+			LocalReplay: 1160, LocalReplayCap: 6 * 4096, GlobalReplayCap: 16384},
+	}
+	got := o.Obs.Manifest().Arms
+	if !slices.Equal(got, want) {
+		t.Fatalf("manifest arms\n got %+v\nwant %+v", got, want)
+	}
+	for i, row := range tables[0].Rows {
+		if cells := []string{got[i].Arm, fmt.Sprint(got[i].Inferences), fmt.Sprint(got[i].Skipped)}; !slices.Equal(row[:3], cells) {
+			t.Errorf("table row %v, manifest %v", row[:3], cells)
+		}
 	}
 }

@@ -44,6 +44,7 @@ type Manifest struct {
 	// per-SLO-class FCT tails and the Jain fairness index over class
 	// goodputs. Nil for runs without workload-engine traffic.
 	Workload *WorkloadManifest `json:"workload,omitempty"`
+	Arms     []ArmCounters     `json:"arms,omitempty"` // each D-ACC arm's mechanism counters, in run order
 
 	// Trace totals at finish time.
 	TraceEmitted  uint64            `json:"trace_emitted"`
@@ -96,6 +97,32 @@ func (r *Run) AddFidelity(s FidelitySummary) {
 	f.Promotions += s.Promotions
 	f.AnalyticPayload += s.AnalyticPayload
 	f.Ticks += s.Ticks
+}
+
+// ArmCounters are one D-ACC arm's learning counters at the end of its run.
+type ArmCounters struct {
+	Arm             string `json:"arm"`
+	Agents          int    `json:"agents"`
+	TrainSteps      int    `json:"train_steps"`       // summed over agents
+	MinTrainSteps   int    `json:"min_train_steps"`   // of the least-trained agent
+	MinTargetSyncs  int    `json:"min_target_syncs"`  // of the least-synced agent
+	Exchanges       uint64 `json:"exchanges"`         // global replay exchanges
+	Inferences      uint64 `json:"inferences"`        // summed over tuners
+	Skipped         uint64 `json:"skipped"`           // idle queue ticks, summed over tuners
+	LocalReplay     int    `json:"local_replay"`      // summed over agents
+	LocalReplayCap  int    `json:"local_replay_cap"`  // summed over agents
+	GlobalReplay    int    `json:"global_replay"`     // the shared memory's
+	GlobalReplayCap int    `json:"global_replay_cap"` // the shared memory's
+}
+
+// AddArm appends one arm's counters to the manifest.
+func (r *Run) AddArm(a ArmCounters) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.man.Arms = append(r.man.Arms, a)
+	r.mu.Unlock()
 }
 
 // ClassManifest is one workload class's completed-flow summary.

@@ -50,6 +50,9 @@ func (r *Replay) Add(t Transition) {
 // Len returns the number of stored transitions.
 func (r *Replay) Len() int { return len(r.buf) }
 
+// Cap returns how many transitions the memory holds when full.
+func (r *Replay) Cap() int { return r.cap }
+
 // Sample fills dst with transitions drawn uniformly with replacement, one
 // rng.Intn per slot in slot order, and returns it; nil when the memory is
 // empty.
