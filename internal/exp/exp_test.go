@@ -192,7 +192,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 
 // TestDeterminismAcrossGOMAXPROCS pins the pooling invariant that the packet
 // and event free lists are per-Network: robust-linkfail fans its policy runs
-// out over forEachParallel, so if a pool were ever shared between those
+// out through runArms, so if a pool were ever shared between those
 // concurrent Networks, allocation order (and with it packet identity under
 // reuse) would depend on worker interleaving. The rendered tables must be
 // byte-identical whether the runs are serialized (GOMAXPROCS=1) or fully
