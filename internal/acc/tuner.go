@@ -27,8 +27,8 @@ type Observation struct {
 // TelemetryFault perturbs the collector→agent path of a tuner, modelling
 // the switch-CPU overload the paper guards against in §4.2/§4.3: under
 // load the on-switch collector may deliver stale counters or miss
-// monitoring windows entirely. Implementations live outside this package
-// (see internal/faults); a nil fault is the healthy path.
+// monitoring windows entirely. The robustness experiments implement it
+// (internal/exp/robust.go); a nil fault is the healthy path.
 type TelemetryFault interface {
 	// Sample receives the freshly measured observation for monitored queue
 	// index q and returns the observation actually delivered to the agent.

@@ -21,56 +21,54 @@ func init() {
 // ACC applies around a burst arrival, showing the lower-threshold reaction
 // to a growing queue and the raise once the queue clears.
 func runFig15(o Options) []*Table {
-	net := newNet(o, o.Seed)
-	fab := topo.Star(net, 9, topo.DefaultConfig())
-	recv := fab.Hosts[8]
-	sw := fab.Leaves[0]
-
 	// A Star has one switch, so the system is one tuner and no exchange.
-	sys := deploy(net, fab, accPolicy(), o)
-	tuner := sys.Tuners[0]
-	tuner.Cfg.RecordTrace = true // before its first tick
+	return runArms(o, star(9, topo.DefaultConfig()), 0, []Policy{accPolicy()}, func(a arm) []*Table {
+		net, fab := a.net, a.fab
+		recv := fab.Hosts[8]
+		tuner := a.sys.Tuners[0]
+		tuner.Cfg.RecordTrace = true // before its first tick
 
-	start := rdmaStarter(net, 25*simtime.Gbps, nil)
-	// Background long flow, then a burst at t=2ms.
-	start(fab.Hosts[0], recv, 1<<40, nil)
-	net.Q.After(2*simtime.Millisecond, func() {
-		workload.RunIncast(net, workload.IncastConfig{
-			Senders:  fab.Hosts[1:8],
-			Receiver: recv,
-			Flows:    8,
-			Size:     512 * simtime.KB,
-			Start:    start,
-		}, nil)
-	})
+		start := rdmaStarter(net, 25*simtime.Gbps, nil)
+		// Background long flow, then a burst at t=2ms.
+		start(fab.Hosts[0], recv, 1<<40, nil)
+		net.Q.After(2*simtime.Millisecond, func() {
+			workload.RunIncast(net, workload.IncastConfig{
+				Senders:  fab.Hosts[1:8],
+				Receiver: recv,
+				Flows:    8,
+				Size:     512 * simtime.KB,
+				Start:    start,
+			}, nil)
+		})
 
-	hot := sw.Ports[8].Queues[0]
-	qmon := stats.MonitorQueue(net, hot, 100*simtime.Microsecond)
-	net.RunUntil(simtime.Time(o.dur(8 * simtime.Millisecond)))
-	qmon.Stop()
+		hot := fab.Leaves[0].Ports[8].Queues[0]
+		qmon := stats.MonitorQueue(net, hot, 100*simtime.Microsecond)
+		net.RunUntil(simtime.Time(o.dur(8 * simtime.Millisecond)))
+		qmon.Stop()
 
-	t := &Table{
-		Title: "Figure 15: runtime queue occupancy and applied Kmin around a burst (t=2ms)",
-		Cols:  []string{"time(ms)", "queue(KB)", "applied Kmin(KB)"},
-	}
-	trace := tuner.QueueTrace(8)
-	kminAt := func(at simtime.Time) float64 {
-		last := 0.0
-		for i, tt := range trace.Times {
-			if tt > at {
-				break
-			}
-			last = trace.Values[i]
+		t := &Table{
+			Title: "Figure 15: runtime queue occupancy and applied Kmin around a burst (t=2ms)",
+			Cols:  []string{"time(ms)", "queue(KB)", "applied Kmin(KB)"},
 		}
-		return last
-	}
-	for i := 0; i < qmon.Series.Len(); i += 2 {
-		at := qmon.Series.Times[i]
-		t.AddRow(fmt.Sprintf("%.1f", at.Seconds()*1e3), kb(qmon.Series.Values[i]), kb(kminAt(at)))
-	}
-	t.Notes = append(t.Notes,
-		"paper: rising queue + high utilization -> lower threshold (more marking); near-empty queue -> higher threshold (avoid starving)")
-	return []*Table{t}
+		trace := tuner.QueueTrace(8)
+		kminAt := func(at simtime.Time) float64 {
+			last := 0.0
+			for i, tt := range trace.Times {
+				if tt > at {
+					break
+				}
+				last = trace.Values[i]
+			}
+			return last
+		}
+		for i := 0; i < qmon.Series.Len(); i += 2 {
+			at := qmon.Series.Times[i]
+			t.AddRow(fmt.Sprintf("%.1f", at.Seconds()*1e3), kb(qmon.Series.Values[i]), kb(kminAt(at)))
+		}
+		t.Notes = append(t.Notes,
+			"paper: rising queue + high utilization -> lower threshold (more marking); near-empty queue -> higher threshold (avoid starving)")
+		return []*Table{t}
+	})[0]
 }
 
 // runFig16 reproduces Figure 16: an aggressive ACC model with NO offline

@@ -20,10 +20,8 @@ package exp
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 
 	"github.com/accnet/acc/internal/dcqcn"
@@ -102,8 +100,6 @@ func runMixTrace(o Options, tr *workload.Trace) *mixResult {
 	}
 	e.Run(tr.Horizon)
 
-	marks, drops := e.SwitchTotals()
-	snap := e.Snap()
 	var recs []stats.FlowRecord
 	completed := 0
 	for i := range tr.Flows {
@@ -117,37 +113,15 @@ func runMixTrace(o Options, tr *workload.Trace) *mixResult {
 		recs = append(recs, stats.FlowRecord{Size: f.Bytes, Start: start, End: end, Class: tr.Classes[f.Class].Name})
 	}
 	classes := stats.ByClass(recs)
-	res := &mixResult{
+	return &mixResult{
 		trace:     rec.Trace(),
 		classes:   classes,
 		jain:      stats.JainByClass(classes),
 		offered:   len(tr.Flows),
 		completed: completed,
 		processed: e.Processed(),
+		digest:    e.Digest(app, smp),
 	}
-
-	// Digest the bit-identity surface: per-flow ends, per-switch counters,
-	// loss aggregates, the goodput series, and the event total.
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) { binary.BigEndian.PutUint64(buf[:], v); h.Write(buf[:]) }
-	for _, end := range app.End {
-		w(uint64(end))
-	}
-	for i := range marks {
-		w(marks[i])
-		w(drops[i])
-	}
-	w(snap.Blackholed)
-	w(snap.BufferDrops)
-	w(snap.PFCPauses)
-	for i := range smp.Times {
-		w(uint64(smp.Times[i]))
-		w(math.Float64bits(smp.Gbps[i]))
-	}
-	w(res.processed)
-	res.digest = h.Sum64()
-	return res
 }
 
 // traceDigest hashes a trace's canonical binary encoding.

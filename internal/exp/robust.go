@@ -2,9 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
-	"github.com/accnet/acc/internal/faults"
+	"github.com/accnet/acc/internal/acc"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/psim"
 	"github.com/accnet/acc/internal/simtime"
@@ -31,7 +32,7 @@ type robustRow struct {
 	p99Slow   float64 // p99 FCT slowdown vs ideal serialization
 	recovery  simtime.Duration
 	recovered bool
-	window    faults.Snapshot // counter deltas over the fault window
+	window    psim.Losses // counter deltas over the fault window
 	flapDowns int
 	teleDrops uint64
 	flows     int
@@ -88,18 +89,26 @@ func robustUplink(k int) psim.LinkRef { return psim.LeafSpineLink(k/robustSpines
 // the timeline from the fault seed (nil means a fault-free fabric, the
 // seed still drawn). tels[i], when set, is the telemetry fault applied to
 // policy i's D-ACC tuners.
-func runRobust(o Options, policies []Policy, faultsOf func(seed int64) *psim.Plan, tels []*faults.Telemetry, dur simtime.Duration) []robustRow {
+func runRobust(o Options, policies []Policy, faultsOf func(seed int64) *psim.Plan, tels []*telemetry, dur simtime.Duration) []robustRow {
 	return runArms(o, robustFabric, 2, policies, func(a arm) robustRow {
 		net, fab := a.net, a.fab
 		plan := new(psim.Plan)
 		if faultsOf != nil {
 			plan = faultsOf(a.seeds[0])
 		}
-		var tele []*faults.StaleDrop
+		var tele []*staleDrop
 		if tels != nil && tels[a.i] != nil && a.sys != nil {
-			tele = faults.ApplyTelemetry(net, a.sys.Tuners, *tels[a.i])
+			tele = applyTelemetry(net, a.sys.Tuners, *tels[a.i])
 		}
-		tracker := faults.Track(net, fab, dur/64)
+		// Delivered goodput, sampled by one event every period.
+		period := dur / 64
+		smp := psim.NewSampler(fab.HostPorts(), period)
+		var sample func()
+		sample = func() {
+			smp.OnBarrier(net.Now())
+			net.Q.After(period, sample)
+		}
+		net.Q.After(period, sample)
 
 		var col stats.FCTCollector
 		hostBW := 25 * simtime.Gbps
@@ -111,26 +120,25 @@ func runRobust(o Options, policies []Policy, faultsOf func(seed int64) *psim.Pla
 			Start:  rdmaStarter(net, hostBW, &col),
 		})
 
-		before := faults.Snap(fab)
+		before := psim.FabricLosses(fab)
 		psim.ApplyToFabric(fab, robustHostsPerLeaf, plan)
 		net.RunUntil(simtime.Time(dur))
 		gen.Stop()
 		// Drain: in-flight flows finish; flap repairs still land.
 		end := simtime.Time(dur + dur/2)
 		net.RunUntil(end)
-		tracker.Stop()
 
 		w, closed := psim.FaultWindowOf(plan.Faults, end)
 		row := robustRow{
 			name:      policies[a.i].Name,
-			goodput:   tracker.Goodput.Avg(),
+			goodput:   smp.Goodput.Avg(),
 			p99Slow:   p99Slowdown(col.Records, hostBW),
-			window:    faults.Snap(fab).Sub(before),
+			window:    psim.FabricLosses(fab).Sub(before),
 			flapDowns: w.Downs,
 			flows:     len(col.Records),
 		}
 		if closed {
-			row.recovery, row.recovered = tracker.RecoveryTime(w.First, w.Last, 0.9, 3)
+			row.recovery, row.recovered = smp.RecoveryTime(w.First, w.Last, 0.9, 3)
 		}
 		for _, f := range tele {
 			row.teleDrops += f.Drops
@@ -216,12 +224,12 @@ func runRobustFlap(o Options) []*Table {
 // worth.
 func runRobustTelemetry(o Options) []*Table {
 	dur := o.dur(9 * simtime.Millisecond)
-	tel := faults.Telemetry{StaleSlots: o.Faults.Stale, DropProb: o.Faults.DropProb}
+	tel := telemetry{StaleSlots: o.Faults.Stale, DropProb: o.Faults.DropProb}
 	if tel.DropProb > 1 {
 		tel.DropProb = 1
 	}
 	if tel.StaleSlots <= 0 && tel.DropProb <= 0 {
-		tel = faults.Telemetry{StaleSlots: 4, DropProb: 0.3}
+		tel = telemetry{StaleSlots: 4, DropProb: 0.3}
 	}
 	t := &Table{
 		Title: fmt.Sprintf("Robustness: ACC telemetry %d slots stale, %.0f%% windows lost (WebSearch 60%%)", tel.StaleSlots, tel.DropProb*100),
@@ -230,8 +238,76 @@ func runRobustTelemetry(o Options) []*Table {
 	policies := []Policy{accPolicy(), accPolicy(), secn1()}
 	policies[0].Name = "ACC (faulted telemetry)"
 	policies[1].Name = "ACC (clean)"
-	for _, r := range runRobust(o, policies, nil, []*faults.Telemetry{&tel, nil, nil}, dur) {
+	for _, r := range runRobust(o, policies, nil, []*telemetry{&tel, nil, nil}, dur) {
 		t.AddRow(r.name, r.goodput, r.p99Slow, r.teleDrops, r.flows)
 	}
 	return []*Table{t}
+}
+
+// telemetry configures collector-path faults for ACC tuners (see
+// staleDrop): observations delayed by StaleSlots monitoring intervals, and
+// each window lost independently with probability DropProb.
+type telemetry struct {
+	StaleSlots int
+	DropProb   float64
+}
+
+// staleDrop implements acc.TelemetryFault: it models a switch CPU too
+// overloaded to serve the collector promptly (§4.3), delivering each
+// queue's observation stream StaleSlots monitoring intervals late and
+// losing each window independently with probability DropProb. During the
+// first StaleSlots windows after attachment the oldest available
+// observation is delivered (the collector's last known counters).
+//
+// Attach one staleDrop per tuner: queue indices are tuner-local. All
+// randomness comes from the seed passed at construction, so two runs with
+// the same seed replay the identical fault sequence.
+type staleDrop struct {
+	cfg telemetry
+	rng *rand.Rand
+	buf [][]acc.Observation // per-queue FIFO of pending observations
+
+	// Drops and Delivered count windows lost and delivered (stale or not).
+	Drops     uint64
+	Delivered uint64
+}
+
+// newStaleDrop builds a telemetry fault from a deterministic seed.
+func newStaleDrop(seed int64, cfg telemetry) *staleDrop {
+	return &staleDrop{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Sample implements acc.TelemetryFault.
+func (f *staleDrop) Sample(now simtime.Time, q int, obs acc.Observation) (acc.Observation, bool) {
+	if f.cfg.DropProb > 0 && f.rng.Float64() < f.cfg.DropProb {
+		f.Drops++
+		return acc.Observation{}, false
+	}
+	if f.cfg.StaleSlots <= 0 {
+		f.Delivered++
+		return obs, true
+	}
+	for len(f.buf) <= q {
+		f.buf = append(f.buf, nil)
+	}
+	f.buf[q] = append(f.buf[q], obs)
+	f.Delivered++
+	if len(f.buf[q]) <= f.cfg.StaleSlots {
+		return f.buf[q][0], true // warmup: oldest known counters
+	}
+	out := f.buf[q][0]
+	f.buf[q] = f.buf[q][1:]
+	return out, true
+}
+
+// applyTelemetry installs an independent staleDrop on every tuner, seeding
+// each from the network RNG in tuner order (deterministic). It returns the
+// installed faults so callers can read their counters.
+func applyTelemetry(net *netsim.Network, tuners []*acc.Tuner, cfg telemetry) []*staleDrop {
+	out := make([]*staleDrop, len(tuners))
+	for i, t := range tuners {
+		out[i] = newStaleDrop(net.Rng.Int63(), cfg)
+		t.SetTelemetryFault(out[i])
+	}
+	return out
 }

@@ -126,8 +126,8 @@ func DefaultConfig() *Config {
 		// packet path.
 		DeterministicPkgs: internalPkgs(
 			"simtime", "eventq", "netsim", "red", "dcqcn", "tcp", "topo",
-			"workload", "rl", "acc", "exp", "faults", "stats", "obs",
-			"psim", "hybrid", "snap", "sweep",
+			"workload", "rl", "acc", "exp", "stats", "obs", "psim",
+			"hybrid", "snap", "sweep",
 		),
 		// Packages whose scheduling must stay on the closure-free typed
 		// fast path (pre-bound method values, pooled events).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/accnet/acc/internal/faults"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/topo"
@@ -42,7 +41,7 @@ func runSharded(cfg Config, plan *Plan, horizon simtime.Time, setup ...func(*Eng
 	e.Run(horizon)
 
 	marks, drops := e.SwitchTotals()
-	return result(app, e.Snap(), marks, drops, smp, e.Processed())
+	return result(app, e.Losses(), marks, drops, smp, e.Processed())
 }
 
 // runSequential executes the same plan on a plain topo.LeafSpine fabric in
@@ -61,11 +60,7 @@ func runSequentialWith(cfg Config, horizon simtime.Time, apply func(*topo.Fabric
 		f(fab)
 	}
 
-	var ports []*netsim.Port
-	for _, h := range fab.Hosts {
-		ports = append(ports, h.Port)
-	}
-	smp := NewSampler(ports, samplePeriod)
+	smp := NewSampler(fab.HostPorts(), samplePeriod)
 	part := topo.PartitionLeafSpine(cfg.NLeaf, cfg.HostsPerLeaf, cfg.NSpine, 1, cfg.Topo)
 	// The sequential baseline at Engine.Run's barrier cadence, so samples
 	// fall at the same instants with the same run-to-barrier semantics.
@@ -80,20 +75,20 @@ func runSequentialWith(cfg Config, horizon simtime.Time, apply func(*topo.Fabric
 		marks = append(marks, sw.MarksTotal)
 		drops = append(drops, sw.DropsTotal)
 	}
-	return result(app, faults.Snap(fab), marks, drops, smp, net.Q.Processed())
+	return result(app, FabricLosses(fab), marks, drops, smp, net.Q.Processed())
 }
 
 // result gathers one finished run's runResult.
-func result(app *Applied, snap faults.Snapshot, marks, drops []uint64, smp *Sampler, processed uint64) runResult {
+func result(app *Applied, loss Losses, marks, drops []uint64, smp *Sampler, processed uint64) runResult {
 	res := runResult{
 		ends:       app.End,
 		marks:      marks,
 		drops:      drops,
-		blackholed: snap.Blackholed,
-		bufDrops:   snap.BufferDrops,
-		pfcPauses:  snap.PFCPauses,
-		goodTimes:  smp.Times,
-		goodGbps:   smp.Gbps,
+		blackholed: loss.Blackholed,
+		bufDrops:   loss.BufferDrops,
+		pfcPauses:  loss.PFCPauses,
+		goodTimes:  smp.Goodput.Times,
+		goodGbps:   smp.Goodput.Values,
 		processed:  processed,
 	}
 	for i := range app.End {

@@ -8,24 +8,44 @@ import (
 	"slices"
 
 	"github.com/accnet/acc/internal/eventq"
-	"github.com/accnet/acc/internal/faults"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/topo"
 )
 
-// LinkRef addresses a link by tier: for faults.HostLeaf, A is the leaf and B
-// the host index; for faults.LeafSpine, A is the leaf and B the spine.
+// Role classifies a link by the fabric tiers it joins.
+type Role int
+
+const (
+	// HostLeaf links join a host NIC to its leaf switch.
+	HostLeaf Role = iota
+	// LeafSpine links join a leaf switch to a spine.
+	LeafSpine
+)
+
+// String returns the flag-friendly role name.
+func (r Role) String() string {
+	switch r {
+	case HostLeaf:
+		return "host-leaf"
+	case LeafSpine:
+		return "leaf-spine"
+	}
+	return fmt.Sprintf("role(%d)", int(r))
+}
+
+// LinkRef addresses a link by tier: for HostLeaf, A is the leaf and B the
+// host index; for LeafSpine, A is the leaf and B the spine.
 type LinkRef struct {
-	Role faults.Role
+	Role Role
 	A, B int
 }
 
 // HostLeafLink addresses the link between leaf l and its i'th host.
-func HostLeafLink(l, i int) LinkRef { return LinkRef{Role: faults.HostLeaf, A: l, B: i} }
+func HostLeafLink(l, i int) LinkRef { return LinkRef{Role: HostLeaf, A: l, B: i} }
 
 // LeafSpineLink addresses the link between leaf l and spine s.
-func LeafSpineLink(l, s int) LinkRef { return LinkRef{Role: faults.LeafSpine, A: l, B: s} }
+func LeafSpineLink(l, s int) LinkRef { return LinkRef{Role: LeafSpine, A: l, B: s} }
 
 // String renders the link as "role link (A,B)" for errors.
 func (l LinkRef) String() string { return fmt.Sprintf("%v link (%d,%d)", l.Role, l.A, l.B) }
@@ -158,11 +178,11 @@ func fabricLinks(fab *topo.Fabric) linkTables {
 func (t linkTables) ends(l LinkRef) (a, b *netsim.Port, err error) {
 	in := func(i int, n int) bool { return i >= 0 && i < n }
 	switch l.Role {
-	case faults.HostLeaf:
+	case HostLeaf:
 		if in(l.A, len(t.hostUp)) && in(l.B, len(t.hostUp[l.A])) {
 			return t.hostUp[l.A][l.B], t.leafDown[l.A][l.B], nil
 		}
-	case faults.LeafSpine:
+	case LeafSpine:
 		if in(l.A, len(t.leafUp)) && in(l.B, len(t.leafUp[l.A])) {
 			return t.leafUp[l.A][l.B], t.spineDown[l.B][l.A], nil
 		}

@@ -184,14 +184,15 @@ func (a *Applied) waiter(kind uint8, flow netsim.FlowID) netsim.Waiter {
 // extends the series exactly as the uninterrupted run would have.
 func (s *Sampler) State(v *codec.Visitor) {
 	v.Tag("sampler")
-	n := v.Count("sampler series length", len(s.Times), 1+8)
+	g := &s.Goodput
+	n := v.Count("sampler series length", g.Len(), 1+8)
 	if v.Reading() {
-		s.Times = slices.Grow(s.Times[:0], n)[:n]
-		s.Gbps = slices.Grow(s.Gbps[:0], n)[:n]
+		g.Times = slices.Grow(g.Times[:0], n)[:n]
+		g.Values = slices.Grow(g.Values[:0], n)[:n]
 	}
-	for i := range s.Times {
-		codec.Int64(v, &s.Times[i])
-		v.F64(&s.Gbps[i])
+	for i := range g.Times {
+		codec.Int64(v, &g.Times[i])
+		v.F64(&g.Values[i])
 	}
 	v.U64(&s.last)
 	codec.Int64(v, &s.lastT)

@@ -145,7 +145,7 @@ func TestRestoreAtStartInstant(t *testing.T) {
 		}
 		e.Run(horizon)
 		marks, drops := e.SwitchTotals()
-		diffResults(t, labelKS(3, k)+" restored at a start instant", want, result(app, e.Snap(), marks, drops, smp, e.Processed()))
+		diffResults(t, labelKS(3, k)+" restored at a start instant", want, result(app, e.Losses(), marks, drops, smp, e.Processed()))
 	}
 }
 

@@ -1,11 +1,5 @@
 package snap
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
-)
-
 // Summary is the deterministic outcome surface of one world: everything
 // the sweep CSVs report and the bit-identity checks compare. Two runs of
 // the same scenario (cold, resumed, or forked with the same variant)
@@ -22,13 +16,12 @@ type Summary struct {
 	Digest         uint64
 }
 
-// Summarize collects the world's outcome surface and its FNV-64a digest:
-// per-flow completion times, per-switch mark/drop counters, fabric loss
-// aggregates, the goodput series, and the event total — the same surface
-// the mix experiments hash, so a CSV diff is a determinism check.
+// Summarize collects the world's outcome surface and its digest
+// (psim.Engine.Digest), the same digest the mix experiments report, so a
+// CSV diff is a determinism check.
 func (w *World) Summarize() Summary {
 	marks, drops := w.E.SwitchTotals()
-	snap := w.E.Snap()
+	l := w.E.Losses()
 
 	var s Summary
 	s.FlowsOffered = len(w.App.End)
@@ -37,39 +30,14 @@ func (w *World) Summarize() Summary {
 		s.Marks += marks[i]
 		s.Drops += drops[i]
 	}
-	s.Blackholed = snap.Blackholed
-	s.BufferDrops = snap.BufferDrops
-	s.PFCPauses = snap.PFCPauses
-	if n := len(w.Smp.Gbps); n > 0 {
-		var sum float64
-		for _, g := range w.Smp.Gbps {
-			sum += g
-		}
-		s.MeanGbps = sum / float64(n)
-	}
+	s.Blackholed = l.Blackholed
+	s.BufferDrops = l.BufferDrops
+	s.PFCPauses = l.PFCPauses
+	s.MeanGbps = w.Smp.Goodput.Avg()
 	s.Processed = w.E.Processed()
-
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) { binary.BigEndian.PutUint64(buf[:], v); h.Write(buf[:]) }
-	for _, end := range w.App.End {
-		put(uint64(end))
-	}
-	for i := range marks {
-		put(marks[i])
-		put(drops[i])
-	}
-	put(snap.Blackholed)
-	put(snap.BufferDrops)
-	put(snap.PFCPauses)
-	for i := range w.Smp.Times {
-		put(uint64(w.Smp.Times[i]))
-		put(math.Float64bits(w.Smp.Gbps[i]))
-	}
-	put(s.Processed)
-	s.Digest = h.Sum64()
+	s.Digest = w.E.Digest(w.App, w.Smp)
 	return s
 }
 
 // Digest returns just the bit-identity digest (see Summarize).
-func (w *World) Digest() uint64 { return w.Summarize().Digest }
+func (w *World) Digest() uint64 { return w.E.Digest(w.App, w.Smp) }

@@ -69,6 +69,15 @@ func (f *Fabric) Switches() []*netsim.Switch {
 	return out
 }
 
+// HostPorts returns every host's NIC port, in host order.
+func (f *Fabric) HostPorts() []*netsim.Port {
+	out := make([]*netsim.Port, len(f.Hosts))
+	for i, h := range f.Hosts {
+		out[i] = h.Port
+	}
+	return out
+}
+
 // LeafOf returns the index of the leaf switch serving host h.
 func (f *Fabric) LeafOf(h *netsim.Host) int {
 	for li, hs := range f.HostsAt {
