@@ -76,7 +76,8 @@ type Options struct {
 	// generating traffic from a spec. Honored by mix-spec and mix-replay.
 	ReplayTrace string
 
-	id string // the experiment Run runs, which runArms reports to tap
+	id    string // the experiment Run runs, which runArms reports to tap
+	label string // what the next runArms call varies, named in its D-ACC arms' notes
 }
 
 // An option is an Options setting only some runners read. A runner names
@@ -251,7 +252,9 @@ func Check(id string, o Options) error {
 // Run executes the experiment with the given id. With Options.Obs set,
 // the run's manifest is stamped around the runner: Begin before the first
 // network exists, Finish once the last table is produced (when all the
-// run's engines are idle again).
+// run's engines are idle again); and the first table gets one note per
+// D-ACC arm the run deployed, its counters, in run order, each naming its
+// comparison where the experiment runs several.
 func Run(id string, o Options) ([]*Table, error) {
 	if err := Check(id, o); err != nil {
 		return nil, err
@@ -262,6 +265,9 @@ func Run(id string, o Options) ([]*Table, error) {
 	o.Obs.SetShards(o.Shards)
 	tables := e.Run(o)
 	o.Obs.Finish()
+	for _, a := range o.Obs.Manifest().Arms {
+		tables[0].Notes = append(tables[0].Notes, a.Note())
+	}
 	return tables, nil
 }
 

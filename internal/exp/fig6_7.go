@@ -109,6 +109,7 @@ func runFig7(o Options) []*Table {
 	}
 
 	for _, load := range loads {
+		o.label = fmt.Sprintf("load %g", load)
 		type run struct {
 			fct           [][3]float64 // by size: avg, p99, p99.9
 			q, qStd, tput float64      // at 60% load

@@ -41,6 +41,7 @@ func runFig8(o Options) []*Table {
 	// ACC auto-tunes only the RDMA class.
 	policies := []Policy{vendor(), {Name: "ACC", Kind: DACC, TunePrios: []int{3}}}
 	for _, senders := range []int{2, 7} {
+		o.label = fmt.Sprintf("%d senders", senders)
 		runs := runArms(o, star(8, cfg), 1, policies, func(a arm) [4]float64 {
 			net, fab := a.net, a.fab
 			rng := rand.New(rand.NewSource(a.seeds[0]))

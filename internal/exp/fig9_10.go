@@ -65,6 +65,7 @@ func runFig9(o Options) []*Table {
 		}
 		var base float64
 		for _, depth := range depths {
+			o.label = fmt.Sprintf("%s IO depth %d", model.Name, depth)
 			iops := runArms(o, testbed, 1, policies, func(a arm) float64 {
 				cluster := workload.RunStorage(a.net, a.seeds[0], workload.StorageConfig{
 					Compute: a.fab.Hosts[:18],
@@ -102,6 +103,7 @@ func runFig10(o Options) []*Table {
 	}
 	policies := []Policy{secn1(), secn2(25), accPolicy()}
 	for _, model := range []workload.TrainingModel{workload.AlexNet(), workload.ResNet50()} {
+		o.label = model.Name
 		type run struct {
 			speed, avgQ float64
 			pauses      uint64

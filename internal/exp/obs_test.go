@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/accnet/acc/internal/obs"
@@ -160,6 +161,36 @@ func TestObsArmCounters(t *testing.T) {
 	for i, row := range tables[0].Rows {
 		if cells := []string{got[i].Arm, fmt.Sprint(got[i].Inferences), fmt.Sprint(got[i].Skipped)}; !slices.Equal(row[:3], cells) {
 			t.Errorf("table row %v, manifest %v", row[:3], cells)
+		}
+	}
+	notes := tables[0].Notes[len(tables[0].Notes)-len(got):]
+	for i, a := range got {
+		if notes[i] != a.Note() {
+			t.Errorf("note %q, manifest arm %+v", notes[i], a)
+		}
+	}
+	if want := "gating off: 232 train steps (least-trained agent 20, 0 target syncs), 0 exchanges, 1200 inferences, 0 skipped ticks, replay 1160/24576 local, 0/16384 global"; notes[1] != want {
+		t.Errorf("note %q, want %q", notes[1], want)
+	}
+	plain, err := Run("ablation-busyidle", goldenOptions("ablation-busyidle"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, m := len(plain[0].Notes), len(tables[0].Notes); n != m-len(got) {
+		t.Errorf("without Obs the table has %d notes, with it %d: want %d fewer", n, m, len(got))
+	}
+
+	// fig10 compares its arms once per model: each note names its model.
+	o = goldenOptions("fig10")
+	o.Obs = obs.NewRun(0)
+	if tables, err = Run("fig10", o); err != nil {
+		t.Fatal(err)
+	}
+	got = o.Obs.Manifest().Arms
+	notes = tables[0].Notes[len(tables[0].Notes)-len(got):]
+	for i, model := range []string{"AlexNet", "ResNet-50"} {
+		if len(got) != 2 || got[i].Comparison != model || !strings.HasPrefix(notes[i], model+", ACC: ") {
+			t.Fatalf("fig10 arms %+v, notes %q: want one ACC arm per model, named in its note", got, notes)
 		}
 	}
 }

@@ -109,15 +109,15 @@ func runArms[T any](o Options, fabric func(*netsim.Network) *topo.Fabric, nSeeds
 	})
 	for i, s := range systems {
 		if s != nil && o.Obs != nil {
-			o.Obs.AddArm(armCounters(policies[i].Name, s))
+			o.Obs.AddArm(armCounters(o.label, policies[i].Name, s))
 		}
 	}
 	return out
 }
 
 // armCounters reads a D-ACC system's counters for the run manifest.
-func armCounters(name string, s *acc.System) obs.ArmCounters {
-	c := obs.ArmCounters{Arm: name, Agents: len(s.Tuners), MinTrainSteps: s.Tuners[0].Agent.TrainSteps(),
+func armCounters(comparison, name string, s *acc.System) obs.ArmCounters {
+	c := obs.ArmCounters{Comparison: comparison, Arm: name, Agents: len(s.Tuners), MinTrainSteps: s.Tuners[0].Agent.TrainSteps(),
 		Exchanges: s.Exchanges, GlobalReplay: s.Global.Len(), GlobalReplayCap: s.Global.Cap()}
 	for _, t := range s.Tuners {
 		c.TrainSteps += t.Agent.TrainSteps()

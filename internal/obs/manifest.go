@@ -101,6 +101,7 @@ func (r *Run) AddFidelity(s FidelitySummary) {
 
 // ArmCounters are one D-ACC arm's learning counters at the end of its run.
 type ArmCounters struct {
+	Comparison      string `json:"comparison,omitempty"` // what its comparison varies, in an experiment of several
 	Arm             string `json:"arm"`
 	Agents          int    `json:"agents"`
 	TrainSteps      int    `json:"train_steps"`       // summed over agents
@@ -113,6 +114,16 @@ type ArmCounters struct {
 	LocalReplayCap  int    `json:"local_replay_cap"`  // summed over agents
 	GlobalReplay    int    `json:"global_replay"`     // the shared memory's
 	GlobalReplayCap int    `json:"global_replay_cap"` // the shared memory's
+}
+
+// Note renders the counters as one table note line, led by comparison and arm.
+func (a ArmCounters) Note() string {
+	name := a.Arm
+	if a.Comparison != "" {
+		name = a.Comparison + ", " + a.Arm
+	}
+	return fmt.Sprintf("%s: %d train steps (least-trained agent %d, %d target syncs), %d exchanges, %d inferences, %d skipped ticks, replay %d/%d local, %d/%d global",
+		name, a.TrainSteps, a.MinTrainSteps, a.MinTargetSyncs, a.Exchanges, a.Inferences, a.Skipped, a.LocalReplay, a.LocalReplayCap, a.GlobalReplay, a.GlobalReplayCap)
 }
 
 // AddArm appends one arm's counters to the manifest.

@@ -26,6 +26,20 @@ type Replay struct {
 
 	//acclint:ignore snapcover scratch: SamplePrioritized rebuilds it from buf before every read
 	prefix []float64
+	// memo[i] is the bootstrap value the training agent last computed for
+	// buf[i] (Agent.bootstrap), kept beside its slot and cleared when the
+	// slot is written. It grows to buf's length when the agent learns; a
+	// restore drops it, and nothing exchanges or saves it.
+	memo []memoEntry
+}
+
+// memoEntry is one slot's bootstrap memo: the target network's Q of the
+// slot's Next at action sel-1, computed at the target's version. sel 0 is
+// no entry.
+type memoEntry struct {
+	q       float64
+	sel     int32
+	version uint32
 }
 
 // NewReplay creates a replay memory holding up to capacity transitions.
@@ -44,6 +58,9 @@ func (r *Replay) Add(t Transition) {
 	}
 	r.full = true
 	r.buf[r.next] = t
+	if r.next < len(r.memo) {
+		r.memo[r.next] = memoEntry{}
+	}
 	r.next = (r.next + 1) % r.cap
 }
 
@@ -64,6 +81,21 @@ func (r *Replay) Sample(rng *rand.Rand, dst []Transition) []Transition {
 		dst[i] = r.buf[rng.Intn(len(r.buf))]
 	}
 	return dst
+}
+
+// sampleSlots is Sample drawing slot numbers: the same draws, into slots.
+func (r *Replay) sampleSlots(rng *rand.Rand, slots []int) {
+	for i := range slots {
+		slots[i] = rng.Intn(len(r.buf))
+	}
+}
+
+// bootstrapMemo returns memo grown to one entry per stored transition.
+func (r *Replay) bootstrapMemo() []memoEntry {
+	if n := len(r.buf) - len(r.memo); n > 0 {
+		r.memo = append(r.memo, make([]memoEntry, n)...)
+	}
+	return r.memo
 }
 
 // At returns the i-th stored transition (test/exchange use).
@@ -125,30 +157,48 @@ type Agent struct {
 	eps        float64
 	trainSteps int
 
-	// Scratch of TrainStep (the drawn minibatch and its regression targets),
-	// sized from Cfg by NewAgent. It lives here and not on
+	// The scratch of TrainStep, sized from Cfg. It lives here and not on
 	// the networks because a trained Eval is kept long after its agent.
-	//acclint:ignore snapcover scratch: overwritten from its start by every TrainStep before it is read
-	batch []Transition
-	//acclint:ignore snapcover scratch: overwritten from its start by every TrainStep before it is read
-	samples []Sample
-	// The four-sample scratch of learn, made by its first call where the
-	// CPU runs the AVX2 kernels and nil elsewhere.
-	//acclint:ignore snapcover scratch: every pass overwrites it before it is read
+	//acclint:ignore snapcover scratch: every TrainStep overwrites what it reads of it
+	step stepScratch
+}
+
+// stepScratch is what one train step works on. slots, samples, memo, sel
+// and q are per minibatch entry; todo and miss list entries waiting for a
+// pass.
+type stepScratch struct {
+	slots   []int       // the replay slots drawn
+	samples []Sample    // their regression targets
+	memo    []memoEntry // their memo entries, as the step began
+	sel     []int       // the action each bootstrap reads
+	q       []float64   // the target network's Q there
+	todo    []int
+	miss    []int
+	// lanes is the many-sample scratch, made by the first learn on the
+	// AVX2 and AVX-512 paths for their width, nil on the Go path.
 	lanes *lanes
 }
 
 // NewAgent builds an agent with freshly initialized networks.
 func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
 	eval := NewMLP(cfg.Sizes(), rng)
+	n := cfg.BatchSize
+	ints := make([]int, 4*n)
 	return &Agent{
-		Cfg:     cfg,
-		Eval:    eval,
-		Target:  eval.Clone(),
-		Memory:  NewReplay(cfg.ReplayCap),
-		eps:     cfg.EpsStart,
-		batch:   make([]Transition, cfg.BatchSize),
-		samples: make([]Sample, cfg.BatchSize),
+		Cfg:    cfg,
+		Eval:   eval,
+		Target: eval.Clone(),
+		Memory: NewReplay(cfg.ReplayCap),
+		eps:    cfg.EpsStart,
+		step: stepScratch{
+			slots:   ints[:n:n],
+			sel:     ints[n : 2*n : 2*n],
+			todo:    ints[2*n : 3*n : 3*n],
+			miss:    ints[3*n:],
+			samples: make([]Sample, n),
+			memo:    make([]memoEntry, n),
+			q:       make([]float64, n),
+		},
 	}
 }
 
@@ -187,42 +237,32 @@ func (a *Agent) TrainStep(rng *rand.Rand) float64 {
 	if a.Memory.Len() < a.Cfg.BatchSize {
 		return math.NaN()
 	}
-	return a.learn(a.Memory.Sample(rng, a.batch))
+	a.Memory.sampleSlots(rng, a.step.slots)
+	return a.learn()
 }
 
-// learn fits Eval to the (Double-)DQN targets of batch with one optimizer
-// step, syncs the target network on schedule and returns the batch loss.
-// Where the CPU runs the AVX2 kernels, the bootstrap passes of the
-// non-terminal transitions and the training passes go four samples at a
-// time, the remainder one by one.
-func (a *Agent) learn(batch []Transition) float64 {
-	if a.lanes == nil && useAVX2 {
-		a.lanes = newLanes(a.Eval.Sizes)
+// learn fits Eval to the (Double-)DQN targets of the replay slots drawn
+// into step.slots with one optimizer step, syncs the target network on
+// schedule and returns the batch loss.
+func (a *Agent) learn() float64 {
+	st := &a.step
+	if st.lanes == nil && simd != goKernels {
+		st.lanes = newLanes(a.Eval.Sizes, simd.width())
 	}
-	samples := a.samples[:len(batch)]
-	var four [4]int // non-terminal transitions waiting for a four-sample pass
-	k := 0
-	for i := range batch {
-		t := &batch[i]
-		samples[i] = Sample{X: t.State, Action: t.Action, Target: t.Reward}
-		if t.Terminal {
-			continue
-		}
-		if a.lanes == nil {
-			samples[i].Target += a.Cfg.Gamma * a.bootstrap(t.Next)
-			continue
-		}
-		four[k] = i
-		k++
-		if k == len(four) {
-			a.bootstrap4(batch, samples, four)
-			k = 0
+	// The slots' memo entries are read here, ahead of every pass, so that
+	// their cache misses overlap.
+	buf, memo := a.Memory.buf, a.Memory.bootstrapMemo()
+	todo := st.todo[:0]
+	for i, slot := range st.slots {
+		t := &buf[slot]
+		st.samples[i] = Sample{X: t.State, Action: t.Action, Target: t.Reward}
+		st.memo[i] = memo[slot]
+		if !t.Terminal {
+			todo = append(todo, i)
 		}
 	}
-	for _, i := range four[:k] {
-		samples[i].Target += a.Cfg.Gamma * a.bootstrap(batch[i].Next)
-	}
-	loss := a.Eval.trainBatch(samples, a.Cfg.LR, a.lanes)
+	a.bootstrap(todo)
+	loss := a.Eval.trainBatch(st.samples, a.Cfg.LR, st.lanes)
 	a.trainSteps++
 	if a.Cfg.TargetSync > 0 && a.trainSteps%a.Cfg.TargetSync == 0 {
 		a.Target.CopyFrom(a.Eval)
@@ -230,37 +270,102 @@ func (a *Agent) learn(batch []Transition) float64 {
 	return loss
 }
 
-// bootstrap returns the value the target bootstraps from next: the target
-// network's Q of the action the evaluation network selects (DDQN), or the
-// target network's largest Q.
-func (a *Agent) bootstrap(next []float64) float64 {
-	if a.Cfg.DoubleDQN {
-		sel := Argmax(a.Eval.Forward(next))
-		return a.Target.Forward(next)[sel]
+// bootstrap adds γ times the bootstrap value of their Next to the targets
+// of the minibatch entries at todo: the target network's Q of the action
+// the evaluation network selects (DDQN), or the target network's largest
+// Q. A slot's memo entry stands for the target network's pass while the
+// target is at the entry's version and, under DDQN, the evaluation
+// network still selects the entry's action; the target runs only for the
+// rest, and their entries are rewritten.
+func (a *Agent) bootstrap(todo []int) {
+	st, version := &a.step, a.Target.version
+	double := a.Cfg.DoubleDQN
+	if double {
+		a.passes(a.Eval, todo, false)
 	}
-	tq := a.Target.Forward(next)
-	return tq[Argmax(tq)]
+	miss := st.miss[:0]
+	for _, i := range todo {
+		e := st.memo[i]
+		if e.sel != 0 && e.version == version && (!double || int(e.sel-1) == st.sel[i]) {
+			st.sel[i], st.q[i] = int(e.sel-1), e.q
+			continue
+		}
+		miss = append(miss, i)
+	}
+	if double {
+		a.values(miss)
+	} else {
+		a.passes(a.Target, miss, true)
+	}
+	for _, i := range miss {
+		a.Memory.memo[st.slots[i]] = memoEntry{q: st.q[i], sel: int32(st.sel[i] + 1), version: version}
+	}
+	for _, i := range todo {
+		st.samples[i].Target += a.Cfg.Gamma * st.q[i]
+	}
 }
 
-// bootstrap4 adds γ times bootstrap of their Next to the targets of the
-// four transitions of batch at idx, in one four-sample pass per network.
-func (a *Agent) bootstrap4(batch []Transition, samples []Sample, idx [4]int) {
-	ln := a.lanes
-	ln.load(batch[idx[0]].Next, batch[idx[1]].Next, batch[idx[2]].Next, batch[idx[3]].Next)
-	selector := a.Target
-	if a.Cfg.DoubleDQN {
-		selector = a.Eval
+// next returns the Next of minibatch entry i.
+func (a *Agent) next(i int) []float64 { return a.Memory.buf[a.step.slots[i]].Next }
+
+// passes runs m on the Next of the minibatch entries at idx, full output
+// layer, and sets each entry's sel to the action of its largest Q and, with
+// value, its q to that Q.
+func (a *Agent) passes(m *MLP, idx []int, value bool) {
+	st, ln := &a.step, a.step.lanes
+	if ln == nil {
+		for _, i := range idx {
+			out := m.Forward(a.next(i))
+			st.sel[i] = Argmax(out)
+			if value {
+				st.q[i] = out[st.sel[i]]
+			}
+		}
+		return
 	}
-	q := selector.forwardLanes(ln)
-	var sel [4]int
-	for s := range sel {
-		sel[s] = argmaxLane(q, s)
+	for g := 0; g < len(idx); g += ln.w {
+		group := idx[g:min(g+ln.w, len(idx))]
+		a.loadNext(group)
+		out := m.forwardLanes(ln)
+		ln.argmaxes(out)
+		for s, i := range group {
+			st.sel[i] = ln.best[s]
+			if value {
+				st.q[i] = out[ln.w*st.sel[i]+s]
+			}
+		}
 	}
-	if selector != a.Target {
-		q = a.Target.forwardLanes(ln)
+}
+
+// values sets the q of the minibatch entries at idx to the target
+// network's Q of their Next at their sel.
+func (a *Agent) values(idx []int) {
+	st, ln := &a.step, a.step.lanes
+	if ln == nil {
+		for _, i := range idx {
+			st.q[i] = a.Target.Forward(a.next(i))[st.sel[i]]
+		}
+		return
 	}
-	for s, i := range idx {
-		samples[i].Target += a.Cfg.Gamma * q[4*sel[s]+s]
+	for g := 0; g < len(idx); g += ln.w {
+		group := idx[g:min(g+ln.w, len(idx))]
+		a.loadNext(group)
+		for s := range ln.rows {
+			ln.rows[s] = st.sel[group[min(s, len(group)-1)]]
+		}
+		q := a.Target.rowLanes(ln)
+		for s, i := range group {
+			st.q[i] = q[s]
+		}
+	}
+}
+
+// loadNext loads the Next of the minibatch entries of group into the
+// lanes, the lanes past the group repeating its last entry's.
+func (a *Agent) loadNext(group []int) {
+	ln := a.step.lanes
+	for s := range ln.w {
+		ln.load(s, a.next(group[min(s, len(group)-1)]))
 	}
 }
 

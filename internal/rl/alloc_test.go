@@ -117,8 +117,8 @@ func TestAllocNewAgentFootprint(t *testing.T) {
 // TestAllocRestoredAgentSizedByUse: a restored agent holds what its image
 // holds. The target network never trained, so its moments were saved as
 // zeros and come back unallocated; the evaluation network trained and gets
-// its moments, but no gradient buffer or four-sample scratch until it
-// trains again; the replay backing is as long as what was stored, and the
+// its moments, but no gradient buffer, many-sample scratch or bootstrap
+// memo until it trains again; the replay backing is as long as what was stored, and the
 // whole overlay allocates less than twice the image's size.
 func TestAllocRestoredAgentSizedByUse(t *testing.T) {
 	a, rng := benchAgent()
@@ -154,8 +154,8 @@ func TestAllocRestoredAgentSizedByUse(t *testing.T) {
 	if b.Eval.m == nil {
 		t.Error("the restored evaluation network lost its moments")
 	}
-	if b.Eval.grad != nil || b.lanes != nil {
-		t.Error("the restored agent has training scratch before it trains")
+	if b.Eval.grad != nil || b.step.lanes != nil || b.Memory.memo != nil {
+		t.Error("the restored agent has training scratch or a bootstrap memo before it trains")
 	}
 	if got, want := cap(b.Memory.buf), a.Memory.Len(); got != want {
 		t.Errorf("restored replay backing holds %d transitions for %d stored", got, want)

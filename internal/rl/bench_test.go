@@ -34,13 +34,20 @@ func BenchmarkForward(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStep times one DDQN minibatch step: 32 draws, 64 target
-// forwards, 32 traced forwards and backward passes, one Adam step.
+// BenchmarkTrainStep times one DDQN minibatch step on each kernel path
+// the host has: 32 draws, the bootstrap passes the memo does not save,
+// 32 traced forwards and backward passes, one Adam step.
 func BenchmarkTrainStep(b *testing.B) {
-	a, rng := benchAgent()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += a.TrainStep(rng)
+	for _, k := range allPaths() {
+		b.Run(pathNames[k], func(b *testing.B) {
+			onPath(k, func() {
+				a, rng := benchAgent()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink += a.TrainStep(rng)
+				}
+			})
+		})
 	}
 }

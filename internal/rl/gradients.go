@@ -2,9 +2,9 @@ package rl
 
 // gradients leaves the batch's mean-squared-error gradient in grad (made
 // on the first call, zeroed here, valid until the next call) for the Adam
-// step, and returns the batch loss. With ln, samples go through the
-// forward pass four at a time and the remainder one by one; either way
-// each sample is folded into grad in batch order.
+// step, and returns the batch loss. With ln, gradientsLanes does it;
+// without, each sample goes forward and back in turn. Either way each
+// sample is folded into every cell of grad in batch order.
 func (m *MLP) gradients(batch []Sample, ln *lanes) float64 {
 	if m.grad == nil {
 		m.grad = make([]float64, len(m.theta))
@@ -14,23 +14,10 @@ func (m *MLP) gradients(batch []Sample, ln *lanes) float64 {
 	inv := 1 / float64(len(batch))
 	last := len(m.off) - 1
 
-	i := 0
 	if ln != nil {
-		for ; i+4 <= len(batch); i += 4 {
-			four := batch[i : i+4]
-			ln.load(four[0].X, four[1].X, four[2].X, four[3].X)
-			out := m.forwardLanes(ln)
-			ln.split()
-			for s := range four {
-				err := out[4*four[s].Action+s] - four[s].Target
-				loss += err * err
-				acts := ln.trace[s]
-				acts[0] = four[s].X
-				m.backprop(acts, four[s].Action, 2*err*inv)
-			}
-		}
+		return m.gradientsLanes(batch, ln, inv)
 	}
-	for _, s := range batch[i:] {
+	for _, s := range batch {
 		acts := m.forwardTrace(s.X)
 		err := acts[last+1][s.Action] - s.Target
 		loss += err * err
@@ -48,19 +35,57 @@ func (m *MLP) backprop(acts [][]float64, action int, d float64) {
 	clear(delta)
 	delta[action] = d
 	for l := last; l >= 0; l-- {
-		p, g, in := m.layer(m.theta, l), m.layer(m.grad, l), acts[l][:m.Sizes[l]]
-		if l == 0 {
-			backwardVec(p, g, in, delta, nil)
-			return
+		var prev []float64
+		if l > 0 {
+			prev = m.delta[l-1]
 		}
-		prev := m.delta[l-1]
-		clear(prev)
-		backwardVec(p, g, in, delta, prev)
-		for i, a := range in {
-			if a <= 0 {
-				prev[i] = 0
-			}
-		}
+		backwardLayer(m.layer(m.theta, l), m.layer(m.grad, l), acts[l][:m.Sizes[l]], delta, prev)
 		delta = prev
 	}
+}
+
+// gradientsLanes is gradients through ln, ln.w samples at a time. The
+// forward pass computes only each sample's trained action, the last group
+// filled up with repeats of its last sample. Backward then goes a layer at
+// a time through the group's samples in batch order before the next layer
+// down: a layer's weights and gradient stay in the L1 cache for the
+// group, where a network's worth of both does not fit. Every gradient cell
+// still adds its samples in batch order.
+func (m *MLP) gradientsLanes(batch []Sample, ln *lanes, inv float64) float64 {
+	last := len(m.off) - 1
+	var loss float64
+	for i := 0; i < len(batch); i += ln.w {
+		group := batch[i:min(i+ln.w, len(batch))]
+		for s := range ln.w {
+			smp := &group[min(s, len(group)-1)]
+			ln.load(s, smp.X)
+			ln.rows[s] = smp.Action
+		}
+		q := m.rowLanes(ln)
+		for s := range group {
+			smp := &group[s]
+			err := q[s] - smp.Target
+			loss += err * err
+			ln.trace[s][0] = smp.X
+			d := ln.delta[s][:m.Sizes[last+1]]
+			clear(d)
+			d[smp.Action] = 2 * err * inv
+		}
+		cur, below := ln.delta, ln.below
+		for l := last; l >= 0; l-- {
+			if l > 0 {
+				ln.split(l)
+			}
+			p, g := m.layer(m.theta, l), m.layer(m.grad, l)
+			for s := range group {
+				var prev []float64
+				if l > 0 {
+					prev = below[s]
+				}
+				backwardLayer(p, g, ln.trace[s][l][:m.Sizes[l]], cur[s][:m.Sizes[l+1]], prev)
+			}
+			cur, below = below, cur
+		}
+	}
+	return loss * inv
 }

@@ -12,12 +12,32 @@ import "math"
 // their floating-point add chains overlap instead of queueing.
 //
 // The Go kernels below are the whole path on CPUs without AVX2 and the
-// reference the AVX2 kernels (kernels_amd64.s) are tested against. The
-// AVX2 kernels keep the contract per lane: forward4 runs four samples side
-// by side, one per lane; backwardVec and adamVec run four neighbouring
-// cells of one sample, each its own sum. Whatever they cannot fill four
-// lanes with — the last rows of forward4, the last columns of backwardVec,
-// the last cells of adamVec — goes through Go.
+// reference the assembly kernels (kernels_amd64.s) are tested against.
+// Those keep the contract per lane. forward4 and forward8 run four or
+// eight samples side by side, one per lane; the backward kernels run four
+// or eight neighbouring cells of one sample, the Adam kernel four, each
+// its own sum. What the AVX2 kernels cannot fill four lanes with — the
+// last rows of forward4, the last columns of backward, the last cells of
+// Adam — goes through Go; the AVX-512 kernels take every row and column
+// themselves, through masks. Both paths share the AVX2 Adam kernel.
+
+// kernelPath names one set of dense kernels.
+type kernelPath uint8
+
+const (
+	goKernels     kernelPath = iota // this file's: the reference, and the fallback
+	avx2Kernels                     // kernels_amd64.s, four lanes
+	avx512Kernels                   // kernels_amd64.s, eight lanes
+)
+
+// simd is the kernel set every MLP path runs, chosen once from what the
+// CPU and the operating system report (bestPath). Tests switch it to hold
+// each path the host has to the Go kernels.
+var simd = bestPath()
+
+// width returns how many samples one pass through the path's lanes
+// carries: 0 for the Go kernels, which take samples one at a time.
+func (k kernelPath) width() int { return [...]int{0, 4, 8}[k] }
 
 // forward computes out[o] = b[o] + Σ_i w[o·n+i]·x[i], n = len(x), for one
 // layer's block p — the len(out)×n row-major matrix w, then the biases b —
@@ -153,8 +173,8 @@ func backward(p, g, x, d, prev []float64) {
 
 // adamConsts are one Adam step's scalars, each rounded once by Go: the
 // decay rates and their complements, the learning rate, the two bias
-// corrections and the denominator's epsilon. The AVX2 kernel reads them by
-// offset (go_asm.h).
+// corrections and the denominator's epsilon. The assembly kernels read them
+// by offset (go_asm.h).
 type adamConsts struct {
 	beta1, c1, beta2, c2, lr, bc1, bc2, eps float64
 }
@@ -173,8 +193,7 @@ func adam(theta, mom, vel, grad []float64, k *adamConsts) {
 }
 
 // forward4 is forward4Go over every row, with the AVX2 kernel taking the
-// rows four at a time. Only the four-sample path calls it, and that path
-// runs only where useAVX2 holds.
+// rows four at a time.
 func forward4(p, x4, out4 []float64, relu bool) {
 	n, out := len(x4)/4, len(out4)/4
 	p, x4, out4 = p[:(n+1)*out], x4[:4*n], out4[:4*out]
@@ -185,28 +204,56 @@ func forward4(p, x4, out4 []float64, relu bool) {
 	forward4Go(p, x4, out4, relu, blocks)
 }
 
-// backwardVec is backward, with the AVX2 kernel taking the columns four at
-// a time where the CPU has it and Go the rest.
-func backwardVec(p, g, x, d, prev []float64) {
+// forward8 is forward for eight samples interleaved, unit i of sample s at
+// x8[8i+s] and output o at out8[8o+s], all of it in the AVX-512 kernel.
+func forward8(p, x8, out8 []float64, relu bool) {
+	n, out := len(x8)/8, len(out8)/8
+	forward8AVX512(p[:(n+1)*out], x8[:8*n], out8[:8*out], relu)
+}
+
+// backwardLayer is backprop's step through one layer: backward, and, when
+// prev is not nil, prev set to the deltas of the layer below — backward
+// onto a zeroed prev, then prev[i] = 0 wherever x[i] <= 0, x being that
+// layer's ReLU output. The AVX-512 kernel does all of it; on the AVX2 path
+// its kernel takes the columns four at a time and Go the rest.
+func backwardLayer(p, g, x, d, prev []float64) {
 	n := len(x)
-	if !useAVX2 || n < 4 {
-		backward(p, g, x, d, prev)
-		return
-	}
 	size := (n + 1) * len(d)
 	p, g = p[:size], g[:size]
 	if prev != nil {
 		prev = prev[:n]
 	}
-	backwardAVX2(p, g, x, d, prev)
-	if n%4 == 0 {
+	if simd == avx512Kernels {
+		backwardAVX512(p, g, x, d, prev)
+		return
+	}
+	clear(prev)
+	if simd == avx2Kernels && n >= 4 {
+		backwardAVX2(p, g, x, d, prev)
+		backwardTail(p, g, x, d, prev, n&^3)
+	} else {
+		backward(p, g, x, d, prev)
+	}
+	if prev != nil {
+		for i, a := range x {
+			if a <= 0 {
+				prev[i] = 0
+			}
+		}
+	}
+}
+
+// backwardTail is backward over the columns from `from` on, row by row.
+func backwardTail(p, g, x, d, prev []float64, from int) {
+	n := len(x)
+	if from == n {
 		return
 	}
 	for o, do := range d {
 		if do == 0 {
 			continue
 		}
-		for i := n &^ 3; i < n; i++ {
+		for i := from; i < n; i++ {
 			g[o*n+i] += do * x[i]
 			if prev != nil {
 				prev[i] += do * p[o*n+i]
@@ -216,11 +263,12 @@ func backwardVec(p, g, x, d, prev []float64) {
 }
 
 // adamVec is adam, with the AVX2 kernel taking the cells four at a time
-// where the CPU has it and Go the rest.
+// and Go the rest. The AVX-512 path runs it too: Adam is divider-bound,
+// so eight lanes do not make it faster.
 func adamVec(theta, mom, vel, grad []float64, k *adamConsts) {
+	mom, vel, grad = mom[:len(theta)], vel[:len(theta)], grad[:len(theta)]
 	done := 0
-	if useAVX2 {
-		mom, vel, grad = mom[:len(theta)], vel[:len(theta)], grad[:len(theta)]
+	if simd != goKernels {
 		adamAVX2(theta, mom, vel, grad, k)
 		done = len(theta) &^ 3
 	}

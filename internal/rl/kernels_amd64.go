@@ -1,26 +1,33 @@
 package rl
 
-// useAVX2 selects the AVX2 kernels of kernels_amd64.s, once, from what the
-// CPU and the operating system report.
-var useAVX2 = hasAVX2()
-
-// hasAVX2 reports whether the CPU executes AVX and AVX2 and the operating
-// system saves the YMM registers across context switches (XCR0 bits 1 and
-// 2, read by XGETBV once CPUID has shown OSXSAVE).
-func hasAVX2() bool {
-	const osxsave, avx, avx2 = 1 << 27, 1 << 28, 1 << 5
+// bestPath picks the widest kernel set of kernels_amd64.s that the CPU
+// executes and the operating system saves the registers of.
+//
+// AVX2: CPUID leaf 1 ECX shows OSXSAVE and AVX, XCR0 bits 1 and 2 (SSE and
+// AVX state) are set, and leaf 7 EBX bit 5 shows AVX2. AVX-512F adds leaf
+// 7 EBX bit 16 and XCR0 bits 5, 6 and 7 (the mask registers and the upper
+// halves of ZMM0–15 and ZMM16–31): mask 0xE6 in all. Its backward kernel
+// also counts mask bits with POPCNT, leaf 1 ECX bit 23, which every
+// AVX-512 CPU has.
+func bestPath() kernelPath {
+	const osxsave, avx, popcnt, avx2, avx512f = 1 << 27, 1 << 28, 1 << 23, 1 << 5, 1 << 16
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return goKernels
 	}
-	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
-		return false
+	_, _, c, _ := cpuid(1, 0)
+	if c&(osxsave|avx) != osxsave|avx {
+		return goKernels
 	}
-	if xgetbv()&6 != 6 {
-		return false
-	}
+	xcr0 := xgetbv()
 	_, b, _, _ := cpuid(7, 0)
-	return b&avx2 != 0
+	switch {
+	case xcr0&6 != 6 || b&avx2 == 0:
+		return goKernels
+	case xcr0&0xE6 == 0xE6 && b&avx512f != 0 && c&popcnt != 0:
+		return avx512Kernels
+	}
+	return avx2Kernels
 }
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -42,3 +49,29 @@ func backwardAVX2(p, g, x, d, prev []float64)
 //
 //go:noescape
 func adamAVX2(theta, mom, vel, grad []float64, k *adamConsts)
+
+// forward8AVX512 is forward over every output row for eight samples
+// interleaved, unit i of sample s at x8[8i+s] and output o at out8[8o+s].
+//
+//go:noescape
+func forward8AVX512(p, x8, out8 []float64, relu bool)
+
+// argmax8AVX512 sets best[s] to Argmax over sample s's outputs, for eight
+// samples interleaved, output o of sample s at q8[8o+s].
+//
+//go:noescape
+func argmax8AVX512(q8 []float64, best []int)
+
+// split8AVX512 sets xs[s·n+i] = x8[8i+s], n = len(xs)/8: eight
+// interleaved samples regrouped by sample. len(x8) is 8n rounded up to a
+// multiple of 64.
+//
+//go:noescape
+func split8AVX512(x8, xs []float64)
+
+// backwardAVX512 is backwardLayer over every column: backward onto a
+// zeroed prev, then prev[i] = 0 wherever x[i] <= 0. An empty prev stands
+// for nil.
+//
+//go:noescape
+func backwardAVX512(p, g, x, d, prev []float64)

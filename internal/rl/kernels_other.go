@@ -2,14 +2,22 @@
 
 package rl
 
-// useAVX2 is false off amd64: the Go kernels are the whole path, and the
-// AVX2 entry points below are never called.
-const useAVX2 = false
+// bestPath is the Go kernels off amd64: they are the whole path, and the
+// assembly entry points below are never called.
+func bestPath() kernelPath { return goKernels }
 
-const noAVX2 = "rl: no AVX2 kernels on this architecture"
+const noSIMD = "rl: no SIMD kernels on this architecture"
 
-func forward4AVX2(p, x4, out4 []float64, relu bool) { panic(noAVX2) }
+func forward4AVX2(p, x4, out4 []float64, relu bool) { panic(noSIMD) }
 
-func backwardAVX2(p, g, x, d, prev []float64) { panic(noAVX2) }
+func backwardAVX2(p, g, x, d, prev []float64) { panic(noSIMD) }
 
-func adamAVX2(theta, mom, vel, grad []float64, k *adamConsts) { panic(noAVX2) }
+func adamAVX2(theta, mom, vel, grad []float64, k *adamConsts) { panic(noSIMD) }
+
+func forward8AVX512(p, x8, out8 []float64, relu bool) { panic(noSIMD) }
+
+func argmax8AVX512(q8 []float64, best []int) { panic(noSIMD) }
+
+func split8AVX512(x8, xs []float64) { panic(noSIMD) }
+
+func backwardAVX512(p, g, x, d, prev []float64) { panic(noSIMD) }

@@ -7,8 +7,8 @@
 // The arithmetic is float64 slices and hand-written kernels; no external
 // tensor library is used (or available) — the paper's network is four small
 // dense layers ({20,40,40,20} nodes, §6 "Resource Consumption"). The kernels
-// are Go, plus AVX2 assembly on amd64 CPUs that have it, chosen once at
-// start-up and bit-identical to the Go kernels (kernels.go).
+// are Go, plus AVX2 and AVX-512 assembly on amd64 CPUs that have it, chosen
+// once at start-up and bit-identical to the Go kernels (kernels.go).
 package rl
 
 import (
@@ -55,6 +55,12 @@ type MLP struct {
 	//acclint:ignore snapcover scratch: every gradients call zeroes it before it is read
 	grad  []float64
 	adamT int
+
+	// version counts the writes to theta — Adam steps, CopyFrom, restores —
+	// so a value computed from the weights can be kept until they change:
+	// Agent keys its bootstrap memo by its target network's version.
+	//acclint:ignore snapcover derived: a restore bumps it, and the memo it keys is not saved either
+	version uint32
 
 	// Scratch: acts[l] is layer l's input (acts[0] aliases the caller's),
 	// acts[len(W)] the output Forward returns; delta[l] backs layer l's
@@ -216,7 +222,7 @@ func (m *MLP) TrainBatch(batch []Sample, lr float64) float64 {
 	return m.trainBatch(batch, lr, nil)
 }
 
-// trainBatch is TrainBatch, running the batch's passes four samples at a
+// trainBatch is TrainBatch, running the batch's passes ln.w samples at a
 // time through ln when it is not nil.
 func (m *MLP) trainBatch(batch []Sample, lr float64, ln *lanes) float64 {
 	if len(batch) == 0 {
@@ -236,6 +242,7 @@ func (m *MLP) adamStep(lr float64) {
 		eps   = 1e-8
 	)
 	m.adamT++
+	m.version++
 	k := adamConsts{
 		beta1: beta1, c1: 1 - beta1,
 		beta2: beta2, c2: 1 - beta2,
@@ -261,6 +268,7 @@ func (m *MLP) CopyFrom(other *MLP) {
 		panic(fmt.Sprintf("rl: CopyFrom %v into %v", other.Sizes, m.Sizes))
 	}
 	copy(m.theta, other.theta)
+	m.version++
 }
 
 // Argmax returns the index of the largest value (first on ties).

@@ -17,7 +17,17 @@ func (r *Replay) SamplePrioritized(rng *rand.Rand, dst []Transition, priority fu
 	if len(r.buf) == 0 || len(dst) == 0 {
 		return nil
 	}
-	// Prefix sums of priorities, on a table that grows with the memory.
+	total := r.weigh(priority, alpha)
+	for i := range dst {
+		dst[i] = r.buf[r.pick(rng.Float64()*total)]
+	}
+	return dst
+}
+
+// weigh builds the prefix sums of priority^alpha over the stored
+// transitions, on a table that grows with the memory, and returns their
+// total.
+func (r *Replay) weigh(priority func(Transition) float64, alpha float64) float64 {
 	prefix := slices.Grow(r.prefix[:0], len(r.buf)+1)[:len(r.buf)+1]
 	r.prefix = prefix
 	prefix[0] = 0
@@ -28,16 +38,13 @@ func (r *Replay) SamplePrioritized(rng *rand.Rand, dst []Transition, priority fu
 		}
 		prefix[i+1] = prefix[i] + math.Pow(p+1e-9, alpha)
 	}
-	total := prefix[len(r.buf)]
-	for i := range dst {
-		u := rng.Float64() * total
-		idx := sort.SearchFloat64s(prefix[1:], u)
-		if idx >= len(r.buf) {
-			idx = len(r.buf) - 1
-		}
-		dst[i] = r.buf[idx]
-	}
-	return dst
+	return prefix[len(r.buf)]
+}
+
+// pick returns the slot whose share of the prefix sums weigh built holds
+// u.
+func (r *Replay) pick(u float64) int {
+	return min(sort.SearchFloat64s(r.prefix[1:len(r.buf)+1], u), len(r.buf)-1)
 }
 
 // RewardPriority is the paper's §4.3 heuristic: a transition's priority is
@@ -53,8 +60,12 @@ func (a *Agent) TrainStepPrioritized(rng *rand.Rand, alpha float64) float64 {
 	if a.Memory.Len() < a.Cfg.BatchSize {
 		return math.NaN()
 	}
+	slots := a.step.slots
 	n := a.Cfg.BatchSize - a.Cfg.BatchSize/2
-	a.Memory.SamplePrioritized(rng, a.batch[:n], RewardPriority, alpha)
-	a.Memory.Sample(rng, a.batch[n:])
-	return a.learn(a.batch)
+	total := a.Memory.weigh(RewardPriority, alpha)
+	for i := range slots[:n] {
+		slots[i] = a.Memory.pick(rng.Float64() * total)
+	}
+	a.Memory.sampleSlots(rng, slots[n:])
+	return a.learn()
 }

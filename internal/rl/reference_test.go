@@ -215,13 +215,16 @@ func (a *refAgent) trainStep(rng *rand.Rand, alpha float64) float64 {
 
 // sameBits fails the test unless a and b are bit-for-bit equal; what names
 // the compared slice, fmt.Sprint style, and is rendered only on failure.
+// It marks itself a helper only then: t.Helper walks the stack, and the
+// kernel tests call this hundreds of thousands of times.
 func sameBits(t *testing.T, a, b []float64, what ...any) {
-	t.Helper()
 	if len(a) != len(b) {
+		t.Helper()
 		t.Fatalf("%s: length %d vs reference %d", fmt.Sprint(what...), len(a), len(b))
 	}
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Helper()
 			t.Fatalf("%s[%d]: %v (%#x) vs reference %v (%#x)", fmt.Sprint(what...), i, a[i], math.Float64bits(a[i]), b[i], math.Float64bits(b[i]))
 		}
 	}
@@ -295,110 +298,124 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
+// allPaths returns the Go kernels and every assembly kernel set the host
+// runs.
+func allPaths() []kernelPath { return append([]kernelPath{goKernels}, hostPaths...) }
+
 // TestDifferentialKernels holds Forward, gradients, loss and Adam to the
 // reference arithmetic bit for bit, on shapes with every blocking tail,
-// batches on both sides of a block of samples, and dead units — one sample
-// at a time through TrainBatch and, where the CPU runs the AVX2 kernels,
-// four at a time through the Agent's scratch.
+// batches on both sides of a block of samples, and dead units — on every
+// kernel path the host has, one sample at a time through TrainBatch and,
+// on the assembly paths, the path's width at a time through the Agent's
+// scratch.
 func TestDifferentialKernels(t *testing.T) {
-	for si, sizes := range diffShapes {
-		for _, batchSize := range []int{1, 31, 32} {
-			for _, four := range []bool{false, true} {
-				if four && !useAVX2 {
-					continue
-				}
-				name := fmt.Sprintf("%v/batch%d/four=%v", sizes, batchSize, four)
-				rng := rand.New(rand.NewSource(int64(100*si + batchSize)))
-				m := NewMLP(sizes, rng)
-				killUnits(m, rng)
-				ref := refFrom(m)
-				var ln *lanes
-				if four {
-					ln = newLanes(sizes)
-				}
-				nOut := sizes[len(sizes)-1]
-				for step := 0; step < 12; step++ {
-					x := randVec(rng, sizes[0])
-					sameBits(t, m.Forward(x), ref.forward(x), name, " Forward")
-
-					batch := make([]Sample, batchSize)
-					for i := range batch {
-						batch[i] = Sample{X: randVec(rng, sizes[0]), Action: rng.Intn(nOut), Target: rng.NormFloat64()}
+	for _, k := range allPaths() {
+		for si, sizes := range diffShapes {
+			for _, batchSize := range []int{1, 9, 31, 32} {
+				for _, wide := range []bool{false, true} {
+					if wide && k == goKernels {
+						continue
 					}
-					if step%4 == 3 {
-						// A sample the network already fits exactly: its
-						// error, hence every delta of its pass, is zero.
-						batch[0].Target = ref.forward(batch[0].X)[batch[0].Action]
-					}
-					var loss, want float64
-					if four {
-						loss, want = m.trainBatch(batch, 1e-2, ln), ref.trainBatch(batch, 1e-2)
-					} else {
-						loss, want = m.TrainBatch(batch, 1e-2), ref.trainBatch(batch, 1e-2)
-					}
-					sameBits(t, []float64{loss}, []float64{want}, name, " loss")
-					sameTensors(t, m, ref, name, " step ", step)
+					name := fmt.Sprintf("%s/%v/batch%d/wide=%v", pathNames[k], sizes, batchSize, wide)
+					onPath(k, func() { checkDifferentialKernels(t, name, sizes, batchSize, wide, int64(100*si+batchSize)) })
 				}
 			}
 		}
 	}
 }
 
-// TestDifferentialTrainStep runs agent train steps — uniform and
-// prioritized, DoubleDQN on and off, Terminal transitions in the memory,
-// target syncs on the way; 200 of them for the paper's agent — against the
-// reference agent fed by an identical rng stream: same draws, same losses,
-// same weights and moments in both networks.
-func TestDifferentialTrainStep(t *testing.T) {
-	for si, sizes := range diffShapes {
-		if len(sizes) < 3 {
-			continue
+func checkDifferentialKernels(t *testing.T, name string, sizes []int, batchSize int, wide bool, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewMLP(sizes, rng)
+	killUnits(m, rng)
+	ref := refFrom(m)
+	var ln *lanes
+	if wide {
+		ln = newLanes(sizes, simd.width())
+	}
+	nOut := sizes[len(sizes)-1]
+	for step := 0; step < 12; step++ {
+		x := randVec(rng, sizes[0])
+		sameBits(t, m.Forward(x), ref.forward(x), name, " Forward")
+
+		batch := make([]Sample, batchSize)
+		for i := range batch {
+			batch[i] = Sample{X: randVec(rng, sizes[0]), Action: rng.Intn(nOut), Target: rng.NormFloat64()}
 		}
-		for _, double := range []bool{true, false} {
-			for _, alpha := range []float64{0, 0.6} {
-				for _, batchSize := range []int{1, 31, 32} {
-					name := fmt.Sprintf("%v/ddqn=%v/alpha=%v/batch%d", sizes, double, alpha, batchSize)
-					cfg := DefaultAgentConfig(sizes[0], sizes[len(sizes)-1])
-					cfg.Hidden = sizes[1 : len(sizes)-1]
-					cfg.DoubleDQN = double
-					cfg.BatchSize = batchSize
-					cfg.TargetSync = 4
-					cfg.ReplayCap = 96
-					rng := rand.New(rand.NewSource(int64(si)))
-					a := NewAgent(cfg, rng)
-					killUnits(a.Eval, rng)
-					for i := 0; i < 150; i++ { // wraps the ring
-						a.Observe(Transition{
-							State:    randVec(rng, cfg.StateDim),
-							Action:   rng.Intn(cfg.NumActions),
-							Reward:   rng.Float64(),
-							Next:     randVec(rng, cfg.StateDim),
-							Terminal: rng.Intn(5) == 0,
-						})
-					}
-					ref := &refAgent{cfg: cfg, eval: refFrom(a.Eval), target: refFrom(a.Target), memory: a.Memory}
-					rngA, rngR := rand.New(rand.NewSource(77)), rand.New(rand.NewSource(77))
-					steps := 10
-					if si == 0 && alpha == 0 && batchSize == 32 {
-						steps = 200 // the paper's agent, through 50 target syncs
-					}
-					for step := 0; step < steps; step++ {
-						var loss float64
-						if alpha > 0 {
-							loss = a.TrainStepPrioritized(rngA, alpha)
-						} else {
-							loss = a.TrainStep(rngA)
-						}
-						want := ref.trainStep(rngR, alpha)
-						sameBits(t, []float64{loss}, []float64{want}, name, " loss at step ", step)
-					}
-					sameTensors(t, a.Eval, ref.eval, name, " eval")
-					sameTensors(t, a.Target, ref.target, name, " target")
-					if rngA.Int63() != rngR.Int63() {
-						t.Fatalf("%s: rng streams diverged", name)
+		if step%4 == 3 {
+			// A sample the network already fits exactly: its error, hence
+			// every delta of its pass, is zero.
+			batch[0].Target = ref.forward(batch[0].X)[batch[0].Action]
+		}
+		loss, want := m.trainBatch(batch, 1e-2, ln), ref.trainBatch(batch, 1e-2)
+		sameBits(t, []float64{loss}, []float64{want}, name, " loss")
+		sameTensors(t, m, ref, name, " step ", step)
+	}
+}
+
+// TestDifferentialTrainStep runs agent train steps on every kernel path
+// the host has — uniform and prioritized, DoubleDQN on and off, Terminal
+// transitions in the memory, target syncs on the way; 200 of them for the
+// paper's agent — against the reference agent fed by an identical rng
+// stream: same draws, same losses, same weights and moments in both
+// networks.
+func TestDifferentialTrainStep(t *testing.T) {
+	for _, k := range allPaths() {
+		for si, sizes := range diffShapes {
+			if len(sizes) < 3 {
+				continue
+			}
+			for _, double := range []bool{true, false} {
+				for _, alpha := range []float64{0, 0.6} {
+					for _, batchSize := range []int{1, 31, 32} {
+						name := fmt.Sprintf("%s/%v/ddqn=%v/alpha=%v/batch%d", pathNames[k], sizes, double, alpha, batchSize)
+						long := si == 0 && alpha == 0 && batchSize == 32
+						onPath(k, func() { checkDifferentialTrainStep(t, name, sizes, double, alpha, batchSize, int64(si), long) })
 					}
 				}
 			}
 		}
+	}
+}
+
+func checkDifferentialTrainStep(t *testing.T, name string, sizes []int, double bool, alpha float64, batchSize int, seed int64, long bool) {
+	cfg := DefaultAgentConfig(sizes[0], sizes[len(sizes)-1])
+	cfg.Hidden = sizes[1 : len(sizes)-1]
+	cfg.DoubleDQN = double
+	cfg.BatchSize = batchSize
+	cfg.TargetSync = 4
+	cfg.ReplayCap = 96
+	rng := rand.New(rand.NewSource(seed))
+	a := NewAgent(cfg, rng)
+	killUnits(a.Eval, rng)
+	for i := 0; i < 150; i++ { // wraps the ring
+		a.Observe(Transition{
+			State:    randVec(rng, cfg.StateDim),
+			Action:   rng.Intn(cfg.NumActions),
+			Reward:   rng.Float64(),
+			Next:     randVec(rng, cfg.StateDim),
+			Terminal: rng.Intn(5) == 0,
+		})
+	}
+	ref := &refAgent{cfg: cfg, eval: refFrom(a.Eval), target: refFrom(a.Target), memory: a.Memory}
+	rngA, rngR := rand.New(rand.NewSource(77)), rand.New(rand.NewSource(77))
+	steps := 10
+	if long {
+		steps = 200 // the paper's agent, through 50 target syncs
+	}
+	for step := 0; step < steps; step++ {
+		var loss float64
+		if alpha > 0 {
+			loss = a.TrainStepPrioritized(rngA, alpha)
+		} else {
+			loss = a.TrainStep(rngA)
+		}
+		want := ref.trainStep(rngR, alpha)
+		sameBits(t, []float64{loss}, []float64{want}, name, " loss at step ", step)
+	}
+	sameTensors(t, a.Eval, ref.eval, name, " eval")
+	sameTensors(t, a.Target, ref.target, name, " target")
+	if rngA.Int63() != rngR.Int63() {
+		t.Fatalf("%s: rng streams diverged", name)
 	}
 }

@@ -33,22 +33,52 @@ var specials = []float64{
 	2.2250738585072014e-308, 1, -1,
 }
 
-// simdWidths are layer widths on both sides of every four-wide tail, plus
-// the paper's.
-var simdWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 20, 40, 41}
+// simdWidths are layer widths on both sides of every four- and eight-wide
+// tail, plus the paper's.
+var simdWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 20, 33, 40, 41}
 
-// simdCounts are sample counts on both sides of a group of four, plus the
-// paper's batch.
-var simdCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 32}
+// simdCounts are sample counts on both sides of a group of four and of
+// eight, plus the paper's batch.
+var simdCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 32, 33}
 
-// TestSIMDKernelsMatchGo holds the AVX2 kernels to the Go kernels bit for
-// bit: forward over four samples per lane against four single-sample
-// passes, backward folding a sequence of samples into one gradient block
-// (with and without a layer below), and the Adam step. Every shape leaves
-// every tail; deltas have zero rows of both signs; values are ordinary
-// and, in a second pass, one in four from specials.
+// hostPaths are the assembly kernel sets the host runs: none off amd64 or
+// without AVX2, AVX2 alone, or AVX2 and AVX-512. (Asked once: CPUID traps
+// to the hypervisor on a virtual machine.)
+var hostPaths = func() []kernelPath {
+	var paths []kernelPath
+	for k := goKernels + 1; k <= bestPath(); k++ {
+		paths = append(paths, k)
+	}
+	return paths
+}()
+
+// onPath runs fn with simd switched to k, then switches it back.
+func onPath(k kernelPath, fn func()) {
+	defer func(was kernelPath) { simd = was }(simd)
+	simd = k
+	fn()
+}
+
+var pathNames = [...]string{goKernels: "go", avx2Kernels: "avx2", avx512Kernels: "avx512"}
+
+// TestKernelPath names the kernel set this host runs (go test -v).
+func TestKernelPath(t *testing.T) {
+	if simd != bestPath() {
+		t.Fatalf("simd is %s, the host's best is %s", pathNames[simd], pathNames[bestPath()])
+	}
+	t.Logf("internal/rl kernels: %s", pathNames[simd])
+}
+
+// TestSIMDKernelsMatchGo holds each assembly kernel set the host runs to
+// the Go kernels bit for bit: forward over four or eight samples per lane
+// against single-sample passes, backward folding a sequence of samples into
+// one gradient block (with and without a layer below, whose deltas it
+// sets and masks), and the Adam step. Every shape leaves every tail;
+// deltas have zero rows of both signs; values are ordinary and, in a
+// second pass, one in four from specials.
 func TestSIMDKernelsMatchGo(t *testing.T) {
-	if !useAVX2 {
+	paths := hostPaths
+	if len(paths) == 0 {
 		t.Skip("the CPU has no AVX2: the Go kernels are the only path")
 	}
 	rng := rand.New(rand.NewSource(28))
@@ -71,6 +101,13 @@ func TestSIMDKernelsMatchGo(t *testing.T) {
 		}
 	}
 
+	// Layers of more rows than the AVX-512 backward lists at once (64).
+	for _, out := range []int{63, 64, 65, 129} {
+		for _, n := range []int{7, 9, 40} {
+			checkSIMDLayer(t, fmt.Sprintf("n=%d/out=%d", n, out), n, out, 9, true, special, rng)
+		}
+	}
+
 	// ReLU inputs of exactly ±0: zero inputs against negative weights give
 	// -0 products, so the sum keeps the bias's sign.
 	const n, out = 8, 8
@@ -81,19 +118,85 @@ func TestSIMDKernelsMatchGo(t *testing.T) {
 	for o := range p[n*out:] {
 		p[n*out+o] = math.Copysign(0, float64(o%2)-0.5)
 	}
-	x4 := make([]float64, 4*n)
-	got := make([]float64, 4*out)
-	forward4(p, x4, got, true)
 	want := make([]float64, out)
-	forward(p, x4[:n], want, true)
+	forward(p, make([]float64, n), want, true)
 	for o := range want {
 		if want[o] != 0 || math.Signbit(want[o]) != (o%2 == 0) {
 			t.Fatalf("pre-activation %d is %v with sign bit %v: the case tests nothing", o, want[o], math.Signbit(want[o]))
 		}
-		for s := 0; s < 4; s++ {
-			sameBits(t, got[4*o+s:4*o+s+1], want[o:o+1], "ReLU of ±0, row ", o, " lane ", s)
+	}
+	for _, k := range paths {
+		w := k.width()
+		got := make([]float64, w*out)
+		forwardWide(k, p, make([]float64, w*n), got, true)
+		for o := range want {
+			for s := 0; s < w; s++ {
+				sameBits(t, got[w*o+s:w*o+s+1], want[o:o+1], pathNames[k], " ReLU of ±0, row ", o, " lane ", s)
+			}
 		}
 	}
+}
+
+// TestLanesMatchGo holds the many-sample helpers of each path the host
+// runs to their one-sample meaning: argmaxes to Argmax of each sample's
+// outputs, on values with ties, NaN and ±0, and split to reading the
+// interleaved hidden values sample by sample. Widths straddle the groups
+// of eight units split regroups at once.
+func TestLanesMatchGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	val := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return float64(rng.Intn(3)) // ties
+		}
+		return rng.NormFloat64()
+	}
+	for _, k := range hostPaths {
+		w := k.width()
+		for _, sizes := range [][]int{{3, 1, 1}, {12, 20, 40, 40, 20}, {2, 7, 8, 9, 15, 16, 17, 33, 5}} {
+			ln := newLanes(sizes, w)
+			last := len(sizes) - 1
+			for trial := 0; trial < 40; trial++ {
+				for _, a := range ln.acts {
+					for i := range a {
+						a[i] = val()
+					}
+				}
+				q := ln.acts[last]
+				onPath(k, func() { ln.argmaxes(q) })
+				for s := 0; s < w; s++ {
+					v := make([]float64, sizes[last])
+					for o := range v {
+						v[o] = q[w*o+s]
+					}
+					if got, want := ln.best[s], Argmax(v); got != want {
+						t.Fatalf("%s %v: argmax of lane %d is %d, want %d (%v)", pathNames[k], sizes, s, got, want, v)
+					}
+				}
+				// Backward's order: the deepest hidden layer first, each over
+				// the last.
+				for l := last - 1; l > 0; l-- {
+					onPath(k, func() { ln.split(l) })
+					for s := 0; s < w; s++ {
+						for i, x := range ln.trace[s][l] {
+							sameBits(t, []float64{x}, []float64{ln.acts[l][w*i+s]}, pathNames[k], sizes, " split layer ", l, " sample ", s, " unit ", i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// forwardWide is the forward kernel of path k's width.
+func forwardWide(k kernelPath, p, x, out []float64, relu bool) {
+	if k == avx512Kernels {
+		forward8(p, x, out, relu)
+		return
+	}
+	forward4(p, x, out, relu)
 }
 
 // FuzzSIMDKernels runs the comparison of TestSIMDKernelsMatchGo on fuzzed
@@ -101,7 +204,7 @@ func TestSIMDKernelsMatchGo(t *testing.T) {
 // read from the input's 64-bit words (NaNs made defaultNaN), then from a
 // generator seeded by the first word once the input runs out.
 func FuzzSIMDKernels(f *testing.F) {
-	if !useAVX2 {
+	if len(hostPaths) == 0 {
 		f.Skip("the CPU has no AVX2: the Go kernels are the only path")
 	}
 	f.Add(uint8(12), uint8(20), uint8(32), true, []byte{})
@@ -125,12 +228,13 @@ func FuzzSIMDKernels(f *testing.F) {
 	})
 }
 
-// checkSIMDLayer runs one layer of n inputs and out rows through the AVX2
-// kernels and the Go kernels on the same values and fails t on the first
-// bit that differs: the forward outputs of every group of four samples,
-// the gradient block after folding count samples with and without a layer
-// below, each sample's prev, and theta and both moments after an Adam step
-// over the layer's parameters.
+// checkSIMDLayer runs one layer of n inputs and out rows through the Go
+// kernels and then through each assembly kernel set the host runs, on the
+// same values, and fails t on the first bit that differs: the forward
+// outputs of every group of the path's width, the gradient block after
+// folding count samples with and without a layer below, each sample's
+// prev, and theta and both moments after an Adam step over the layer's
+// parameters.
 func checkSIMDLayer(t *testing.T, name string, n, out, count int, relu bool, val func() float64, rng *rand.Rand) {
 	t.Helper()
 	vec := func(k int) []float64 {
@@ -144,53 +248,79 @@ func checkSIMDLayer(t *testing.T, name string, n, out, count int, relu bool, val
 	p := vec(size)
 	xs := make([][]float64, count)
 	ds := make([][]float64, count)
-	prevs := make([][]float64, count)
 	for s := range xs {
-		xs[s], ds[s], prevs[s] = vec(n), vec(out), vec(n)
+		xs[s], ds[s] = vec(n), vec(out)
 		for o := range ds[s] {
 			if rng.Intn(3) == 0 { // a dead unit or an untrained action
 				ds[s][o] = math.Copysign(0, float64(rng.Intn(2))-0.5)
 			}
 		}
 	}
-
-	x4, got4, want := make([]float64, 4*n), make([]float64, 4*out), make([]float64, out)
-	for s0 := 0; s0+4 <= count; s0 += 4 {
-		for i := 0; i < n; i++ {
-			for s := 0; s < 4; s++ {
-				x4[4*i+s] = xs[s0+s][i]
-			}
-		}
-		forward4(p, x4, got4, relu)
-		for s := 0; s < 4; s++ {
-			forward(p, xs[s0+s], want, relu)
-			for o := range want {
-				sameBits(t, got4[4*o+s:4*o+s+1], want[o:o+1], name, " forward sample ", s0+s, " row ", o)
-			}
-		}
+	fwd := make([][]float64, count)
+	for s, x := range xs {
+		fwd[s] = make([]float64, out)
+		forward(p, x, fwd[s], relu)
 	}
-
-	for _, below := range []bool{true, false} {
-		g, gWant := vec(size), make([]float64, size)
-		copy(gWant, g)
+	// The Go kernels' gradient blocks from g0, and each sample's prev,
+	// which the kernels set over the stale stale[s].
+	g0, stale := vec(size), make([][]float64, count)
+	gWant, prevWant := [2][]float64{}, make([][]float64, count)
+	for s := range stale {
+		stale[s] = vec(n)
+	}
+	for b, below := range []bool{false, true} {
+		gWant[b] = append([]float64(nil), g0...)
 		for s := range xs {
-			var prev, prevWant []float64
+			var prev []float64
 			if below {
-				prev, prevWant = append([]float64(nil), prevs[s]...), append([]float64(nil), prevs[s]...)
+				prev = append([]float64(nil), stale[s]...)
+				prevWant[s] = prev
 			}
-			backwardVec(p, g, xs[s], ds[s], prev)
-			backward(p, gWant, xs[s], ds[s], prevWant)
-			sameBits(t, prev, prevWant, name, " prev of sample ", s)
+			onPath(goKernels, func() { backwardLayer(p, gWant[b], xs[s], ds[s], prev) })
 		}
-		sameBits(t, g, gWant, name, " gradient, layer below ", below)
 	}
-
 	theta, mom, vel, grad := vec(size), vec(size), vec(size), vec(size)
+	c := adamConsts{beta1: 0.9, c1: 1 - 0.9, beta2: 0.999, c2: 1 - 0.999, lr: val(), bc1: val(), bc2: val(), eps: 1e-8}
 	thetaW, momW, velW := append([]float64(nil), theta...), append([]float64(nil), mom...), append([]float64(nil), vel...)
-	k := adamConsts{beta1: 0.9, c1: 1 - 0.9, beta2: 0.999, c2: 1 - 0.999, lr: val(), bc1: val(), bc2: val(), eps: 1e-8}
-	adamVec(theta, mom, vel, grad, &k)
-	adam(thetaW, momW, velW, grad, &k)
-	sameBits(t, theta, thetaW, name, " Adam theta")
-	sameBits(t, mom, momW, name, " Adam m")
-	sameBits(t, vel, velW, name, " Adam v")
+	adam(thetaW, momW, velW, grad, &c)
+
+	for _, k := range hostPaths {
+		name := pathNames[k] + "/" + name
+		w := k.width()
+		xw, gotw := make([]float64, w*n), make([]float64, w*out)
+		for s0 := 0; s0+w <= count; s0 += w {
+			for i := 0; i < n; i++ {
+				for s := 0; s < w; s++ {
+					xw[w*i+s] = xs[s0+s][i]
+				}
+			}
+			forwardWide(k, p, xw, gotw, relu)
+			for s := 0; s < w; s++ {
+				for o, want := range fwd[s0+s] {
+					sameBits(t, gotw[w*o+s:w*o+s+1], []float64{want}, name, " forward sample ", s0+s, " row ", o)
+				}
+			}
+		}
+
+		for b, below := range []bool{false, true} {
+			g := append([]float64(nil), g0...)
+			for s := range xs {
+				var prev []float64
+				if below {
+					prev = append([]float64(nil), stale[s]...)
+				}
+				onPath(k, func() { backwardLayer(p, g, xs[s], ds[s], prev) })
+				if below {
+					sameBits(t, prev, prevWant[s], name, " prev of sample ", s)
+				}
+			}
+			sameBits(t, g, gWant[b], name, " gradient, layer below ", below)
+		}
+
+		th, m, v := append([]float64(nil), theta...), append([]float64(nil), mom...), append([]float64(nil), vel...)
+		onPath(k, func() { adamVec(th, m, v, grad, &c) })
+		sameBits(t, th, thetaW, name, " Adam theta")
+		sameBits(t, m, momW, name, " Adam m")
+		sameBits(t, v, velW, name, " Adam v")
+	}
 }

@@ -50,6 +50,9 @@ func (m *MLP) State(v *codec.Visitor) {
 	m.biases(v, &m.m, spare)
 	m.biases(v, &m.v, spare)
 	v.Int(&m.adamT)
+	if v.Reading() {
+		m.version++
+	}
 }
 
 // weights visits the weight rows of *flat, a tensor in theta's layout, as
@@ -161,7 +164,7 @@ func (rp *Replay) State(v *codec.Visitor) {
 		buf[i].state(v)
 	}
 	if v.Reading() && v.Err() == nil {
-		rp.buf, rp.next, rp.full = buf, next, full
+		rp.buf, rp.next, rp.full, rp.memo = buf, next, full, nil
 	}
 }
 
